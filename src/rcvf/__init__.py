@@ -34,6 +34,7 @@ from .sampling import SampleConfig, sample_ball
 from .poly import (
     Polynomial,
     RationalFunction,
+    ResiduePolynomial,
     gauss_valuation,
     poly_eval,
     valuation_at,
@@ -63,7 +64,6 @@ from .integrality import (
     pointwise_integral_oracle,
 )
 from .sos import (
-    ResiduePolynomial,
     ResidueQuotient,
     SosBudget,
     psd_falsify,

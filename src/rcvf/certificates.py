@@ -30,6 +30,7 @@ from .ringexpr import (
     RingExpr,
     SOSExpr,
     SosInverseExpr,
+    infinitesimal_or_zero,
     polynomial_to_ring_expr,
     ring_expr_to_rational,
     verify_ring_membership,
@@ -90,25 +91,13 @@ class VerificationResult:
         return self.ok
 
 
-def _m_is_admissible(m: FieldElement) -> bool:
-    v = m.valuation_lower_bound()
-    if v.is_top:
-        return True  # exactly zero is allowed
-    if v.value > 0:
-        return True
-    try:
-        return m.valuation() > 0
-    except PrecisionExhausted:
-        return False
-
-
 def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
                               set_descriptor: SetDescriptor) -> VerificationResult:
     """Exact check of p*(1+m*h) = sum r_i^2 plus the integrality witness."""
     p = align_to_set(p, set_descriptor)
     h = align_to_set(cert.h, set_descriptor)
     vs = set_descriptor.variables()
-    if not _m_is_admissible(cert.m):
+    if not infinitesimal_or_zero(cert.m):
         return VerificationResult(False, "m_not_infinitesimal")
     one = RationalFunction.constant(1, vs)
     m_rf = RationalFunction.constant(cert.m, vs)
@@ -179,7 +168,7 @@ def verify_dickmann_certificate(p: Polynomial, cert: DickmannCertificate) -> Ver
         raise CoefficientsNotIntegral("certificate form requires coefficients in the valuation ring")
     vs = p.variables
     for t in cert.terms:
-        if not (_m_is_admissible(t.m1) and _m_is_admissible(t.m2)):
+        if not (infinitesimal_or_zero(t.m1) and infinitesimal_or_zero(t.m2)):
             return VerificationResult(False, "m_not_infinitesimal")
         if not (_coefficients_integral(t.q1) and _coefficients_integral(t.q2)):
             return VerificationResult(False, "q_not_integral")
@@ -224,7 +213,6 @@ class GenerationBudget:
     depth: int = 3
     sos: SosBudget = field(default_factory=lambda: SosBudget(max_basis=16, denominator_cap=0))
     falsifier_samples: int = 400
-    oracle_samples: int = 600
 
 
 def _residue_polynomial(p: Polynomial) -> ResiduePolynomial:
@@ -235,10 +223,10 @@ def _residue_polynomial(p: Polynomial) -> ResiduePolynomial:
 
 
 def _lift_residue(q: ResiduePolynomial, variables) -> Polynomial:
-    return Polynomial(variables, {e: FieldElement.from_rational(c) for e, c in q.terms.items()})
+    return Polynomial(variables, q.terms)
 
 
-def _embed_rational_point(point: Sequence[Fraction], n: int) -> list[FieldElement]:
+def _embed_rational_point(point: Sequence[Fraction]) -> list[FieldElement]:
     return [FieldElement.from_rational(x) for x in point]
 
 
@@ -296,7 +284,7 @@ def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
         search = residue_sos_search(rbar, budget.sos, config)
         if search.kind == NEGATIVITY:
             if layers == 0:
-                pt = _embed_rational_point(search.point, set_descriptor.n)
+                pt = _embed_rational_point(search.point)
                 if compare_order(p.evaluate(pt), FieldElement.zero()) == LT:
                     return GenerationOutcome(NEGATIVITY_WITNESS, point=tuple(pt))
             break
@@ -373,7 +361,7 @@ def falsify_nonnegativity(p: Polynomial, set_descriptor: SetDescriptor, config: 
         return None
     z = psd_falsify(rbar, config)
     if z is not None:
-        pt = _embed_rational_point(z, set_descriptor.n)
+        pt = _embed_rational_point(z)
         try:
             on_set = set_descriptor.contains(pt)
         except PrecisionExhausted:
@@ -405,7 +393,7 @@ def _syntactic_witness(p: Polynomial, q: Polynomial, gamma: Fraction, q_gauss: F
     q1 = q.residue_shift(q_gauss)  # q/(eps^gamma * m): Gauss valuation 0
     q1_expr = polynomial_to_ring_expr(q1, set_descriptor)
     shift = pbar - ResiduePolynomial.constant(1, pbar.variables)
-    if shift.is_zero():
+    if shift.is_exactly_zero():
         correction = P - Polynomial.constant(1, P.variables)
         if correction.is_exactly_zero():
             return IntegralityWitness(q1_expr, PerturbedUnit.trivial())

@@ -26,11 +26,7 @@ from .certificates import (
     verify_nonneg_certificate,
 )
 from .errors import ParseError, RcvfError
-from .integrality import (
-    gauss_gap,
-    generic_type_integral,
-    pointwise_integral_oracle,
-)
+from .integrality import gauss_gap, pointwise_integral_oracle
 from .parser import parse_expression
 from .poly import Polynomial, RationalFunction, gauss_valuation
 from .sampling import SampleConfig
@@ -133,8 +129,8 @@ def _cmd_integral(args) -> int:
         h = Polynomial.constant(h)
     sd = _load_set(args.set)
     config = _config(args, default_samples=2000)
-    gauss_ok = generic_type_integral(h, sd)
     gap = gauss_gap(h, sd)
+    gauss_ok = gap >= 0
     verdict = pointwise_integral_oracle(h, sd, config)
     payload = {
         "command": "integral",
@@ -161,19 +157,23 @@ def _psd_falsify(p, sd, config, pretty) -> int:
     return 0
 
 
-def _psd_generate(p, sd, config, args) -> int:
+def _generate(p, sd, config, args):
+    """The generator under the budget that --depth, --max-basis and --samples set."""
     budget = GenerationBudget(depth=args.depth,
                               sos=SosBudget(max_basis=args.max_basis, denominator_cap=0),
-                              falsifier_samples=config.samples,
-                              oracle_samples=config.samples)
-    outcome = generate_ball_certificate(p, sd, budget, config)
+                              falsifier_samples=config.samples)
+    return generate_ball_certificate(p, sd, budget, config)
+
+
+def _psd_generate(p, sd, config, args) -> int:
+    outcome = _generate(p, sd, config, args)
     payload = {"command": "psd", "mode": "generate", "outcome": outcome.kind,
                "gauss": None if outcome.gauss is None else str(outcome.gauss),
                "gauss_in_two_gamma": outcome.gauss_in_two_gamma,
                "layers": outcome.layers}
     code = 0
     if outcome.kind == CERTIFICATE:
-        payload["certificate"] = jsonio.certificate_to_json(_as_poly(p), sd, outcome.certificate)
+        payload["certificate"] = jsonio.certificate_to_json(p, sd, outcome.certificate)
     elif outcome.kind == NEGATIVITY_WITNESS:
         payload["witness"] = {"point": _element_list(outcome.point)}
         code = 1
@@ -228,12 +228,7 @@ def _cmd_cert_verify(args) -> int:
 def _cmd_cert_find(args) -> int:
     p = _as_poly(parse_expression(args.p))
     sd = _load_set(args.set)
-    config = _config(args)
-    budget = GenerationBudget(depth=args.depth,
-                              sos=SosBudget(max_basis=args.max_basis, denominator_cap=0),
-                              falsifier_samples=config.samples,
-                              oracle_samples=config.samples)
-    outcome = generate_ball_certificate(p, sd, budget, config)
+    outcome = _generate(p, sd, _config(args), args)
     payload = {"command": "cert", "mode": "find", "outcome": outcome.kind}
     code = 0
     if outcome.kind == CERTIFICATE:

@@ -28,7 +28,6 @@ NO_COUNTEREXAMPLE_FOUND = "no_counterexample_found"
 @dataclass(frozen=True)
 class IntegralityVerdict:
     kind: str
-    gap: Optional[ValueGroupElement] = None
     point: Optional[tuple[FieldElement, ...]] = None
     value_valuation: Optional[ValueGroupElement] = None
     samples: int = 0
@@ -44,22 +43,18 @@ def _as_rational_function(h: Union[Polynomial, RationalFunction]) -> RationalFun
 
 
 def generic_type_integral(h: Union[Polynomial, RationalFunction], set_descriptor: SetDescriptor) -> bool:
-    """Gauss criterion: integral iff gauss(num) >= gauss(den).
-
-    Affine modules are pulled back to the unit polydisc first.  Sets with
-    strict constraints are outside this criterion's scope.
-    """
-    if set_descriptor.has_strict_constraints:
-        raise ValueError("the Gauss criterion applies to polydiscs and affine modules only")
-    h = align_to_set(_as_rational_function(h), set_descriptor)
-    if set_descriptor.kind == "affine":
-        h = module_pullback(h, set_descriptor.module_map)
-    g = gauss_valuation(h)
-    return g >= 0
+    """Gauss criterion: integral iff gauss(num) >= gauss(den)."""
+    return gauss_gap(h, set_descriptor) >= 0
 
 
 def gauss_gap(h: Union[Polynomial, RationalFunction], set_descriptor: SetDescriptor) -> ValueGroupElement:
-    """The Gauss valuation of h after pullback; negative means not integral."""
+    """The Gauss valuation of h after pullback; negative means not integral.
+
+    Affine modules are pulled back to the unit polydisc first.  Sets with
+    strict constraints are outside the Gauss criterion's scope.
+    """
+    if set_descriptor.has_strict_constraints:
+        raise ValueError("the Gauss criterion applies to polydiscs and affine modules only")
     h = align_to_set(_as_rational_function(h), set_descriptor)
     if set_descriptor.kind == "affine":
         h = module_pullback(h, set_descriptor.module_map)

@@ -1,12 +1,16 @@
 """Multivariate polynomials and rational functions over the series field.
 
-Coefficients are :class:`FieldElement` values; exponent vectors are tuples of
-non-negative ints keyed to an ordered variable tuple.  Rational functions are
-kept unreduced; equality is the cross-multiplication identity.
+One sparse core serves two coefficient rings: :class:`Polynomial` has
+:class:`FieldElement` coefficients, :class:`ResiduePolynomial` has exact
+``Fraction`` ones (the residue polynomials of the SOS layer).  Exponent
+vectors are tuples of non-negative ints keyed to an ordered variable tuple.
+Rational functions are kept unreduced; equality is the cross-multiplication
+identity.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -47,14 +51,22 @@ def _as_coeff(c: Scalar) -> FieldElement:
     return FieldElement.from_rational(c)
 
 
-class Polynomial:
-    """terms: exponent-vector -> nonzero FieldElement coefficient."""
+class _SparsePolynomial:
+    """terms: exponent-vector -> nonzero coefficient, sorted by exponent vector.
+
+    The one sparse-polynomial core; each subclass fixes the coefficient ring
+    through ``_coeff`` (coercion of a scalar), ``_scalars`` (types taken as
+    constants), ``_zero`` (the zero element) and ``_is_zero`` (the exact-zero
+    test).  The test is per ring because series equality is only up to
+    precision: ``c == 0`` would drop an ``O(eps^k)`` coefficient.
+    """
 
     __slots__ = ("variables", "terms")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], Scalar] = ()):
+    def __init__(self, variables: Sequence[str], terms=()):
         variables = tuple(variables)
-        clean: dict[tuple[int, ...], FieldElement] = {}
+        coeff, is_zero = self._coeff, self._is_zero
+        clean = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for expv, c in items:
             expv = tuple(int(e) for e in expv)
@@ -62,10 +74,10 @@ class Polynomial:
                 raise ValueError(f"exponent vector {expv} does not match arity {len(variables)}")
             if any(e < 0 for e in expv):
                 raise ValueError("polynomial exponents must be non-negative")
-            c = _as_coeff(c)
+            c = coeff(c)
             if expv in clean:
                 c = clean[expv] + c
-            if c.is_exact_zero():
+            if is_zero(c):
                 clean.pop(expv, None)
             else:
                 clean[expv] = c
@@ -73,24 +85,23 @@ class Polynomial:
         object.__setattr__(self, "terms", dict(sorted(clean.items())))
 
     def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # -- constructors --------------------------------------------------------
 
-    @staticmethod
-    def constant(c: Scalar, variables: Sequence[str] = ()) -> "Polynomial":
+    @classmethod
+    def constant(cls, c, variables: Sequence[str] = ()):
         vs = tuple(variables)
-        return Polynomial(vs, {(0,) * len(vs): _as_coeff(c)})
+        return cls(vs, {(0,) * len(vs): c})
 
-    @staticmethod
-    def variable(name: str, variables: Sequence[str] | None = None) -> "Polynomial":
+    @classmethod
+    def variable(cls, name: str, variables: Sequence[str] | None = None):
         vs = tuple(variables) if variables is not None else (name,)
-        expv = tuple(1 if v == name else 0 for v in vs)
         if name not in vs:
             raise ValueError(f"{name} not among {vs}")
-        return Polynomial(vs, {expv: FieldElement.one()})
+        return cls(vs, {tuple(1 if v == name else 0 for v in vs): 1})
 
-    def with_variables(self, variables: Sequence[str]) -> "Polynomial":
+    def with_variables(self, variables: Sequence[str]):
         """Re-embed into a larger variable frame (must contain the current one)."""
         variables = tuple(variables)
         idx = []
@@ -104,7 +115,7 @@ class Polynomial:
             for pos, e in zip(idx, expv):
                 new[pos] = e
             terms[tuple(new)] = c
-        return Polynomial(variables, terms)
+        return type(self)(variables, terms)
 
     # -- queries --------------------------------------------------------------
 
@@ -114,25 +125,31 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in expv) for expv in self.terms)
 
-    def constant_value(self) -> FieldElement:
+    def constant_value(self):
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         for c in self.terms.values():
             return c
-        return FieldElement.zero()
+        return self._zero()
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def coefficient(self, expv: tuple[int, ...]) -> FieldElement:
-        return self.terms.get(tuple(expv), FieldElement.zero())
+    def max_degrees(self) -> tuple[int, ...]:
+        out = [0] * len(self.variables)
+        for e in self.terms:
+            for i, d in enumerate(e):
+                out[i] = max(out[i], d)
+        return tuple(out)
 
     # -- arithmetic -------------------------------------------------------------
 
-    def _aligned(self, other) -> tuple["Polynomial", "Polynomial"]:
-        if isinstance(other, (int, Fraction, FieldElement)):
-            other = Polynomial.constant(other, self.variables)
-        if not isinstance(other, Polynomial):
+    def _aligned(self, other):
+        if isinstance(other, self._scalars):
+            other = self.constant(other, self.variables)
+        if not isinstance(other, type(self)):
+            if isinstance(other, _SparsePolynomial):
+                raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
             return NotImplemented, NotImplemented
         if self.variables == other.variables:
             return self, other
@@ -143,14 +160,12 @@ class Polynomial:
         a, b = self._aligned(other)
         if a is NotImplemented:
             return NotImplemented
-        terms = dict(a.terms)
-        out = list(terms.items()) + list(b.terms.items())
-        return Polynomial(a.variables, out)
+        return type(self)(a.variables, list(a.terms.items()) + list(b.terms.items()))
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+    def __neg__(self):
+        return type(self)(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         a, b = self._aligned(other)
@@ -165,21 +180,64 @@ class Polynomial:
         a, b = self._aligned(other)
         if a is NotImplemented:
             return NotImplemented
-        terms: list[tuple[tuple[int, ...], FieldElement]] = []
+        terms = []
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 terms.append((tuple(x + y for x, y in zip(e1, e2)), c1 * c2))
-        return Polynomial(a.variables, terms)
+        return type(self)(a.variables, terms)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Polynomial":
+    def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial; use RationalFunction")
-        result = Polynomial.constant(1, self.variables)
+        result = self.constant(1, self.variables)
         for _ in range(n):
             result = result * self
         return result
+
+    # -- evaluation and equality -------------------------------------------------
+
+    def evaluate(self, point: Sequence):
+        if len(point) != len(self.variables):
+            raise ValueError(f"point arity {len(point)} != {len(self.variables)}")
+        coeff = self._coeff
+        point = [coeff(p) for p in point]
+        total = self._zero()
+        for expv, c in self.terms.items():
+            v = c
+            for x, e in zip(point, expv):
+                if e:
+                    v *= x**e
+            total += v
+        return total
+
+    def __eq__(self, other) -> bool:
+        a, b = self._aligned(other)
+        if a is NotImplemented:
+            return NotImplemented
+        return (a - b).is_exactly_zero()
+
+    __hash__ = None
+
+
+class Polynomial(_SparsePolynomial):
+    """Polynomial with FieldElement coefficients."""
+
+    __slots__ = ()
+    _coeff = staticmethod(_as_coeff)
+    _scalars = (int, Fraction, FieldElement)
+    _zero = staticmethod(FieldElement.zero)
+    _is_zero = staticmethod(FieldElement.is_exact_zero)
+
+    # Bound in this class's own namespace so that per-class instrumentation
+    # (perfbench/tracing.py) times Polynomial calls apart from residue ones.
+    __add__ = __radd__ = _SparsePolynomial.__add__
+    __mul__ = __rmul__ = _SparsePolynomial.__mul__
+    evaluate = _SparsePolynomial.evaluate
+
+    def coefficient(self, expv: tuple[int, ...]) -> FieldElement:
+        return self.terms.get(tuple(expv), FieldElement.zero())
 
     def scale(self, c: Scalar) -> "Polynomial":
         c = _as_coeff(c)
@@ -189,20 +247,7 @@ class Polynomial:
         """Apply an exact map to every coefficient (used for eps-power shifts)."""
         return Polynomial(self.variables, {e: f(c) for e, c in self.terms.items()})
 
-    # -- evaluation and substitution ---------------------------------------------
-
-    def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
-        if len(point) != len(self.variables):
-            raise ValueError(f"point arity {len(point)} != {len(self.variables)}")
-        point = [_as_coeff(p) for p in point]
-        total = FieldElement.zero()
-        for expv, c in self.terms.items():
-            val = c
-            for x, e in zip(point, expv):
-                if e:
-                    val = val * x**e
-            total = total + val
-        return total
+    # -- substitution and valuation ----------------------------------------------
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
         """Polynomial substitution variable_i -> images[i] (images share one frame)."""
@@ -252,21 +297,35 @@ class Polynomial:
         shift = FieldElement.eps_power(-gamma)
         return self.scale_coefficients(lambda c: c * shift)
 
-    # -- equality ---------------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        a, b = self._aligned(other)
-        if a is NotImplemented:
-            return NotImplemented
-        return (a - b).is_exactly_zero()
-
-    __hash__ = None
-
     def __str__(self) -> str:
         return format_polynomial(self)
 
     def __repr__(self) -> str:
         return f"Polynomial({format_polynomial(self)})"
+
+
+class ResiduePolynomial(_SparsePolynomial):
+    """Polynomial with exact rational coefficients (residue polynomials)."""
+
+    __slots__ = ()
+    _coeff = Fraction
+    _scalars = (int, Fraction)
+    _zero = Fraction
+    _is_zero = staticmethod(operator.not_)
+
+    @classmethod
+    def coordinate_square_sum(cls, variables: Sequence[str]) -> "ResiduePolynomial":
+        vs = tuple(variables)
+        return cls(vs, {tuple(2 if j == i else 0 for j in range(len(vs))): 1 for i in range(len(vs))})
+
+    def __repr__(self):
+        if not self.terms:
+            return "ResiduePolynomial(0)"
+        bits = []
+        for e, c in self.terms.items():
+            mono = "*".join(f"{v}^{d}" for v, d in zip(self.variables, e) if d)
+            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
+        return "ResiduePolynomial(" + " + ".join(bits) + ")"
 
 
 class RationalFunction:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, PrecisionExhausted
 from .poly import Polynomial, RationalFunction
 from .series import FieldElement, TOP, ValueGroupElement
 from .sets import SetDescriptor, align_to_set
@@ -41,9 +41,11 @@ class SOSExpr:
             total = sq if total is None else total + sq
         return total
 
-    def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
+    def evaluate(self, set_descriptor: SetDescriptor, point: Sequence[FieldElement]) -> FieldElement:
+        """Value at a point of the set, summands aligned to the set's variables."""
         total = FieldElement.zero()
         for s in self.summands:
+            s = align_to_set(s, set_descriptor)
             num = s.num.evaluate(point)
             den = s.den.evaluate(point)
             if den.is_exact_zero():
@@ -240,14 +242,14 @@ def eval_ring_expr(e: RingExpr, set_descriptor: SetDescriptor,
             raise DivisionByZero("generator denominator vanishes")
         return num / den
     if isinstance(e, SosInverseExpr):
-        w = FieldElement.one() + _eval_sos(e.sos, set_descriptor, point)
+        w = FieldElement.one() + e.sos.evaluate(set_descriptor, point)
         if w.is_exact_zero():
             raise DivisionByZero("1 + SOS vanished (off-set point)")
         return w.invert()
     if isinstance(e, ConeInverseExpr):
         total = FieldElement.one()
         for sos, factors in e.cone.entries:
-            term = _eval_sos(sos, set_descriptor, point)
+            term = sos.evaluate(set_descriptor, point)
             for i in factors:
                 term = term * set_descriptor.strict_constraints[i].evaluate(point)
             total = total + term
@@ -267,18 +269,18 @@ def eval_ring_expr(e: RingExpr, set_descriptor: SetDescriptor,
     raise TypeError(f"not a ring expression: {type(e).__name__}")
 
 
-def _eval_sos(sos: SOSExpr, set_descriptor: SetDescriptor,
-              point: Sequence[FieldElement]) -> FieldElement:
-    total = FieldElement.zero()
-    for s in sos.summands:
-        s = align_to_set(s, set_descriptor)
-        num = s.num.evaluate(point)
-        den = s.den.evaluate(point)
-        if den.is_exact_zero():
-            raise DivisionByZero("SOS summand denominator vanishes at the point")
-        v = num / den
-        total = total + v * v
-    return total
+def infinitesimal_or_zero(m: FieldElement) -> bool:
+    """m is exactly zero or of positive valuation, as every perturbation m must be.
+
+    An element whose valuation the precision leaves open is refused.
+    """
+    v = m.valuation_lower_bound()
+    if v.is_top or v.value > 0:
+        return True
+    try:
+        return m.valuation() > 0
+    except PrecisionExhausted:
+        return False
 
 
 class PerturbedUnit:
@@ -294,15 +296,7 @@ class PerturbedUnit:
         raise AttributeError("immutable")
 
     def is_well_formed(self) -> bool:
-        v = self.m.valuation_lower_bound()
-        if v.is_top:
-            return True  # m exactly zero: denotes 1
-        if v.value > 0:
-            return True
-        try:
-            return self.m.valuation() > 0
-        except Exception:
-            return False
+        return infinitesimal_or_zero(self.m)
 
     def denote(self, set_descriptor: SetDescriptor) -> RationalFunction:
         vs = set_descriptor.variables()

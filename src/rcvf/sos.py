@@ -14,156 +14,19 @@ rational search.  The search may multiply the target by powers of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Optional, Sequence, Union
+from math import gcd, isqrt, log
+from typing import Optional, Sequence
 
 import numpy as np
-from sympy import factorint
 
+from .poly import ResiduePolynomial
 from .sampling import SampleConfig, _rng
-
-Rational = Union[int, Fraction]
 
 SOS = "sos"
 NOT_SOS_IN_BUDGET = "not_sos_in_budget"
 NEGATIVITY = "negativity_witness"
-
-
-class ResiduePolynomial:
-    """Multivariate polynomial with exact rational coefficients."""
-
-    __slots__ = ("variables", "terms")
-
-    def __init__(self, variables: Sequence[str], terms=()):
-        variables = tuple(variables)
-        clean: dict[tuple[int, ...], Fraction] = {}
-        items = terms.items() if hasattr(terms, "items") else terms
-        for expv, c in items:
-            expv = tuple(int(e) for e in expv)
-            if len(expv) != len(variables):
-                raise ValueError("exponent arity mismatch")
-            c = Fraction(c)
-            c = clean.get(expv, Fraction(0)) + c
-            if c == 0:
-                clean.pop(expv, None)
-            else:
-                clean[expv] = c
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "terms", dict(sorted(clean.items())))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
-
-    @staticmethod
-    def constant(c: Rational, variables: Sequence[str] = ()) -> "ResiduePolynomial":
-        vs = tuple(variables)
-        return ResiduePolynomial(vs, {(0,) * len(vs): Fraction(c)})
-
-    @staticmethod
-    def variable(name: str, variables: Sequence[str]) -> "ResiduePolynomial":
-        vs = tuple(variables)
-        return ResiduePolynomial(vs, {tuple(1 if v == name else 0 for v in vs): Fraction(1)})
-
-    @staticmethod
-    def coordinate_square_sum(variables: Sequence[str]) -> "ResiduePolynomial":
-        vs = tuple(variables)
-        terms = {}
-        for i in range(len(vs)):
-            e = [0] * len(vs)
-            e[i] = 2
-            terms[tuple(e)] = Fraction(1)
-        return ResiduePolynomial(vs, terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
-    def constant_value(self) -> Fraction:
-        for e, c in self.terms.items():
-            if sum(e) == 0:
-                return c
-        return Fraction(0)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def max_degrees(self) -> tuple[int, ...]:
-        n = len(self.variables)
-        out = [0] * n
-        for e in self.terms:
-            for i, d in enumerate(e):
-                out[i] = max(out[i], d)
-        return tuple(out)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return ResiduePolynomial(self.variables, list(self.terms.items()) + list(other.terms.items()))
-
-    def _coerce(self, other):
-        if isinstance(other, ResiduePolynomial):
-            if other.variables != self.variables:
-                raise ValueError("variable frames differ")
-            return other
-        return ResiduePolynomial.constant(other, self.variables)
-
-    def __neg__(self):
-        return ResiduePolynomial(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ResiduePolynomial(self.variables, {e: c * Fraction(other) for e, c in self.terms.items()})
-        other = self._coerce(other)
-        terms = []
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                terms.append((tuple(a + b for a, b in zip(e1, e2)), c1 * c2))
-        return ResiduePolynomial(self.variables, terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        out = ResiduePolynomial.constant(1, self.variables)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def evaluate(self, point: Sequence[Rational]) -> Fraction:
-        if len(point) != len(self.variables):
-            raise ValueError("point arity mismatch")
-        point = [Fraction(p) for p in point]
-        total = Fraction(0)
-        for expv, c in self.terms.items():
-            v = c
-            for x, e in zip(point, expv):
-                if e:
-                    v *= x**e
-            total += v
-        return total
-
-    def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except ValueError:
-            return False
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.terms:
-            return "ResiduePolynomial(0)"
-        bits = []
-        for e, c in self.terms.items():
-            mono = "*".join(f"{v}^{d}" for v, d in zip(self.variables, e) if d)
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return "ResiduePolynomial(" + " + ".join(bits) + ")"
 
 
 @dataclass(frozen=True)
@@ -283,6 +146,173 @@ def ldl_psd(G: list[list[Fraction]]):
     return "psd", squares
 
 
+# -- integer factorisation (for the two-squares step) ---------------------------
+
+_SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % d for d in range(2, p)))
+# Miller-Rabin with these bases is exact below 3.3e24.
+_MR_BASES = _SMALL_PRIMES[:13]
+# (B1, curves) per round of the elliptic-curve method; stage 2 runs to 50*B1
+# in giant steps of _ECM_WHEEL.
+_ECM_ROUNDS = ((2000, 25), (11000, 90), (50000, 300), (250000, 1 << 40))
+_ECM_WHEEL = 210
+
+
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin for odd n with no prime factor below 100."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_rho(n: int, steps: int = 1 << 16) -> Optional[int]:
+    """A proper factor of a composite n by Brent's variant of Pollard rho,
+    or None when a walk of about 2*steps iterations finds none."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            if r > steps:
+                return None
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batched product overshot: step back one at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _prime_sieve(n: int) -> bytearray:
+    """sieve[i] == 1 exactly for the primes i < n."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for i in range(2, isqrt(n - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n, i)))
+    return sieve
+
+
+def _ecm_curve(n: int, sigma: int, k: int, b1: int, b2: int, sieve: bytearray) -> Optional[int]:
+    """One curve of Lenstra's elliptic-curve method: a proper factor of n, or None.
+
+    Montgomery curve in x:z coordinates with Suyama's parametrisation.  Stage
+    1 multiplies the start point by k, the product of the prime powers up to
+    b1; stage 2 looks for one more prime q <= b2 as q = c -+ j with c a
+    multiple of the wheel w: then (c)Q and (j)Q share their x-coordinate mod p.
+    """
+    u, v = (sigma * sigma - 5) % n, 4 * sigma % n
+    x = pow(u, 3, n)
+    den = 16 * x * v % n
+    g = gcd(den, n)
+    if g != 1:
+        return g if g < n else None
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+
+    def dbl(p):
+        s, d = (p[0] + p[1]) ** 2 % n, (p[0] - p[1]) ** 2 % n
+        return s * d % n, (s - d) * (d + a24 * (s - d)) % n
+
+    def add(p, q, diff):  # p + q, given p - q
+        a, b = (p[0] - p[1]) * (q[0] + q[1]), (p[0] + p[1]) * (q[0] - q[1])
+        return diff[1] * (a + b) ** 2 % n, diff[0] * (a - b) ** 2 % n
+
+    def mul(m, p):  # Montgomery ladder, r1 - r0 = p throughout
+        r0, r1 = p, dbl(p)
+        for bit in bin(m)[3:]:
+            r0, r1 = (add(r1, r0, p), dbl(r1)) if bit == "1" else (dbl(r0), add(r1, r0, p))
+        return r0
+
+    q = mul(k, (x, pow(v, 3, n)))
+    g = gcd(q[1], n)
+    if g != 1:
+        return g if g < n else None
+    w = _ECM_WHEEL
+    two = dbl(q)
+    odd = {1: q, 3: add(two, q, q)}
+    for j in range(5, w // 2, 2):
+        odd[j] = add(odd[j - 2], two, odd[j - 4])
+    baby = {j: p for j, p in odd.items() if gcd(j, w) == 1}
+    giant = mul(w, q)
+    first = b1 // w + 1
+    prev, cur = mul(first - 1, giant), mul(first, giant)
+    acc = 1
+    for c in range(first * w, b2 + 1, w):
+        for j, (xj, zj) in baby.items():
+            if sieve[c - j] or sieve[c + j]:
+                acc = acc * (cur[0] * zj - xj * cur[1]) % n
+        prev, cur = cur, add(cur, giant, prev)
+    g = gcd(acc, n)
+    return g if 1 < g < n else None
+
+
+def _ecm(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below 100."""
+    sigma = 6
+    for b1, curves in _ECM_ROUNDS:
+        b2 = 50 * b1
+        sieve = _prime_sieve(b2 + _ECM_WHEEL)
+        k = 1
+        for p in range(2, b1 + 1):
+            if sieve[p]:
+                k *= p ** int(log(b1, p))
+        for _ in range(curves):
+            g = _ecm_curve(n, sigma, k, b1, b2, sieve)
+            sigma += 1
+            if g:
+                return g
+    raise ArithmeticError(f"no factor of {n} found")
+
+
+def _trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """The factors {p: e} of n below 100, and the cofactor left."""
+    factors: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        while n % p == 0:
+            n //= p
+            factors[p] = factors.get(p, 0) + 1
+    return factors, n
+
+
+def _factor(n: int) -> dict[int, int]:
+    """Prime factorisation {p: e} of a positive integer: trial division
+    below 100, Miller-Rabin, then Brent's Pollard rho for small factors and
+    the elliptic-curve method for the factors rho leaves."""
+    factors, n = _trial_divide(n)
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < 100 * 100 or _is_probable_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _brent_rho(m) or _ecm(m)
+            pending += [d, m // d]
+    return dict(sorted(factors.items()))
+
+
 def _sqrt_minus_one_mod(p: int) -> int:
     """A square root of -1 modulo a prime p = 1 (mod 4)."""
     g = 2
@@ -300,13 +330,23 @@ def _prime_two_squares(p: int) -> tuple[int, int]:
 
 
 def two_squares(n: int):
-    """n = a^2 + b^2 over the integers, or None (odd power of a 3-mod-4 prime)."""
+    """n = a^2 + b^2 over the integers, or None (odd power of a 3-mod-4 prime).
+
+    Gaussian-integer products commute, so the result does not depend on the
+    order of the prime factors.  The final check keeps a composite taken for
+    a prime (possible only above 3.3e24) from yielding a wrong pair.
+    """
     if n < 0:
         return None
     if n == 0:
         return (0, 0)
+    small, rest = _trial_divide(n)
+    # rest is odd; rest = 3 (mod 4) has a 3-mod-4 prime to an odd power.  Both
+    # tests spare factoring a large rest that cannot be a sum of two squares.
+    if rest % 4 == 3 or any(p % 4 == 3 and e % 2 for p, e in small.items()):
+        return None
     a, b = 1, 0
-    for p, e in factorint(n).items():
+    for p, e in (small | _factor(rest)).items():
         if p % 4 == 3:
             if e % 2:
                 return None
@@ -319,6 +359,8 @@ def two_squares(n: int):
             c, d = _prime_two_squares(p)
         for _ in range(e):
             a, b = a * c - b * d, a * d + b * c
+    if a * a + b * b != n:
+        return None
     return (abs(a), abs(b))
 
 
@@ -435,7 +477,7 @@ def psd_falsify(q: ResiduePolynomial, config: Optional[SampleConfig] = None):
     Rational grid, exact Gram direction for degree <= 2, coordinate descent
     from seeded random starts, and boundary rays.
     """
-    if q.is_zero():
+    if q.is_exactly_zero():
         return None
     n = len(q.variables)
     if n == 0:
@@ -618,7 +660,7 @@ def residue_sos_search(q: ResiduePolynomial, budget: Optional[SosBudget] = None,
     """Exact SOS decomposition (quotients allowed), negativity witness, or give up."""
     budget = budget or SosBudget()
     vs = q.variables
-    if q.is_zero():
+    if q.is_exactly_zero():
         return SosSearchResult(SOS, quotients=())
     if q.is_constant():
         c = q.constant_value()
