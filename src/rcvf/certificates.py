@@ -16,7 +16,7 @@ an explicit candidate-without-witness outcome is kept distinct from success.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -204,14 +204,13 @@ class GenerationOutcome:
     h: Optional[RationalFunction] = None
     oracle: Optional[IntegralityVerdict] = None
     gauss: Optional[Fraction] = None
-    gauss_in_two_gamma: bool = True
     layers: int = 0
 
 
 @dataclass(frozen=True)
 class GenerationBudget:
     depth: int = 3
-    sos: SosBudget = field(default_factory=lambda: SosBudget(max_basis=16, denominator_cap=0))
+    sos: SosBudget = SosBudget(max_basis=16, denominator_cap=0)  # frozen: safe to share
     falsifier_samples: int = 400
 
 
@@ -257,24 +256,13 @@ def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
     if witness_point is not None:
         return GenerationOutcome(NEGATIVITY_WITNESS, point=tuple(witness_point))
 
-    gamma = gauss_valuation(p)
-    gamma_val = gamma.value  # p nonzero, so rational
-    # Value group is the rationals, hence divisible: gamma/2 always exists.
-    in_two_gamma = True
+    gamma_val = gauss_valuation(p).value  # p nonzero, so rational
 
     # Stage 2: peel residue layers.
     summands: list[RationalFunction] = []
     layers = 0
     residual = p
-    while layers < budget.depth:
-        if residual.is_exactly_zero():
-            cert = NonnegCertificate(SOSExpr([RationalFunction(s) if isinstance(s, Polynomial) else s
-                                              for s in summands]),
-                                     FieldElement.zero(),
-                                     RationalFunction.constant(0, vs),
-                                     IntegralityWitness.trivial())
-            return GenerationOutcome(CERTIFICATE, certificate=cert, gauss=gamma_val,
-                                     gauss_in_two_gamma=in_two_gamma, layers=layers)
+    while layers < budget.depth and not residual.is_exactly_zero():
         layer_gauss = gauss_valuation(residual).value
         scaled = residual.residue_shift(layer_gauss)
         try:
@@ -290,38 +278,31 @@ def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
             break
         if search.kind != SOS:
             break
-        half = FieldElement.eps_power(Fraction(layer_gauss, 2))
-        layer_polys = []
-        for quot in search.quotients:
-            num = _lift_residue(quot.num, vs).scale(half)
-            den = _lift_residue(quot.den, vs)
-            layer_polys.append(RationalFunction(num, den))
-        layer_sum = Polynomial(vs)
-        plain = all(q.den.is_constant() for q in search.quotients)
-        if not plain:
+        if not all(q.den.is_constant() for q in search.quotients):
             break  # rational layers would make the residual a quotient; stop peeling
-        for rf in layer_polys:
+        # The value group is the rationals, hence divisible: gamma/2 always exists.
+        half = FieldElement.eps_power(Fraction(layer_gauss, 2))
+        layer_sum = Polynomial(vs)
+        for quot in search.quotients:
+            rf = RationalFunction(_lift_residue(quot.num, vs).scale(half), _lift_residue(quot.den, vs))
             summands.append(rf)
             layer_sum = layer_sum + rf.num * rf.num  # den == 1 here
         residual = residual - layer_sum
         layers += 1
 
     if not summands:
-        return GenerationOutcome(UNKNOWN, gauss=gamma_val, gauss_in_two_gamma=in_two_gamma,
-                                 layers=layers)
+        return GenerationOutcome(UNKNOWN, gauss=gamma_val, layers=layers)
     if residual.is_exactly_zero():
         cert = NonnegCertificate(SOSExpr(summands), FieldElement.zero(),
                                  RationalFunction.constant(0, vs), IntegralityWitness.trivial())
-        return GenerationOutcome(CERTIFICATE, certificate=cert, gauss=gamma_val,
-                                 gauss_in_two_gamma=in_two_gamma, layers=layers)
+        return GenerationOutcome(CERTIFICATE, certificate=cert, gauss=gamma_val, layers=layers)
 
     # Stage 3: fold the remainder into m*h.  q = r - p has Gauss valuation
     # strictly above p's, so m is infinitesimal and h = q/(p*m) Gauss-integral.
     q = -residual  # r_acc - p
     q_gauss = gauss_valuation(q).value
     if q_gauss <= gamma_val:
-        return GenerationOutcome(UNKNOWN, gauss=gamma_val, gauss_in_two_gamma=in_two_gamma,
-                                 layers=layers)
+        return GenerationOutcome(UNKNOWN, gauss=gamma_val, layers=layers)
     m = FieldElement.eps_power(q_gauss - gamma_val)
     q_scaled = q.residue_shift(q_gauss - gamma_val)  # q/m, a polynomial
     h = RationalFunction(q_scaled, p)
@@ -330,15 +311,14 @@ def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
     witness = _syntactic_witness(p, q, gamma_val, q_gauss, set_descriptor)
     if witness is not None:
         cert = NonnegCertificate(r_sos, m, h, witness)
-        return GenerationOutcome(CERTIFICATE, certificate=cert, gauss=gamma_val,
-                                 gauss_in_two_gamma=in_two_gamma, layers=layers)
+        return GenerationOutcome(CERTIFICATE, certificate=cert, gauss=gamma_val, layers=layers)
     oracle = pointwise_integral_oracle(h, set_descriptor,
                                        config.with_seed(config.seed + 1))
     # A candidate is only worth reporting when the oracle backs its h; a
     # counterexample to integrality demotes the outcome to unknown.
     kind = UNKNOWN if oracle.found_counterexample else CANDIDATE
     return GenerationOutcome(kind, r=r_sos, m=m, h=h, oracle=oracle,
-                             gauss=gamma_val, gauss_in_two_gamma=in_two_gamma, layers=layers)
+                             gauss=gamma_val, layers=layers)
 
 
 def falsify_nonnegativity(p: Polynomial, set_descriptor: SetDescriptor, config: SampleConfig,
@@ -444,14 +424,12 @@ def _transport_to_module(outcome: GenerationOutcome,
         new_h = compose(align_to_set(cert.h, module_set))
         new_cert = NonnegCertificate(new_r, cert.m, new_h, cert.witness)
         return GenerationOutcome(CERTIFICATE, certificate=new_cert, gauss=outcome.gauss,
-                                 gauss_in_two_gamma=outcome.gauss_in_two_gamma,
                                  layers=outcome.layers)
     if outcome.kind == CANDIDATE:
         new_r = SOSExpr([compose(align_to_set(s, module_set)) for s in outcome.r.summands])
         new_h = compose(align_to_set(outcome.h, module_set))
         return GenerationOutcome(CANDIDATE, r=new_r, m=outcome.m, h=new_h, oracle=outcome.oracle,
-                                 gauss=outcome.gauss, gauss_in_two_gamma=outcome.gauss_in_two_gamma,
-                                 layers=outcome.layers)
+                                 gauss=outcome.gauss, layers=outcome.layers)
     return outcome
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from . import jsonio
@@ -169,7 +170,6 @@ def _psd_generate(p, sd, config, args) -> int:
     outcome = _generate(p, sd, config, args)
     payload = {"command": "psd", "mode": "generate", "outcome": outcome.kind,
                "gauss": None if outcome.gauss is None else str(outcome.gauss),
-               "gauss_in_two_gamma": outcome.gauss_in_two_gamma,
                "layers": outcome.layers}
     code = 0
     if outcome.kind == CERTIFICATE:
@@ -357,6 +357,11 @@ def run(argv) -> int:
         return 2
     except (RcvfError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},
+              getattr(args, "pretty", False))
+        return 2
+    except Exception as exc:  # a crash must not exit 1, which reads as "rejected"
+        traceback.print_exc(file=sys.stderr)
+        _emit({"error": {"type": "internal", "exception": type(exc).__name__, "message": str(exc)}},
               getattr(args, "pretty", False))
         return 2
     finally:

@@ -49,6 +49,25 @@ def pretty_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _expect(obj, kind: type, what: str):
+    """obj itself when it has the JSON type kind, else EncodingError.  Readers
+    check every node: a string where a list belongs would be iterated."""
+    if not isinstance(obj, kind):
+        raise EncodingError(f"{what} must be {_JSON_TYPES[kind]} in JSON, got {type(obj).__name__}")
+    return obj
+
+
+def _objects(obj, what: str) -> list:
+    return [_expect(item, dict, f"an item of {what}") for item in _expect(obj, list, what)]
+
+
+def _parse(text):
+    return parse_expression(_expect(text, str, "expression text"))
+
+
 # -- scalars and polynomials ---------------------------------------------------
 
 
@@ -59,7 +78,7 @@ def element_to_text(x: FieldElement) -> str:
 
 
 def element_from_text(text: str) -> FieldElement:
-    v = parse_expression(text)
+    v = _parse(text)
     if not isinstance(v, FieldElement):
         raise EncodingError(f"expected a scalar, got {type(v).__name__}: {text!r}")
     return v
@@ -73,7 +92,7 @@ def poly_to_text(p: Polynomial) -> str:
 
 
 def poly_from_text(text: str) -> Polynomial:
-    v = parse_expression(text)
+    v = _parse(text)
     if isinstance(v, FieldElement):
         return Polynomial.constant(v)
     if isinstance(v, RationalFunction):
@@ -92,7 +111,7 @@ def rational_to_text(rf: RationalFunction) -> str:
 
 
 def rational_from_text(text: str) -> RationalFunction:
-    v = parse_expression(text)
+    v = _parse(text)
     if isinstance(v, FieldElement):
         return RationalFunction.constant(v)
     if isinstance(v, Polynomial):
@@ -118,12 +137,13 @@ def set_to_json(s: SetDescriptor) -> dict:
 
 
 def set_from_json(obj: dict) -> SetDescriptor:
-    strict = [poly_from_text(t) for t in obj.get("strict", [])] or None
+    obj = _expect(obj, dict, "set")
+    strict = [poly_from_text(t) for t in _expect(obj.get("strict", []), list, "strict")] or None
     if obj["kind"] == "ball":
         return SetDescriptor.unit_polydisc(int(obj["n"]), strict)
     if obj["kind"] == "affine":
-        centers = tuple(element_from_text(t) for t in obj["centers"])
-        scales = tuple(element_from_text(t) for t in obj["scales"])
+        centers = tuple(element_from_text(t) for t in _expect(obj["centers"], list, "centers"))
+        scales = tuple(element_from_text(t) for t in _expect(obj["scales"], list, "scales"))
         return SetDescriptor.affine_module(AffineModuleMap(centers, scales), strict)
     raise EncodingError(f"unknown set kind {obj.get('kind')!r}")
 
@@ -137,7 +157,7 @@ def _sos_to_json(sos: SOSExpr) -> list:
 
 def _sos_from_json(items) -> SOSExpr:
     summands = []
-    for it in items:
+    for it in _objects(items, "summands"):
         summands.append(RationalFunction(poly_from_text(it["num"]), poly_from_text(it["den"])))
     return SOSExpr(summands)
 
@@ -161,7 +181,7 @@ def ring_expr_to_json(e: RingExpr) -> dict:
 
 
 def ring_expr_from_json(obj: dict) -> RingExpr:
-    op = obj.get("op")
+    op = _expect(obj, dict, "ring expression").get("op")
     if op == "const":
         return ConstExpr(element_from_text(obj["value"]))
     if op == "gen":
@@ -169,13 +189,14 @@ def ring_expr_from_json(obj: dict) -> RingExpr:
     if op == "iord":
         return SosInverseExpr(_sos_from_json(obj["summands"]))
     if op == "icone":
-        entries = [(_sos_from_json(t["coeff"]), tuple(int(i) for i in t["factors"]))
-                   for t in obj["entries"]]
+        entries = [(_sos_from_json(t["coeff"]),
+                    tuple(int(i) for i in _expect(t["factors"], list, "factors")))
+                   for t in _objects(obj["entries"], "entries")]
         return ConeInverseExpr(ConeExpr(entries))
     if op == "sum":
-        return SumExpr([ring_expr_from_json(a) for a in obj["args"]])
+        return SumExpr([ring_expr_from_json(a) for a in _expect(obj["args"], list, "args")])
     if op == "prod":
-        return ProdExpr([ring_expr_from_json(a) for a in obj["args"]])
+        return ProdExpr([ring_expr_from_json(a) for a in _expect(obj["args"], list, "args")])
     raise EncodingError(f"unknown ring expression op {op!r}")
 
 
@@ -184,6 +205,7 @@ def _unit_to_json(u: PerturbedUnit) -> dict:
 
 
 def _unit_from_json(obj: dict) -> PerturbedUnit:
+    obj = _expect(obj, dict, "unit")
     return PerturbedUnit(element_from_text(obj["m"]), ring_expr_from_json(obj["a"]))
 
 
@@ -195,10 +217,11 @@ def witness_to_json(w: IntegralityWitness) -> dict:
 
 
 def witness_from_json(obj: dict) -> IntegralityWitness:
+    obj = _expect(obj, dict, "witness")
     monic = None
     if obj.get("monic") is not None:
         monic = tuple(QuotientCoefficient(ring_expr_from_json(c["num"]), _unit_from_json(c["den"]))
-                      for c in obj["monic"])
+                      for c in _objects(obj["monic"], "monic"))
     return IntegralityWitness(ring_expr_from_json(obj["num"]), _unit_from_json(obj["den"]), monic)
 
 
@@ -219,11 +242,13 @@ def certificate_to_json(p: Polynomial, set_descriptor: SetDescriptor,
 
 def certificate_from_json(obj: dict):
     """Returns (p, set_descriptor, certificate)."""
+    obj = _expect(obj, dict, "certificate")
     p = poly_from_text(obj["p"])
     sd = set_from_json(obj["set"])
-    r = SOSExpr([rational_from_text(t) for t in obj["r"]])
+    r = SOSExpr([rational_from_text(t) for t in _expect(obj["r"], list, "r")])
     m = element_from_text(obj["m"])
-    h = RationalFunction(poly_from_text(obj["h"]["num"]), poly_from_text(obj["h"]["den"]))
+    h_obj = _expect(obj["h"], dict, "h")
+    h = RationalFunction(poly_from_text(h_obj["num"]), poly_from_text(h_obj["den"]))
     witness = witness_from_json(obj["witness"])
     return p, sd, NonnegCertificate(r, m, h, witness)
 
@@ -238,8 +263,9 @@ def dickmann_to_json(p: Polynomial, cert: DickmannCertificate) -> dict:
 
 
 def dickmann_from_json(obj: dict):
+    obj = _expect(obj, dict, "certificate")
     p = poly_from_text(obj["p"])
     terms = tuple(DickmannTerm(element_from_text(t["m1"]), poly_from_text(t["q1"]),
                                element_from_text(t["m2"]), poly_from_text(t["q2"]))
-                  for t in obj["terms"])
+                  for t in _objects(obj["terms"], "terms"))
     return p, DickmannCertificate(terms)

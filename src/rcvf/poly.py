@@ -192,8 +192,13 @@ class _SparsePolynomial:
         if n < 0:
             raise ValueError("negative power of a polynomial; use RationalFunction")
         result = self.constant(1, self.variables)
-        for _ in range(n):
-            result = result * self
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- evaluation and equality -------------------------------------------------

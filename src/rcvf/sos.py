@@ -16,10 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, log
+from math import isqrt
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .poly import ResiduePolynomial
 from .sampling import SampleConfig, _rng
@@ -146,19 +144,20 @@ def ldl_psd(G: list[list[Fraction]]):
     return "psd", squares
 
 
-# -- integer factorisation (for the two-squares step) ---------------------------
+# -- four squares without factoring (Rabin & Shallit) ---------------------------
 
 _SMALL_PRIMES = tuple(p for p in range(2, 100) if all(p % d for d in range(2, p)))
 # Miller-Rabin with these bases is exact below 3.3e24.
 _MR_BASES = _SMALL_PRIMES[:13]
-# (B1, curves) per round of the elliptic-curve method; stage 2 runs to 50*B1
-# in giant steps of _ECM_WHEEL.
-_ECM_ROUNDS = ((2000, 25), (11000, 90), (50000, 300), (250000, 1 << 40))
-_ECM_WHEEL = 210
 
 
 def _is_probable_prime(n: int) -> bool:
-    """Miller-Rabin for odd n with no prime factor below 100."""
+    """Trial division below 100, then Miller-Rabin (exact below 3.3e24)."""
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 2:
+        return False
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -176,196 +175,58 @@ def _is_probable_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int, steps: int = 1 << 16) -> Optional[int]:
-    """A proper factor of a composite n by Brent's variant of Pollard rho,
-    or None when a walk of about 2*steps iterations finds none."""
-    for c in itertools.count(1):
-        y, r, q, g = 2, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            if r > steps:
-                return None
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:  # the batched product overshot: step back one at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
+def _prime_two_squares(p: int) -> Optional[tuple[int, int]]:
+    """p = a^2 + b^2 for a prime p = 1 (mod 4), or None when no prime below
+    100 is a quadratic non-residue of p.
 
-
-def _prime_sieve(n: int) -> bytearray:
-    """sieve[i] == 1 exactly for the primes i < n."""
-    sieve = bytearray([1]) * n
-    sieve[:2] = b"\0\0"
-    for i in range(2, isqrt(n - 1) + 1):
-        if sieve[i]:
-            sieve[i * i::i] = bytes(len(range(i * i, n, i)))
-    return sieve
-
-
-def _ecm_curve(n: int, sigma: int, k: int, b1: int, b2: int, sieve: bytearray) -> Optional[int]:
-    """One curve of Lenstra's elliptic-curve method: a proper factor of n, or None.
-
-    Montgomery curve in x:z coordinates with Suyama's parametrisation.  Stage
-    1 multiplies the start point by k, the product of the prime powers up to
-    b1; stage 2 looks for one more prime q <= b2 as q = c -+ j with c a
-    multiple of the wheel w: then (c)Q and (j)Q share their x-coordinate mod p.
+    A non-residue g gives r = g^((p-1)/4), a square root of -1 mod p; Euclid's
+    algorithm on (p, r) stops at the first remainder below sqrt(p).
     """
-    u, v = (sigma * sigma - 5) % n, 4 * sigma % n
-    x = pow(u, 3, n)
-    den = 16 * x * v % n
-    g = gcd(den, n)
-    if g != 1:
-        return g if g < n else None
-    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
-
-    def dbl(p):
-        s, d = (p[0] + p[1]) ** 2 % n, (p[0] - p[1]) ** 2 % n
-        return s * d % n, (s - d) * (d + a24 * (s - d)) % n
-
-    def add(p, q, diff):  # p + q, given p - q
-        a, b = (p[0] - p[1]) * (q[0] + q[1]), (p[0] + p[1]) * (q[0] - q[1])
-        return diff[1] * (a + b) ** 2 % n, diff[0] * (a - b) ** 2 % n
-
-    def mul(m, p):  # Montgomery ladder, r1 - r0 = p throughout
-        r0, r1 = p, dbl(p)
-        for bit in bin(m)[3:]:
-            r0, r1 = (add(r1, r0, p), dbl(r1)) if bit == "1" else (dbl(r0), add(r1, r0, p))
-        return r0
-
-    q = mul(k, (x, pow(v, 3, n)))
-    g = gcd(q[1], n)
-    if g != 1:
-        return g if g < n else None
-    w = _ECM_WHEEL
-    two = dbl(q)
-    odd = {1: q, 3: add(two, q, q)}
-    for j in range(5, w // 2, 2):
-        odd[j] = add(odd[j - 2], two, odd[j - 4])
-    baby = {j: p for j, p in odd.items() if gcd(j, w) == 1}
-    giant = mul(w, q)
-    first = b1 // w + 1
-    prev, cur = mul(first - 1, giant), mul(first, giant)
-    acc = 1
-    for c in range(first * w, b2 + 1, w):
-        for j, (xj, zj) in baby.items():
-            if sieve[c - j] or sieve[c + j]:
-                acc = acc * (cur[0] * zj - xj * cur[1]) % n
-        prev, cur = cur, add(cur, giant, prev)
-    g = gcd(acc, n)
-    return g if 1 < g < n else None
-
-
-def _ecm(n: int) -> int:
-    """A proper factor of a composite n with no prime factor below 100."""
-    sigma = 6
-    for b1, curves in _ECM_ROUNDS:
-        b2 = 50 * b1
-        sieve = _prime_sieve(b2 + _ECM_WHEEL)
-        k = 1
-        for p in range(2, b1 + 1):
-            if sieve[p]:
-                k *= p ** int(log(b1, p))
-        for _ in range(curves):
-            g = _ecm_curve(n, sigma, k, b1, b2, sieve)
-            sigma += 1
-            if g:
-                return g
-    raise ArithmeticError(f"no factor of {n} found")
-
-
-def _trial_divide(n: int) -> tuple[dict[int, int], int]:
-    """The factors {p: e} of n below 100, and the cofactor left."""
-    factors: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            n //= p
-            factors[p] = factors.get(p, 0) + 1
-    return factors, n
-
-
-def _factor(n: int) -> dict[int, int]:
-    """Prime factorisation {p: e} of a positive integer: trial division
-    below 100, Miller-Rabin, then Brent's Pollard rho for small factors and
-    the elliptic-curve method for the factors rho leaves."""
-    factors, n = _trial_divide(n)
-    pending = [n] if n > 1 else []
-    while pending:
-        m = pending.pop()
-        if m < 100 * 100 or _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-        else:
-            d = _brent_rho(m) or _ecm(m)
-            pending += [d, m // d]
-    return dict(sorted(factors.items()))
-
-
-def _sqrt_minus_one_mod(p: int) -> int:
-    """A square root of -1 modulo a prime p = 1 (mod 4)."""
-    g = 2
-    while pow(g, (p - 1) // 2, p) != p - 1:
-        g += 1
-    return pow(g, (p - 1) // 4, p)
-
-
-def _prime_two_squares(p: int) -> tuple[int, int]:
-    """p = a^2 + b^2 for a prime p = 1 (mod 4), by descending Euclid."""
-    a, b = p, _sqrt_minus_one_mod(p)
-    while b * b > p:
-        a, b = b, a % b
-    return b, isqrt(p - b * b)
+    for g in _SMALL_PRIMES:
+        if pow(g, (p - 1) // 2, p) == p - 1:
+            a, b = p, pow(g, (p - 1) // 4, p)
+            while b * b > p:
+                a, b = b, a % b
+            return b, isqrt(p - b * b)
+    return None
 
 
 def two_squares(n: int):
-    """n = a^2 + b^2 over the integers, or None (odd power of a 3-mod-4 prime).
+    """n = a^2 + b^2 for n a square, 2, a probable prime p = 1 (mod 4) or 2p;
+    None otherwise, also for some n that are sums of two squares.
 
-    Gaussian-integer products commute, so the result does not depend on the
-    order of the prime factors.  The final check keeps a composite taken for
-    a prime (possible only above 3.3e24) from yielding a wrong pair.
+    Every candidate costs one primality test and a bounded non-residue
+    search, never a factorisation.  The final check keeps a pseudoprime
+    (possible only above 3.3e24) from yielding a wrong pair.
     """
     if n < 0:
         return None
-    if n == 0:
-        return (0, 0)
-    small, rest = _trial_divide(n)
-    # rest is odd; rest = 3 (mod 4) has a 3-mod-4 prime to an odd power.  Both
-    # tests spare factoring a large rest that cannot be a sum of two squares.
-    if rest % 4 == 3 or any(p % 4 == 3 and e % 2 for p, e in small.items()):
+    r = isqrt(n)
+    if r * r == n:
+        return (r, 0)
+    if n == 2:
+        return (1, 1)
+    p = n // 2 if n % 2 == 0 else n
+    if p % 4 != 1 or not _is_probable_prime(p):
         return None
-    a, b = 1, 0
-    for p, e in (small | _factor(rest)).items():
-        if p % 4 == 3:
-            if e % 2:
-                return None
-            scale = p ** (e // 2)
-            a, b = a * scale, b * scale
-            continue
-        if p == 2:
-            c, d = 1, 1
-        else:
-            c, d = _prime_two_squares(p)
-        for _ in range(e):
-            a, b = a * c - b * d, a * d + b * c
+    pair = _prime_two_squares(p)
+    if pair is None:
+        return None
+    a, b = pair
+    if p != n:  # 2(a^2 + b^2) = (a - b)^2 + (a + b)^2
+        a, b = abs(a - b), a + b
     if a * a + b * b != n:
         return None
-    return (abs(a), abs(b))
+    return (a, b)
 
 
 def _three_squares(m: int) -> tuple[int, int, int]:
-    """m = x^2 + y^2 + z^2 for m not of the form 4^a(8b+7)."""
+    """m = x^2 + y^2 + z^2 for m not of the form 4^a(8b+7).
+
+    Takes the largest x whose remainder m - x^2 two_squares recognises.
+    About one remainder in log m is a recognisable prime, so no factoring is
+    needed (Rabin & Shallit 1986; Pollack & Trevino 2018).
+    """
     if m == 0:
         return (0, 0, 0)
     shift = 0
@@ -420,10 +281,8 @@ def _grid_points(n: int, cap: int = 4000):
         return
     # Deterministic subsample of the grid for higher dimension.
     rng = _rng(99991, n)
-    seen = 0
     for _ in range(cap):
         yield tuple(rng.choice(_GRID_VALUES) for _ in range(n))
-        seen += 1
 
 
 def _quadratic_gram(q: ResiduePolynomial):
@@ -534,7 +393,6 @@ def psd_falsify(q: ResiduePolynomial, config: Optional[SampleConfig] = None):
 
 def _half_basis(q: ResiduePolynomial) -> list[tuple[int, ...]]:
     """Candidate square-root monomials: the degree box below half of q's degrees."""
-    n = len(q.variables)
     half_total = q.total_degree() // 2
     half_each = [d // 2 + (d % 2) for d in q.max_degrees()]
     out = []
@@ -587,6 +445,8 @@ _DENOMINATOR_LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 48, 96,
 
 def _numeric_psd_candidates(G0, nullvecs, size):
     """Float search for a PSD point of the affine Gram family; yields y vectors."""
+    import numpy as np  # only this search needs numpy; keep it off the import path
+
     dims = len(nullvecs)
     g0 = np.array([[float(x) for x in row] for row in G0])
     mats = [np.array([[float(x) for x in row] for row in N]) for N in nullvecs]

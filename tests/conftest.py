@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import rcvf
 from rcvf.series import FieldElement
+
+
+def subprocess_env() -> dict:
+    """The environment with this checkout's rcvf first on PYTHONPATH, for child interpreters."""
+    src = str(Path(rcvf.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def small_fraction(rng: random.Random, bound: int = 10, nonzero: bool = False) -> Fraction:

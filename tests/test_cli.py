@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,7 @@ from rcvf.poly import Polynomial, RationalFunction
 from rcvf.series import FieldElement
 from rcvf.sets import AffineModuleMap, SetDescriptor
 
-from conftest import random_exact_element, small_fraction
+from conftest import random_exact_element, small_fraction, subprocess_env
 
 F = Fraction
 
@@ -204,6 +206,21 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    def test_large_power_by_repeated_squaring(self):
+        # n multiplications would not finish; a child process turns a hang into a failure.
+        proc = subprocess.run([sys.executable, "-m", "rcvf.cli", "eval", "--expr", "x^99999999"],
+                              capture_output=True, text=True, timeout=20, env=subprocess_env())
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["value"] == {"type": "poly", "text": "x^99999999"}
+
+    def test_internal_error_is_exit_2(self, monkeypatch):
+        def crash(args):
+            raise TypeError("boom")
+        monkeypatch.setattr("rcvf.cli._cmd_eval", crash)
+        code, out = run_cli("eval", "--expr", "x")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "internal"
+
     def test_trunc_flag_scopes_to_one_invocation(self):
         code, out = run_cli("eval", "--expr", "1/(1-eps)", "--trunc", "5")
         payload = json.loads(out)["value"]
@@ -211,6 +228,34 @@ class TestExitCodes:
         assert payload["precision"] == "5"
         code2, out2 = run_cli("eval", "--expr", "1/(1-eps)")
         assert json.loads(out2)["value"]["precision"] == "32"
+
+
+_TRIVIAL_WITNESS = {"num": {"op": "const", "value": "0"},
+                    "den": {"m": "0", "a": {"op": "const", "value": "0"}}, "monic": None}
+# 5 = 1^2 + 2^2 with m = 0 and the trivial witness; each case breaks one JSON type.
+_WELL_FORMED = {"p": "5", "set": {"kind": "ball", "n": 1}, "r": ["1", "2"], "m": "0",
+                "h": {"num": "0", "den": "1"}, "witness": _TRIVIAL_WITNESS}
+
+
+class TestMalformedCertificates:
+    @pytest.mark.parametrize("blob", [
+        dict(_WELL_FORMED, r="12"),  # a string would be read as the summands "1" and "2"
+        [_WELL_FORMED],
+        dict(_WELL_FORMED, witness=dict(_TRIVIAL_WITNESS, num={"op": "sum", "args": 5})),
+    ], ids=["string_r", "top_level_list", "integer_args"])
+    def test_malformed_file_is_usage_error(self, tmp_path, blob):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(blob))
+        code, out = run_cli("cert", "verify", str(path))
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "EncodingError"
+
+    def test_well_formed_file_verifies(self, tmp_path):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(_WELL_FORMED))
+        code, out = run_cli("cert", "verify", str(path))
+        assert code == 0
+        assert json.loads(out)["verified"] is True
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Exact SOS search, PSD falsification, quadratic-form completeness."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -170,9 +171,15 @@ class TestVerify:
 
 class TestHelpers:
     def test_four_squares(self):
-        for n in (0, 1, 2, 3, 7, 2021, 9999991):
+        rng = random.Random(60120)
+        seeded = [rng.randrange(10**59, 10**60) for _ in range(4)]
+        seeded += [rng.randrange(10**119, 10**120) for _ in range(4)]
+        # A pivot product from a rational-coefficient certificate search.
+        tail = int("29765787517249407386567496874665954109363876731318677347375091747042025200"
+                   "659837020179581166972819201935175171114326138662337780448196")
+        for n in itertools.chain(range(10**5), (2021, 9999991, tail), seeded):
             parts = four_squares(n)
-            assert sum(v * v for v in parts) == n
+            assert sum(v * v for v in parts) == n, n
 
     def test_rational_square_terms(self):
         for q in (F(0), F(1), F(7, 3), F(13, 8), F(2)):
