@@ -449,10 +449,6 @@ class CharacterizationReport:
     samples_tested: int = 0
     c_values_tested: int = 0
 
-    @property
-    def found_negativity(self) -> bool:
-        return self.verdict == NEGATIVITY_WITNESS
-
 
 def _c_pool(config: SampleConfig, count: int) -> list[FieldElement]:
     rng = _rng(config.seed, 0xCEE)

@@ -8,8 +8,6 @@ a truncated element has no text form and is rejected.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import Union
 
 from .errors import RcvfError
 from .parser import parse_expression
@@ -29,8 +27,6 @@ from .ringexpr import (
 from .sets import AffineModuleMap, SetDescriptor
 from .series import FieldElement
 from .certificates import (
-    DickmannCertificate,
-    DickmannTerm,
     IntegralityWitness,
     NonnegCertificate,
     QuotientCoefficient,
@@ -49,13 +45,14 @@ def pretty_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 
 def _expect(obj, kind: type, what: str):
     """obj itself when it has the JSON type kind, else EncodingError.  Readers
-    check every node: a string where a list belongs would be iterated."""
-    if not isinstance(obj, kind):
+    check every node: a string where a list belongs would be iterated, and
+    int() would read 0.9 or true as an index."""
+    if not isinstance(obj, kind) or isinstance(obj, bool):
         raise EncodingError(f"{what} must be {_JSON_TYPES[kind]} in JSON, got {type(obj).__name__}")
     return obj
 
@@ -140,7 +137,7 @@ def set_from_json(obj: dict) -> SetDescriptor:
     obj = _expect(obj, dict, "set")
     strict = [poly_from_text(t) for t in _expect(obj.get("strict", []), list, "strict")] or None
     if obj["kind"] == "ball":
-        return SetDescriptor.unit_polydisc(int(obj["n"]), strict)
+        return SetDescriptor.unit_polydisc(_expect(obj["n"], int, "n"), strict)
     if obj["kind"] == "affine":
         centers = tuple(element_from_text(t) for t in _expect(obj["centers"], list, "centers"))
         scales = tuple(element_from_text(t) for t in _expect(obj["scales"], list, "scales"))
@@ -185,12 +182,13 @@ def ring_expr_from_json(obj: dict) -> RingExpr:
     if op == "const":
         return ConstExpr(element_from_text(obj["value"]))
     if op == "gen":
-        return GenExpr(int(obj["index"]))
+        return GenExpr(_expect(obj["index"], int, "index"))
     if op == "iord":
         return SosInverseExpr(_sos_from_json(obj["summands"]))
     if op == "icone":
         entries = [(_sos_from_json(t["coeff"]),
-                    tuple(int(i) for i in _expect(t["factors"], list, "factors")))
+                    tuple(_expect(i, int, "an item of factors")
+                          for i in _expect(t["factors"], list, "factors")))
                    for t in _objects(obj["entries"], "entries")]
         return ConeInverseExpr(ConeExpr(entries))
     if op == "sum":
@@ -251,21 +249,3 @@ def certificate_from_json(obj: dict):
     h = RationalFunction(poly_from_text(h_obj["num"]), poly_from_text(h_obj["den"]))
     witness = witness_from_json(obj["witness"])
     return p, sd, NonnegCertificate(r, m, h, witness)
-
-
-def dickmann_to_json(p: Polynomial, cert: DickmannCertificate) -> dict:
-    return {
-        "p": poly_to_text(p),
-        "terms": [{"m1": element_to_text(t.m1), "q1": poly_to_text(t.q1),
-                   "m2": element_to_text(t.m2), "q2": poly_to_text(t.q2)}
-                  for t in cert.terms],
-    }
-
-
-def dickmann_from_json(obj: dict):
-    obj = _expect(obj, dict, "certificate")
-    p = poly_from_text(obj["p"])
-    terms = tuple(DickmannTerm(element_from_text(t["m1"]), poly_from_text(t["q1"]),
-                               element_from_text(t["m2"]), poly_from_text(t["q2"]))
-                  for t in _objects(obj["terms"], "terms"))
-    return p, DickmannCertificate(terms)

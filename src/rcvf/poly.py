@@ -13,19 +13,11 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from math import lcm
+from typing import Mapping, Sequence, Union
 
-from .errors import DivisionByZero, PrecisionExhausted, UndefinedGauss
-from .series import (
-    EQ,
-    GT,
-    LT,
-    FieldElement,
-    TOP,
-    ValueGroupElement,
-    compare_order,
-    format_element,
-)
+from .errors import DivisionByZero, UndefinedGauss
+from .series import TOP, FieldElement, ValueGroupElement, format_element
 
 Scalar = Union[int, Fraction, FieldElement]
 
@@ -58,7 +50,8 @@ class _SparsePolynomial:
     through ``_coeff`` (coercion of a scalar), ``_scalars`` (types taken as
     constants), ``_zero`` (the zero element) and ``_is_zero`` (the exact-zero
     test).  The test is per ring because series equality is only up to
-    precision: ``c == 0`` would drop an ``O(eps^k)`` coefficient.
+    precision: ``c == 0`` would drop an ``O(eps^k)`` coefficient.  Each
+    subclass also supplies its own ``evaluate`` kernel.
     """
 
     __slots__ = ("variables", "terms")
@@ -201,21 +194,7 @@ class _SparsePolynomial:
                 base = base * base
         return result
 
-    # -- evaluation and equality -------------------------------------------------
-
-    def evaluate(self, point: Sequence):
-        if len(point) != len(self.variables):
-            raise ValueError(f"point arity {len(point)} != {len(self.variables)}")
-        coeff = self._coeff
-        point = [coeff(p) for p in point]
-        total = self._zero()
-        for expv, c in self.terms.items():
-            v = c
-            for x, e in zip(point, expv):
-                if e:
-                    v *= x**e
-            total += v
-        return total
+    # -- equality ---------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         a, b = self._aligned(other)
@@ -239,7 +218,34 @@ class Polynomial(_SparsePolynomial):
     # (perfbench/tracing.py) times Polynomial calls apart from residue ones.
     __add__ = __radd__ = _SparsePolynomial.__add__
     __mul__ = __rmul__ = _SparsePolynomial.__mul__
-    evaluate = _SparsePolynomial.evaluate
+
+    def evaluate(self, point: Sequence) -> FieldElement:
+        """Exact value at a point; each coordinate's powers are built once per call.
+
+        Row i holds x_i, x_i*x_i, (x_i*x_i)*x_i, ... up to the largest exponent of
+        variable i.  A truncated product's precision, min_i(p_i + sum_{j!=i} v_j),
+        is symmetric in the factors, so these powers equal ``x_i**e`` term for
+        term and precision for precision.  The terms are multiplied and summed
+        one monomial at a time, as written: regrouping them could let a
+        cancellation raise a partial sum's precision and change the result.
+        """
+        if len(point) != len(self.variables):
+            raise ValueError(f"point arity {len(point)} != {len(self.variables)}")
+        rows = []
+        for x, d in zip(point, self.max_degrees()):
+            x = _as_coeff(x)
+            row = [None, x]
+            for _ in range(d - 1):
+                row.append(row[-1] * x)
+            rows.append(row)
+        total = FieldElement.zero()
+        for expv, c in self.terms.items():
+            v = c
+            for row, e in zip(rows, expv):
+                if e:
+                    v *= row[e]
+            total += v
+        return total
 
     def coefficient(self, expv: tuple[int, ...]) -> FieldElement:
         return self.terms.get(tuple(expv), FieldElement.zero())
@@ -312,7 +318,9 @@ class Polynomial(_SparsePolynomial):
 class ResiduePolynomial(_SparsePolynomial):
     """Polynomial with exact rational coefficients (residue polynomials)."""
 
-    __slots__ = ()
+    # _plan: (L, ((expv, c*L), ...), max_degrees) with L the lcm of the
+    # coefficient denominators, built by the first evaluate (terms never change).
+    __slots__ = ("_plan",)
     _coeff = Fraction
     _scalars = (int, Fraction)
     _zero = Fraction
@@ -322,6 +330,39 @@ class ResiduePolynomial(_SparsePolynomial):
     def coordinate_square_sum(cls, variables: Sequence[str]) -> "ResiduePolynomial":
         vs = tuple(variables)
         return cls(vs, {tuple(2 if j == i else 0 for j in range(len(vs))): 1 for i in range(len(vs))})
+
+    def evaluate(self, point: Sequence) -> Fraction:
+        """Exact value at a rational point, in integers over one common denominator.
+
+        With x_i = n_i/q_i and D_i the largest exponent of variable i, the value
+        is sum_t (c_t*L) * prod_i n_i^e_i * q_i^(D_i-e_i) over L * prod_i q_i^D_i.
+        """
+        if len(point) != len(self.variables):
+            raise ValueError(f"point arity {len(point)} != {len(self.variables)}")
+        try:
+            den, numerators, degrees = self._plan
+        except AttributeError:
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            numerators = tuple((e, c.numerator * (den // c.denominator)) for e, c in self.terms.items())
+            degrees = self.max_degrees()
+            object.__setattr__(self, "_plan", (den, numerators, degrees))
+        rows = []
+        for x, d in zip(point, degrees):
+            x = Fraction(x)
+            n, q = x.numerator, x.denominator
+            # row[e] = n^e * q^(d-e): x^e over the common denominator q^d.
+            npow, qpow = [1], [1]
+            for _ in range(d):
+                npow.append(npow[-1] * n)
+                qpow.append(qpow[-1] * q)
+            rows.append([npow[e] * qpow[d - e] for e in range(d + 1)])
+            den *= qpow[d]
+        total = 0
+        for expv, c in numerators:
+            for row, e in zip(rows, expv):
+                c *= row[e]
+            total += c
+        return Fraction(total, den)
 
     def __repr__(self):
         if not self.terms:
@@ -353,19 +394,12 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     @staticmethod
-    def from_polynomial(p: Polynomial) -> "RationalFunction":
-        return RationalFunction(p)
-
-    @staticmethod
     def constant(c: Scalar, variables: Sequence[str] = ()) -> "RationalFunction":
         return RationalFunction(Polynomial.constant(c, variables))
 
     @property
     def variables(self) -> tuple[str, ...]:
         return self.num.variables
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
 
     def with_variables(self, variables: Sequence[str]) -> "RationalFunction":
         return RationalFunction(self.num.with_variables(variables), self.den.with_variables(variables))

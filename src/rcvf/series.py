@@ -45,17 +45,6 @@ def default_truncation() -> Fraction:
     return _DEFAULT_TRUNCATION
 
 
-def set_exponent_denominator_cap(cap: int) -> None:
-    global _EXPONENT_DENOMINATOR_CAP
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    _EXPONENT_DENOMINATOR_CAP = cap
-
-
-def exponent_denominator_cap() -> int:
-    return _EXPONENT_DENOMINATOR_CAP
-
-
 def rational_sqrt(q: Fraction) -> Optional[Fraction]:
     """Exact square root of a non-negative rational, or None if irrational."""
     if q < 0:
@@ -214,10 +203,6 @@ class FieldElement:
         return FieldElement.from_rational(1)
 
     # -- structure queries -------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        return self.precision is None
 
     def is_exact_zero(self) -> bool:
         return not self.terms and self.precision is None

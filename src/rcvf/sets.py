@@ -41,9 +41,6 @@ class AffineModuleMap:
     def apply(self, point: Sequence[FieldElement]) -> list[FieldElement]:
         return [a + s * y for a, s, y in zip(self.centers, self.scales, point)]
 
-    def apply_inverse(self, point: Sequence[FieldElement]) -> list[FieldElement]:
-        return [(x - a) / s for a, s, x in zip(self.centers, self.scales, point)]
-
 
 def canonical_variables(n: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(n))
@@ -104,9 +101,6 @@ class SetDescriptor:
                 den = Polynomial.constant(s, vs)
                 gens.append(RationalFunction(num, den))
         return gens
-
-    def strip_constraints(self) -> "SetDescriptor":
-        return SetDescriptor(self.kind, n=self.n, module_map=self.module_map)
 
     # -- membership ------------------------------------------------------------
 

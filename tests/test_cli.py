@@ -237,12 +237,32 @@ _WELL_FORMED = {"p": "5", "set": {"kind": "ball", "n": 1}, "r": ["1", "2"], "m":
                 "h": {"num": "0", "den": "1"}, "witness": _TRIVIAL_WITNESS}
 
 
+def _zero_times(expr):
+    """A witness numerator 0 * expr: the file verifies whatever expr denotes."""
+    return dict(_TRIVIAL_WITNESS, num={"op": "prod", "args": [{"op": "const", "value": "0"}, expr]})
+
+
+def _cone_inverse(factors):
+    return {"op": "icone", "entries": [{"coeff": [{"num": "1", "den": "1"}], "factors": factors}]}
+
+
+_STRICT_SET = {"kind": "ball", "n": 1, "strict": ["x1"]}
+
+
 class TestMalformedCertificates:
+    # The last five put a float or a boolean where a JSON integer belongs;
+    # int() would read each one as a valid index or dimension.
     @pytest.mark.parametrize("blob", [
         dict(_WELL_FORMED, r="12"),  # a string would be read as the summands "1" and "2"
         [_WELL_FORMED],
         dict(_WELL_FORMED, witness=dict(_TRIVIAL_WITNESS, num={"op": "sum", "args": 5})),
-    ], ids=["string_r", "top_level_list", "integer_args"])
+        dict(_WELL_FORMED, set={"kind": "ball", "n": 1.7}),
+        dict(_WELL_FORMED, set={"kind": "ball", "n": True}),
+        dict(_WELL_FORMED, witness=_zero_times({"op": "gen", "index": 0.9})),
+        dict(_WELL_FORMED, witness=_zero_times({"op": "gen", "index": False})),
+        dict(_WELL_FORMED, set=_STRICT_SET, witness=_zero_times(_cone_inverse([0.5]))),
+    ], ids=["string_r", "top_level_list", "integer_args", "float_n", "bool_n", "float_index",
+            "bool_index", "float_factor"])
     def test_malformed_file_is_usage_error(self, tmp_path, blob):
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(blob))
@@ -253,6 +273,17 @@ class TestMalformedCertificates:
     def test_well_formed_file_verifies(self, tmp_path):
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(_WELL_FORMED))
+        code, out = run_cli("cert", "verify", str(path))
+        assert code == 0
+        assert json.loads(out)["verified"] is True
+
+    @pytest.mark.parametrize("blob", [
+        dict(_WELL_FORMED, witness=_zero_times({"op": "gen", "index": 0})),
+        dict(_WELL_FORMED, set=_STRICT_SET, witness=_zero_times(_cone_inverse([0]))),
+    ], ids=["integer_index", "integer_factor"])
+    def test_integer_fields_verify(self, tmp_path, blob):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(blob))
         code, out = run_cli("cert", "verify", str(path))
         assert code == 0
         assert json.loads(out)["verified"] is True

@@ -8,7 +8,7 @@ import pytest
 from rcvf.poly import Polynomial, ResiduePolynomial
 from rcvf.series import FieldElement
 
-from conftest import small_fraction
+from conftest import random_exact_element, random_truncated_element, small_fraction
 
 F = Fraction
 FRAME = ("x1", "x2", "x3")
@@ -117,3 +117,129 @@ class TestRingsDoNotMix:
     def test_sibling_classes(self):
         assert not isinstance(ResiduePolynomial.variable("x"), Polynomial)
         assert not isinstance(Polynomial.variable("x"), ResiduePolynomial)
+
+
+def reference_evaluate(p, point):
+    """The plain loop the evaluation kernels must match: ``x**e`` for every monomial."""
+    if len(point) != len(p.variables):
+        raise ValueError("arity")
+    point = [p._coeff(x) for x in point]
+    total = p._zero()
+    for expv, c in p.terms.items():
+        v = c
+        for x, e in zip(point, expv):
+            if e:
+                v *= x**e
+        total += v
+    return total
+
+
+def random_coordinate(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return random_exact_element(rng, allow_negative_exponents=True)
+    if kind == 1:
+        return random_truncated_element(rng)
+    if kind == 2:
+        return FieldElement((), precision=Fraction(rng.randint(1, 6), rng.choice((1, 2))))
+    if kind == 3:
+        return FieldElement.zero()
+    return small_fraction(rng)
+
+
+def random_series(rng, frame, max_deg=4, max_terms=5):
+    terms = []
+    for _ in range(rng.randint(0, max_terms)):
+        expv = tuple(rng.randint(0, max_deg) for _ in frame)
+        c = random_truncated_element(rng) if rng.random() < 0.4 else random_exact_element(rng)
+        terms.append((expv, c))
+    return Polynomial(frame, terms)
+
+
+def identical(got, want):
+    return repr(got) == repr(want) and (got.terms, got.precision) == (want.terms, want.precision)
+
+
+class TestEvaluationPlans:
+    """Evaluation with per-call power rows and cached residue plans equals the reference."""
+
+    FRAMES = [(), ("x",), ("x1", "x2"), FRAME]
+
+    def test_series_random(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            frame = rng.choice(self.FRAMES)
+            p = random_series(rng, frame)
+            pt = [random_coordinate(rng) for _ in frame]
+            assert identical(p.evaluate(pt), reference_evaluate(p, pt)), (p, pt)
+
+    def test_series_special_shapes(self):
+        rng = random.Random(12)
+        o3 = FieldElement((), precision=3)
+        truncated = FieldElement(((0, 2), (1, -1)), precision=Fraction(5, 2))
+        polys = [
+            Polynomial(FRAME),
+            Polynomial.constant(7, FRAME),
+            Polynomial.constant(truncated, FRAME),
+            Polynomial(FRAME, {(4, 0, 3): truncated}),
+            Polynomial(FRAME, {(0, 2, 0): o3}),
+            Polynomial(FRAME, {(1, 0, 0): 1, (4, 4, 4): FieldElement.eps_power(Fraction(-1, 2))}),
+        ]
+        points = [
+            [FieldElement.zero()] * 3,
+            [o3, FieldElement.eps_power(1), 2],
+            [truncated, o3, FieldElement((), precision=Fraction(1, 2))],
+            [random_coordinate(rng) for _ in FRAME],
+        ]
+        for p in polys:
+            for pt in points:
+                assert identical(p.evaluate(pt), reference_evaluate(p, pt)), (p, pt)
+
+    def test_series_cancellation_is_not_regrouped(self):
+        # x*y - y at x = 1 + O(eps^2), y = 1 + O(eps): monomial by monomial the
+        # value is O(eps); (x - 1)*y would cancel first and claim O(eps^2).
+        p = Polynomial(("x", "y"), {(1, 1): 1, (0, 1): -1})
+        pt = [FieldElement(((0, 1),), precision=2), FieldElement(((0, 1),), precision=1)]
+        value = p.evaluate(pt)
+        assert identical(value, reference_evaluate(p, pt))
+        assert (value.terms, value.precision) == ((), 1)
+
+    def test_series_no_variables(self):
+        for c in (0, Fraction(-3, 4), FieldElement((), precision=2),
+                  FieldElement(((1, 1),), precision=4)):
+            p = Polynomial.constant(c)
+            assert identical(p.evaluate([]), reference_evaluate(p, []))
+
+    def test_residue_random(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            a = random_residue(rng, max_deg=4)
+            pt = [rng.choice((0, rng.randint(-5, 5), small_fraction(rng, bound=7))) for _ in FRAME]
+            got = a.evaluate(pt)
+            assert type(got) is Fraction
+            assert got == reference_evaluate(a, pt)
+
+    def test_residue_plan_is_reused(self):
+        rng = random.Random(14)
+        for _ in range(50):
+            a = random_residue(rng, max_deg=4)
+            for _ in range(3):
+                pt = [small_fraction(rng) for _ in FRAME]
+                got = a.evaluate(pt)
+                assert type(got) is Fraction and got == reference_evaluate(a, pt)
+
+    def test_residue_shapes(self):
+        pt = [F(-2, 3), 0, F(5, 2)]
+        for a in (ResiduePolynomial(FRAME), ResiduePolynomial.constant(F(-7, 6), FRAME),
+                  ResiduePolynomial(FRAME, {(3, 0, 1): F(1, 4)})):
+            got = a.evaluate(pt)
+            assert type(got) is Fraction and got == reference_evaluate(a, pt)
+        assert ResiduePolynomial.constant(F(2, 3)).evaluate([]) == F(2, 3)
+
+    def test_arity_mismatch(self):
+        for cls in (Polynomial, ResiduePolynomial):
+            p = cls.variable("x1", ("x1", "x2"))
+            with pytest.raises(ValueError):
+                p.evaluate([1])
+            with pytest.raises(ValueError):
+                p.evaluate([1, 2, 3])
