@@ -13,6 +13,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 from typing import Mapping, Sequence, Union
 
@@ -135,6 +136,12 @@ class _SparsePolynomial:
                 out[i] = max(out[i], d)
         return tuple(out)
 
+    def _exponents(self) -> tuple[tuple[int, ...], ...]:
+        """Per variable, the distinct exponents that occur in the terms, ascending."""
+        if not self.terms:
+            return ((),) * len(self.variables)
+        return tuple(tuple(sorted(set(column))) for column in zip(*self.terms))
+
     # -- arithmetic -------------------------------------------------------------
 
     def _aligned(self, other):
@@ -220,31 +227,34 @@ class Polynomial(_SparsePolynomial):
     __mul__ = __rmul__ = _SparsePolynomial.__mul__
 
     def evaluate(self, point: Sequence) -> FieldElement:
-        """Exact value at a point; each coordinate's powers are built once per call.
+        """Exact value at a point; each power of a coordinate that occurs is built once.
 
-        Row i holds x_i, x_i*x_i, (x_i*x_i)*x_i, ... up to the largest exponent of
-        variable i.  A truncated product's precision, min_i(p_i + sum_{j!=i} v_j),
-        is symmetric in the factors, so these powers equal ``x_i**e`` term for
-        term and precision for precision.  The terms are multiplied and summed
-        one monomial at a time, as written: regrouping them could let a
-        cancellation raise a partial sum's precision and change the result.
+        x^e is the product of the squares x^(2^k) over the set bits k of e, and a
+        coordinate's squares are shared by all its exponents: O(log e) products
+        per power, as ``x**e`` takes, and none for powers that do not occur.  A
+        truncated product's precision, min_i(p_i + sum_{j!=i} v_j), is symmetric
+        in the factors, so these powers equal ``x**e`` term for term and
+        precision for precision.  The terms are multiplied and summed one
+        monomial at a time, as written: regrouping them could let a cancellation
+        raise a partial sum's precision and change the result.
         """
         if len(point) != len(self.variables):
             raise ValueError(f"point arity {len(point)} != {len(self.variables)}")
         rows = []
-        for x, d in zip(point, self.max_degrees()):
-            x = _as_coeff(x)
-            row = [None, x]
-            for _ in range(d - 1):
-                row.append(row[-1] * x)
+        for x, exps in zip(point, self._exponents()):
+            squares, row = [_as_coeff(x)], {}
+            for e in exps:
+                if e:
+                    while 1 << len(squares) <= e:
+                        squares.append(squares[-1] * squares[-1])
+                    row[e] = reduce(operator.mul, [sq for k, sq in enumerate(squares) if e >> k & 1])
             rows.append(row)
         total = FieldElement.zero()
         for expv, c in self.terms.items():
-            v = c
             for row, e in zip(rows, expv):
                 if e:
-                    v *= row[e]
-            total += v
+                    c *= row[e]
+            total += c
         return total
 
     def coefficient(self, expv: tuple[int, ...]) -> FieldElement:
@@ -318,7 +328,7 @@ class Polynomial(_SparsePolynomial):
 class ResiduePolynomial(_SparsePolynomial):
     """Polynomial with exact rational coefficients (residue polynomials)."""
 
-    # _plan: (L, ((expv, c*L), ...), max_degrees) with L the lcm of the
+    # _plan: (L, ((expv, c*L), ...), _exponents()) with L the lcm of the
     # coefficient denominators, built by the first evaluate (terms never change).
     __slots__ = ("_plan",)
     _coeff = Fraction
@@ -335,28 +345,26 @@ class ResiduePolynomial(_SparsePolynomial):
         """Exact value at a rational point, in integers over one common denominator.
 
         With x_i = n_i/q_i and D_i the largest exponent of variable i, the value
-        is sum_t (c_t*L) * prod_i n_i^e_i * q_i^(D_i-e_i) over L * prod_i q_i^D_i.
+        is sum_t (c_t*L) * prod_i n_i^e_i * q_i^(D_i-e_i) over L * prod_i q_i^D_i;
+        only the exponents that occur are raised.
         """
         if len(point) != len(self.variables):
             raise ValueError(f"point arity {len(point)} != {len(self.variables)}")
         try:
-            den, numerators, degrees = self._plan
+            den, numerators, exponents = self._plan
         except AttributeError:
             den = lcm(*(c.denominator for c in self.terms.values()))
             numerators = tuple((e, c.numerator * (den // c.denominator)) for e, c in self.terms.items())
-            degrees = self.max_degrees()
-            object.__setattr__(self, "_plan", (den, numerators, degrees))
+            exponents = self._exponents()
+            object.__setattr__(self, "_plan", (den, numerators, exponents))
         rows = []
-        for x, d in zip(point, degrees):
+        for x, exps in zip(point, exponents):
             x = Fraction(x)
             n, q = x.numerator, x.denominator
+            d = exps[-1] if exps else 0
             # row[e] = n^e * q^(d-e): x^e over the common denominator q^d.
-            npow, qpow = [1], [1]
-            for _ in range(d):
-                npow.append(npow[-1] * n)
-                qpow.append(qpow[-1] * q)
-            rows.append([npow[e] * qpow[d - e] for e in range(d + 1)])
-            den *= qpow[d]
+            rows.append({e: n**e * q ** (d - e) for e in exps})
+            den *= q**d
         total = 0
         for expv, c in numerators:
             for row, e in zip(rows, expv):

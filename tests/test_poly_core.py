@@ -1,6 +1,9 @@
 """The shared sparse-polynomial core: Polynomial and ResiduePolynomial agree."""
 
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,7 +11,7 @@ import pytest
 from rcvf.poly import Polynomial, ResiduePolynomial
 from rcvf.series import FieldElement
 
-from conftest import random_exact_element, random_truncated_element, small_fraction
+from conftest import random_exact_element, random_truncated_element, small_fraction, subprocess_env
 
 F = Fraction
 FRAME = ("x1", "x2", "x3")
@@ -147,10 +150,10 @@ def random_coordinate(rng):
     return small_fraction(rng)
 
 
-def random_series(rng, frame, max_deg=4, max_terms=5):
+def random_series(rng, frame, max_deg=4, max_terms=5, exponents=None):
     terms = []
     for _ in range(rng.randint(0, max_terms)):
-        expv = tuple(rng.randint(0, max_deg) for _ in frame)
+        expv = tuple(rng.choice(exponents) if exponents else rng.randint(0, max_deg) for _ in frame)
         c = random_truncated_element(rng) if rng.random() < 0.4 else random_exact_element(rng)
         terms.append((expv, c))
     return Polynomial(frame, terms)
@@ -170,6 +173,15 @@ class TestEvaluationPlans:
         for _ in range(300):
             frame = rng.choice(self.FRAMES)
             p = random_series(rng, frame)
+            pt = [random_coordinate(rng) for _ in frame]
+            assert identical(p.evaluate(pt), reference_evaluate(p, pt)), (p, pt)
+
+    def test_series_sparse_exponents(self):
+        # Gaps between a variable's exponents are bridged by one power each.
+        rng = random.Random(15)
+        for _ in range(150):
+            frame = rng.choice(self.FRAMES)
+            p = random_series(rng, frame, exponents=(0, 1, 3, 4, 7, 11))
             pt = [random_coordinate(rng) for _ in frame]
             assert identical(p.evaluate(pt), reference_evaluate(p, pt)), (p, pt)
 
@@ -219,6 +231,16 @@ class TestEvaluationPlans:
             assert type(got) is Fraction
             assert got == reference_evaluate(a, pt)
 
+    def test_residue_sparse_exponents(self):
+        rng = random.Random(16)
+        for _ in range(150):
+            terms = [(tuple(rng.choice((0, 2, 5, 6, 13)) for _ in FRAME), small_fraction(rng))
+                     for _ in range(rng.randint(0, 5))]
+            a = ResiduePolynomial(FRAME, terms)
+            pt = [rng.choice((0, rng.randint(-5, 5), small_fraction(rng, bound=7))) for _ in FRAME]
+            got = a.evaluate(pt)
+            assert type(got) is Fraction and got == reference_evaluate(a, pt)
+
     def test_residue_plan_is_reused(self):
         rng = random.Random(14)
         for _ in range(50):
@@ -243,3 +265,27 @@ class TestEvaluationPlans:
                 p.evaluate([1])
             with pytest.raises(ValueError):
                 p.evaluate([1, 2, 3])
+
+    def test_sparse_high_degree_is_cheap(self):
+        # Only the powers that occur are built: x^100000 + y + 1 costs O(log 100000)
+        # products, not a row of 100000 powers.  The child's address space is capped,
+        # so a row-building kernel fails with MemoryError instead of exhausting memory.
+        script = (
+            "from fractions import Fraction as F\n"
+            "from rcvf.poly import Polynomial, ResiduePolynomial\n"
+            "from rcvf.series import FieldElement\n"
+            "terms = {(100000, 0): 1, (0, 1): 1, (0, 0): 1}\n"
+            "p, r = Polynomial(('x', 'y'), terms), ResiduePolynomial(('x', 'y'), terms)\n"
+            "for x in (F(1, 3), F(-1, 2), 1):\n"
+            "    assert r.evaluate([x, 2]) == x**100000 + 3\n"
+            "    assert p.evaluate([x, 2]) == FieldElement.from_rational(x**100000 + 3)\n"
+            "assert p.evaluate([FieldElement.eps_power(1), 2]) == FieldElement(((0, 3), (100000, 1)))\n"
+        )
+        limit = 1 << 30
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=20, env=subprocess_env(), preexec_fn=cap_memory)
+        assert proc.returncode == 0, proc.stderr
