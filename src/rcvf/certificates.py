@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .errors import CoefficientsNotIntegral, DivisionByZero, NotIntegral, PrecisionExhausted
+from .errors import CoefficientsNotIntegral, NotIntegral, PrecisionExhausted
 from .integrality import pointwise_integral_oracle, IntegralityVerdict, module_pullback
-from .poly import Polynomial, RationalFunction, gauss_valuation
+from .poly import Polynomial, RationalFunction, gauss_valuation, leading_value
 from .ringexpr import (
     ConstExpr,
     PerturbedUnit,
@@ -36,8 +36,8 @@ from .ringexpr import (
     verify_ring_membership,
 )
 from .sampling import SampleConfig, _rng
-from .series import EQ, GT, LT, FieldElement, compare_order, rational_sqrt
-from .sets import SetDescriptor, align_to_set, canonical_variables
+from .series import LT, FieldElement, compare_order
+from .sets import SetDescriptor, align_to_set
 from .sos import (
     NEGATIVITY,
     SOS,
@@ -327,7 +327,7 @@ def falsify_nonnegativity(p: Polynomial, set_descriptor: SetDescriptor, config: 
     pts = set_descriptor.sample_points(config, count=samples)
     for b in pts:
         try:
-            if compare_order(p.evaluate(b), FieldElement.zero()) == LT:
+            if compare_order(leading_value(p, b), FieldElement.zero()) == LT:
                 return list(b)
         except PrecisionExhausted:
             continue
@@ -473,8 +473,7 @@ def check_general_characterization(p: Polynomial, set_descriptor: SetDescriptor,
     negative_points: list[list[FieldElement]] = []
     for b in points:
         try:
-            v = p.evaluate(b)
-            sign = compare_order(v, FieldElement.zero())
+            sign = compare_order(leading_value(p, b), FieldElement.zero())
         except PrecisionExhausted:
             continue
         tested += 1
@@ -485,8 +484,9 @@ def check_general_characterization(p: Polynomial, set_descriptor: SetDescriptor,
     # inverse is integral); the check guards the equivalence anyway.
     if not negative_points:
         for b in points[: max(1, len(points) // 4)]:
+            v = p.evaluate(b)
             for c in cs:
-                w = FieldElement.one() + c * c * p.evaluate(b)
+                w = FieldElement.one() + c * c * v
                 if w.terms and w.terms[0][0] > 0:
                     return CharacterizationReport(NEGATIVITY_WITNESS, point=tuple(b), c=c,
                                                   confirm_point=tuple(b),

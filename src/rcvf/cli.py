@@ -12,15 +12,12 @@ import argparse
 import json
 import sys
 import traceback
-from fractions import Fraction
 
 from . import jsonio
 from .certificates import (
     CANDIDATE,
     CERTIFICATE,
-    CONSISTENT_NONNEG,
     NEGATIVITY_WITNESS,
-    UNKNOWN,
     GenerationBudget,
     check_general_characterization,
     generate_ball_certificate,

@@ -10,11 +10,10 @@ substituted for the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import DivisionByZero, NotInfinitesimalDefinite, PrecisionExhausted
-from .poly import Polynomial, RationalFunction, gauss_valuation
+from .poly import Polynomial, RationalFunction, gauss_valuation, valuation_at
 from .sampling import SampleConfig, _rng
 from .series import FieldElement, ValueGroupElement
 from .sets import AffineModuleMap, SetDescriptor, align_to_set
@@ -77,12 +76,7 @@ def pointwise_integral_oracle(h: Union[Polynomial, RationalFunction], set_descri
     skipped = 0
     for b in points:
         try:
-            num = h.num.evaluate(b)
-            den = h.den.evaluate(b)
-            if den.is_exact_zero():
-                skipped += 1
-                continue
-            v = num.valuation() - den.valuation()
+            v = valuation_at(h, b)
         except (DivisionByZero, PrecisionExhausted):
             skipped += 1
             continue

@@ -497,12 +497,41 @@ def poly_eval(q: Union[Polynomial, RationalFunction], point: Sequence[FieldEleme
     return num / den
 
 
+# How far above its valuation each coordinate is kept by leading_value, in
+# powers of eps: one relative order shows the leading term of most values.
+_LEADING_WINDOW = 1
+
+
+def leading_value(p: Polynomial, point: Sequence) -> FieldElement:
+    """p(point) with its leading term visible: at one relative order first, exactly if need be.
+
+    Each coordinate with a visible term is cut at its valuation plus
+    ``_LEADING_WINDOW`` (never above its own precision); exact zeros and
+    coordinates without a visible term are kept as they are.  Truncated sums
+    and products track precision soundly, so a visible leading term of p at
+    the cut point is the leading term of p(point), and its sign and valuation
+    are the exact ones.  A cut value with no visible term is replaced by the
+    exact ``p.evaluate(point)``, so exact zeros and refusals
+    (``PrecisionExhausted`` on the queries) are those of the exact value.
+    """
+    cut = []
+    for x in point:
+        x = _as_coeff(x)
+        if x.terms:
+            cap = x.terms[0][0] + _LEADING_WINDOW
+            if x.precision is None or cap < x.precision:
+                x = FieldElement(x.terms, cap)
+        cut.append(x)
+    value = p.evaluate(cut)
+    return value if value.terms else p.evaluate(point)
+
+
 def valuation_at(q: Union[Polynomial, RationalFunction], point: Sequence[FieldElement]) -> ValueGroupElement:
-    """Valuation of q(point) computed exactly from numerator and denominator."""
+    """Exact valuation of q(point), from the leading terms of numerator and denominator."""
     if isinstance(q, Polynomial):
-        return q.evaluate(point).valuation()
-    num = q.num.evaluate(point)
-    den = q.den.evaluate(point)
+        return leading_value(q, point).valuation()
+    num = leading_value(q.num, point)
+    den = leading_value(q.den, point)
     if den.is_exact_zero():
         raise DivisionByZero("denominator vanishes at the point")
     return num.valuation() - den.valuation()

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 
 from .errors import DivisionByZero, PrecisionExhausted
 from .poly import Polynomial, RationalFunction
-from .series import FieldElement, TOP, ValueGroupElement
+from .series import FieldElement
 from .sets import SetDescriptor, align_to_set
 
 DEFAULT_CONE_DEGREE_CAP = 8

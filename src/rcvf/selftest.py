@@ -8,7 +8,7 @@ from .integrality import generic_type_integral, pointwise_integral_oracle
 from .parser import parse_expression
 from .poly import Polynomial, RationalFunction, gauss_valuation, valuation_at
 from .sampling import SampleConfig, _rng, random_element, random_positive_element
-from .series import FieldElement, compare_order, LT
+from .series import FieldElement
 from .sets import SetDescriptor
 
 

@@ -213,6 +213,16 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["value"] == {"type": "poly", "text": "x^99999999"}
 
+    @pytest.mark.parametrize("degree", [60, 1000])
+    def test_high_degree_falsifier_reads_leading_terms(self, degree):
+        # The exact value of x^d at a k-term sample point has O(d*k) terms; the sign
+        # needs only the leading one.  A child process turns a hang into a failure.
+        argv = ["psd", "--p", f"x^{degree} + 1", "--set", "ball:1", "--falsify", "--seed", "1"]
+        proc = subprocess.run([sys.executable, "-m", "rcvf.cli", *argv],
+                              capture_output=True, text=True, timeout=20, env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == '{"command":"psd","mode":"falsify","samples":500,"witness":null}\n'
+
     def test_internal_error_is_exit_2(self, monkeypatch):
         def crash(args):
             raise TypeError("boom")

@@ -57,7 +57,16 @@ GOLDEN = [
      '{"command":"integral","gauss":{"gap":"0","integral":true},"pointwise":{"point":["1 + e'
      'ps^2"],"samples":3,"skipped":0,"value_valuation":"-1","verdict":"counterexample_found"'
      '}}'),
-
+    # Denominators that vanish exactly at sampled points are skipped and counted.
+    ("integral --h '(x^2-y^2)/(x-y)' --set ball:2 --seed 9 --samples 150", 0,
+     '{"command":"integral","gauss":{"gap":"0","integral":true},"pointwise":{"samples":141,"'
+     'skipped":13,"verdict":"no_counterexample_found"}}'),
+    ("integral --h '(x*y+eps)/(x*y)' --set ball:2 --seed 9 --samples 150", 1,
+     '{"command":"integral","gauss":{"gap":"0","integral":true},"pointwise":{"point":["eps",'
+     '"eps"],"samples":5,"skipped":2,"value_valuation":"-1","verdict":"counterexample_found"}}'),
+    ("psd --p 'x^2 + eps*y^2' --set ball:2 --probe41 --seed 9 --samples 150", 0,
+     '{"c_values_tested":10,"command":"psd","mode":"probe41","samples_tested":150,"verdict":"'
+     'consistent_nonneg"}'),
 ]
 
 
