@@ -18,7 +18,7 @@ from math import lcm
 from typing import Mapping, Sequence, Union
 
 from .errors import DivisionByZero, UndefinedGauss
-from .series import TOP, FieldElement, ValueGroupElement, format_element
+from .series import TOP, FieldElement, ValueGroupElement, _min_precision, format_element
 
 Scalar = Union[int, Fraction, FieldElement]
 
@@ -497,33 +497,81 @@ def poly_eval(q: Union[Polynomial, RationalFunction], point: Sequence[FieldEleme
     return num / den
 
 
-# How far above its valuation each coordinate is kept by leading_value, in
-# powers of eps: one relative order shows the leading term of most values.
-_LEADING_WINDOW = 1
+def _initial(x: FieldElement):
+    """(v, a, g) for a series with a visible term: leading exponent and coefficient,
+    and the distance to its next known term or to its precision (None if exact)."""
+    v, a = x.terms[0]
+    if len(x.terms) > 1:
+        return v, a, x.terms[1][0] - v
+    return v, a, None if x.precision is None else x.precision - v
 
 
 def leading_value(p: Polynomial, point: Sequence) -> FieldElement:
-    """p(point) with its leading term visible: at one relative order first, exactly if need be.
+    """p(point) up to its leading term, read off the initial form; exactly if need be.
 
-    Each coordinate with a visible term is cut at its valuation plus
-    ``_LEADING_WINDOW`` (never above its own precision); exact zeros and
-    coordinates without a visible term are kept as they are.  Truncated sums
-    and products track precision soundly, so a visible leading term of p at
-    the cut point is the leading term of p(point), and its sign and valuation
-    are the exact ones.  A cut value with no visible term is replaced by the
-    exact ``p.evaluate(point)``, so exact zeros and refusals
-    (``PrecisionExhausted`` on the queries) are those of the exact value.
+    With b_i = a_i eps^v_i + (terms from v_i + g_i on) and each coefficient
+    c_t = c eps^w_t + (from w_t + g_t on), every monomial is
+    c a^e eps^L_t + (from L_t + its least gap on), L_t = w_t + sum_i e_i v_i.
+    Monomials with a positive power of an exactly zero coordinate vanish.  Let
+    m be the least L_t, S the sum of c a^e over the monomials with L_t = m, and
+    P the least of: L_t of every other monomial, m plus the least gap of each
+    monomial at m, and k + sum_i e_i v_i for each coefficient that is only
+    O(eps^k).  Every part of p(point) other than S eps^m lies at P or above, so
+    if S != 0 and m < P the value is S eps^m + O(eps^P), and its sign and
+    valuation are the exact ones.  Otherwise (the initial form cancels, an
+    O(eps^k) coefficient reaches m, every monomial vanishes, or a coordinate
+    has no visible term) the exact ``p.evaluate(point)`` is returned, so exact
+    zeros and refusals (``PrecisionExhausted`` on the queries) are those of
+    the exact value.  Terms above the leading one are never formed.
     """
-    cut = []
+    if len(point) != len(p.variables):
+        raise ValueError(f"point arity {len(point)} != {len(p.variables)}")
+    coords = []  # (v, a, g) per coordinate; None for an exact zero
     for x in point:
-        x = _as_coeff(x)
-        if x.terms:
-            cap = x.terms[0][0] + _LEADING_WINDOW
-            if x.precision is None or cap < x.precision:
-                x = FieldElement(x.terms, cap)
-        cut.append(x)
-    value = p.evaluate(cut)
-    return value if value.terms else p.evaluate(point)
+        if not isinstance(x, FieldElement):
+            x = Fraction(x)
+            coords.append((0, x, None) if x else None)
+        elif x.terms:
+            coords.append(_initial(x))
+        elif x.precision is None:
+            coords.append(None)
+        else:
+            return p.evaluate(point)
+    bound = None  # P, the least exponent at which anything but S eps^m can sit
+    initial = []  # (L_t, least gap, leading coefficient, exponent vector)
+    for expv, c in p.terms.items():
+        shift, gap = 0, None
+        for e, x in zip(expv, coords):
+            if e:
+                if x is None:
+                    break
+                v, _, g = x
+                if v:
+                    shift += e * v
+                gap = _min_precision(gap, g)
+        else:
+            if not c.terms:
+                bound = _min_precision(bound, c.precision + shift)
+                continue
+            w, lead, g = _initial(c)
+            initial.append((w + shift, _min_precision(gap, g), lead, expv))
+    if not initial:
+        return p.evaluate(point)
+    m = min(t[0] for t in initial)
+    total = 0
+    for low, gap, lead, expv in initial:
+        if low != m:
+            bound = _min_precision(bound, low)
+            continue
+        if gap is not None:
+            bound = _min_precision(bound, m + gap)
+        for e, x in zip(expv, coords):
+            if e:
+                lead *= x[1] ** e
+        total += lead
+    if total and (bound is None or m < bound):
+        return FieldElement(((m, total),), bound)
+    return p.evaluate(point)
 
 
 def valuation_at(q: Union[Polynomial, RationalFunction], point: Sequence[FieldElement]) -> ValueGroupElement:

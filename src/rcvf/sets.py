@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import PrecisionExhausted
-from .poly import Polynomial, RationalFunction
+from .poly import Polynomial, RationalFunction, leading_value
 from .sampling import SampleConfig, _rng, generic_residue_point, random_element
 from .series import GT, FieldElement, compare_order
 
@@ -122,7 +122,7 @@ class SetDescriptor:
                     raise PrecisionExhausted("membership undecidable at this precision")
                 return False
         for p in self.strict_constraints:
-            if compare_order(p.evaluate(point), FieldElement.zero()) != GT:
+            if compare_order(leading_value(p, point), FieldElement.zero()) != GT:
                 return False
         return True
 

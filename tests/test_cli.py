@@ -223,6 +223,17 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == '{"command":"psd","mode":"falsify","samples":500,"witness":null}\n'
 
+    def test_strict_constraint_signs_read_leading_terms(self, tmp_path):
+        # Rejection sampling tests x^80 + 1 > 0 at every drawn point; exact values of
+        # x^80 there have O(80*k) terms, the sign needs only the leading one.
+        path = tmp_path / "strict.json"
+        path.write_text(json.dumps({"kind": "ball", "n": 1, "strict": ["x^80 + 1"]}))
+        argv = ["psd", "--p", "x^2 + 1", "--set", str(path), "--falsify", "--seed", "1"]
+        proc = subprocess.run([sys.executable, "-m", "rcvf.cli", *argv],
+                              capture_output=True, text=True, timeout=20, env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == '{"command":"psd","mode":"falsify","samples":500,"witness":null}\n'
+
     def test_internal_error_is_exit_2(self, monkeypatch):
         def crash(args):
             raise TypeError("boom")

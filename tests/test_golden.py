@@ -67,6 +67,9 @@ GOLDEN = [
     ("psd --p 'x^2 + eps*y^2' --set ball:2 --probe41 --seed 9 --samples 150", 0,
      '{"c_values_tested":10,"command":"psd","mode":"probe41","samples_tested":150,"verdict":"'
      'consistent_nonneg"}'),
+    # Strict constraints are enforced on samples by rejection.
+    ("psd --p 'x^2 + 1' --set {strict} --falsify --seed 1", 0,
+     '{"command":"psd","mode":"falsify","samples":500,"witness":null}'),
 ]
 
 
@@ -77,9 +80,16 @@ def module_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def strict_file(tmp_path):
+    path = tmp_path / "strict.json"
+    path.write_text(json.dumps({"kind": "ball", "n": 1, "strict": ["x^80 + 1"]}))
+    return path
+
+
 @pytest.mark.parametrize("command, code, stdout", GOLDEN, ids=[c for c, _, _ in GOLDEN])
-def test_golden_output(module_file, command, code, stdout):
-    argv = [arg.format(module=module_file) for arg in shlex.split(command)]
+def test_golden_output(module_file, strict_file, command, code, stdout):
+    argv = [arg.format(module=module_file, strict=strict_file) for arg in shlex.split(command)]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         got = run(argv)

@@ -145,3 +145,92 @@ def test_terms_beyond_the_window_are_never_formed():
     with pytest.raises(ExponentBlowup):
         p.evaluate(pt)
     assert leading_value(p, pt).terms[0] == (0, 1)
+
+
+# -- the initial-form kernel ------------------------------------------------------
+
+
+def assert_sound(p, pt):
+    """Same decisions as the exact value, and agreement with it up to both precisions."""
+    fast = assert_same_decisions(p, pt)
+    assert fast == p.evaluate(pt)
+    return fast
+
+
+def big_o(k):
+    return FieldElement((), F(k))
+
+
+def poly(terms):
+    return Polynomial(("x", "y"), terms)
+
+
+@pytest.mark.parametrize("p, pt, sign, val", [
+    # The initial form cancels at a residue zero; the exact value decides.
+    (X * Y - 1, point(1 + EPS, 1 - EPS), "LT", F(2)),
+    (X * X - Y * Y, point(1 + EPS, 1 - EPS), "GT", F(1)),
+    # An O(eps^k) coefficient below m falls back and refuses like the exact value.
+    (poly({(1, 0): EPS ** 2, (0, 0): big_o(1)}), point(1, 3), "refused", "refused"),
+    # P = m exactly: O(eps) * x^2 at x = eps^(1/2) reaches the initial form eps^2.
+    (poly({(0, 0): EPS ** 2, (2, 0): big_o(1)}), point(FieldElement.eps_power(F(1, 2)), 0), "refused", "refused"),
+    # An O(eps^k) coefficient above m only bounds the precision.
+    (poly({(1, 0): -EPS, (0, 1): big_o(3)}), point(5, 7), "LT", F(1)),
+    # The next term of a coordinate bounds the precision: 2*(1 + eps) is not 2.
+    (X * Y, point(1 + EPS, 2), "GT", F(0)),
+    (X * Y + EPS * Y, point(FieldElement(((0, 1),), F(1, 2)), 1 + EPS ** 3), "GT", F(0)),
+    # An exactly zero coordinate kills every monomial it divides, O(eps^k) ones too.
+    (poly({(1, 1): 1, (0, 1): big_o(-1), (0, 0): 3}), point(F(1, 2), 0), "GT", F(0)),
+    (poly({(0, 1): 1, (0, 2): FieldElement.eps_power(-2)}), point(F(1, 2), 0), "EQ", None),
+    # A coordinate with no visible term: the exact value decides, or refuses.
+    (X + 1, point(FieldElement((), F(1, 2)), 0), "GT", F(0)),
+    (X * Y, point(FieldElement((), 1), 1), "refused", "refused"),
+])
+def test_initial_form_cases(p, pt, sign, val):
+    fast = assert_sound(p, pt)
+    assert verdict(lambda: compare_order(fast, ZERO)) == sign
+    got = verdict(fast.valuation)
+    assert got == val if val is not None else got.is_top
+
+
+@pytest.mark.parametrize("rest", [
+    FieldElement.zero(),
+    # P = m: the O(eps^k) monomial reaches the initial form, so it is not returned.
+    big_o(F(17, 72)),
+])
+def test_leading_exponent_over_the_cap_raises(rest):
+    # eps^(1/8) * x at x = eps^(1/9) has leading exponent 17/72, over the cap of 64.
+    p = Polynomial(("x",), {(1,): FieldElement.eps_power(F(1, 8)), (0,): rest})
+    pt = [FieldElement.eps_power(F(1, 9))]
+    with pytest.raises(ExponentBlowup):
+        p.evaluate(pt)
+    with pytest.raises(ExponentBlowup):
+        leading_value(p, pt)
+
+
+def test_random_corpus_rarely_needs_exact_evaluation(monkeypatch):
+    # The corpus of test_random_polynomials_at_sample_points; every seventh call
+    # is also checked against the exact value (the full check is that test's).
+    exact_evaluate = Polynomial.evaluate
+    calls = []
+    monkeypatch.setattr(Polynomial, "evaluate", lambda p, pt: calls.append(1) or exact_evaluate(p, pt))
+    decided = total = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        n = seed % 3 + 1
+        points = []
+        for sd in sample_sets(n):
+            points += sd.sample_points(SampleConfig(seed=seed, samples=24))
+        points += [truncated(pt, rng) for pt in points[::3]]
+        for _ in range(12):
+            p = random_polynomial(rng, n)
+            for pt in points:
+                del calls[:]
+                fast = leading_value(p, pt)
+                decided += not calls
+                total += 1
+                if total % 7 == 0:
+                    exact = exact_evaluate(p, pt)
+                    if fast.terms:
+                        assert fast.terms[0] == exact.terms[0]
+                    assert fast == exact
+    assert decided >= 0.9 * total, (decided, total)
