@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import CoefficientsNotIntegral, NotIntegral, PrecisionExhausted
+from .errors import CoefficientsNotIntegral, NotIntegral, PrecisionExhausted, RcvfError
 from .integrality import pointwise_integral_oracle, IntegralityVerdict, module_pullback
 from .poly import Polynomial, RationalFunction, gauss_valuation, leading_value
 from .ringexpr import (
@@ -35,7 +35,7 @@ from .ringexpr import (
     ring_expr_to_rational,
     verify_ring_membership,
 )
-from .sampling import SampleConfig, _rng
+from .sampling import SampleConfig
 from .series import LT, FieldElement, compare_order
 from .sets import SetDescriptor, align_to_set
 from .sos import (
@@ -313,7 +313,7 @@ def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
         cert = NonnegCertificate(r_sos, m, h, witness)
         return GenerationOutcome(CERTIFICATE, certificate=cert, gauss=gamma_val, layers=layers)
     oracle = pointwise_integral_oracle(h, set_descriptor,
-                                       config.with_seed(config.seed + 1))
+                                       SampleConfig(config.seed + 1, config.samples))
     # A candidate is only worth reporting when the oracle backs its h; a
     # counterexample to integrality demotes the outcome to unknown.
     kind = UNKNOWN if oracle.found_counterexample else CANDIDATE
@@ -362,7 +362,8 @@ def _syntactic_witness(p: Polynomial, q: Polynomial, gamma: Fraction, q_gauss: F
         h = [q1 * inv(1+s~)] / (1 + m2 * [a * inv(1+s~)])
 
     where inv(1+s~) is an SOS-inverse leaf: numerator and perturbation both
-    live in the generated ring, which is the localized witness shape.
+    live in the generated ring, which is the localized witness shape.  When
+    s = 0 there is no leaf and h = q1 / (1 + m2 * a).
     """
     P = p.residue_shift(gamma)
     try:
@@ -370,37 +371,31 @@ def _syntactic_witness(p: Polynomial, q: Polynomial, gamma: Fraction, q_gauss: F
     except NotIntegral:
         return None
     vs = set_descriptor.variables()
-    q1 = q.residue_shift(q_gauss)  # q/(eps^gamma * m): Gauss valuation 0
-    q1_expr = polynomial_to_ring_expr(q1, set_descriptor)
     shift = pbar - ResiduePolynomial.constant(1, pbar.variables)
-    if shift.is_exactly_zero():
-        correction = P - Polynomial.constant(1, P.variables)
-        if correction.is_exactly_zero():
-            return IntegralityWitness(q1_expr, PerturbedUnit.trivial())
-        delta = gauss_valuation(correction).value
-        if delta <= 0:
+    inv_leaf = None
+    if not shift.is_exactly_zero():
+        search = residue_sos_search(shift, SosBudget(max_basis=16, denominator_cap=0))
+        if search.kind != SOS or any(not t.den.is_constant() for t in search.quotients):
             return None
-        a_poly = correction.residue_shift(delta)
-        den = PerturbedUnit(FieldElement.eps_power(delta),
-                            polynomial_to_ring_expr(a_poly, set_descriptor))
-        return IntegralityWitness(q1_expr, den)
-    search = residue_sos_search(shift, SosBudget(max_basis=16, denominator_cap=0))
-    if search.kind != SOS or any(not t.den.is_constant() for t in search.quotients):
-        return None
-    sos_lift = SOSExpr([RationalFunction(_lift_residue(t.num, vs)) for t in search.quotients])
-    inv_leaf = SosInverseExpr(sos_lift)
+        sos_lift = SOSExpr([RationalFunction(_lift_residue(t.num, vs)) for t in search.quotients])
+        inv_leaf = SosInverseExpr(sos_lift)
+
+    def over_one_plus_s(e: RingExpr) -> RingExpr:
+        return e if inv_leaf is None else ProdExpr([e, inv_leaf])
+
+    q1 = q.residue_shift(q_gauss)  # q/(eps^gamma * m): Gauss valuation 0
+    num = over_one_plus_s(polynomial_to_ring_expr(q1, set_descriptor))
     one_plus_s = Polynomial.constant(1, vs) + _lift_residue(shift, vs)
-    correction = P.with_variables(vs) if P.variables != vs else P
-    correction = correction - one_plus_s
+    correction = P - one_plus_s
     if correction.is_exactly_zero():
-        return IntegralityWitness(ProdExpr([q1_expr, inv_leaf]), PerturbedUnit.trivial())
+        return IntegralityWitness(num, PerturbedUnit.trivial())
     delta = gauss_valuation(correction).value
     if delta <= 0:
         return None
     a_poly = correction.residue_shift(delta)
     den = PerturbedUnit(FieldElement.eps_power(delta),
-                        ProdExpr([polynomial_to_ring_expr(a_poly, set_descriptor), inv_leaf]))
-    return IntegralityWitness(ProdExpr([q1_expr, inv_leaf]), den)
+                        over_one_plus_s(polynomial_to_ring_expr(a_poly, set_descriptor)))
+    return IntegralityWitness(num, den)
 
 
 def _transport_to_module(outcome: GenerationOutcome,
@@ -450,25 +445,16 @@ class CharacterizationReport:
     c_values_tested: int = 0
 
 
-def _c_pool(config: SampleConfig, count: int) -> list[FieldElement]:
-    rng = _rng(config.seed, 0xCEE)
-    pool = [FieldElement.from_rational(Fraction(k, 2)) for k in (0, 1, 2, 3, 4)]
-    pool.append(FieldElement.eps_power(1))
-    pool.append(FieldElement.eps_power(-1))
-    while len(pool) < count:
-        pool.append(FieldElement.from_rational(Fraction(rng.randint(-12, 12), rng.randint(1, 6))))
-    return pool[:count]
-
-
 def check_general_characterization(p: Polynomial, set_descriptor: SetDescriptor,
                                    config: Optional[SampleConfig] = None,
                                    c_values: int = 10) -> CharacterizationReport:
     """Probe: p negative somewhere on sampled points iff some 1/(1+c^2 p) value
-    is non-integral (with c constructed from the negativity when representable)."""
+    is non-integral (with c constructed from the negativity when representable).
+    With no negative sample no c is tested: p(b) >= 0 makes 1 + c^2 p(b) >= 1, of
+    valuation <= 0, so its inverse is integral.  c_values_tested echoes c_values."""
     config = config or SampleConfig(seed=11, samples=500)
     p = align_to_set(p, set_descriptor)
     points = set_descriptor.sample_points(config)
-    cs = _c_pool(config, c_values)
     tested = 0
     negative_points: list[list[FieldElement]] = []
     for b in points:
@@ -479,20 +465,9 @@ def check_general_characterization(p: Polynomial, set_descriptor: SetDescriptor,
         tested += 1
         if sign == LT:
             negative_points.append(list(b))
-    # Integrality spot checks with the fixed c pool.  For p >= 0 on samples
-    # these can never fire (1 + c^2 p(b) >= 1 forces valuation <= 0, so the
-    # inverse is integral); the check guards the equivalence anyway.
     if not negative_points:
-        for b in points[: max(1, len(points) // 4)]:
-            v = p.evaluate(b)
-            for c in cs:
-                w = FieldElement.one() + c * c * v
-                if w.terms and w.terms[0][0] > 0:
-                    return CharacterizationReport(NEGATIVITY_WITNESS, point=tuple(b), c=c,
-                                                  confirm_point=tuple(b),
-                                                  samples_tested=tested, c_values_tested=len(cs))
         return CharacterizationReport(CONSISTENT_NONNEG, samples_tested=tested,
-                                      c_values_tested=len(cs))
+                                      c_values_tested=c_values)
     # Construct c with c^2 = -1/p(b) from a negative sample, then confirm a
     # nearby point where 1 + c^2 p has strictly positive visible valuation.
     obstruction = None
@@ -500,7 +475,7 @@ def check_general_characterization(p: Polynomial, set_descriptor: SetDescriptor,
         v = p.evaluate(b)
         try:
             c = (-v.invert()).sqrt()
-        except Exception as exc:
+        except RcvfError as exc:
             obstruction = type(exc).__name__
             continue
         for cc in (c, c * (FieldElement.one() + FieldElement.eps_power(1))):
@@ -508,10 +483,10 @@ def check_general_characterization(p: Polynomial, set_descriptor: SetDescriptor,
             if confirm is not None:
                 return CharacterizationReport(NEGATIVITY_WITNESS, point=tuple(b), c=cc,
                                               confirm_point=tuple(confirm),
-                                              samples_tested=tested, c_values_tested=len(cs))
+                                              samples_tested=tested, c_values_tested=c_values)
     return CharacterizationReport(NEGATIVITY_WITNESS, point=tuple(negative_points[0]), c=None,
                                   obstruction=obstruction or "no_confirmation_point",
-                                  samples_tested=tested, c_values_tested=len(cs))
+                                  samples_tested=tested, c_values_tested=c_values)
 
 
 def _confirm_non_integrality(p: Polynomial, c: FieldElement, b: list[FieldElement],

@@ -256,6 +256,16 @@ def _cmd_selftest(args) -> int:
 # -- argument wiring ------------------------------------------------------------
 
 
+def _int_at_least(minimum: int):
+    """argparse type: an integer >= minimum; anything else is a usage error (exit 2)."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rcvf",
                                  description="Exact series arithmetic, integrality oracles, "
@@ -263,13 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, seed=False, sampled=False):
-        p.add_argument("--trunc", type=int, default=None,
+        p.add_argument("--trunc", type=_int_at_least(1), default=None,
                        help="working truncation order for inexact division/sqrt")
         p.add_argument("--pretty", action="store_true", help="indented JSON output")
         if seed:
             p.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
         if sampled:
-            p.add_argument("--samples", type=int, default=None, help="sample budget")
+            p.add_argument("--samples", type=_int_at_least(1), default=None, help="sample budget")
 
     p = sub.add_parser("eval", help="evaluate an expression")
     p.add_argument("--expr", required=True)
@@ -310,9 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--falsify", action="store_true")
     mode.add_argument("--generate", action="store_true")
     mode.add_argument("--probe41", action="store_true")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--max-basis", type=int, default=16, dest="max_basis")
-    p.add_argument("--c-values", type=int, default=10, dest="c_values")
+    p.add_argument("--depth", type=_int_at_least(0), default=3)
+    p.add_argument("--max-basis", type=_int_at_least(0), default=16, dest="max_basis")
+    p.add_argument("--c-values", type=_int_at_least(0), default=10, dest="c_values")
     common(p, seed=True, sampled=True)
     p.set_defaults(func=_cmd_psd)
 
@@ -326,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--p", required=True)
     pf.add_argument("--set", required=True)
     pf.add_argument("--out", default=None, help="write the certificate JSON here")
-    pf.add_argument("--depth", type=int, default=3)
-    pf.add_argument("--max-basis", type=int, default=16, dest="max_basis")
+    pf.add_argument("--depth", type=_int_at_least(0), default=3)
+    pf.add_argument("--max-basis", type=_int_at_least(0), default=16, dest="max_basis")
     common(pf, seed=True, sampled=True)
     pf.set_defaults(func=_cmd_cert_find)
 
@@ -344,9 +354,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     previous_truncation = default_truncation()
-    if getattr(args, "trunc", None):
-        set_default_truncation(args.trunc)
     try:
+        if args.trunc is not None:
+            set_default_truncation(args.trunc)
         return args.func(args)
     except ParseError as exc:
         _emit({"error": {"type": "parse", "message": str(exc), "position": exc.position}},

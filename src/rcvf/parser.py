@@ -302,7 +302,3 @@ def parse_expression(text: str) -> Value:
         value = Polynomial.constant(value, frame)
     return value
 
-
-def render(value: Value) -> str:
-    """Canonical text; parse_expression(render(v)) reproduces v exactly."""
-    return str(value)

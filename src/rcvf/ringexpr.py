@@ -12,8 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import DivisionByZero, PrecisionExhausted
-from .poly import Polynomial, RationalFunction
+from .errors import DivisionByZero
+from .poly import Polynomial, RationalFunction, poly_eval
 from .series import FieldElement
 from .sets import SetDescriptor, align_to_set
 
@@ -45,12 +45,7 @@ class SOSExpr:
         """Value at a point of the set, summands aligned to the set's variables."""
         total = FieldElement.zero()
         for s in self.summands:
-            s = align_to_set(s, set_descriptor)
-            num = s.num.evaluate(point)
-            den = s.den.evaluate(point)
-            if den.is_exact_zero():
-                raise DivisionByZero("SOS summand denominator vanishes at the point")
-            v = num / den
+            v = poly_eval(align_to_set(s, set_descriptor), point)
             total = total + v * v
         return total
 
@@ -176,13 +171,7 @@ def verify_ring_membership(e: RingExpr, set_descriptor: SetDescriptor,
     """Every leaf legal for the set: generator indices in range, cone leaves
     only with strict constraints, all constants integral."""
     if isinstance(e, ConstExpr):
-        v = e.value.valuation_lower_bound()
-        if not v.is_top and v.value < 0:
-            try:
-                return e.value.valuation() >= 0
-            except Exception:
-                return False
-        return True
+        return e.value.valuation_lower_bound() >= 0
     if isinstance(e, GenExpr):
         return 0 <= e.index < set_descriptor.n
     if isinstance(e, SosInverseExpr):
@@ -235,12 +224,7 @@ def eval_ring_expr(e: RingExpr, set_descriptor: SetDescriptor,
     if isinstance(e, ConstExpr):
         return e.value
     if isinstance(e, GenExpr):
-        g = set_descriptor.generators()[e.index]
-        num = g.num.evaluate(point)
-        den = g.den.evaluate(point)
-        if den.is_exact_zero():
-            raise DivisionByZero("generator denominator vanishes")
-        return num / den
+        return poly_eval(set_descriptor.generators()[e.index], point)
     if isinstance(e, SosInverseExpr):
         w = FieldElement.one() + e.sos.evaluate(set_descriptor, point)
         if w.is_exact_zero():
@@ -274,13 +258,7 @@ def infinitesimal_or_zero(m: FieldElement) -> bool:
 
     An element whose valuation the precision leaves open is refused.
     """
-    v = m.valuation_lower_bound()
-    if v.is_top or v.value > 0:
-        return True
-    try:
-        return m.valuation() > 0
-    except PrecisionExhausted:
-        return False
+    return m.valuation_lower_bound() > 0
 
 
 class PerturbedUnit:
@@ -302,9 +280,6 @@ class PerturbedUnit:
         vs = set_descriptor.variables()
         one = RationalFunction.constant(1, vs)
         return one + RationalFunction.constant(self.m, vs) * ring_expr_to_rational(self.a, set_descriptor)
-
-    def evaluate(self, set_descriptor: SetDescriptor, point: Sequence[FieldElement]) -> FieldElement:
-        return FieldElement.one() + self.m * eval_ring_expr(self.a, set_descriptor, point)
 
     @staticmethod
     def trivial() -> "PerturbedUnit":

@@ -17,6 +17,9 @@ Rational = Union[int, Fraction]
 
 _MIX = 0x9E3779B97F4A7C15
 
+_COEFFICIENT_BOUND = 12
+_EXPONENT_BOUND = Fraction(4)
+
 
 def _rng(seed: int, index: int) -> random.Random:
     return random.Random(((seed * _MIX) ^ (index * 0xBF58476D1CE4E5B9)) & 0xFFFFFFFFFFFFFFFF)
@@ -28,13 +31,6 @@ class SampleConfig:
 
     seed: int
     samples: int = 2000
-    structured_fraction: Fraction = Fraction(1, 4)
-    coefficient_bound: int = 12
-    exponent_bound: Fraction = Fraction(4)
-
-    def with_seed(self, seed: int) -> "SampleConfig":
-        return SampleConfig(seed, self.samples, self.structured_fraction,
-                            self.coefficient_bound, self.exponent_bound)
 
 
 def _random_rational(rng: random.Random, bound: int, nonzero=False) -> Fraction:
@@ -54,24 +50,24 @@ def _random_exponent(rng: random.Random, low: Fraction, high: Fraction) -> Fract
     return Fraction(rng.randint(lo, hi), den)
 
 
-def random_element(rng: random.Random, config: SampleConfig, min_valuation: Fraction = Fraction(0)) -> FieldElement:
+def random_element(rng: random.Random, min_valuation: Fraction = Fraction(0)) -> FieldElement:
     """One exact series with valuation >= min_valuation (or exact zero).
 
     The kind mix guarantees units with random rational residues, elements of
     strictly positive valuation, and exact rationals all occur.
     """
-    bound = config.coefficient_bound
+    bound = _COEFFICIENT_BOUND
     kind = rng.randrange(8)
     if kind == 0:
         body = FieldElement.from_rational(_random_rational(rng, bound))  # may be 0
     elif kind in (1, 2, 3):
         terms = [(Fraction(0), _random_rational(rng, bound, nonzero=True))]
         for _ in range(rng.randrange(3)):
-            terms.append((_random_exponent(rng, Fraction(1, 2), config.exponent_bound),
+            terms.append((_random_exponent(rng, Fraction(1, 2), _EXPONENT_BOUND),
                           _random_rational(rng, bound, nonzero=True)))
         body = FieldElement(terms)
     elif kind == 4:
-        lead = _random_exponent(rng, Fraction(1, 2), config.exponent_bound)
+        lead = _random_exponent(rng, Fraction(1, 2), _EXPONENT_BOUND)
         terms = [(lead, _random_rational(rng, bound, nonzero=True))]
         for _ in range(rng.randrange(2)):
             terms.append((lead + _random_exponent(rng, Fraction(1, 2), Fraction(2)),
@@ -80,7 +76,7 @@ def random_element(rng: random.Random, config: SampleConfig, min_valuation: Frac
     else:
         terms = []
         for _ in range(rng.randrange(1, 4)):
-            terms.append((_random_exponent(rng, Fraction(0), config.exponent_bound),
+            terms.append((_random_exponent(rng, Fraction(0), _EXPONENT_BOUND),
                           _random_rational(rng, bound, nonzero=True)))
         body = FieldElement(terms)
     if min_valuation == 0:
@@ -88,10 +84,10 @@ def random_element(rng: random.Random, config: SampleConfig, min_valuation: Frac
     return body * FieldElement.eps_power(min_valuation)
 
 
-def random_positive_element(rng: random.Random, config: SampleConfig) -> FieldElement:
+def random_positive_element(rng: random.Random) -> FieldElement:
     """An exact element that is strictly positive in the field order."""
     while True:
-        x = random_element(rng, config, Fraction(0))
+        x = random_element(rng)
         if x.is_exact_zero():
             continue
         e0, c0 = x.leading()
@@ -111,7 +107,7 @@ def sample_ball(n: int, radius: Union[ValueGroupElement, Rational], config: Samp
     out = []
     for i in range(n):
         rng = _rng(config.seed, start_index + i)
-        out.append(random_element(rng, config, radius))
+        out.append(random_element(rng, radius))
     return out
 
 

@@ -118,11 +118,6 @@ class ValueGroupElement:
             raise ValueError("cannot negate TOP")
         return ValueGroupElement(-self.value)
 
-    def half(self) -> "ValueGroupElement":
-        if self.is_top:
-            raise ValueError("cannot halve TOP")
-        return ValueGroupElement(self.value / 2)
-
     def __hash__(self):
         return hash(self.value)
 
@@ -374,7 +369,7 @@ class FieldElement:
         if tail.is_exact_zero():
             return lead_sqrt
         rel = (self.precision - e0) if self.precision is not None else _DEFAULT_TRUNCATION
-        u = _clamp(tail * self.leading_monomial().invert(), rel)
+        u = _clamp(tail * FieldElement.eps_power(-e0, 1 / c0), rel)
         # Binomial series (1+u)^{1/2} = sum binom(1/2,k) u^k up to relative order.
         acc = FieldElement.one()
         power = FieldElement.one()
@@ -392,10 +387,6 @@ class FieldElement:
             acc = acc + power * coeff
         result = acc * lead_sqrt
         return FieldElement(result.terms, _min_precision(result.precision, e0 / 2 + rel))
-
-    def leading_monomial(self) -> "FieldElement":
-        e0, c0 = self.leading()
-        return FieldElement.eps_power(e0, c0)
 
     # -- order -------------------------------------------------------------
 

@@ -19,6 +19,8 @@ from .series import GT, FieldElement, compare_order
 BALL = "ball"
 AFFINE = "affine"
 
+_STRUCTURED_FRACTION = Fraction(1, 4)
+
 
 @dataclass(frozen=True)
 class AffineModuleMap:
@@ -65,7 +67,7 @@ class SetDescriptor:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "module_map", module_map)
-        normalized = tuple(_normalize_constraint(p, n) for p in strict_constraints) if strict_constraints else ()
+        normalized = tuple(align_polynomial(p, n) for p in strict_constraints) if strict_constraints else ()
         object.__setattr__(self, "strict_constraints", normalized)
 
     def __setattr__(self, name, value):
@@ -137,7 +139,7 @@ class SetDescriptor:
         """
         want = config.samples if count is None else count
         structured = list(self.structured_points())
-        n_structured = min(len(structured), int(want * config.structured_fraction))
+        n_structured = min(len(structured), int(want * _STRUCTURED_FRACTION))
         points = structured[:n_structured]
         out = []
         for pt in points:
@@ -150,7 +152,7 @@ class SetDescriptor:
             rng = _rng(config.seed, index)
             index += 1
             attempts += 1
-            ball_pt = [random_element(rng, config, Fraction(0)) for _ in range(self.n)]
+            ball_pt = [random_element(rng) for _ in range(self.n)]
             pt = self._from_ball(ball_pt)
             if self._admissible(pt):
                 out.append(pt)
@@ -255,7 +257,3 @@ def align_to_set(q, set_descriptor: "SetDescriptor"):
     if isinstance(q, RationalFunction):
         return RationalFunction(align_polynomial(q.num, n), align_polynomial(q.den, n))
     return align_polynomial(q, n)
-
-
-def _normalize_constraint(p: Polynomial, n: int) -> Polynomial:
-    return align_polynomial(p, n)

@@ -50,7 +50,6 @@ class SosSearchResult:
     kind: str
     quotients: tuple[ResidueQuotient, ...] = ()
     point: Optional[tuple[Fraction, ...]] = None
-    multiplier_power: int = 0
 
 
 # -- exact linear algebra -----------------------------------------------------
@@ -558,7 +557,7 @@ def residue_sos_search(q: ResiduePolynomial, budget: Optional[SosBudget] = None,
                 for i in range(len(vs)):
                     lifted.append(t * ResiduePolynomial.variable(vs[i], vs))
             quotients = tuple(ResidueQuotient(t, den) for t in lifted)
-        result = SosSearchResult(SOS, quotients=quotients, multiplier_power=k)
+        result = SosSearchResult(SOS, quotients=quotients)
         if not verify_residue_sos(q, result.quotients):
             # Exactness guard; should be unreachable.
             continue

@@ -234,6 +234,31 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == '{"command":"psd","mode":"falsify","samples":500,"witness":null}\n'
 
+    def test_probe_without_negative_sample_tests_no_c(self):
+        # p >= 0 on every sample: 1 + c^2 p(b) >= 1 is integral for every c, so the
+        # probe needs no exact value of x^1000.  A child process turns a hang into a failure.
+        argv = ["psd", "--p", "x^1000 + 1", "--set", "ball:1", "--probe41", "--seed", "1"]
+        proc = subprocess.run([sys.executable, "-m", "rcvf.cli", *argv],
+                              capture_output=True, text=True, timeout=20, env=subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ('{"c_values_tested":10,"command":"psd","mode":"probe41",'
+                               '"samples_tested":500,"verdict":"consistent_nonneg"}\n')
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--expr", "1/(1+eps)", "--trunc", "-2"),
+        ("eval", "--expr", "1/(1+eps)", "--trunc", "0"),
+        ("psd", "--p", "x^2", "--set", "ball:1", "--falsify", "--seed", "1", "--samples", "0"),
+        ("psd", "--p", "x^2", "--set", "ball:1", "--falsify", "--seed", "1", "--samples", "-5"),
+        ("psd", "--p", "x^2", "--set", "ball:1", "--seed", "1", "--depth", "-1"),
+        ("cert", "find", "--p", "x^2", "--set", "ball:1", "--seed", "1", "--max-basis", "-1"),
+        ("psd", "--p", "x^2", "--set", "ball:1", "--probe41", "--seed", "1", "--c-values", "-3"),
+    ], ids=["trunc-negative", "trunc-zero", "samples-zero", "samples-negative", "depth",
+            "max-basis", "c-values"])
+    def test_out_of_range_numeric_option_is_usage_error(self, argv, capsys):
+        code, out = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert "must be at least" in capsys.readouterr().err
+
     def test_internal_error_is_exit_2(self, monkeypatch):
         def crash(args):
             raise TypeError("boom")

@@ -67,6 +67,9 @@ GOLDEN = [
     ("psd --p 'x^2 + eps*y^2' --set ball:2 --probe41 --seed 9 --samples 150", 0,
      '{"c_values_tested":10,"command":"psd","mode":"probe41","samples_tested":150,"verdict":"'
      'consistent_nonneg"}'),
+    ("psd --p 'x^20 + 1' --set ball:1 --probe41 --seed 1", 0,
+     '{"c_values_tested":10,"command":"psd","mode":"probe41","samples_tested":500,"verdict":"'
+     'consistent_nonneg"}'),
     # Strict constraints are enforced on samples by rejection.
     ("psd --p 'x^2 + 1' --set {strict} --falsify --seed 1", 0,
      '{"command":"psd","mode":"falsify","samples":500,"witness":null}'),

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rcvf.errors import DivisionByZero, UndefinedGauss
+from rcvf.errors import DivisionByZero, PrecisionExhausted, UndefinedGauss
 from rcvf.poly import Polynomial, RationalFunction, gauss_valuation, poly_eval, valuation_at
 from rcvf.ringexpr import (
     ConeExpr,
@@ -17,6 +17,7 @@ from rcvf.ringexpr import (
     SosInverseExpr,
     SumExpr,
     eval_ring_expr,
+    infinitesimal_or_zero,
     ring_expr_to_rational,
     verify_ring_membership,
     verify_sos_expression,
@@ -25,7 +26,7 @@ from rcvf.sampling import SampleConfig, _rng
 from rcvf.series import TOP, FieldElement, ValueGroupElement
 from rcvf.sets import SetDescriptor
 
-from conftest import random_exact_element, small_fraction
+from conftest import random_exact_element, random_truncated_element, small_fraction
 
 F = Fraction
 EPS = FieldElement.eps_power(1)
@@ -161,7 +162,47 @@ class TestSosExpressions:
         assert not verify_sos_expression(target, r)
 
 
+def reference_infinitesimal_or_zero(m):
+    """The two-step form of the check: lower bound first, then the valuation."""
+    v = m.valuation_lower_bound()
+    if v.is_top or v.value > 0:
+        return True
+    try:
+        return m.valuation() > 0
+    except PrecisionExhausted:
+        return False
+
+
+def reference_constant_is_integral(x):
+    """The two-step form of the ConstExpr membership check."""
+    v = x.valuation_lower_bound()
+    if not v.is_top and v.value < 0:
+        try:
+            return x.valuation() >= 0
+        except Exception:
+            return False
+    return True
+
+
 class TestRingMembership:
+    def test_one_line_checks_match_two_step_reference(self):
+        # Exact, truncated and term-less O(eps^k) elements, k negative, zero and positive.
+        rng = random.Random(4141)
+        corpus = [FieldElement.zero()]
+        corpus += [FieldElement((), F(k, d)) for k in range(-4, 5) for d in (1, 2)]
+        corpus += [random_exact_element(rng, allow_negative_exponents=True) for _ in range(300)]
+        corpus += [random_truncated_element(rng) for _ in range(300)]
+        ball1 = SetDescriptor.unit_polydisc(1)
+        infinitesimal, integral = [], []
+        for x in corpus:
+            infinitesimal.append(infinitesimal_or_zero(x))
+            integral.append(verify_ring_membership(ConstExpr(x), ball1))
+            assert infinitesimal[-1] == reference_infinitesimal_or_zero(x), repr(x)
+            assert integral[-1] == reference_constant_is_integral(x), repr(x)
+        assert set(infinitesimal) == set(integral) == {True, False}
+        termless = [x for x in corpus if not x.terms and x.precision is not None]
+        assert {x.precision > 0 for x in termless} == {True, False}
+
     def test_product_plus_constant(self):
         ball2 = SetDescriptor.unit_polydisc(2)
         e = SumExpr([ProdExpr([GenExpr(0), GenExpr(1)]), ConstExpr(3)])
