@@ -39,11 +39,11 @@ from .sampling import SampleConfig
 from .series import LT, FieldElement, compare_order
 from .sets import SetDescriptor, align_to_set
 from .sos import (
-    NEGATIVITY,
     SOS,
     ResiduePolynomial,
     SosBudget,
     psd_falsify,
+    residue_sos_decomposition,
     residue_sos_search,
 )
 
@@ -269,13 +269,13 @@ def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
             rbar = _residue_polynomial(scaled)
         except NotIntegral:
             break
-        search = residue_sos_search(rbar, budget.sos, config)
-        if search.kind == NEGATIVITY:
-            if layers == 0:
-                pt = _embed_rational_point(search.point)
-                if compare_order(p.evaluate(pt), FieldElement.zero()) == LT:
-                    return GenerationOutcome(NEGATIVITY_WITNESS, point=tuple(pt))
-            break
+        if layers == 0:
+            # Stage 1 ran psd_falsify on this rbar with this config and found no
+            # point: a rational z lies on the polydisc and rbar(z) < 0 forces
+            # p(z) < 0.  A negative constant rbar was caught there too.
+            search = residue_sos_decomposition(rbar, budget.sos)
+        else:
+            search = residue_sos_search(rbar, budget.sos, config)
         if search.kind != SOS:
             break
         if not all(q.den.is_constant() for q in search.quotients):
@@ -501,14 +501,14 @@ def _confirm_non_integrality(p: Polynomial, c: FieldElement, b: list[FieldElemen
             shifted[i] = shifted[i] + FieldElement.eps_power(k)
             candidates.append(shifted)
     candidates.extend(points[:50])
-    c2 = c * c
+    w = p.scale(c * c) + 1
     for bp in candidates:
         try:
             if not set_descriptor.contains(bp):
                 continue
-            w = FieldElement.one() + c2 * p.evaluate(bp)
+            value = leading_value(w, bp)
         except PrecisionExhausted:
             continue
-        if w.terms and w.terms[0][0] > 0:
+        if value.terms and value.terms[0][0] > 0:
             return bp
     return None

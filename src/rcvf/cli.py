@@ -9,6 +9,7 @@ randomized commands require --seed and are bit-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -284,34 +285,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate an expression")
     p.add_argument("--expr", required=True)
     common(p)
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(handler="_cmd_eval")
 
     p = sub.add_parser("val", help="valuation (Gauss valuation for polynomials)")
     p.add_argument("--expr", required=True)
     common(p)
-    p.set_defaults(func=_cmd_val)
+    p.set_defaults(handler="_cmd_val")
 
     p = sub.add_parser("res", help="residue of an integral scalar")
     p.add_argument("--expr", required=True)
     common(p)
-    p.set_defaults(func=_cmd_res)
+    p.set_defaults(handler="_cmd_res")
 
     p = sub.add_parser("cmp", help="order comparison of two scalars")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     common(p)
-    p.set_defaults(func=_cmd_cmp)
+    p.set_defaults(handler="_cmd_cmp")
 
     p = sub.add_parser("gauss", help="Gauss valuation of a polynomial or quotient")
     p.add_argument("--expr", required=True)
     common(p)
-    p.set_defaults(func=_cmd_gauss)
+    p.set_defaults(handler="_cmd_gauss")
 
     p = sub.add_parser("integral", help="integrality verdicts (Gauss and pointwise)")
     p.add_argument("--h", required=True)
     p.add_argument("--set", required=True)
     common(p, seed=True, sampled=True)
-    p.set_defaults(func=_cmd_integral)
+    p.set_defaults(handler="_cmd_integral")
 
     p = sub.add_parser("psd", help="non-negativity: falsify, generate, or probe")
     p.add_argument("--p", required=True)
@@ -324,14 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-basis", type=_int_at_least(0), default=16, dest="max_basis")
     p.add_argument("--c-values", type=_int_at_least(0), default=10, dest="c_values")
     common(p, seed=True, sampled=True)
-    p.set_defaults(func=_cmd_psd)
+    p.set_defaults(handler="_cmd_psd")
 
     p = sub.add_parser("cert", help="verify or find certificates")
     cert_sub = p.add_subparsers(dest="cert_mode", required=True)
     pv = cert_sub.add_parser("verify")
     pv.add_argument("file")
     common(pv)
-    pv.set_defaults(func=_cmd_cert_verify)
+    pv.set_defaults(handler="_cmd_cert_verify")
     pf = cert_sub.add_parser("find")
     pf.add_argument("--p", required=True)
     pf.add_argument("--set", required=True)
@@ -339,25 +340,33 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--depth", type=_int_at_least(0), default=3)
     pf.add_argument("--max-basis", type=_int_at_least(0), default=16, dest="max_basis")
     common(pf, seed=True, sampled=True)
-    pf.set_defaults(func=_cmd_cert_find)
+    pf.set_defaults(handler="_cmd_cert_find")
 
     p = sub.add_parser("selftest", help="run the quick property suite")
     common(p, seed=True)
-    p.set_defaults(func=_cmd_selftest)
+    p.set_defaults(handler="_cmd_selftest")
 
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     previous_truncation = default_truncation()
     try:
         if args.trunc is not None:
             set_default_truncation(args.trunc)
-        return args.func(args)
+        # Looked up by name on each call: the parser is built once per process,
+        # and the handler is whatever the module binds now.
+        return globals()[args.handler](args)
     except ParseError as exc:
         _emit({"error": {"type": "parse", "message": str(exc), "position": exc.position}},
               getattr(args, "pretty", False))

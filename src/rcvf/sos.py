@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Optional, Sequence
 
 from .poly import ResiduePolynomial
@@ -269,19 +269,53 @@ def rational_square_terms(d: Fraction) -> list[Fraction]:
 
 # -- falsification ------------------------------------------------------------
 
+# Grid values, descent steps, descent starts k/_START_DENOMINATOR and the
+# integer ray points all lie on (1/_LATTICE) Z^n; psd_falsify relies on it.
+_LATTICE = 4
 _GRID_VALUES = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                 Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(-3, 2),
                 Fraction(3), Fraction(-3)]
+_STEPS = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
+          Fraction(1, 4), Fraction(-1, 4), Fraction(2), Fraction(-2)]
+_START_DENOMINATOR = 4
+_GRID_UNITS = [int(v * _LATTICE) for v in _GRID_VALUES]
+_STEP_UNITS = [int(s * _LATTICE) for s in _STEPS]
 
 
 def _grid_points(n: int, cap: int = 4000):
-    if len(_GRID_VALUES) ** n <= cap:
-        yield from itertools.product(_GRID_VALUES, repeat=n)
+    """Grid points in lattice units."""
+    if len(_GRID_UNITS) ** n <= cap:
+        yield from itertools.product(_GRID_UNITS, repeat=n)
         return
     # Deterministic subsample of the grid for higher dimension.
     rng = _rng(99991, n)
     for _ in range(cap):
-        yield tuple(rng.choice(_GRID_VALUES) for _ in range(n))
+        yield tuple(rng.choice(_GRID_UNITS) for _ in range(n))
+
+
+def _lattice_form(q: ResiduePolynomial):
+    """Q(y) = L * _LATTICE^T * q(y/_LATTICE) as an integer evaluator, with L the
+    lcm of q's coefficient denominators and T its total degree.
+
+    The term of exponent e becomes c * L * _LATTICE^(T-|e|), an integer.  Since
+    L * _LATTICE^T > 0, Q(y) has the sign of q(y/_LATTICE) and orders lattice
+    points as q does.
+    """
+    total = q.total_degree()
+    den = lcm(*(c.denominator for c in q.terms.values()))
+    terms = [(c.numerator * (den // c.denominator) * _LATTICE ** (total - sum(expv)),
+              tuple((i, e) for i, e in enumerate(expv) if e))
+             for expv, c in q.terms.items()]
+
+    def value(y) -> int:
+        acc = 0
+        for c, factors in terms:
+            for i, e in factors:
+                c *= y[i] ** e
+            acc += c
+        return acc
+
+    return value
 
 
 def _quadratic_gram(q: ResiduePolynomial):
@@ -333,7 +367,10 @@ def psd_falsify(q: ResiduePolynomial, config: Optional[SampleConfig] = None):
     """A point with q(point) < 0, or None.
 
     Rational grid, exact Gram direction for degree <= 2, coordinate descent
-    from seeded random starts, and boundary rays.
+    from seeded random starts, and boundary rays.  Grid, descent and ray
+    points lie on (1/4) Z^n (_LATTICE = 4), so their signs and comparisons are
+    decided in integers on y = 4x by Q(y) = L * 4^T * q(y/4) (see
+    _lattice_form); only _point_from_quadratic_direction evaluates q itself.
     """
     if q.is_exactly_zero():
         return None
@@ -346,34 +383,35 @@ def psd_falsify(q: ResiduePolynomial, config: Optional[SampleConfig] = None):
         verdict, payload = ldl_psd(_quadratic_gram(q))
         if verdict == "psd":
             return None
-        for pt in _grid_points(n, cap=600):
-            if q.evaluate(pt) < 0:
-                return list(pt)
+        value = _lattice_form(q)
+        for y in _grid_points(n, cap=600):
+            if value(y) < 0:
+                return _from_lattice(y)
         return _point_from_quadratic_direction(q, payload)
-    for pt in _grid_points(n):
-        if q.evaluate(pt) < 0:
-            return list(pt)
+    value = _lattice_form(q)
+    for y in _grid_points(n):
+        if value(y) < 0:
+            return _from_lattice(y)
     config = config or SampleConfig(seed=20240601, samples=64)
     rng = _rng(config.seed, 0x5EED)
-    steps = [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
-             Fraction(1, 4), Fraction(-1, 4), Fraction(2), Fraction(-2)]
+    span, unit = 3 * _START_DENOMINATOR, _LATTICE // _START_DENOMINATOR
     for start in range(24):
-        pt = [Fraction(rng.randint(-3 * 4, 3 * 4), 4) for _ in range(n)]
-        val = q.evaluate(pt)
+        y = [rng.randint(-span, span) * unit for _ in range(n)]
+        val = value(y)
         if val < 0:
-            return pt
+            return _from_lattice(y)
         for _ in range(40):
             improved = False
             for i in range(n):
-                for s in steps:
-                    cand = list(pt)
+                for s in _STEP_UNITS:
+                    cand = list(y)
                     cand[i] += s
-                    v = q.evaluate(cand)
+                    v = value(cand)
                     if v < val:
-                        pt, val = cand, v
+                        y, val = cand, v
                         improved = True
                         if val < 0:
-                            return pt
+                            return _from_lattice(y)
             if not improved:
                 break
     for direction in itertools.product((-1, 0, 1), repeat=min(n, 6)):
@@ -381,10 +419,14 @@ def psd_falsify(q: ResiduePolynomial, config: Optional[SampleConfig] = None):
             continue
         d = list(direction) + [0] * (n - len(direction))
         for t in (4, 16, 64, 256, 1024):
-            pt = [Fraction(di * t) for di in d]
-            if q.evaluate(pt) < 0:
-                return pt
+            y = [di * t * _LATTICE for di in d]
+            if value(y) < 0:
+                return _from_lattice(y)
     return None
+
+
+def _from_lattice(y) -> list[Fraction]:
+    return [Fraction(v, _LATTICE) for v in y]
 
 
 # -- Gram search ---------------------------------------------------------------
@@ -517,6 +559,20 @@ def _gram_search(target: ResiduePolynomial, basis: list[tuple[int, ...]]):
 def residue_sos_search(q: ResiduePolynomial, budget: Optional[SosBudget] = None,
                        config: Optional[SampleConfig] = None) -> SosSearchResult:
     """Exact SOS decomposition (quotients allowed), negativity witness, or give up."""
+    if not q.is_constant():
+        pt = psd_falsify(q, config)
+        if pt is not None:
+            return SosSearchResult(NEGATIVITY, point=tuple(pt))
+    return residue_sos_decomposition(q, budget)
+
+
+def residue_sos_decomposition(q: ResiduePolynomial,
+                              budget: Optional[SosBudget] = None) -> SosSearchResult:
+    """residue_sos_search for a q that psd_falsify has already searched in vain.
+
+    Constants are still decided exactly (a negative one gets the origin as its
+    witness); otherwise the result is an SOS or not_sos_in_budget.
+    """
     budget = budget or SosBudget()
     vs = q.variables
     if q.is_exactly_zero():
@@ -528,9 +584,6 @@ def residue_sos_search(q: ResiduePolynomial, budget: Optional[SosBudget] = None,
         quotients = tuple(ResidueQuotient.of(ResiduePolynomial.constant(s, vs))
                           for s in rational_square_terms(c))
         return SosSearchResult(SOS, quotients=quotients)
-    pt = psd_falsify(q, config)
-    if pt is not None:
-        return SosSearchResult(NEGATIVITY, point=tuple(pt))
     if q.total_degree() % 2 == 1:
         return SosSearchResult(NOT_SOS_IN_BUDGET)
     square_sum = ResiduePolynomial.coordinate_square_sum(vs)

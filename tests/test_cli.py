@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from rcvf.cli import run
+from rcvf.cli import _parser, build_parser, run
 from rcvf.errors import ParseError
 from rcvf.jsonio import (
     canonical_dumps,
@@ -244,6 +244,17 @@ class TestExitCodes:
         assert proc.stdout == ('{"c_values_tested":10,"command":"psd","mode":"probe41",'
                                '"samples_tested":500,"verdict":"consistent_nonneg"}\n')
 
+    def test_probe_confirmation_reads_leading_terms(self):
+        # Confirming a point needs only the leading term of 1 + c^2 p(b'), not an
+        # exact value of x^120 at each candidate.  A child process turns a hang into a failure.
+        argv = ["psd", "--p", "x^120 - 4", "--set", "ball:1", "--probe41", "--seed", "1"]
+        proc = subprocess.run([sys.executable, "-m", "rcvf.cli", *argv],
+                              capture_output=True, text=True, timeout=20, env=subprocess_env())
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stdout == ('{"c":"1/2 + 1/2*eps","c_values_tested":10,"command":"psd",'
+                               '"confirm_point":["2*eps"],"mode":"probe41","point":["eps"],'
+                               '"samples_tested":500,"verdict":"negativity_witness"}\n')
+
     @pytest.mark.parametrize("argv", [
         ("eval", "--expr", "1/(1+eps)", "--trunc", "-2"),
         ("eval", "--expr", "1/(1+eps)", "--trunc", "0"),
@@ -274,6 +285,36 @@ class TestExitCodes:
         assert payload["precision"] == "5"
         code2, out2 = run_cli("eval", "--expr", "1/(1-eps)")
         assert json.loads(out2)["value"]["precision"] == "32"
+
+    def test_shared_parser_parses_as_a_fresh_one(self, capsys):
+        # run() builds its parser once per process; mixed calls, usage errors and
+        # --help must leave it as a fresh build_parser() would be.
+        argvs = [
+            ["psd", "--p", "x", "--set", "ball:1", "--probe41", "--seed", "1", "--c-values", "3"],
+            ["psd", "--p", "x", "--set", "ball:1", "--falsify", "--seed", "1"],
+            ["psd", "--p", "x", "--set", "ball:1", "--falsify", "--probe41", "--seed", "1"],
+            ["eval", "--expr", "x", "--trunc", "5", "--pretty"],
+            ["eval", "--expr", "x"],
+            ["cert", "find", "--p", "x", "--set", "ball:1", "--seed", "2", "--depth", "0"],
+            ["cert", "verify", "c.json"],
+            ["cert"],
+            ["selftest", "--seed", "-1"],
+            ["--help"],
+            ["psd", "--help"],
+        ]
+
+        def parsed(parser, argv):
+            try:
+                return vars(parser.parse_args(argv))
+            except SystemExit as exc:
+                return exc.code
+
+        fresh = []
+        for argv in argvs:
+            fresh.append((parsed(build_parser(), argv), capsys.readouterr()))
+        for _ in range(2):
+            for argv, want in zip(argvs, fresh):
+                assert (parsed(_parser(), argv), capsys.readouterr()) == want, argv
 
 
 _TRIVIAL_WITNESS = {"num": {"op": "const", "value": "0"},

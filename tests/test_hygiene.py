@@ -1,10 +1,12 @@
-"""Source hygiene: no unused imports and no unread dataclass fields.
+"""Source hygiene: no unused imports, no unread dataclass fields, no repeated work.
 
 An ``ast`` scan of each module except ``__init__.py`` (whose imports are the
 public re-exports): a name bound by ``import``/``from ... import`` must occur
 as a name somewhere else in the module.  A second scan requires every field
 of a dataclass in the package to be read as an attribute (``.name``)
-somewhere in ``src/``, ``tests/`` or ``perfbench/``.
+somewhere in ``src/``, ``tests/`` or ``perfbench/``.  Structural guards count
+calls of hot functions on fixed inputs, so work that comes back shows up as a
+count, not as a timing.
 """
 
 import ast
@@ -13,6 +15,11 @@ from pathlib import Path
 import pytest
 
 import rcvf
+from rcvf import certificates, sos
+from rcvf.certificates import CERTIFICATE, generate_ball_certificate
+from rcvf.parser import parse_expression
+from rcvf.sets import SetDescriptor
+from rcvf.sos import ResiduePolynomial, psd_falsify
 
 MODULES = sorted(p for p in Path(rcvf.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py")
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,3 +88,38 @@ def test_no_unread_dataclass_fields():
     fields = [f for p in MODULES for f in dataclass_fields(p.read_text())]
     assert fields, "the scan found no dataclass fields"
     assert unread_fields(fields, reads) == []
+
+
+def count_calls(monkeypatch, targets) -> list:
+    """Replace each (owner, name) by a wrapper that records its calls in one list."""
+    calls = []
+    for owner, name in targets:
+        original = getattr(owner, name)
+
+        def wrapper(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def test_falsifier_search_evaluates_no_residue_polynomial(monkeypatch):
+    # Non-negative, so grid, descent and rays all run; every sign is an integer one.
+    vs = ("x", "y")
+    x, y = ResiduePolynomial.variable("x", vs), ResiduePolynomial.variable("y", vs)
+    q = (x * x - y) ** 2 + (x * y - 1) ** 2 + x * x * y * y
+    evaluations = count_calls(monkeypatch, [(ResiduePolynomial, "evaluate")])
+    assert psd_falsify(q) is None
+    assert evaluations == []
+
+
+def test_generation_falsifies_each_residue_layer_once(monkeypatch):
+    # Shaped like the benchmark's nonneg_sos inputs, with a second residue layer
+    # (the eps part) on which the descent runs too.
+    p = parse_expression("(x^2 + y)^2 + (x*y + 1)^2 + (x + y + 1)^2 + 2*(1 + x^2 + y^2 + x^4)"
+                         " + eps*(x^2 - y)^2")
+    searches = count_calls(monkeypatch, [(sos, "psd_falsify"), (certificates, "psd_falsify")])
+    outcome = generate_ball_certificate(p, SetDescriptor.unit_polydisc(2))
+    assert (outcome.kind, outcome.layers) == (CERTIFICATE, 2)
+    assert len(searches) == outcome.layers

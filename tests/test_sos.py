@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from rcvf.sampling import SampleConfig
+from rcvf import sos
+from rcvf.sampling import SampleConfig, _rng
 from rcvf.sos import (
     NEGATIVITY,
     NOT_SOS_IN_BUDGET,
@@ -199,3 +200,152 @@ class TestDenominatorSearch:
             assert verify_residue_sos(q, result.quotients)
         else:
             assert result.kind == NOT_SOS_IN_BUDGET
+
+
+# -- the lattice falsifier against the Fraction one -----------------------------
+
+
+def _reference_grid(n, cap=4000):
+    if len(sos._GRID_VALUES) ** n <= cap:
+        yield from itertools.product(sos._GRID_VALUES, repeat=n)
+        return
+    rng = _rng(99991, n)
+    for _ in range(cap):
+        yield tuple(rng.choice(sos._GRID_VALUES) for _ in range(n))
+
+
+def reference_psd_falsify(q, config=None):
+    """The same search as psd_falsify with every sign decided by an exact
+    Fraction value of q."""
+    if q.is_exactly_zero():
+        return None
+    n = len(q.variables)
+    if n == 0:
+        return [] if q.constant_value() < 0 else None
+    if q.total_degree() <= 2:
+        verdict, payload = sos.ldl_psd(sos._quadratic_gram(q))
+        if verdict == "psd":
+            return None
+        for pt in _reference_grid(n, cap=600):
+            if q.evaluate(pt) < 0:
+                return list(pt)
+        return sos._point_from_quadratic_direction(q, payload)
+    for pt in _reference_grid(n):
+        if q.evaluate(pt) < 0:
+            return list(pt)
+    config = config or SampleConfig(seed=20240601, samples=64)
+    rng = _rng(config.seed, 0x5EED)
+    steps = [F(1), F(-1), F(1, 2), F(-1, 2), F(1, 4), F(-1, 4), F(2), F(-2)]
+    for start in range(24):
+        pt = [F(rng.randint(-3 * 4, 3 * 4), 4) for _ in range(n)]
+        val = q.evaluate(pt)
+        if val < 0:
+            return pt
+        for _ in range(40):
+            improved = False
+            for i in range(n):
+                for s in steps:
+                    cand = list(pt)
+                    cand[i] += s
+                    v = q.evaluate(cand)
+                    if v < val:
+                        pt, val = cand, v
+                        improved = True
+                        if val < 0:
+                            return pt
+            if not improved:
+                break
+    for direction in itertools.product((-1, 0, 1), repeat=min(n, 6)):
+        if not any(direction):
+            continue
+        d = list(direction) + [0] * (n - len(direction))
+        for t in (4, 16, 64, 256, 1024):
+            pt = [F(di * t) for di in d]
+            if q.evaluate(pt) < 0:
+                return pt
+    return None
+
+
+def _frame(n):
+    return tuple(f"x{i + 1}" for i in range(n))
+
+
+def _random_poly(rng, n, degree, terms, den_bound=10):
+    exps = [tuple(rng.randint(0, degree) for _ in range(n)) for _ in range(terms)]
+    return rp(_frame(n), {e: F(rng.randint(-9, 9), rng.randint(1, den_bound))
+                          for e in exps if sum(e) <= degree})
+
+
+def _square_sum(rng, n, count, den_bound=3):
+    q = ResiduePolynomial.constant(F(1, rng.randint(1, 4)), _frame(n))
+    for _ in range(count):
+        t = _random_poly(rng, n, 2, 3, den_bound)
+        q = q + t * t
+    return q
+
+
+def _falsify_corpus():
+    rng = random.Random(8080)
+    corpus = []
+    for n in range(8):  # n >= 4 subsamples the grid; n = 7 passes the six-coordinate ray cap
+        for _ in range(2 if n > 3 else 4):
+            corpus.append(_random_poly(rng, n, rng.choice((3, 4)), 5))
+    for n in (0, 1, 3):  # zero and constant q
+        corpus += [rp(_frame(n), {}), ResiduePolynomial.constant(F(-3, 7), _frame(n)),
+                   ResiduePolynomial.constant(F(5, 2), _frame(n))]
+    for n in (1, 2, 3):  # degree <= 2: PSD verdicts and grid hits
+        for _ in range(6):
+            corpus.append(_random_poly(rng, n, 2, 4))
+        t = _random_poly(rng, n, 1, 3)
+        corpus.append(t * t + ResiduePolynomial.constant(F(1, 3), _frame(n)))
+    x, y = x_of(("x", "y"), "x"), x_of(("x", "y"), "y")
+    one = ResiduePolynomial.constant(1, ("x", "y"))
+    corpus += [  # degree 2, negative only off the grid: the quadratic-direction fallback
+        10**6 * (x - F(1, 3)) ** 2 - one,
+        10**6 * (7 * x - 3 * y) ** 2 - y * y,
+    ]
+    for n in (1, 2, 3, 5):  # coefficient denominators up to 10^6
+        for _ in range(3):
+            corpus.append(_random_poly(rng, n, 4, 6, den_bound=10**6))
+    for n in (1, 2, 7):  # negative only far out on a ray; for n = 7 beyond the ray cap
+        vs = _frame(n)
+        corpus.append(ResiduePolynomial.constant(10**9, vs) - x_of(vs, vs[-1]) ** 3)
+    for n in (2, 3):  # non-negative quartics: the whole descent runs
+        for _ in range(3):
+            corpus.append(_square_sum(rng, n, 2, den_bound=rng.choice((1, 7, 10**6))))
+    return corpus
+
+
+def _stage(q, pt):
+    """The part of the search that produced pt (or why none came)."""
+    if pt is None:
+        return "none" if q.total_degree() <= 2 else "none_after_descent"
+    if q.total_degree() <= 2:
+        return "grid" if all(v in sos._GRID_VALUES for v in pt) else "direction"
+    if any(v.denominator == 4 for v in pt):
+        return "descent"
+    return "ray" if max((abs(v) for v in pt), default=0) >= 4 else "grid"
+
+
+class TestLatticeFalsifier:
+    @pytest.mark.parametrize("seed", (20240601, 1))
+    def test_matches_fraction_reference(self, seed):
+        config = SampleConfig(seed=seed, samples=64)
+        stages = set()
+        for q in _falsify_corpus():
+            got, want = psd_falsify(q, config), reference_psd_falsify(q, config)
+            assert got == want, q
+            if got is not None:
+                assert [type(v) for v in got] == [type(v) for v in want] == [Fraction] * len(got)
+                assert q.evaluate(got) < 0
+            stages.add(_stage(q, want))
+        assert stages == {"grid", "direction", "descent", "ray", "none", "none_after_descent"}
+
+    def test_search_constants_lie_on_the_lattice(self):
+        lattice = sos._LATTICE
+        assert lattice == 4
+        for v in [*sos._GRID_VALUES, *sos._STEPS]:
+            assert (v * lattice).denominator == 1, v
+        assert lattice % sos._START_DENOMINATOR == 0
+        assert sos._GRID_UNITS == [v * lattice for v in sos._GRID_VALUES]
+        assert sos._STEP_UNITS == [s * lattice for s in sos._STEPS]
