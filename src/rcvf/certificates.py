@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .errors import CoefficientsNotIntegral, NotIntegral, PrecisionExhausted, RcvfError
 from .integrality import pointwise_integral_oracle, IntegralityVerdict, module_pullback
-from .poly import Polynomial, RationalFunction, gauss_valuation, leading_value
+from .poly import Polynomial, RationalFunction, gauss_valuation, leading_sign, leading_value
 from .ringexpr import (
     ConstExpr,
     PerturbedUnit,
@@ -324,10 +324,9 @@ def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
 def falsify_nonnegativity(p: Polynomial, set_descriptor: SetDescriptor, config: SampleConfig,
                           samples: int) -> Optional[list[FieldElement]]:
     """Exact p(b) < 0 search: sampled points plus the residue-level falsifier."""
-    pts = set_descriptor.sample_points(config, count=samples)
-    for b in pts:
+    for b in set_descriptor.stream_points(config, count=samples):
         try:
-            if compare_order(leading_value(p, b), FieldElement.zero()) == LT:
+            if leading_sign(p, b) == LT:
                 return list(b)
         except PrecisionExhausted:
             continue
@@ -459,7 +458,7 @@ def check_general_characterization(p: Polynomial, set_descriptor: SetDescriptor,
     negative_points: list[list[FieldElement]] = []
     for b in points:
         try:
-            sign = compare_order(leading_value(p, b), FieldElement.zero())
+            sign = leading_sign(p, b)
         except PrecisionExhausted:
             continue
         tested += 1

@@ -69,12 +69,9 @@ def pointwise_integral_oracle(h: Union[Polynomial, RationalFunction], set_descri
     deterministic under the seed.  Denominator zeros are skipped and counted.
     """
     h = align_to_set(_as_rational_function(h), set_descriptor)
-    points = set_descriptor.sample_points(config)
-    rng = _rng(config.seed, 0xC0FFEE)
-    points += set_descriptor.generic_residue_points(rng, max(4, config.samples // 50), 1009)
     tested = 0
     skipped = 0
-    for b in points:
+    for b in _oracle_points(set_descriptor, config):
         try:
             v = valuation_at(h, b)
         except (DivisionByZero, PrecisionExhausted):
@@ -85,6 +82,14 @@ def pointwise_integral_oracle(h: Union[Polynomial, RationalFunction], set_descri
             return IntegralityVerdict(COUNTEREXAMPLE_FOUND, point=tuple(b),
                                       value_valuation=v, samples=tested, skipped=skipped)
     return IntegralityVerdict(NO_COUNTEREXAMPLE_FOUND, samples=tested, skipped=skipped)
+
+
+def _oracle_points(set_descriptor: SetDescriptor, config: SampleConfig):
+    """The oracle's points, drawn as they are taken: the set's sample stream, then
+    generic-residue points from their own generator."""
+    yield from set_descriptor.stream_points(config)
+    rng = _rng(config.seed, 0xC0FFEE)
+    yield from set_descriptor.generic_residue_points(rng, max(4, config.samples // 50), 1009)
 
 
 def module_pullback(h: Union[Polynomial, RationalFunction], module_map: AffineModuleMap):

@@ -18,7 +18,16 @@ from math import lcm
 from typing import Mapping, Sequence, Union
 
 from .errors import DivisionByZero, UndefinedGauss
-from .series import TOP, FieldElement, ValueGroupElement, _min_precision, format_element
+from .series import (
+    GT,
+    LT,
+    TOP,
+    FieldElement,
+    ValueGroupElement,
+    _check_exponent,
+    compare_order,
+    format_element,
+)
 
 Scalar = Union[int, Fraction, FieldElement]
 
@@ -215,7 +224,9 @@ class _SparsePolynomial:
 class Polynomial(_SparsePolynomial):
     """Polynomial with FieldElement coefficients."""
 
-    __slots__ = ()
+    # _plan: the initial-form plan of sign and valuation queries (see _initial_form_plan),
+    # built by the first one (terms never change).
+    __slots__ = ("_plan",)
     _coeff = staticmethod(_as_coeff)
     _scalars = (int, Fraction, FieldElement)
     _zero = staticmethod(FieldElement.zero)
@@ -498,16 +509,53 @@ def poly_eval(q: Union[Polynomial, RationalFunction], point: Sequence[FieldEleme
 
 
 def _initial(x: FieldElement):
-    """(v, a, g) for a series with a visible term: leading exponent and coefficient,
-    and the distance to its next known term or to its precision (None if exact)."""
+    """(v, a, r) for a series with a visible term: leading exponent and coefficient,
+    and the exponent of its next known term or its precision (None if neither)."""
     v, a = x.terms[0]
-    if len(x.terms) > 1:
-        return v, a, x.terms[1][0] - v
-    return v, a, None if x.precision is None else x.precision - v
+    return v, a, x.terms[1][0] if len(x.terms) > 1 else x.precision
 
 
-def leading_value(p: Polynomial, point: Sequence) -> FieldElement:
-    """p(point) up to its leading term, read off the initial form; exactly if need be.
+def _over(r, den: int) -> int:
+    """The numerator of the rational r over den (a multiple of its denominator)."""
+    return r.numerator * (den // r.denominator)
+
+
+def _initial_form_plan(p: Polynomial):
+    """p's initial-form plan, built by the first query (terms never change).
+
+    (L, E, known, unknown): L is the lcm of the denominators of the
+    coefficients' leading coefficients and E that of every exponent below.
+    known holds (expv, positions, w*E, c*L, g*E) per monomial whose
+    coefficient c eps^w + (from w + g on) has a visible term (g None if
+    exact), positions being its (i, e) with e > 0; unknown holds
+    (positions, k*E) per coefficient that is only O(eps^k).
+    """
+    try:
+        return p._plan
+    except AttributeError:
+        pass
+    known, unknown = [], []
+    for expv, c in p.terms.items():
+        positions = tuple((i, e) for i, e in enumerate(expv) if e)
+        if c.terms:
+            known.append((expv, positions, *_initial(c)))
+        else:
+            unknown.append((positions, c.precision))
+    den = lcm(*(a.denominator for _, _, _, a, _ in known))
+    unit = lcm(*(x.denominator for _, _, w, _, r in known for x in (w, r) if x is not None),
+               *(k.denominator for _, k in unknown))
+    known = tuple((expv, positions, _over(w, unit), _over(a, den), None if r is None else _over(r - w, unit))
+                  for expv, positions, w, a, r in known)
+    unknown = tuple((positions, _over(k, unit)) for positions, k in unknown)
+    plan = (den, unit, known, unknown)
+    object.__setattr__(p, "_plan", plan)
+    return plan
+
+
+def _leading_term(p: Polynomial, point: Sequence, value: bool = False):
+    """(m, s, d, P) with p(point) = (s/d) eps^m + O(eps^P), s != 0, d > 0 and
+    m < P (P None if nothing else is there); None if the initial form does not decide.
+    d is only formed for ``value`` (else it is None): s alone carries the sign.
 
     With b_i = a_i eps^v_i + (terms from v_i + g_i on) and each coefficient
     c_t = c eps^w_t + (from w_t + g_t on), every monomial is
@@ -520,69 +568,142 @@ def leading_value(p: Polynomial, point: Sequence) -> FieldElement:
     if S != 0 and m < P the value is S eps^m + O(eps^P), and its sign and
     valuation are the exact ones.  Otherwise (the initial form cancels, an
     O(eps^k) coefficient reaches m, every monomial vanishes, or a coordinate
-    has no visible term) the exact ``p.evaluate(point)`` is returned, so exact
-    zeros and refusals (``PrecisionExhausted`` on the queries) are those of
-    the exact value.  Terms above the leading one are never formed.
+    has no visible term) None is returned and the caller evaluates exactly.
+
+    Exponents are compared as integers over one denominator, the lcm of the
+    plan's and the point's.  S is summed in integers too: with a_i = n_i/q_i
+    and T_i the largest exponent of variable i among the monomials at m,
+    S = s/d for s = sum_t (c_t*L) * prod_i n_i^e_i * q_i^(T_i-e_i) and
+    d = L * prod_i q_i^T_i.
+    As building S eps^m would, an m over the exponent-denominator cap raises
+    ExponentBlowup.  Terms above the leading one are never formed.
     """
     if len(point) != len(p.variables):
         raise ValueError(f"point arity {len(point)} != {len(p.variables)}")
-    coords = []  # (v, a, g) per coordinate; None for an exact zero
+    d, unit, known, unknown = _initial_form_plan(p)
+    coords = []  # (v, n, q, r) per coordinate as _initial gives it, a = n/q; None for an exact zero
+    den = unit  # the common denominator of every exponent in play
     for x in point:
         if not isinstance(x, FieldElement):
             x = Fraction(x)
-            coords.append((0, x, None) if x else None)
+            coords.append((0, x.numerator, x.denominator, None) if x else None)
         elif x.terms:
-            coords.append(_initial(x))
+            v, a, r = _initial(x)
+            den = lcm(den, v.denominator, 1 if r is None else r.denominator)
+            coords.append((v, a.numerator, a.denominator, r))
         elif x.precision is None:
             coords.append(None)
         else:
-            return p.evaluate(point)
+            return None
+    scale = den // unit
+    # Over den: (v, n, q, g) with g = r - v the coordinate's gap.
+    coords = [None if x is None else
+              (_over(x[0], den), x[1], x[2], None if x[3] is None else _over(x[3] - x[0], den))
+              for x in coords]
     bound = None  # P, the least exponent at which anything but S eps^m can sit
-    initial = []  # (L_t, least gap, leading coefficient, exponent vector)
-    for expv, c in p.terms.items():
-        shift, gap = 0, None
-        for e, x in zip(expv, coords):
-            if e:
-                if x is None:
-                    break
-                v, _, g = x
-                if v:
-                    shift += e * v
-                gap = _min_precision(gap, g)
+    for positions, k in unknown:
+        k *= scale
+        for i, e in positions:
+            x = coords[i]
+            if x is None:
+                break
+            k += e * x[0]
         else:
-            if not c.terms:
-                bound = _min_precision(bound, c.precision + shift)
-                continue
-            w, lead, g = _initial(c)
-            initial.append((w + shift, _min_precision(gap, g), lead, expv))
-    if not initial:
-        return p.evaluate(point)
-    m = min(t[0] for t in initial)
-    total = 0
-    for low, gap, lead, expv in initial:
-        if low != m:
-            bound = _min_precision(bound, low)
-            continue
+            if bound is None or k < bound:
+                bound = k
+    m, at_m = None, []  # at_m: (exponent vector, c*L, least gap) of the monomials at m
+    for expv, positions, low, c, gap in known:
+        low *= scale
         if gap is not None:
-            bound = _min_precision(bound, m + gap)
-        for e, x in zip(expv, coords):
-            if e:
-                lead *= x[1] ** e
-        total += lead
-    if total and (bound is None or m < bound):
-        return FieldElement(((m, total),), bound)
-    return p.evaluate(point)
+            gap *= scale
+        for i, e in positions:
+            x = coords[i]
+            if x is None:
+                break
+            v, _, _, g = x
+            low += e * v
+            if g is not None and (gap is None or g < gap):
+                gap = g
+        else:
+            if m is None or low < m:
+                if m is not None and (bound is None or m < bound):
+                    bound = m
+                m, at_m = low, [(expv, c, gap)]
+            elif low == m:
+                at_m.append((expv, c, gap))
+            elif bound is None or low < bound:
+                bound = low
+    if m is None:
+        return None
+    for _, _, gap in at_m:
+        if gap is not None and (bound is None or m + gap < bound):
+            bound = m + gap
+    if bound is not None and m >= bound:
+        return None
+    # a^e over the common denominator q^t, t the largest exponent at m of the
+    # variable: n^e * q^(t-e).  A variable with t = 0 contributes nothing.
+    tops = [max(column) for column in zip(*(expv for expv, _, _ in at_m))]
+    s = 0
+    for expv, c, _ in at_m:
+        for x, e, t in zip(coords, expv, tops):
+            if t:
+                c *= x[1] ** e * x[2] ** (t - e)
+        s += c
+    if not s:
+        return None
+    if value:
+        for x, t in zip(coords, tops):
+            if t:
+                d *= x[2] ** t
+    else:
+        d = None
+    m = Fraction(m, den)
+    _check_exponent(m)
+    return m, s, d, None if bound is None else Fraction(bound, den)
+
+
+def leading_value(p: Polynomial, point: Sequence) -> FieldElement:
+    """p(point) up to its leading term, read off the initial form; exactly if need be.
+
+    The value is S eps^m + O(eps^P) when ``_leading_term`` decides, and the
+    exact ``p.evaluate(point)`` otherwise, so exact zeros and refusals
+    (``PrecisionExhausted`` on the queries) are those of the exact value.
+    """
+    lead = _leading_term(p, point, value=True)
+    if lead is None:
+        return p.evaluate(point)
+    m, s, d, bound = lead
+    return FieldElement(((m, Fraction(s, d)),), bound)
+
+
+def leading_sign(p: Polynomial, point: Sequence) -> str:
+    """``compare_order(p.evaluate(point), 0)``, read off the initial form when it decides."""
+    lead = _leading_term(p, point)
+    if lead is None:
+        return compare_order(p.evaluate(point), FieldElement.zero())
+    return GT if lead[1] > 0 else LT
+
+
+def _leading_or_exact(p: Polynomial, point: Sequence):
+    """``_leading_term(p, point)``, or the exact value when it does not decide."""
+    lead = _leading_term(p, point)
+    return p.evaluate(point) if lead is None else lead
+
+
+def _valuation(value) -> ValueGroupElement:
+    """Valuation of a ``_leading_or_exact`` result."""
+    return value.valuation() if isinstance(value, FieldElement) else ValueGroupElement(value[0])
 
 
 def valuation_at(q: Union[Polynomial, RationalFunction], point: Sequence[FieldElement]) -> ValueGroupElement:
     """Exact valuation of q(point), from the leading terms of numerator and denominator."""
     if isinstance(q, Polynomial):
-        return leading_value(q, point).valuation()
-    num = leading_value(q.num, point)
-    den = leading_value(q.den, point)
-    if den.is_exact_zero():
+        return _valuation(_leading_or_exact(q, point))
+    num = _leading_or_exact(q.num, point)
+    den = _leading_or_exact(q.den, point)
+    if isinstance(den, FieldElement) and den.is_exact_zero():
         raise DivisionByZero("denominator vanishes at the point")
-    return num.valuation() - den.valuation()
+    return _valuation(num) - _valuation(den)
 
 
 def gauss_valuation(q: Union[Polynomial, RationalFunction]) -> ValueGroupElement:

@@ -18,7 +18,7 @@ Rational = Union[int, Fraction]
 _MIX = 0x9E3779B97F4A7C15
 
 _COEFFICIENT_BOUND = 12
-_EXPONENT_BOUND = Fraction(4)
+_EXPONENT_BOUND = 4
 
 
 def _rng(seed: int, index: int) -> random.Random:
@@ -40,45 +40,48 @@ def _random_rational(rng: random.Random, bound: int, nonzero=False) -> Fraction:
             return q
 
 
-def _random_exponent(rng: random.Random, low: Fraction, high: Fraction) -> Fraction:
-    # Exponents with denominator 1 or 2, in [low, high].
+def _random_halves(rng: random.Random, low: int, high: int) -> int:
+    # An exponent with denominator 1 or 2 in [low/2, high/2], as its number of halves.
     den = rng.choice((1, 1, 2))
-    lo = int(low * den)
-    hi = int(high * den)
-    if hi < lo:
-        hi = lo
-    return Fraction(rng.randint(lo, hi), den)
+    return rng.randint(low * den // 2, high * den // 2) * (2 // den)
+
+
+def _exact_element(terms: list[tuple[int, Fraction]]) -> FieldElement:
+    """``FieldElement`` of terms given as (halves, coefficient): equal exponents
+    merged, zero coefficients dropped, exponents ascending."""
+    merged: dict[int, Fraction] = {}
+    for h, c in terms:
+        merged[h] = merged[h] + c if h in merged else c
+    return FieldElement.from_canonical(tuple((Fraction(h, 2), c) for h, c in sorted(merged.items()) if c))
 
 
 def random_element(rng: random.Random, min_valuation: Fraction = Fraction(0)) -> FieldElement:
     """One exact series with valuation >= min_valuation (or exact zero).
 
     The kind mix guarantees units with random rational residues, elements of
-    strictly positive valuation, and exact rationals all occur.
+    strictly positive valuation, and exact rationals all occur.  Exponents are
+    drawn as numbers of halves, so the terms are put in canonical form in
+    integers and wrapped by the trusted constructor.
     """
     bound = _COEFFICIENT_BOUND
+    top = 2 * _EXPONENT_BOUND
     kind = rng.randrange(8)
     if kind == 0:
-        body = FieldElement.from_rational(_random_rational(rng, bound))  # may be 0
+        terms = [(0, _random_rational(rng, bound))]  # may be 0
     elif kind in (1, 2, 3):
-        terms = [(Fraction(0), _random_rational(rng, bound, nonzero=True))]
+        terms = [(0, _random_rational(rng, bound, nonzero=True))]
         for _ in range(rng.randrange(3)):
-            terms.append((_random_exponent(rng, Fraction(1, 2), _EXPONENT_BOUND),
-                          _random_rational(rng, bound, nonzero=True)))
-        body = FieldElement(terms)
+            terms.append((_random_halves(rng, 1, top), _random_rational(rng, bound, nonzero=True)))
     elif kind == 4:
-        lead = _random_exponent(rng, Fraction(1, 2), _EXPONENT_BOUND)
+        lead = _random_halves(rng, 1, top)
         terms = [(lead, _random_rational(rng, bound, nonzero=True))]
         for _ in range(rng.randrange(2)):
-            terms.append((lead + _random_exponent(rng, Fraction(1, 2), Fraction(2)),
-                          _random_rational(rng, bound, nonzero=True)))
-        body = FieldElement(terms)
+            terms.append((lead + _random_halves(rng, 1, 4), _random_rational(rng, bound, nonzero=True)))
     else:
         terms = []
         for _ in range(rng.randrange(1, 4)):
-            terms.append((_random_exponent(rng, Fraction(0), _EXPONENT_BOUND),
-                          _random_rational(rng, bound, nonzero=True)))
-        body = FieldElement(terms)
+            terms.append((_random_halves(rng, 0, top), _random_rational(rng, bound, nonzero=True)))
+    body = _exact_element(terms)
     if min_valuation == 0:
         return body
     return body * FieldElement.eps_power(min_valuation)

@@ -190,6 +190,19 @@ class FieldElement:
         return FieldElement(((Fraction(e), c),) if c != 0 else ())
 
     @staticmethod
+    def from_canonical(terms: tuple) -> "FieldElement":
+        """The exact element with these terms, taken as they are.
+
+        For callers whose terms are already canonical: a tuple of
+        ``(Fraction, Fraction)`` pairs, exponents strictly increasing and within
+        the exponent-denominator cap, coefficients non-zero.  Nothing is checked.
+        """
+        x = object.__new__(FieldElement)
+        object.__setattr__(x, "terms", terms)
+        object.__setattr__(x, "precision", None)
+        return x
+
+    @staticmethod
     def zero() -> "FieldElement":
         return FieldElement()
 

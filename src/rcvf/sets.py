@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 from .errors import PrecisionExhausted
-from .poly import Polynomial, RationalFunction, leading_value
+from .poly import Polynomial, RationalFunction, leading_sign
 from .sampling import SampleConfig, _rng, generic_residue_point, random_element
-from .series import GT, FieldElement, compare_order
+from .series import GT, FieldElement
 
 BALL = "ball"
 AFFINE = "affine"
@@ -124,39 +125,38 @@ class SetDescriptor:
                     raise PrecisionExhausted("membership undecidable at this precision")
                 return False
         for p in self.strict_constraints:
-            if compare_order(leading_value(p, point), FieldElement.zero()) != GT:
+            if leading_sign(p, point) != GT:
                 return False
         return True
 
     # -- sampling ---------------------------------------------------------------
 
-    def sample_points(self, config: SampleConfig, count: int | None = None,
-                      start_index: int = 0) -> list[list[FieldElement]]:
-        """Deterministic on-set points: structured probes first, then random.
+    def sample_points(self, config: SampleConfig, count: int | None = None) -> list[list[FieldElement]]:
+        """The points of ``stream_points``, as a list."""
+        return list(self.stream_points(config, count))
+
+    def stream_points(self, config: SampleConfig, count: int | None = None) -> Iterator[list[FieldElement]]:
+        """Deterministic on-set points, built as they are taken: structured probes
+        first (at most a quarter of the count), then random ones.
 
         Strict constraints are enforced by rejection (skipped draws still
-        consume indices, preserving determinism).
+        consume indices, preserving determinism).  A consumer that stops early
+        draws nothing past the last point it took.
         """
         want = config.samples if count is None else count
-        structured = list(self.structured_points())
-        n_structured = min(len(structured), int(want * _STRUCTURED_FRACTION))
-        points = structured[:n_structured]
-        out = []
-        for pt in points:
+        taken = 0
+        for pt in islice(self.structured_points(), max(0, int(want * _STRUCTURED_FRACTION))):
             if self._admissible(pt):
-                out.append(pt)
-        index = start_index
-        attempts = 0
-        max_attempts = 20 * want + 100
-        while len(out) < want and attempts < max_attempts:
+                taken += 1
+                yield pt
+        for index in range(20 * want + 100):
+            if taken >= want:
+                return
             rng = _rng(config.seed, index)
-            index += 1
-            attempts += 1
-            ball_pt = [random_element(rng) for _ in range(self.n)]
-            pt = self._from_ball(ball_pt)
+            pt = self._from_ball([random_element(rng) for _ in range(self.n)])
             if self._admissible(pt):
-                out.append(pt)
-        return out[:want]
+                taken += 1
+                yield pt
 
     def structured_points(self) -> Iterator[list[FieldElement]]:
         """Corners, eps-power coordinates, and a small rational grid."""

@@ -10,14 +10,17 @@ count, not as a timing.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 import rcvf
-from rcvf import certificates, sos
-from rcvf.certificates import CERTIFICATE, generate_ball_certificate
+from rcvf import certificates, series, sets, sos
+from rcvf.certificates import CERTIFICATE, falsify_nonnegativity, generate_ball_certificate
 from rcvf.parser import parse_expression
+from rcvf.sampling import SampleConfig
+from rcvf.series import FieldElement
 from rcvf.sets import SetDescriptor
 from rcvf.sos import ResiduePolynomial, psd_falsify
 
@@ -123,3 +126,35 @@ def test_generation_falsifies_each_residue_layer_once(monkeypatch):
     outcome = generate_ball_certificate(p, SetDescriptor.unit_polydisc(2))
     assert (outcome.kind, outcome.layers) == (CERTIFICATE, 2)
     assert len(searches) == outcome.layers
+
+
+def test_falsifier_stops_drawing_at_a_negative_corner(monkeypatch):
+    # x1*x2 - 2 is -1 at the first structured point, the corner (1, 1).
+    draws = count_calls(monkeypatch, [(sets, "random_element")])
+    point = falsify_nonnegativity(parse_expression("x1*x2 - 2"), SetDescriptor.unit_polydisc(2),
+                                  SampleConfig(seed=1, samples=120), 120)
+    assert point == [FieldElement.one(), FieldElement.one()]
+    assert draws == []
+
+
+# FieldElement.__init__ calls of the run below: 703 when every sign test built
+# its value and every random coordinate went through the general constructor.
+FALSIFY_INITS = 43
+
+
+def test_falsifier_sign_tests_build_no_series(monkeypatch):
+    # Non-negative, and its initial form never cancels on the ball, so all 120
+    # sampled signs come from the initial-form kernel; the residue falsifier then
+    # decides 1 + x1^2 + x2^2 by LDL.
+    binders = [(module, "compare_order") for name, module in sorted(sys.modules.items())
+               if name.startswith("rcvf") and getattr(module, "compare_order", None) is series.compare_order]
+    assert (series, "compare_order") in binders
+    comparisons = count_calls(monkeypatch, binders)
+    inits = count_calls(monkeypatch, [(FieldElement, "__init__")])
+    draws = count_calls(monkeypatch, [(sets, "random_element")])
+    point = falsify_nonnegativity(parse_expression("1 + x1^2 + x2^2 + eps*x1*x2"), SetDescriptor.unit_polydisc(2),
+                                  SampleConfig(seed=1, samples=120), 120)
+    assert point is None
+    assert len(draws) == 2 * 90  # 30 structured points, 90 random ones of two coordinates
+    assert comparisons == []
+    assert len(inits) <= FALSIFY_INITS

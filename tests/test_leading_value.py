@@ -2,18 +2,22 @@
 
 The cut evaluation may only be returned when it shows a term, and then its
 leading term is the exact one; otherwise the exact value itself comes back,
-so refusals (PrecisionExhausted) and exact zeros are unchanged.
+so refusals (PrecisionExhausted) and exact zeros are unchanged.  The
+sign-only answers (leading_sign, valuation_at) must equal the exact ones,
+errors included.
 """
 
 import random
 from fractions import Fraction
+from functools import partial
+from math import prod
 
 import pytest
 
-from rcvf.errors import ExponentBlowup, PrecisionExhausted
-from rcvf.poly import Polynomial, RationalFunction, leading_value, valuation_at
+from rcvf.errors import DivisionByZero, ExponentBlowup, PrecisionExhausted, RcvfError
+from rcvf.poly import Polynomial, RationalFunction, leading_sign, leading_value, valuation_at
 from rcvf.sampling import SampleConfig
-from rcvf.series import FieldElement, compare_order
+from rcvf.series import TOP, FieldElement, compare_order
 from rcvf.sets import AffineModuleMap, SetDescriptor
 
 from conftest import small_fraction
@@ -24,10 +28,62 @@ ZERO = FieldElement.zero()
 
 
 def verdict(query):
+    """A query's answer, "refused" for PrecisionExhausted, or the type of another library error."""
     try:
         return query()
     except PrecisionExhausted:
         return "refused"
+    except RcvfError as exc:
+        return type(exc)
+
+
+def exact_valuation(q, pt):
+    """The valuation of q(pt) from the exact values of numerator and denominator."""
+    if isinstance(q, Polynomial):
+        return q.evaluate(pt).valuation()
+    num, den = q.num.evaluate(pt), q.den.evaluate(pt)
+    if den.is_exact_zero():
+        raise DivisionByZero("denominator vanishes at the point")
+    return num.valuation() - den.valuation()
+
+
+def initial(x):
+    """Leading exponent and coefficient, and the gap to the next term or the precision."""
+    v, a = x.terms[0]
+    rest = x.terms[1][0] if len(x.terms) > 1 else x.precision
+    return v, a, None if rest is None else rest - v
+
+
+def reference_leading_term(p, point):
+    """The initial form's (m, S, P) in Fraction arithmetic, monomial by monomial;
+    None where it does not decide (see ``poly._leading_term``)."""
+    coords = []
+    for x in point:
+        if not x.terms and x.precision is not None:
+            return None
+        coords.append(initial(x) if x.terms else None)
+    known, others = [], []  # (L_t, c a^e, least gap); exponents where anything else may sit
+    for expv, c in p.terms.items():
+        factors = [(coords[i], e) for i, e in enumerate(expv) if e]
+        if any(x is None for x, _ in factors):
+            continue
+        shift = sum(e * x[0] for x, e in factors)
+        if not c.terms:
+            others.append(c.precision + shift)
+            continue
+        w, lead, gap = initial(c)
+        gaps = [g for g in [gap] + [x[2] for x, _ in factors] if g is not None]
+        known.append((w + shift, lead * prod(x[1] ** e for x, e in factors), min(gaps, default=None)))
+    if not known:
+        return None
+    m = min(low for low, _, _ in known)
+    s = sum(value for low, value, _ in known if low == m)
+    others += [low for low, _, _ in known if low != m]
+    others += [m + gap for low, _, gap in known if low == m and gap is not None]
+    bound = min(others, default=None)
+    if s == 0 or (bound is not None and m >= bound):
+        return None
+    return m, s, bound
 
 
 def assert_same_decisions(p, point):
@@ -35,10 +91,18 @@ def assert_same_decisions(p, point):
     fast = leading_value(p, point)
     if fast.terms:
         assert fast.terms[0] == exact.terms[0]
-    else:
+    # The kernel decides where the reference does, with the same m, S and P.
+    lead = reference_leading_term(p, point)
+    if lead is None:
         assert (fast.terms, fast.precision) == (exact.terms, exact.precision)
+    else:
+        m, s, bound = lead
+        assert (fast.terms, fast.precision) == (((m, s),), bound)
     assert verdict(lambda: compare_order(fast, ZERO)) == verdict(lambda: compare_order(exact, ZERO))
     assert verdict(fast.valuation) == verdict(exact.valuation)
+    # The sign-only answers build no value, and must answer (or refuse) as the exact one.
+    assert verdict(lambda: leading_sign(p, point)) == verdict(lambda: compare_order(exact, ZERO))
+    assert verdict(lambda: valuation_at(p, point)) == verdict(exact.valuation)
     return fast
 
 
@@ -93,11 +157,17 @@ def test_random_polynomials_at_sample_points(seed):
         points += sd.sample_points(SampleConfig(seed=seed, samples=24))
     points += [truncated(pt, rng) for pt in points[::3]]
     decided_by_cut = 0
+    previous = None
     for _ in range(12):
         p = random_polynomial(rng, n)
-        for pt in points:
+        # Quotients of consecutive corpus polynomials, at every third point.
+        quotient = None if previous is None else RationalFunction(previous, p)
+        for k, pt in enumerate(points):
             fast = assert_same_decisions(p, pt)
             decided_by_cut += bool(fast.terms) and fast.precision is not None
+            if quotient is not None and k % 3 == 0:
+                assert verdict(lambda: valuation_at(quotient, pt)) == verdict(lambda: exact_valuation(quotient, pt))
+        previous = p
     # The filter is doing the work, not the exact fallback.
     assert decided_by_cut > 6 * len(points)
 
@@ -201,10 +271,10 @@ def test_leading_exponent_over_the_cap_raises(rest):
     # eps^(1/8) * x at x = eps^(1/9) has leading exponent 17/72, over the cap of 64.
     p = Polynomial(("x",), {(1,): FieldElement.eps_power(F(1, 8)), (0,): rest})
     pt = [FieldElement.eps_power(F(1, 9))]
-    with pytest.raises(ExponentBlowup):
-        p.evaluate(pt)
-    with pytest.raises(ExponentBlowup):
-        leading_value(p, pt)
+    for query in (p.evaluate, partial(leading_value, p), partial(leading_sign, p), partial(valuation_at, p),
+                  partial(valuation_at, RationalFunction(p, p.constant(2, p.variables)))):
+        with pytest.raises(ExponentBlowup):
+            query(pt)
 
 
 def test_random_corpus_rarely_needs_exact_evaluation(monkeypatch):
@@ -234,3 +304,22 @@ def test_random_corpus_rarely_needs_exact_evaluation(monkeypatch):
                         assert fast.terms[0] == exact.terms[0]
                     assert fast == exact
     assert decided >= 0.9 * total, (decided, total)
+
+
+
+@pytest.mark.parametrize("q, pt, val", [
+    # The denominator's initial form cancels: the exact value decides.
+    (RationalFunction(X * X + 1, X - 1), point(1 + EPS ** 3, 0), F(-3)),
+    (RationalFunction(X * Y + EPS, Y - 1), point(1 - EPS, 1 + EPS), F(-1)),
+    # The numerator vanishes exactly.
+    (RationalFunction(X * Y, Y + 1), point(0, 2 + EPS), TOP),
+    # The numerator is refused.
+    (RationalFunction(X * Y, Y + 1), point(FieldElement((), 1), 1), "refused"),
+    # The denominator vanishes exactly, with and without its initial form cancelling.
+    (RationalFunction(X + 1, X - 1), point(1, 5), DivisionByZero),
+    (RationalFunction(Y, X * Y), point(3, 0), DivisionByZero),
+])
+def test_quotient_valuations(q, pt, val):
+    got = verdict(lambda: valuation_at(q, pt))
+    assert got == verdict(lambda: exact_valuation(q, pt))
+    assert got == val
