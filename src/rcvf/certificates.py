@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .errors import CoefficientsNotIntegral, NotIntegral, PrecisionExhausted, RcvfError
 from .integrality import pointwise_integral_oracle, IntegralityVerdict, module_pullback
-from .poly import Polynomial, RationalFunction, gauss_valuation, leading_sign, leading_value
+from .poly import Polynomial, RationalFunction, gauss_valuation, leading_sign, valuation_at
 from .ringexpr import (
     ConstExpr,
     PerturbedUnit,
@@ -36,7 +36,7 @@ from .ringexpr import (
     verify_ring_membership,
 )
 from .sampling import SampleConfig
-from .series import LT, FieldElement, compare_order
+from .series import LT, FieldElement
 from .sets import SetDescriptor, align_to_set
 from .sos import (
     SOS,
@@ -211,7 +211,6 @@ class GenerationOutcome:
 class GenerationBudget:
     depth: int = 3
     sos: SosBudget = SosBudget(max_basis=16, denominator_cap=0)  # frozen: safe to share
-    falsifier_samples: int = 400
 
 
 def _residue_polynomial(p: Polynomial) -> ResiduePolynomial:
@@ -236,7 +235,7 @@ def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
     if set_descriptor.has_strict_constraints:
         raise ValueError("generation supports polydiscs and affine modules without strict constraints")
     budget = budget or GenerationBudget()
-    config = config or SampleConfig(seed=2024, samples=budget.falsifier_samples)
+    config = config or SampleConfig(seed=2024, samples=400)
     p = align_to_set(p, set_descriptor)
     if set_descriptor.kind == "affine":
         ball = SetDescriptor.unit_polydisc(set_descriptor.n)
@@ -252,7 +251,7 @@ def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
         return GenerationOutcome(CERTIFICATE, certificate=cert, gauss=None)
 
     # Stage 1: pointwise falsification.
-    witness_point = falsify_nonnegativity(p, set_descriptor, config, budget.falsifier_samples)
+    witness_point = falsify_nonnegativity(p, set_descriptor, config)
     if witness_point is not None:
         return GenerationOutcome(NEGATIVITY_WITNESS, point=tuple(witness_point))
 
@@ -321,10 +320,10 @@ def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
                              gauss=gamma_val, layers=layers)
 
 
-def falsify_nonnegativity(p: Polynomial, set_descriptor: SetDescriptor, config: SampleConfig,
-                          samples: int) -> Optional[list[FieldElement]]:
-    """Exact p(b) < 0 search: sampled points plus the residue-level falsifier."""
-    for b in set_descriptor.stream_points(config, count=samples):
+def falsify_nonnegativity(p: Polynomial, set_descriptor: SetDescriptor,
+                          config: SampleConfig) -> Optional[list[FieldElement]]:
+    """Exact p(b) < 0 search: config.samples sampled points plus the residue-level falsifier."""
+    for b in set_descriptor.stream_points(config):
         try:
             if leading_sign(p, b) == LT:
                 return list(b)
@@ -345,7 +344,7 @@ def falsify_nonnegativity(p: Polynomial, set_descriptor: SetDescriptor, config: 
             on_set = set_descriptor.contains(pt)
         except PrecisionExhausted:
             on_set = False
-        if on_set and compare_order(p.evaluate(pt), FieldElement.zero()) == LT:
+        if on_set and leading_sign(p, pt) == LT:
             return pt
     return None
 
@@ -441,16 +440,14 @@ class CharacterizationReport:
     confirm_point: Optional[tuple[FieldElement, ...]] = None
     obstruction: Optional[str] = None
     samples_tested: int = 0
-    c_values_tested: int = 0
 
 
 def check_general_characterization(p: Polynomial, set_descriptor: SetDescriptor,
-                                   config: Optional[SampleConfig] = None,
-                                   c_values: int = 10) -> CharacterizationReport:
+                                   config: Optional[SampleConfig] = None) -> CharacterizationReport:
     """Probe: p negative somewhere on sampled points iff some 1/(1+c^2 p) value
     is non-integral (with c constructed from the negativity when representable).
     With no negative sample no c is tested: p(b) >= 0 makes 1 + c^2 p(b) >= 1, of
-    valuation <= 0, so its inverse is integral.  c_values_tested echoes c_values."""
+    valuation <= 0, so its inverse is integral."""
     config = config or SampleConfig(seed=11, samples=500)
     p = align_to_set(p, set_descriptor)
     points = set_descriptor.sample_points(config)
@@ -465,8 +462,7 @@ def check_general_characterization(p: Polynomial, set_descriptor: SetDescriptor,
         if sign == LT:
             negative_points.append(list(b))
     if not negative_points:
-        return CharacterizationReport(CONSISTENT_NONNEG, samples_tested=tested,
-                                      c_values_tested=c_values)
+        return CharacterizationReport(CONSISTENT_NONNEG, samples_tested=tested)
     # Construct c with c^2 = -1/p(b) from a negative sample, then confirm a
     # nearby point where 1 + c^2 p has strictly positive visible valuation.
     obstruction = None
@@ -482,10 +478,10 @@ def check_general_characterization(p: Polynomial, set_descriptor: SetDescriptor,
             if confirm is not None:
                 return CharacterizationReport(NEGATIVITY_WITNESS, point=tuple(b), c=cc,
                                               confirm_point=tuple(confirm),
-                                              samples_tested=tested, c_values_tested=c_values)
+                                              samples_tested=tested)
     return CharacterizationReport(NEGATIVITY_WITNESS, point=tuple(negative_points[0]), c=None,
                                   obstruction=obstruction or "no_confirmation_point",
-                                  samples_tested=tested, c_values_tested=c_values)
+                                  samples_tested=tested)
 
 
 def _confirm_non_integrality(p: Polynomial, c: FieldElement, b: list[FieldElement],
@@ -505,9 +501,9 @@ def _confirm_non_integrality(p: Polynomial, c: FieldElement, b: list[FieldElemen
         try:
             if not set_descriptor.contains(bp):
                 continue
-            value = leading_value(w, bp)
+            v = valuation_at(w, bp)
         except PrecisionExhausted:
             continue
-        if value.terms and value.terms[0][0] > 0:
+        if not v.is_top and v.value > 0:
             return bp
     return None

@@ -146,7 +146,7 @@ def _cmd_integral(args) -> int:
 
 def _psd_falsify(p, sd, config, pretty) -> int:
     from .certificates import falsify_nonnegativity
-    witness = falsify_nonnegativity(p, sd, config, config.samples)
+    witness = falsify_nonnegativity(p, sd, config)
     if witness is not None:
         _emit({"command": "psd", "mode": "falsify",
                "witness": {"point": _element_list(witness), "value": str(p.evaluate(witness))}},
@@ -157,10 +157,9 @@ def _psd_falsify(p, sd, config, pretty) -> int:
 
 
 def _generate(p, sd, config, args):
-    """The generator under the budget that --depth, --max-basis and --samples set."""
+    """The generator under the budget --depth and --max-basis set, drawing --samples points."""
     budget = GenerationBudget(depth=args.depth,
-                              sos=SosBudget(max_basis=args.max_basis, denominator_cap=0),
-                              falsifier_samples=config.samples)
+                              sos=SosBudget(max_basis=args.max_basis, denominator_cap=0))
     return generate_ball_certificate(p, sd, budget, config)
 
 
@@ -187,10 +186,9 @@ def _psd_generate(p, sd, config, args) -> int:
 
 
 def _psd_probe(p, sd, config, args) -> int:
-    report = check_general_characterization(p, sd, config, c_values=args.c_values)
+    report = check_general_characterization(p, sd, config)
     payload = {"command": "psd", "mode": "probe41", "verdict": report.verdict,
-               "samples_tested": report.samples_tested,
-               "c_values_tested": report.c_values_tested}
+               "samples_tested": report.samples_tested}
     if report.verdict == NEGATIVITY_WITNESS:
         payload["point"] = _element_list(report.point)
         payload["c"] = None if report.c is None else str(report.c)
@@ -323,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--probe41", action="store_true")
     p.add_argument("--depth", type=_int_at_least(0), default=3)
     p.add_argument("--max-basis", type=_int_at_least(0), default=16, dest="max_basis")
-    p.add_argument("--c-values", type=_int_at_least(0), default=10, dest="c_values")
     common(p, seed=True, sampled=True)
     p.set_defaults(handler="_cmd_psd")
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from functools import reduce
 from math import lcm
 from typing import Mapping, Sequence, Union
 
@@ -60,8 +59,7 @@ class _SparsePolynomial:
     through ``_coeff`` (coercion of a scalar), ``_scalars`` (types taken as
     constants), ``_zero`` (the zero element) and ``_is_zero`` (the exact-zero
     test).  The test is per ring because series equality is only up to
-    precision: ``c == 0`` would drop an ``O(eps^k)`` coefficient.  Each
-    subclass also supplies its own ``evaluate`` kernel.
+    precision: ``c == 0`` would drop an ``O(eps^k)`` coefficient.
     """
 
     __slots__ = ("variables", "terms")
@@ -145,11 +143,23 @@ class _SparsePolynomial:
                 out[i] = max(out[i], d)
         return tuple(out)
 
-    def _exponents(self) -> tuple[tuple[int, ...], ...]:
-        """Per variable, the distinct exponents that occur in the terms, ascending."""
-        if not self.terms:
-            return ((),) * len(self.variables)
-        return tuple(tuple(sorted(set(column))) for column in zip(*self.terms))
+    def evaluate(self, point: Sequence):
+        """Exact value at a point: each coefficient times ``x**e`` per coordinate.
+
+        The terms are multiplied and summed one monomial at a time, as written:
+        regrouping them could let a cancellation raise a partial sum's precision
+        and change the result.
+        """
+        if len(point) != len(self.variables):
+            raise ValueError(f"point arity {len(point)} != {len(self.variables)}")
+        point = [self._coeff(x) for x in point]
+        total = self._zero()
+        for expv, c in self.terms.items():
+            for x, e in zip(point, expv):
+                if e:
+                    c *= x**e
+            total += c
+        return total
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -236,37 +246,7 @@ class Polynomial(_SparsePolynomial):
     # (perfbench/tracing.py) times Polynomial calls apart from residue ones.
     __add__ = __radd__ = _SparsePolynomial.__add__
     __mul__ = __rmul__ = _SparsePolynomial.__mul__
-
-    def evaluate(self, point: Sequence) -> FieldElement:
-        """Exact value at a point; each power of a coordinate that occurs is built once.
-
-        x^e is the product of the squares x^(2^k) over the set bits k of e, and a
-        coordinate's squares are shared by all its exponents: O(log e) products
-        per power, as ``x**e`` takes, and none for powers that do not occur.  A
-        truncated product's precision, min_i(p_i + sum_{j!=i} v_j), is symmetric
-        in the factors, so these powers equal ``x**e`` term for term and
-        precision for precision.  The terms are multiplied and summed one
-        monomial at a time, as written: regrouping them could let a cancellation
-        raise a partial sum's precision and change the result.
-        """
-        if len(point) != len(self.variables):
-            raise ValueError(f"point arity {len(point)} != {len(self.variables)}")
-        rows = []
-        for x, exps in zip(point, self._exponents()):
-            squares, row = [_as_coeff(x)], {}
-            for e in exps:
-                if e:
-                    while 1 << len(squares) <= e:
-                        squares.append(squares[-1] * squares[-1])
-                    row[e] = reduce(operator.mul, [sq for k, sq in enumerate(squares) if e >> k & 1])
-            rows.append(row)
-        total = FieldElement.zero()
-        for expv, c in self.terms.items():
-            for row, e in zip(rows, expv):
-                if e:
-                    c *= row[e]
-            total += c
-        return total
+    evaluate = _SparsePolynomial.evaluate
 
     def coefficient(self, expv: tuple[int, ...]) -> FieldElement:
         return self.terms.get(tuple(expv), FieldElement.zero())
@@ -339,9 +319,7 @@ class Polynomial(_SparsePolynomial):
 class ResiduePolynomial(_SparsePolynomial):
     """Polynomial with exact rational coefficients (residue polynomials)."""
 
-    # _plan: (L, ((expv, c*L), ...), _exponents()) with L the lcm of the
-    # coefficient denominators, built by the first evaluate (terms never change).
-    __slots__ = ("_plan",)
+    __slots__ = ()
     _coeff = Fraction
     _scalars = (int, Fraction)
     _zero = Fraction
@@ -351,37 +329,6 @@ class ResiduePolynomial(_SparsePolynomial):
     def coordinate_square_sum(cls, variables: Sequence[str]) -> "ResiduePolynomial":
         vs = tuple(variables)
         return cls(vs, {tuple(2 if j == i else 0 for j in range(len(vs))): 1 for i in range(len(vs))})
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        """Exact value at a rational point, in integers over one common denominator.
-
-        With x_i = n_i/q_i and D_i the largest exponent of variable i, the value
-        is sum_t (c_t*L) * prod_i n_i^e_i * q_i^(D_i-e_i) over L * prod_i q_i^D_i;
-        only the exponents that occur are raised.
-        """
-        if len(point) != len(self.variables):
-            raise ValueError(f"point arity {len(point)} != {len(self.variables)}")
-        try:
-            den, numerators, exponents = self._plan
-        except AttributeError:
-            den = lcm(*(c.denominator for c in self.terms.values()))
-            numerators = tuple((e, c.numerator * (den // c.denominator)) for e, c in self.terms.items())
-            exponents = self._exponents()
-            object.__setattr__(self, "_plan", (den, numerators, exponents))
-        rows = []
-        for x, exps in zip(point, exponents):
-            x = Fraction(x)
-            n, q = x.numerator, x.denominator
-            d = exps[-1] if exps else 0
-            # row[e] = n^e * q^(d-e): x^e over the common denominator q^d.
-            rows.append({e: n**e * q ** (d - e) for e in exps})
-            den *= q**d
-        total = 0
-        for expv, c in numerators:
-            for row, e in zip(rows, expv):
-                c *= row[e]
-            total += c
-        return Fraction(total, den)
 
     def __repr__(self):
         if not self.terms:
@@ -523,8 +470,8 @@ def _over(r, den: int) -> int:
 def _initial_form_plan(p: Polynomial):
     """p's initial-form plan, built by the first query (terms never change).
 
-    (L, E, known, unknown): L is the lcm of the denominators of the
-    coefficients' leading coefficients and E that of every exponent below.
+    (E, known, unknown): with L the lcm of the denominators of the
+    coefficients' leading coefficients and E that of every exponent below,
     known holds (expv, positions, w*E, c*L, g*E) per monomial whose
     coefficient c eps^w + (from w + g on) has a visible term (g None if
     exact), positions being its (i, e) with e > 0; unknown holds
@@ -547,15 +494,14 @@ def _initial_form_plan(p: Polynomial):
     known = tuple((expv, positions, _over(w, unit), _over(a, den), None if r is None else _over(r - w, unit))
                   for expv, positions, w, a, r in known)
     unknown = tuple((positions, _over(k, unit)) for positions, k in unknown)
-    plan = (den, unit, known, unknown)
+    plan = (unit, known, unknown)
     object.__setattr__(p, "_plan", plan)
     return plan
 
 
-def _leading_term(p: Polynomial, point: Sequence, value: bool = False):
-    """(m, s, d, P) with p(point) = (s/d) eps^m + O(eps^P), s != 0, d > 0 and
+def _leading_term(p: Polynomial, point: Sequence):
+    """(m, s, P) with p(point) = (s/d) eps^m + O(eps^P) for some d > 0, s != 0 and
     m < P (P None if nothing else is there); None if the initial form does not decide.
-    d is only formed for ``value`` (else it is None): s alone carries the sign.
 
     With b_i = a_i eps^v_i + (terms from v_i + g_i on) and each coefficient
     c_t = c eps^w_t + (from w_t + g_t on), every monomial is
@@ -574,13 +520,13 @@ def _leading_term(p: Polynomial, point: Sequence, value: bool = False):
     plan's and the point's.  S is summed in integers too: with a_i = n_i/q_i
     and T_i the largest exponent of variable i among the monomials at m,
     S = s/d for s = sum_t (c_t*L) * prod_i n_i^e_i * q_i^(T_i-e_i) and
-    d = L * prod_i q_i^T_i.
+    d = L * prod_i q_i^T_i, so s carries the sign of S and d is never formed.
     As building S eps^m would, an m over the exponent-denominator cap raises
     ExponentBlowup.  Terms above the leading one are never formed.
     """
     if len(point) != len(p.variables):
         raise ValueError(f"point arity {len(point)} != {len(p.variables)}")
-    d, unit, known, unknown = _initial_form_plan(p)
+    unit, known, unknown = _initial_form_plan(p)
     coords = []  # (v, n, q, r) per coordinate as _initial gives it, a = n/q; None for an exact zero
     den = unit  # the common denominator of every exponent in play
     for x in point:
@@ -651,29 +597,9 @@ def _leading_term(p: Polynomial, point: Sequence, value: bool = False):
         s += c
     if not s:
         return None
-    if value:
-        for x, t in zip(coords, tops):
-            if t:
-                d *= x[2] ** t
-    else:
-        d = None
     m = Fraction(m, den)
     _check_exponent(m)
-    return m, s, d, None if bound is None else Fraction(bound, den)
-
-
-def leading_value(p: Polynomial, point: Sequence) -> FieldElement:
-    """p(point) up to its leading term, read off the initial form; exactly if need be.
-
-    The value is S eps^m + O(eps^P) when ``_leading_term`` decides, and the
-    exact ``p.evaluate(point)`` otherwise, so exact zeros and refusals
-    (``PrecisionExhausted`` on the queries) are those of the exact value.
-    """
-    lead = _leading_term(p, point, value=True)
-    if lead is None:
-        return p.evaluate(point)
-    m, s, d, bound = lead
-    return FieldElement(((m, Fraction(s, d)),), bound)
+    return m, s, None if bound is None else Fraction(bound, den)
 
 
 def leading_sign(p: Polynomial, point: Sequence) -> str:
@@ -684,26 +610,20 @@ def leading_sign(p: Polynomial, point: Sequence) -> str:
     return GT if lead[1] > 0 else LT
 
 
-def _leading_or_exact(p: Polynomial, point: Sequence):
-    """``_leading_term(p, point)``, or the exact value when it does not decide."""
-    lead = _leading_term(p, point)
-    return p.evaluate(point) if lead is None else lead
-
-
-def _valuation(value) -> ValueGroupElement:
-    """Valuation of a ``_leading_or_exact`` result."""
-    return value.valuation() if isinstance(value, FieldElement) else ValueGroupElement(value[0])
-
-
 def valuation_at(q: Union[Polynomial, RationalFunction], point: Sequence[FieldElement]) -> ValueGroupElement:
-    """Exact valuation of q(point), from the leading terms of numerator and denominator."""
-    if isinstance(q, Polynomial):
-        return _valuation(_leading_or_exact(q, point))
-    num = _leading_or_exact(q.num, point)
-    den = _leading_or_exact(q.den, point)
-    if isinstance(den, FieldElement) and den.is_exact_zero():
+    """Exact valuation of q(point), from the leading terms of numerator and denominator.
+
+    A part whose initial form does not decide is evaluated exactly, so exact
+    zeros and refusals (``PrecisionExhausted``) are those of the exact values.
+    """
+    values = []  # per part: its valuation when the initial form decides, else its exact value
+    for part in (q,) if isinstance(q, Polynomial) else (q.num, q.den):
+        lead = _leading_term(part, point)
+        values.append(part.evaluate(point) if lead is None else ValueGroupElement(lead[0]))
+    if len(values) == 2 and isinstance(values[1], FieldElement) and values[1].is_exact_zero():
         raise DivisionByZero("denominator vanishes at the point")
-    return _valuation(num) - _valuation(den)
+    num, *den = [v.valuation() if isinstance(v, FieldElement) else v for v in values]
+    return num - den[0] if den else num
 
 
 def gauss_valuation(q: Union[Polynomial, RationalFunction]) -> ValueGroupElement:

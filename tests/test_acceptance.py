@@ -261,14 +261,14 @@ def test_criterion_6_characterization_probe():
     for i, p in enumerate(nonneg + negative):
         sd = SetDescriptor.unit_polydisc(len(p.variables))
         config = SampleConfig(seed=606 + i, samples=500)
-        report_obj = check_general_characterization(p, sd, config, c_values=10)
+        report_obj = check_general_characterization(p, sd, config)
         sampled_negative = i >= len(nonneg)
         witnessed = (report_obj.verdict == NEGATIVITY_WITNESS and report_obj.c is not None
                      and report_obj.confirm_point is not None)
         if sampled_negative != witnessed:
             incoherent.append(i)
     report(6, not incoherent,
-           f"20-polynomial corpus, 500 points x 10 c-values: negativity found <=> "
+           f"20-polynomial corpus, 500 points: negativity found <=> "
            f"non-integral value exhibited; incoherent={incoherent}")
 
 

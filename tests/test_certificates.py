@@ -77,7 +77,7 @@ class TestVerifyExamples:
                                  IntegralityWitness.trivial())
         result = verify_nonneg_certificate(p, cert, BALL1)
         assert not result.ok and result.reason == "identity_failed"
-        assert falsify_nonnegativity(p, BALL1, CONFIG, 100) is not None
+        assert falsify_nonnegativity(p, BALL1, SampleConfig(CONFIG.seed, 100)) is not None
 
     def test_bad_m_rejected(self):
         p, cert = reference_certificate()

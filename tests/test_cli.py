@@ -241,7 +241,7 @@ class TestExitCodes:
         proc = subprocess.run([sys.executable, "-m", "rcvf.cli", *argv],
                               capture_output=True, text=True, timeout=20, env=subprocess_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == ('{"c_values_tested":10,"command":"psd","mode":"probe41",'
+        assert proc.stdout == ('{"command":"psd","mode":"probe41",'
                                '"samples_tested":500,"verdict":"consistent_nonneg"}\n')
 
     def test_probe_confirmation_reads_leading_terms(self):
@@ -251,7 +251,7 @@ class TestExitCodes:
         proc = subprocess.run([sys.executable, "-m", "rcvf.cli", *argv],
                               capture_output=True, text=True, timeout=20, env=subprocess_env())
         assert proc.returncode == 1, proc.stderr
-        assert proc.stdout == ('{"c":"1/2 + 1/2*eps","c_values_tested":10,"command":"psd",'
+        assert proc.stdout == ('{"c":"1/2 + 1/2*eps","command":"psd",'
                                '"confirm_point":["2*eps"],"mode":"probe41","point":["eps"],'
                                '"samples_tested":500,"verdict":"negativity_witness"}\n')
 
@@ -262,9 +262,8 @@ class TestExitCodes:
         ("psd", "--p", "x^2", "--set", "ball:1", "--falsify", "--seed", "1", "--samples", "-5"),
         ("psd", "--p", "x^2", "--set", "ball:1", "--seed", "1", "--depth", "-1"),
         ("cert", "find", "--p", "x^2", "--set", "ball:1", "--seed", "1", "--max-basis", "-1"),
-        ("psd", "--p", "x^2", "--set", "ball:1", "--probe41", "--seed", "1", "--c-values", "-3"),
     ], ids=["trunc-negative", "trunc-zero", "samples-zero", "samples-negative", "depth",
-            "max-basis", "c-values"])
+            "max-basis"])
     def test_out_of_range_numeric_option_is_usage_error(self, argv, capsys):
         code, out = run_cli(*argv)
         assert (code, out) == (2, "")
@@ -290,7 +289,7 @@ class TestExitCodes:
         # run() builds its parser once per process; mixed calls, usage errors and
         # --help must leave it as a fresh build_parser() would be.
         argvs = [
-            ["psd", "--p", "x", "--set", "ball:1", "--probe41", "--seed", "1", "--c-values", "3"],
+            ["psd", "--p", "x", "--set", "ball:1", "--probe41", "--seed", "1"],
             ["psd", "--p", "x", "--set", "ball:1", "--falsify", "--seed", "1"],
             ["psd", "--p", "x", "--set", "ball:1", "--falsify", "--probe41", "--seed", "1"],
             ["eval", "--expr", "x", "--trunc", "5", "--pretty"],

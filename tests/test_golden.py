@@ -34,7 +34,7 @@ GOLDEN = [
      '0 + 231/8388608*eps^12 + 429/67108864*eps^14 + 6435/4294967296*eps^16 + 12155/34359738'
      '368*eps^18 + 46189/549755813888*eps^20 + 88179/4398046511104*eps^22 + 676039/140737488'
      '355328*eps^24 + 1300075/1125899906842624*eps^26 + 5014575/18014398509481984*eps^28 + 9'
-     '694845/144115188075855872*eps^30","c_values_tested":10,"command":"psd","confirm_point"'
+     '694845/144115188075855872*eps^30","command":"psd","confirm_point"'
      ':["2*eps"],"mode":"probe41","point":["eps"],"samples_tested":150,"verdict":"negativity'
      '_witness"}'),
     ("cert find --p 'x^2 + 2*x*y + 2*y^2' --set ball:2 --seed 9 --samples 150", 0,
@@ -65,10 +65,10 @@ GOLDEN = [
      '{"command":"integral","gauss":{"gap":"0","integral":true},"pointwise":{"point":["eps",'
      '"eps"],"samples":5,"skipped":2,"value_valuation":"-1","verdict":"counterexample_found"}}'),
     ("psd --p 'x^2 + eps*y^2' --set ball:2 --probe41 --seed 9 --samples 150", 0,
-     '{"c_values_tested":10,"command":"psd","mode":"probe41","samples_tested":150,"verdict":"'
+     '{"command":"psd","mode":"probe41","samples_tested":150,"verdict":"'
      'consistent_nonneg"}'),
     ("psd --p 'x^20 + 1' --set ball:1 --probe41 --seed 1", 0,
-     '{"c_values_tested":10,"command":"psd","mode":"probe41","samples_tested":500,"verdict":"'
+     '{"command":"psd","mode":"probe41","samples_tested":500,"verdict":"'
      'consistent_nonneg"}'),
     # Strict constraints are enforced on samples by rejection.
     ("psd --p 'x^2 + 1' --set {strict} --falsify --seed 1", 0,

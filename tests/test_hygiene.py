@@ -4,12 +4,15 @@ An ``ast`` scan of each module except ``__init__.py`` (whose imports are the
 public re-exports): a name bound by ``import``/``from ... import`` must occur
 as a name somewhere else in the module.  A second scan requires every field
 of a dataclass in the package to be read as an attribute (``.name``)
-somewhere in ``src/``, ``tests/`` or ``perfbench/``.  Structural guards count
+somewhere in ``src/``, ``tests/`` or ``perfbench/``, and every target of the
+benchmark's tracer to be defined where the tracer wraps it.  Structural guards count
 calls of hot functions on fixed inputs, so work that comes back shows up as a
 count, not as a timing.
 """
 
 import ast
+import importlib
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -93,6 +96,27 @@ def test_no_unread_dataclass_fields():
     assert unread_fields(fields, reads) == []
 
 
+def tracing_targets() -> list:
+    """``TARGETS`` of perfbench/tracing.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_traced_targets_are_defined_where_they_are_wrapped():
+    # The tracer replaces a method only in vars() of the class it names: a method
+    # inherited from a base class would read 0 calls, not fail.
+    targets = tracing_targets()
+    assert targets
+    for layer, module, attr, _ in targets:
+        owner = importlib.import_module(module)
+        *path, name = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        assert name in vars(owner), (layer, module, attr)
+
+
 def count_calls(monkeypatch, targets) -> list:
     """Replace each (owner, name) by a wrapper that records its calls in one list."""
     calls = []
@@ -132,7 +156,7 @@ def test_falsifier_stops_drawing_at_a_negative_corner(monkeypatch):
     # x1*x2 - 2 is -1 at the first structured point, the corner (1, 1).
     draws = count_calls(monkeypatch, [(sets, "random_element")])
     point = falsify_nonnegativity(parse_expression("x1*x2 - 2"), SetDescriptor.unit_polydisc(2),
-                                  SampleConfig(seed=1, samples=120), 120)
+                                  SampleConfig(seed=1, samples=120))
     assert point == [FieldElement.one(), FieldElement.one()]
     assert draws == []
 
@@ -153,7 +177,7 @@ def test_falsifier_sign_tests_build_no_series(monkeypatch):
     inits = count_calls(monkeypatch, [(FieldElement, "__init__")])
     draws = count_calls(monkeypatch, [(sets, "random_element")])
     point = falsify_nonnegativity(parse_expression("1 + x1^2 + x2^2 + eps*x1*x2"), SetDescriptor.unit_polydisc(2),
-                                  SampleConfig(seed=1, samples=120), 120)
+                                  SampleConfig(seed=1, samples=120))
     assert point is None
     assert len(draws) == 2 * 90  # 30 structured points, 90 random ones of two coordinates
     assert comparisons == []

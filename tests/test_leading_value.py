@@ -1,10 +1,10 @@
-"""leading_value decides sign and valuation exactly as the exact evaluation does.
+"""The initial-form kernel decides sign and valuation exactly as the exact evaluation does.
 
-The cut evaluation may only be returned when it shows a term, and then its
-leading term is the exact one; otherwise the exact value itself comes back,
-so refusals (PrecisionExhausted) and exact zeros are unchanged.  The
-sign-only answers (leading_sign, valuation_at) must equal the exact ones,
-errors included.
+``_leading_term`` may only decide where a Fraction reference of its
+(m, S, P) does, and then with the same leading exponent, sign and bound;
+the exact value is S eps^m + O(eps^P) there.  The front ends
+(``leading_sign``, ``valuation_at``) must equal the exact answers, errors
+included: refusals (PrecisionExhausted) and exact zeros are unchanged.
 """
 
 import random
@@ -15,7 +15,7 @@ from math import prod
 import pytest
 
 from rcvf.errors import DivisionByZero, ExponentBlowup, PrecisionExhausted, RcvfError
-from rcvf.poly import Polynomial, RationalFunction, leading_sign, leading_value, valuation_at
+from rcvf.poly import Polynomial, RationalFunction, _leading_term, leading_sign, valuation_at
 from rcvf.sampling import SampleConfig
 from rcvf.series import TOP, FieldElement, compare_order
 from rcvf.sets import AffineModuleMap, SetDescriptor
@@ -86,24 +86,27 @@ def reference_leading_term(p, point):
     return m, s, bound
 
 
+def sign_of(x):
+    return (x > 0) - (x < 0)
+
+
 def assert_same_decisions(p, point):
+    """The kernel's (m, sign of S, P) against the reference's, which the exact value
+    bears out; returns the kernel's answer (None where it does not decide)."""
     exact = p.evaluate(point)
-    fast = leading_value(p, point)
-    if fast.terms:
-        assert fast.terms[0] == exact.terms[0]
-    # The kernel decides where the reference does, with the same m, S and P.
-    lead = reference_leading_term(p, point)
-    if lead is None:
-        assert (fast.terms, fast.precision) == (exact.terms, exact.precision)
+    lead = _leading_term(p, point)
+    ref = reference_leading_term(p, point)
+    if ref is None:
+        assert lead is None
     else:
-        m, s, bound = lead
-        assert (fast.terms, fast.precision) == (((m, s),), bound)
-    assert verdict(lambda: compare_order(fast, ZERO)) == verdict(lambda: compare_order(exact, ZERO))
-    assert verdict(fast.valuation) == verdict(exact.valuation)
-    # The sign-only answers build no value, and must answer (or refuse) as the exact one.
+        m, s, bound = ref
+        assert lead is not None and (lead[0], sign_of(lead[1]), lead[2]) == (m, sign_of(s), bound)
+        assert exact.terms[0] == (m, s)
+        assert FieldElement(((m, s),), bound) == exact
+    # The front ends build no value, and must answer (or refuse) as the exact one.
     assert verdict(lambda: leading_sign(p, point)) == verdict(lambda: compare_order(exact, ZERO))
     assert verdict(lambda: valuation_at(p, point)) == verdict(exact.valuation)
-    return fast
+    return lead
 
 
 def random_coefficient(rng):
@@ -156,20 +159,27 @@ def test_random_polynomials_at_sample_points(seed):
     for sd in sample_sets(n):
         points += sd.sample_points(SampleConfig(seed=seed, samples=24))
     points += [truncated(pt, rng) for pt in points[::3]]
-    decided_by_cut = 0
+    decided_by_kernel = 0
     previous = None
     for _ in range(12):
         p = random_polynomial(rng, n)
         # Quotients of consecutive corpus polynomials, at every third point.
         quotient = None if previous is None else RationalFunction(previous, p)
         for k, pt in enumerate(points):
-            fast = assert_same_decisions(p, pt)
-            decided_by_cut += bool(fast.terms) and fast.precision is not None
+            decided_by_kernel += assert_same_decisions(p, pt) is not None
             if quotient is not None and k % 3 == 0:
                 assert verdict(lambda: valuation_at(quotient, pt)) == verdict(lambda: exact_valuation(quotient, pt))
         previous = p
-    # The filter is doing the work, not the exact fallback.
-    assert decided_by_cut > 6 * len(points)
+    # The kernel is doing the work, not the exact fallback.
+    assert decided_by_kernel > 6 * len(points)
+
+
+def assert_answers(p, pt, sign, val):
+    """The kernel's decisions as the exact value's, and the expected sign and valuation."""
+    assert_same_decisions(p, pt)
+    assert verdict(lambda: leading_sign(p, pt)) == sign
+    got = verdict(lambda: valuation_at(p, pt))
+    assert got == val if val is not None else got.is_top
 
 
 X = Polynomial.variable("x", ("x", "y"))
@@ -195,10 +205,7 @@ def point(*coords):
     (X + (EPS ** 2 - 1), point(FieldElement(((0, 1), (F(1, 2), 1)), F(3, 2)), 0), "GT", F(1, 2)),
 ])
 def test_hand_built_cases(p, pt, sign, val):
-    fast = assert_same_decisions(p, pt)
-    assert verdict(lambda: compare_order(fast, ZERO)) == sign
-    got = verdict(fast.valuation)
-    assert got == val if val is not None else got.is_top
+    assert_answers(p, pt, sign, val)
 
 
 def test_valuation_at_quotient():
@@ -214,17 +221,11 @@ def test_terms_beyond_the_window_are_never_formed():
     pt = [1 + FieldElement.eps_power(F(3, 2))]
     with pytest.raises(ExponentBlowup):
         p.evaluate(pt)
-    assert leading_value(p, pt).terms[0] == (0, 1)
+    assert _leading_term(p, pt)[:2] == (0, 1)
+    assert (leading_sign(p, pt), valuation_at(p, pt)) == ("GT", 0)
 
 
 # -- the initial-form kernel ------------------------------------------------------
-
-
-def assert_sound(p, pt):
-    """Same decisions as the exact value, and agreement with it up to both precisions."""
-    fast = assert_same_decisions(p, pt)
-    assert fast == p.evaluate(pt)
-    return fast
 
 
 def big_o(k):
@@ -256,10 +257,7 @@ def poly(terms):
     (X * Y, point(FieldElement((), 1), 1), "refused", "refused"),
 ])
 def test_initial_form_cases(p, pt, sign, val):
-    fast = assert_sound(p, pt)
-    assert verdict(lambda: compare_order(fast, ZERO)) == sign
-    got = verdict(fast.valuation)
-    assert got == val if val is not None else got.is_top
+    assert_answers(p, pt, sign, val)
 
 
 @pytest.mark.parametrize("rest", [
@@ -271,15 +269,16 @@ def test_leading_exponent_over_the_cap_raises(rest):
     # eps^(1/8) * x at x = eps^(1/9) has leading exponent 17/72, over the cap of 64.
     p = Polynomial(("x",), {(1,): FieldElement.eps_power(F(1, 8)), (0,): rest})
     pt = [FieldElement.eps_power(F(1, 9))]
-    for query in (p.evaluate, partial(leading_value, p), partial(leading_sign, p), partial(valuation_at, p),
+    for query in (p.evaluate, partial(leading_sign, p), partial(valuation_at, p),
                   partial(valuation_at, RationalFunction(p, p.constant(2, p.variables)))):
         with pytest.raises(ExponentBlowup):
             query(pt)
 
 
 def test_random_corpus_rarely_needs_exact_evaluation(monkeypatch):
-    # The corpus of test_random_polynomials_at_sample_points; every seventh call
+    # The corpus of test_random_polynomials_at_sample_points; every seventh point
     # is also checked against the exact value (the full check is that test's).
+    # Where the kernel decides, the front ends evaluate nothing.
     exact_evaluate = Polynomial.evaluate
     calls = []
     monkeypatch.setattr(Polynomial, "evaluate", lambda p, pt: calls.append(1) or exact_evaluate(p, pt))
@@ -295,14 +294,17 @@ def test_random_corpus_rarely_needs_exact_evaluation(monkeypatch):
             p = random_polynomial(rng, n)
             for pt in points:
                 del calls[:]
-                fast = leading_value(p, pt)
-                decided += not calls
+                lead = _leading_term(p, pt)
+                answers = verdict(lambda: leading_sign(p, pt)), verdict(lambda: valuation_at(p, pt))
+                if lead is not None:
+                    assert not calls
+                    decided += 1
                 total += 1
                 if total % 7 == 0:
                     exact = exact_evaluate(p, pt)
-                    if fast.terms:
-                        assert fast.terms[0] == exact.terms[0]
-                    assert fast == exact
+                    assert answers == (verdict(lambda: compare_order(exact, ZERO)), verdict(exact.valuation))
+                    if lead is not None:
+                        assert (exact.terms[0][0], sign_of(exact.terms[0][1])) == (lead[0], sign_of(lead[1]))
     assert decided >= 0.9 * total, (decided, total)
 
 

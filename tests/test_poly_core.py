@@ -123,7 +123,7 @@ class TestRingsDoNotMix:
 
 
 def reference_evaluate(p, point):
-    """The plain loop the evaluation kernels must match: ``x**e`` for every monomial."""
+    """The plain loop ``evaluate`` must match: ``x**e`` for every monomial."""
     if len(point) != len(p.variables):
         raise ValueError("arity")
     point = [p._coeff(x) for x in point]
@@ -164,7 +164,7 @@ def identical(got, want):
 
 
 class TestEvaluationPlans:
-    """Evaluation with per-call power rows and cached residue plans equals the reference."""
+    """The one evaluation loop equals the reference in both coefficient rings."""
 
     FRAMES = [(), ("x",), ("x1", "x2"), FRAME]
 
@@ -177,7 +177,7 @@ class TestEvaluationPlans:
             assert identical(p.evaluate(pt), reference_evaluate(p, pt)), (p, pt)
 
     def test_series_sparse_exponents(self):
-        # Gaps between a variable's exponents are bridged by one power each.
+        # Sparse exponents with gaps between them.
         rng = random.Random(15)
         for _ in range(150):
             frame = rng.choice(self.FRAMES)
@@ -242,6 +242,7 @@ class TestEvaluationPlans:
             assert type(got) is Fraction and got == reference_evaluate(a, pt)
 
     def test_residue_plan_is_reused(self):
+        # Repeated evaluations of one polynomial at different points.
         rng = random.Random(14)
         for _ in range(50):
             a = random_residue(rng, max_deg=4)
