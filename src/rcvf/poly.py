@@ -148,16 +148,21 @@ class _SparsePolynomial:
 
         The terms are multiplied and summed one monomial at a time, as written:
         regrouping them could let a cancellation raise a partial sum's precision
-        and change the result.
+        and change the result.  Each power ``x_i**e`` is raised once per call
+        and shared by the monomials that use it.
         """
         if len(point) != len(self.variables):
             raise ValueError(f"point arity {len(point)} != {len(self.variables)}")
         point = [self._coeff(x) for x in point]
+        powers = {}
         total = self._zero()
         for expv, c in self.terms.items():
-            for x, e in zip(point, expv):
+            for i, e in enumerate(expv):
                 if e:
-                    c *= x**e
+                    xe = powers.get((i, e))
+                    if xe is None:
+                        xe = powers[(i, e)] = point[i] ** e
+                    c *= xe
             total += c
         return total
 

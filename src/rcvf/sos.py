@@ -6,8 +6,11 @@ pivoting, and every returned decomposition is re-verified symbolically.
 Failures are reported as "not in budget", never guessed.
 
 Degree <= 2 polynomials are decided completely (the Gram matrix in the
-affine monomial basis is unique); higher degrees use a numerically seeded
-rational search.  The search may multiply the target by powers of
+affine monomial basis is unique).  For higher degrees the Gram family is
+built on a reduced half basis (monomials that would force a zero Gram row
+are dropped), and a pure-Python ellipsoid method proposes float points of
+the family; each is rounded to small denominators and accepted only by the
+exact LDL test.  The search may multiply the target by powers of
 (x_1^2+...+x_n^2), so results are quotients of polynomials.
 """
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import inf, isqrt, lcm, log, sqrt
 from typing import Optional, Sequence
 
 from .poly import ResiduePolynomial
@@ -433,14 +436,31 @@ def _from_lattice(y) -> list[Fraction]:
 
 
 def _half_basis(q: ResiduePolynomial) -> list[tuple[int, ...]]:
-    """Candidate square-root monomials: the degree box below half of q's degrees."""
+    """Candidate square-root monomials of q.
+
+    Starts from the degree box below half of q's degrees and repeatedly drops
+    each monomial m whose square 2m is neither in q's support nor a sum a + b
+    of two other basis monomials a != b.  The Gram diagonal entry of such an m
+    must equal q's (zero) coefficient of 2m, and a PSD matrix with a zero
+    diagonal entry has a zero row there, so no decomposition is lost
+    (Loefberg, "Pre- and post-processing sum-of-squares programs in
+    practice", IEEE TAC 2009).
+    """
     half_total = q.total_degree() // 2
     half_each = [d // 2 + (d % 2) for d in q.max_degrees()]
-    out = []
-    for expv in itertools.product(*(range(h + 1) for h in half_each)):
-        if sum(expv) <= half_total:
-            out.append(expv)
-    return sorted(out)
+    basis = sorted(expv for expv in itertools.product(*(range(h + 1) for h in half_each))
+                   if sum(expv) <= half_total)
+    while True:
+        present = set(basis)
+        kept = []
+        for m in basis:
+            twice = tuple(2 * e for e in m)
+            if twice in q.terms or any(
+                    a != m and tuple(t - e for t, e in zip(twice, a)) in present for a in basis):
+                kept.append(m)
+        if len(kept) == len(basis):
+            return basis
+        basis = kept
 
 
 def _gram_constraints(q: ResiduePolynomial, basis: list[tuple[int, ...]]):
@@ -480,38 +500,145 @@ def _vec_to_matrix(pairs, vec, size):
     return G
 
 
-_DENOMINATOR_LADDER = (1, 2, 3, 4, 6, 8, 12, 16, 24, 48, 96,
-                       10**3, 10**4, 10**6, 10**8, 10**10, 10**12)
+# Denominators tried, in order, when a float point y is rounded for the exact
+# LDL test.  Small ones land on the exact point of a singular face; the powers
+# of ten serve inputs whose coefficients are far from 1 in size.
+_DENOMINATOR_LADDER = (1, 2, 3, 4, 6, 8, 16, 10**3, 10**4, 10**6, 10**8, 10**10, 10**12)
 
 
-def _numeric_psd_candidates(G0, nullvecs, size):
-    """Float search for a PSD point of the affine Gram family; yields y vectors."""
-    import numpy as np  # only this search needs numpy; keep it off the import path
+def _min_eig(A: list[list[float]]) -> tuple[float, list[float]]:
+    """Least eigenvalue of a symmetric float matrix and a unit eigenvector.
 
-    dims = len(nullvecs)
-    g0 = np.array([[float(x) for x in row] for row in G0])
-    mats = [np.array([[float(x) for x in row] for row in N]) for N in nullvecs]
-    yield [Fraction(0)] * dims
-    if dims == 0:
+    Cyclic Jacobi rotations A <- P^T A P until the off-diagonal mass is
+    negligible against the diagonal.  Each rotation recomputes rows p and q
+    and mirrors them into the columns; W accumulates the eigenvectors as rows.
+    """
+    n = len(A)
+    a = [list(row) for row in A]
+    W = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    for _ in range(64):
+        off = sum(a[p][q] * a[p][q] for p in range(n) for q in range(p + 1, n))
+        if off <= 1e-30 * (sum(a[i][i] * a[i][i] for i in range(n)) + 1e-300):
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if apq == 0.0:
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
+                if theta < 0:
+                    t = -t
+                c = 1.0 / sqrt(t * t + 1.0)
+                s = t * c
+                ap, aq = a[p], a[q]
+                app, aqq = ap[p], aq[q]
+                rp = [c * x - s * y for x, y in zip(ap, aq)]
+                rq = [s * x + c * y for x, y in zip(ap, aq)]
+                rp[p], rq[q] = app - t * apq, aqq + t * apq
+                rp[q] = rq[p] = 0.0
+                a[p], a[q] = rp, rq
+                for k, row in enumerate(a):
+                    row[p], row[q] = rp[k], rq[k]
+                wp, wq = W[p], W[q]
+                W[p] = [c * x - s * y for x, y in zip(wp, wq)]
+                W[q] = [s * x + c * y for x, y in zip(wp, wq)]
+    k = min(range(n), key=lambda i: a[i][i])
+    return a[k][k], W[k]
+
+
+def _trace_bound(target: ResiduePolynomial, basis: list[tuple[int, ...]]) -> float:
+    """An upper bound on the trace of every PSD Gram matrix of target.
+
+    For mu uniform on [-1, 1]^n and M the moment matrix of the basis under
+    mu, target = z^T G z integrates to tr(G M) >= lambda_min(M) tr(G) when
+    G is PSD.  The moments are exact (E[x^e] = 1/(e+1) for even e, else 0);
+    lambda_min(M) is a float, kept off zero relative to tr(M).
+    """
+    def moment(expv):
+        out = Fraction(1)
+        for e in expv:
+            if e % 2:
+                return Fraction(0)
+            out /= e + 1
+        return out
+
+    mean = sum(c * moment(expv) for expv, c in target.terms.items())
+    M = [[float(moment(tuple(x + y for x, y in zip(a, b)))) for b in basis] for a in basis]
+    floor = 1e-15 * sum(M[i][i] for i in range(len(M)))
+    return max(float(mean), 0.0) / max(_min_eig(M)[0], floor)
+
+
+# Relative accuracy to which the ellipsoid search pins down max lambda_min.
+_ELLIPSOID_TOL = 1e-6
+
+
+def _psd_candidates(G0, nullmats, radius: float):
+    """Float points y of the affine Gram family G0 + sum y_k N_k; yields y vectors.
+
+    Yields the zero vector first.  Then an ellipsoid method maximises the
+    concave lambda_min(G(y)), whose subgradient is (u^T N_k u)_k for a unit
+    least eigenvector u (Groetschel, Lovasz & Schrijver 1988).  It yields the
+    first iterate with lambda_min > 0, each iterate that doubles the last
+    yielded value, and finally the best.
+
+    The y_k are distinct entries of G(y), so |y| <= |G|_F <= tr G for a PSD
+    G(y): a ball whose radius bounds that trace (see _trace_bound) holds every
+    PSD point, and so the maximiser whenever that is PSD.  Each cut keeps the y that can reach the
+    level max(best, -tol) by the subgradient inequality (a deep cut; central
+    while the centre is the best point).  The search stops when the upper
+    bound lambda_min(centre) + |g|_P over the ellipsoid falls below -tol (no
+    PSD point) or within tol of the best value.  The step cap is the count
+    after which the ellipsoid's volume, falling by e^(-1/(2(n+1))) or more per
+    step, is below that of a ball of radius tol.  In one dimension the method
+    is bisection.
+    """
+    dims = len(nullmats)
+    yield [0.0] * dims
+    if dims == 0 or radius <= 0:
         return
-    A = np.stack([m.reshape(-1) for m in mats], axis=1)
-    y = np.zeros(dims)
-    G = g0.copy()
-    for _ in range(120):
-        w, V = np.linalg.eigh((G + G.T) / 2)
-        clipped = np.clip(w, 1e-9, None)
-        target = (V * clipped) @ V.T
-        sol, *_ = np.linalg.lstsq(A, (target - g0).reshape(-1), rcond=None)
-        y = sol
-        G = g0 + sum(float(y[i]) * mats[i] for i in range(dims))
-    yield [Fraction(float(v)) for v in y]
-    # Margin-aware denominator choice.
-    w, _ = np.linalg.eigh((G + G.T) / 2)
-    lam = float(w[0])
-    if lam > 1e-12:
-        lip = sum(float(np.abs(m).sum()) for m in mats) + 1.0
-        den = int(lip / lam * 4) + 1
-        yield [Fraction(float(v)).limit_denominator(den) for v in y]
+    size = len(G0)
+    g0 = [[float(v) for v in row] for row in G0]
+    entries = [[(i, j, float(N[i][j])) for i in range(size) for j in range(size) if N[i][j]]
+               for N in nullmats]
+    tol = _ELLIPSOID_TOL * max(abs(v) for row in g0 for v in row)
+    steps = int(2 * dims * (dims + 1) * log(radius / tol)) + 1 if radius > tol else 0
+    y = [0.0] * dims
+    P = [[radius * radius if i == j else 0.0 for j in range(dims)] for i in range(dims)]
+    best, best_y, upper, last, last_y = -inf, y, inf, 0.0, y
+    for _ in range(steps):
+        G = [row[:] for row in g0]
+        for yk, ent in zip(y, entries):
+            for i, j, v in ent:
+                G[i][j] += yk * v
+        lam, u = _min_eig(G)
+        g = [sum(v * u[i] * u[j] for i, j, v in ent) for ent in entries]
+        Pg = [sum(pk * gk for pk, gk in zip(row, g)) for row in P]
+        gPg = sum(a * b for a, b in zip(g, Pg))
+        if lam > best:
+            best, best_y = lam, y
+            if lam > 0 and lam >= 2 * last:
+                last, last_y = lam, y
+                yield y
+        if gPg <= 0:  # a zero subgradient: the centre is a maximiser
+            break
+        root = sqrt(gPg)
+        upper = min(upper, lam + root)
+        if upper < -tol or upper - best <= tol:
+            break
+        # Keep the y with g.(y - centre) >= level - lam; 0 <= alpha < 1 here.
+        alpha = (max(best, -tol) - lam) / root
+        b = [v / root for v in Pg]
+        step = (1 + dims * alpha) / (dims + 1)
+        y = [yk + step * bk for yk, bk in zip(y, b)]
+        if dims == 1:
+            P = [[P[0][0] * (1 - alpha) ** 2 / 4]]
+        else:
+            f = dims * dims * (1 - alpha * alpha) / (dims * dims - 1.0)
+            h = 2 * step / (1 + alpha)
+            P = [[f * (P[i][j] - h * b[i] * b[j]) for j in range(dims)] for i in range(dims)]
+    if best_y is not last_y:
+        yield best_y
 
 
 def _extract_squares(squares, basis, variables, scale=Fraction(1)) -> list[ResiduePolynomial]:
@@ -538,7 +665,8 @@ def _gram_search(target: ResiduePolynomial, basis: list[tuple[int, ...]]):
     G0 = _vec_to_matrix(pairs, particular, size)
     nullmats = [_vec_to_matrix(pairs, v, size) for v in nullbasis]
     tried = set()
-    for y in _numeric_psd_candidates(G0, nullmats, size):
+    bound = _trace_bound(target, basis) if nullmats else 0.0
+    for y in _psd_candidates(G0, nullmats, bound):
         for den in _DENOMINATOR_LADDER:
             yr = tuple(Fraction(v).limit_denominator(den) for v in y)
             if yr in tried:

@@ -190,16 +190,135 @@ class TestHelpers:
 
 class TestDenominatorSearch:
     def test_multiplier_enables_decomposition(self):
-        # (x^2+y^2) * q is SOS for this PSD-but-borderline quartic shape;
-        # allow denominators and check the quotient identity exactly.
+        # q = (x^2 - xy)^2 + (xy - y^2)^2; its Gram matrices are all singular
+        # (q vanishes on x = y), and the search must still land on one.
         vs = ("x", "y")
         x, y = x_of(vs, "x"), x_of(vs, "y")
         q = x**4 - 2 * (x**3 * y) + 2 * (x * x * y * y) - 2 * (x * y**3) + y**4
+        assert q == (x * x - x * y) ** 2 + (x * y - y * y) ** 2
         result = residue_sos_search(q, SosBudget(max_basis=24, denominator_cap=2))
-        if result.kind == SOS:
+        assert result.kind == SOS
+        assert verify_residue_sos(q, result.quotients)
+
+    def test_motzkin_with_one_multiplier(self):
+        # (x^2 + y^2) * M is a sum of squares although M is not.
+        vs = ("x", "y")
+        x, y = x_of(vs, "x"), x_of(vs, "y")
+        M = (x**4) * (y**2) + (x**2) * (y**4) - 3 * (x**2) * (y**2) + ResiduePolynomial.constant(1, vs)
+        result = sos.residue_sos_decomposition(M, SosBudget(max_basis=40, denominator_cap=1))
+        assert result.kind == SOS
+        assert any(not quot.den.is_constant() for quot in result.quotients)
+        assert verify_residue_sos(M, result.quotients)
+
+
+def _gram_family(q):
+    """(reduced basis, particular Gram matrix, null matrices) of q's Gram family."""
+    basis = sos._half_basis(q)
+    pairs, rows, rhs = sos._gram_constraints(q, basis)
+    particular, nullbasis = sos.solve_affine(rows, rhs)
+    size = len(basis)
+    return (basis, sos._vec_to_matrix(pairs, particular, size),
+            [sos._vec_to_matrix(pairs, v, size) for v in nullbasis])
+
+
+class TestGramSearch:
+    @pytest.mark.parametrize("a", (4, 9))
+    def test_no_constant_term(self, a):
+        # The constant monomial forces a zero Gram row; the full degree box
+        # kept it and missed these.
+        vs = ("x",)
+        x = x_of(vs, "x")
+        q = a * x**2 + 4 * x**4
+        assert sos._half_basis(q) == [(1,), (2,)]
+        result = sos.residue_sos_decomposition(q, SosBudget(denominator_cap=0))
+        assert result.kind == SOS
+        assert verify_residue_sos(q, result.quotients)
+
+    def test_sums_of_squares_without_constant_term(self):
+        # As many random squares as basis monomials, so some Gram matrix is
+        # positive definite on the reduced basis (see test_half_basis_drops_*).
+        rng = random.Random(1101)
+        for trial in range(30):
+            n = rng.choice((1, 2))
+            vs = _frame(n)
+            monos = [e for e in itertools.product(range(3), repeat=n) if 1 <= sum(e) <= 2]
+            q = ResiduePolynomial(vs)
+            for _ in monos:
+                t = rp(vs, {m: F(rng.randint(-3, 3), rng.randint(1, 2)) for m in monos})
+                q = q + t * t
+            assert (0,) * n not in q.terms
+            result = sos.residue_sos_decomposition(q, SosBudget(denominator_cap=0))
+            assert result.kind == SOS, f"trial {trial}"
             assert verify_residue_sos(q, result.quotients)
-        else:
-            assert result.kind == NOT_SOS_IN_BUDGET
+
+    def test_ellipsoid_wins_where_the_particular_solution_is_indefinite(self):
+        # 1 - x + x^2 - x^3 + x^4 = (x^5 + 1)/(x + 1) > 0 on the reals.
+        vs = ("x",)
+        x = x_of(vs, "x")
+        q = ResiduePolynomial.constant(1, vs) - x + x**2 - x**3 + x**4
+        basis, G0, nullmats = _gram_family(q)
+        assert basis == [(0,), (1,), (2,)] and len(nullmats) >= 1
+        assert sos.ldl_psd(G0)[0] == "indefinite"
+        result = sos.residue_sos_decomposition(q, SosBudget(denominator_cap=0))
+        assert result.kind == SOS
+        assert verify_residue_sos(q, result.quotients)
+
+    def test_ellipsoid_wins_in_three_dimensions(self):
+        vs = ("x", "y")
+        x, y = x_of(vs, "x"), x_of(vs, "y")
+        one = ResiduePolynomial.constant(1, vs)
+        q = (x * x - y + one) ** 2 + (x * y - 2 * x) ** 2 + (y * y - x) ** 2 + x * x + y * y + one
+        basis, G0, nullmats = _gram_family(q)
+        assert len(nullmats) >= 3
+        assert sos.ldl_psd(G0)[0] == "indefinite"
+        result = sos.residue_sos_decomposition(q, SosBudget(denominator_cap=0))
+        assert result.kind == SOS
+        assert verify_residue_sos(q, result.quotients)
+
+    @pytest.mark.parametrize("scale", (F(1, 10**9), F(1, 10**6), F(1, 7), 10**6))
+    def test_scaled_inputs(self, scale):
+        # Rounding must reach Gram entries far from 1 in size.
+        vs = ("x",)
+        x = x_of(vs, "x")
+        q = (ResiduePolynomial.constant(1, vs) - x + x**2 - x**3 + x**4) * scale
+        result = sos.residue_sos_decomposition(q, SosBudget(denominator_cap=0))
+        assert result.kind == SOS
+        assert verify_residue_sos(q, result.quotients)
+
+    def test_half_basis_drops_unsupported_squares(self):
+        # Motzkin: the degree box has 8 monomials.  y^2 is dropped: its square
+        # y^4 is not in the support, and no two other box monomials sum to it.
+        vs = ("x", "y")
+        x, y = x_of(vs, "x"), x_of(vs, "y")
+        M = (x**4) * (y**2) + (x**2) * (y**4) - 3 * (x**2) * (y**2) + ResiduePolynomial.constant(1, vs)
+        box = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]
+        assert (0, 4) not in M.terms
+        assert not any(a != b and (a[0] + b[0], a[1] + b[1]) == (0, 4) for a in box for b in box)
+        assert sos._half_basis(M) == [(0, 0), (1, 1), (1, 2), (2, 1)]
+        # A square whose root has no constant term keeps its decomposition
+        # once the constant monomial is dropped.
+        q = (x * y) ** 2 * (x * x + y * y - 2 * ResiduePolynomial.constant(1, vs)) ** 2
+        assert (0, 0) not in sos._half_basis(q)
+        result = sos.residue_sos_decomposition(q, SosBudget(denominator_cap=0))
+        assert result.kind == SOS
+        assert verify_residue_sos(q, result.quotients)
+
+    def test_min_eig(self):
+        rng = random.Random(77)
+        for n in (1, 2, 3, 5, 8):
+            A = [[0.0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    A[i][j] = A[j][i] = rng.uniform(-3, 3)
+            lam, u = sos._min_eig(A)
+            assert abs(sum(v * v for v in u) - 1) < 1e-12
+            Au = [sum(a * v for a, v in zip(row, u)) for row in A]
+            assert max(abs(a - lam * v) for a, v in zip(Au, u)) < 1e-12
+            # lambda_min is the least Rayleigh quotient.
+            for _ in range(20):
+                w = [rng.uniform(-1, 1) for _ in range(n)]
+                Aw = [sum(a * v for a, v in zip(row, w)) for row in A]
+                assert sum(a * v for a, v in zip(Aw, w)) >= lam * sum(v * v for v in w) - 1e-12
 
 
 # -- the lattice falsifier against the Fraction one -----------------------------

@@ -1,5 +1,6 @@
 """Sums of two and four squares without factoring, and the dependency-free import."""
 
+import json
 import subprocess
 import sys
 
@@ -46,5 +47,27 @@ def test_import_does_not_load_sympy():
     _import_leaves_out("sympy")
 
 
+_BLOCK_NUMPY = """
+import sys
+
+class BlockNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numpy":
+            raise ImportError("numpy is blocked")
+
+sys.meta_path.insert(0, BlockNumpy())
+from rcvf.cli import run
+code = run(["cert", "find", "--p", "x1^4 - x1^3 + x1^2 - x1 + 1", "--set", "ball:1", "--seed", "0"])
+assert "numpy" not in sys.modules
+sys.exit(code)
+"""
+
+
 def test_import_does_not_load_numpy():
     _import_leaves_out("numpy")
+    # cert find runs the Gram search on a family of dimension 1 whose
+    # particular solution is indefinite, with numpy unimportable.
+    done = subprocess.run([sys.executable, "-c", _BLOCK_NUMPY], capture_output=True, text=True,
+                          env=subprocess_env(), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["outcome"] == "certificate"
