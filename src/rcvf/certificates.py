@@ -22,7 +22,16 @@ from typing import Optional, Sequence
 
 from .errors import CoefficientsNotIntegral, NotIntegral, PrecisionExhausted, RcvfError
 from .integrality import pointwise_integral_oracle, IntegralityVerdict, module_pullback
-from .poly import Polynomial, RationalFunction, gauss_valuation, leading_sign, valuation_at
+from .poly import (
+    FlatRing,
+    NotFlat,
+    Polynomial,
+    RationalFunction,
+    SeriesRing,
+    gauss_valuation,
+    leading_sign,
+    valuation_at,
+)
 from .ringexpr import (
     ConstExpr,
     PerturbedUnit,
@@ -91,20 +100,35 @@ class VerificationResult:
         return self.ok
 
 
+def _holds(identity, ring, variables) -> bool:
+    """identity(ring); in the series ring if ring is flat and a leaf has no image there."""
+    if isinstance(ring, FlatRing):
+        try:
+            return identity(ring)
+        except NotFlat:
+            pass
+    return identity(SeriesRing(variables))
+
+
 def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
                               set_descriptor: SetDescriptor) -> VerificationResult:
-    """Exact check of p*(1+m*h) = sum r_i^2 plus the integrality witness."""
+    """Exact check of p*(1+m*h) = sum r_i^2 plus the integrality witness.
+
+    The identities run in the flat ring of p, m, h and r (see FlatRing) when
+    their data is exact; otherwise, and for a witness with a leaf off that
+    ring's grid, in the series ring.
+    """
     p = align_to_set(p, set_descriptor)
     h = align_to_set(cert.h, set_descriptor)
     vs = set_descriptor.variables()
     if not infinitesimal_or_zero(cert.m):
         return VerificationResult(False, "m_not_infinitesimal")
-    one = RationalFunction.constant(1, vs)
-    m_rf = RationalFunction.constant(cert.m, vs)
-    lhs = RationalFunction(p) * (one + m_rf * h)
+    r = [align_to_set(s, set_descriptor) for s in cert.r.summands]
+    ring = FlatRing.over(vs, (p, cert.m, h, *r)) or SeriesRing(vs)
+    lhs = ring(p) * (ring(1) + ring(cert.m) * ring(h))
     rhs = None
-    for s in cert.r.summands:
-        s = align_to_set(s, set_descriptor)
+    for s in r:
+        s = ring(s)
         sq = s * s
         rhs = sq if rhs is None else rhs + sq
     if lhs != rhs:
@@ -117,9 +141,11 @@ def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
     if not verify_ring_membership(w.denominator.a, set_descriptor):
         return VerificationResult(False, "witness_denominator_membership")
     if w.monic is None:
-        num_rf = ring_expr_to_rational(w.numerator, set_descriptor)
-        den_rf = w.denominator.denote(set_descriptor)
-        if h * den_rf != num_rf:
+        def witness(ring):
+            num = ring_expr_to_rational(w.numerator, set_descriptor, ring)
+            return ring(h) * w.denominator.denote(set_descriptor, ring) == num
+
+        if not _holds(witness, ring, vs):
             return VerificationResult(False, "witness_identity_failed")
     else:
         d = len(w.monic)
@@ -130,11 +156,16 @@ def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
                 return VerificationResult(False, "witness_monic_membership")
             if not c.den.is_well_formed() or not verify_ring_membership(c.den.a, set_descriptor):
                 return VerificationResult(False, "witness_monic_denominator")
-        total = h**d
-        for i, c in enumerate(w.monic):
-            ci = ring_expr_to_rational(c.num, set_descriptor) / c.den.denote(set_descriptor)
-            total = total + ci * h**i
-        if total != RationalFunction.constant(0, vs):
+
+        def monic(ring):
+            hr = ring(h)
+            total = hr**d
+            for i, c in enumerate(w.monic):
+                ci = ring_expr_to_rational(c.num, set_descriptor, ring) / c.den.denote(set_descriptor, ring)
+                total = total + ci * hr**i
+            return total == ring(0)
+
+        if not _holds(monic, ring, vs):
             return VerificationResult(False, "witness_monic_identity_failed")
     return VerificationResult(True)
 
@@ -172,15 +203,16 @@ def verify_dickmann_certificate(p: Polynomial, cert: DickmannCertificate) -> Ver
             return VerificationResult(False, "m_not_infinitesimal")
         if not (_coefficients_integral(t.q1) and _coefficients_integral(t.q2)):
             return VerificationResult(False, "q_not_integral")
-    total = RationalFunction.constant(0, vs)
-    one = RationalFunction.constant(1, vs)
+    ring = FlatRing.over(vs, (p, *(x for t in cert.terms for x in (t.m1, t.q1, t.m2, t.q2)))) or SeriesRing(vs)
+    total = ring(0)
+    one = ring(1)
     for t in cert.terms:
-        q1 = t.q1.with_variables(vs) if t.q1.variables != vs else t.q1
-        q2 = t.q2.with_variables(vs) if t.q2.variables != vs else t.q2
-        num = one + RationalFunction.constant(t.m1, vs) * RationalFunction(q1 * q1)
-        den = one + RationalFunction.constant(t.m2, vs) * RationalFunction(q2 * q2)
+        q1 = ring(t.q1.with_variables(vs) if t.q1.variables != vs else t.q1)
+        q2 = ring(t.q2.with_variables(vs) if t.q2.variables != vs else t.q2)
+        num = one + ring(t.m1) * (q1 * q1)
+        den = one + ring(t.m2) * (q2 * q2)
         total = total + num / den
-    if total != RationalFunction(p):
+    if total != ring(p):
         return VerificationResult(False, "identity_failed")
     return VerificationResult(True)
 

@@ -61,8 +61,22 @@ def _objects(obj, what: str) -> list:
     return [_expect(item, dict, f"an item of {what}") for item in _expect(obj, list, what)]
 
 
-def _parse(text):
-    return parse_expression(_expect(text, str, "expression text"))
+def _truncated(v) -> bool:
+    if isinstance(v, FieldElement):
+        return v.precision is not None
+    if isinstance(v, RationalFunction):
+        return _truncated(v.num) or _truncated(v.den)
+    return any(c.precision is not None for c in v.terms.values())
+
+
+def _parse(text, exact: bool):
+    """The parsed value; with exact, EncodingError if it has a truncated
+    coefficient (a division by a multi-term scalar), since a certificate
+    holds exact data only."""
+    v = parse_expression(_expect(text, str, "expression text"))
+    if exact and _truncated(v):
+        raise EncodingError(f"inexact coefficient in {text!r}: a certificate holds exact values only")
+    return v
 
 
 # -- scalars and polynomials ---------------------------------------------------
@@ -74,8 +88,8 @@ def element_to_text(x: FieldElement) -> str:
     return str(x)
 
 
-def element_from_text(text: str) -> FieldElement:
-    v = _parse(text)
+def element_from_text(text: str, exact: bool = True) -> FieldElement:
+    v = _parse(text, exact)
     if not isinstance(v, FieldElement):
         raise EncodingError(f"expected a scalar, got {type(v).__name__}: {text!r}")
     return v
@@ -88,8 +102,8 @@ def poly_to_text(p: Polynomial) -> str:
     return str(p)
 
 
-def poly_from_text(text: str) -> Polynomial:
-    v = _parse(text)
+def poly_from_text(text: str, exact: bool = True) -> Polynomial:
+    v = _parse(text, exact)
     if isinstance(v, FieldElement):
         return Polynomial.constant(v)
     if isinstance(v, RationalFunction):
@@ -108,7 +122,7 @@ def rational_to_text(rf: RationalFunction) -> str:
 
 
 def rational_from_text(text: str) -> RationalFunction:
-    v = _parse(text)
+    v = _parse(text, True)
     if isinstance(v, FieldElement):
         return RationalFunction.constant(v)
     if isinstance(v, Polynomial):
@@ -134,13 +148,14 @@ def set_to_json(s: SetDescriptor) -> dict:
 
 
 def set_from_json(obj: dict) -> SetDescriptor:
+    """A set; unlike a certificate's values, its values may be truncated."""
     obj = _expect(obj, dict, "set")
-    strict = [poly_from_text(t) for t in _expect(obj.get("strict", []), list, "strict")] or None
+    strict = [poly_from_text(t, exact=False) for t in _expect(obj.get("strict", []), list, "strict")] or None
     if obj["kind"] == "ball":
         return SetDescriptor.unit_polydisc(_expect(obj["n"], int, "n"), strict)
     if obj["kind"] == "affine":
-        centers = tuple(element_from_text(t) for t in _expect(obj["centers"], list, "centers"))
-        scales = tuple(element_from_text(t) for t in _expect(obj["scales"], list, "scales"))
+        centers = tuple(element_from_text(t, exact=False) for t in _expect(obj["centers"], list, "centers"))
+        scales = tuple(element_from_text(t, exact=False) for t in _expect(obj["scales"], list, "scales"))
         return SetDescriptor.affine_module(AffineModuleMap(centers, scales), strict)
     raise EncodingError(f"unknown set kind {obj.get('kind')!r}")
 

@@ -22,11 +22,12 @@ from typing import Union
 
 from .errors import DivisionByZero, ParseError
 from .poly import Polynomial, RationalFunction, variable_sort_key
-from .series import FieldElement
+from .series import _EXPONENT_DENOMINATOR_CAP, FieldElement
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|(eps\b)|([a-zA-Z]\d*)|([+\-*/^()]))")
 
 INT, EPS, IDENT, OP, END = "int", "eps", "ident", "op", "end"
+_KINDS = {2: EPS, 3: IDENT, 4: OP}  # token kind by the regex group that matched
 
 
 def _tokenize(text: str):
@@ -40,16 +41,9 @@ def _tokenize(text: str):
                 break
             at = len(text) - len(stripped)
             raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        start = m.start(1) if m.group(1) else m.start(2) if m.group(2) else \
-            m.start(3) if m.group(3) else m.start(4)
-        if m.group(1):
-            tokens.append((INT, int(m.group(1)), start))
-        elif m.group(2):
-            tokens.append((EPS, "eps", start))
-        elif m.group(3):
-            tokens.append((IDENT, m.group(3), start))
-        else:
-            tokens.append((OP, m.group(4), start))
+        group = m.lastindex
+        val = m.group(group)
+        tokens.append((INT, int(val), m.start(group)) if group == 1 else (_KINDS[group], val, m.start(group)))
         pos = m.end()
     tokens.append((END, None, len(text)))
     return tokens
@@ -84,12 +78,15 @@ def _promote_pair(a: Value, b: Value):
     return up(a), up(b)
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 class _Parser:
-    def __init__(self, text: str, frame: tuple[str, ...]):
-        self.text = text
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens: list, frame: tuple[str, ...]):
+        self.tokens = tokens
         self.i = 0
         self.frame = frame
+        self.slots = {v: i for i, v in enumerate(frame)}
 
     def peek(self):
         return self.tokens[self.i]
@@ -119,18 +116,120 @@ class _Parser:
         return v
 
     def expr(self) -> Value:
-        if self.at_op("-"):
+        """The sum of the terms, signs applied to each.
+
+        Monomial terms go into one table in a single pass; the other terms are
+        added to its total.  That regrouping keeps every value, since exact
+        sums do not depend on grouping and a truncated sum keeps the least
+        precision whatever the order.  Quotients are kept unreduced, so from
+        the first quotient term on the sum proceeds pairwise, as written.
+        """
+        negative = self.at_op("-")
+        if negative:
             self.next()
-            v = self.term()
-            v = self._neg(v)
-        else:
-            v = self.term()
+        table = {}  # exponent vector -> {eps exponent: rational coefficient}
+        others = []  # the other terms, as FieldElements and Polynomials
+        polynomial = False  # whether a term has a variable
+        first = True
+        while True:
+            mono = self._monomial()
+            if mono is None:
+                v = self.term()
+                if negative:
+                    v = self._neg(v)
+                if isinstance(v, RationalFunction):
+                    if not first:
+                        a, b = _promote_pair(self._total(table, others, polynomial), v)
+                        v = a + b
+                    return self._pairwise(v)
+                others.append(v)
+                polynomial = polynomial or isinstance(v, Polynomial)
+            else:
+                expv, w, c, variables = mono
+                polynomial = polynomial or variables
+                if c:
+                    coefficients = table.setdefault(expv, {})
+                    coefficients[w] = coefficients.get(w, 0) + (-c if negative else c)
+            if not self.at_op("+", "-"):
+                return self._total(table, others, polynomial)
+            negative = self.next()[1] == "-"
+            first = False
+
+    def _pairwise(self, v: Value) -> Value:
+        """v plus the remaining terms, one at a time."""
         while self.at_op("+", "-"):
             _, op, _ = self.next()
             rhs = self.term()
             a, b = _promote_pair(v, rhs)
             v = a + b if op == "+" else a - b
         return v
+
+    def _total(self, table: dict, others: list, polynomial: bool) -> Value:
+        terms = {}
+        for expv, coefficients in table.items():
+            known = tuple(sorted((w, c) for w, c in coefficients.items() if c))
+            if known:
+                terms[expv] = FieldElement.from_canonical(known)
+        if polynomial:
+            total = Polynomial.from_canonical(self.frame, terms)
+        else:  # no term has a variable, so the one key is the zero vector
+            total = terms.popitem()[1] if terms else FieldElement.from_canonical(())
+        for v in others:
+            a, b = _promote_pair(total, v)
+            total = a + b
+        return total
+
+    def _monomial(self):
+        """(exponent vector, eps exponent, coefficient, has a variable) for a term
+        that is a product of rational literals, powers of eps and non-negative
+        integer powers of variables; otherwise None, with nothing consumed.
+
+        Such a term is read straight into its one monomial.  Anything else, and
+        any eps exponent whose denominator, or that of a partial product,
+        exceeds the cap (the general path decides whether that raises
+        ExponentBlowup), goes to the general path from the term's first token.
+        """
+        start = self.i
+        tokens = self.tokens
+        expv = [0] * len(self.frame)
+        w, c, variables = _ZERO, _ONE, False
+        while True:
+            kind, val, pos = tokens[self.i]
+            self.i += 1
+            if kind == INT:
+                q = self._finish_rational(val, pos)
+                if self.at_op("^"):
+                    break
+                c *= q
+            elif kind == EPS:
+                e = _ONE
+                if self.at_op("^"):
+                    self.i += 1
+                    e = self.exponent()
+                w += e
+                if e.denominator > _EXPONENT_DENOMINATOR_CAP or w.denominator > _EXPONENT_DENOMINATOR_CAP:
+                    break
+            elif kind == IDENT:
+                variables = True
+                slot = self.slots[val]
+                if self.at_op("^"):
+                    kind, e, _ = tokens[self.i + 1]
+                    if kind != INT:
+                        break
+                    self.i += 2
+                    expv[slot] += e
+                else:
+                    expv[slot] += 1
+            else:
+                break
+            if self.at_op("*"):
+                self.i += 1
+            elif self.at_op("/"):
+                break
+            else:
+                return tuple(expv), w, c, variables
+        self.i = start
+        return None
 
     def term(self) -> Value:
         v = self.factor()
@@ -155,9 +254,10 @@ class _Parser:
     def base(self) -> Value:
         kind, val, pos = self.next()
         if kind == INT:
-            return FieldElement.from_rational(self._finish_rational(val, pos))
+            q = self._finish_rational(val, pos)
+            return FieldElement.from_canonical(((_ZERO, q),) if q else ())
         if kind == EPS:
-            return FieldElement.eps_power(1)
+            return FieldElement.from_canonical(((_ONE, _ONE),))
         if kind == IDENT:
             return Polynomial.variable(val, self.frame)
         if kind == OP and val == "(":
@@ -292,12 +392,9 @@ def _nth_root(n: int, k: int):
 
 def parse_expression(text: str) -> Value:
     """Parse text into a FieldElement, Polynomial or RationalFunction."""
-    names = set()
-    for kind, val, _ in _tokenize(text):
-        if kind == IDENT:
-            names.add(val)
-    frame = tuple(sorted(names, key=variable_sort_key))
-    value = _Parser(text, frame).parse()
+    tokens = _tokenize(text)
+    frame = tuple(sorted({val for kind, val, _ in tokens if kind == IDENT}, key=variable_sort_key))
+    value = _Parser(tokens, frame).parse()
     if isinstance(value, FieldElement) and frame:
         value = Polynomial.constant(value, frame)
     return value

@@ -5,7 +5,8 @@ One sparse core serves two coefficient rings: :class:`Polynomial` has
 ``Fraction`` ones (the residue polynomials of the SOS layer).  Exponent
 vectors are tuples of non-negative ints keyed to an ordered variable tuple.
 Rational functions are kept unreduced; equality is the cross-multiplication
-identity.
+identity, checked in a flat rational ring (:class:`FlatRing`) when the data
+is exact.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Mapping, Sequence, Union
 
 from .errors import DivisionByZero, UndefinedGauss
 from .series import (
+    _EXPONENT_DENOMINATOR_CAP,
     GT,
     LT,
     TOP,
@@ -42,8 +44,8 @@ def variable_sort_key(name: str):
     return (stem, int(digits) if digits else -1)
 
 
-def merge_variables(a: Sequence[str], b: Sequence[str]) -> tuple[str, ...]:
-    return tuple(sorted(set(a) | set(b), key=variable_sort_key))
+def merge_variables(*frames: Sequence[str]) -> tuple[str, ...]:
+    return tuple(sorted(set().union(*frames), key=variable_sort_key))
 
 
 def _as_coeff(c: Scalar) -> FieldElement:
@@ -85,6 +87,20 @@ class _SparsePolynomial:
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", dict(sorted(clean.items())))
 
+    @classmethod
+    def from_canonical(cls, variables: tuple, terms: dict):
+        """The polynomial with these terms, taken as they are.
+
+        For callers whose terms are already canonical, the core's own sums and
+        products first: exponent vectors are tuples of ints of the frame's
+        arity, coefficients are of the ring and none is an exact zero.  Nothing
+        is checked; only the order of the terms is restored.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "variables", variables)
+        object.__setattr__(p, "terms", dict(sorted(terms.items())))
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
@@ -93,14 +109,15 @@ class _SparsePolynomial:
     @classmethod
     def constant(cls, c, variables: Sequence[str] = ()):
         vs = tuple(variables)
-        return cls(vs, {(0,) * len(vs): c})
+        c = cls._coeff(c)
+        return cls.from_canonical(vs, {} if cls._is_zero(c) else {(0,) * len(vs): c})
 
     @classmethod
     def variable(cls, name: str, variables: Sequence[str] | None = None):
         vs = tuple(variables) if variables is not None else (name,)
         if name not in vs:
             raise ValueError(f"{name} not among {vs}")
-        return cls(vs, {tuple(1 if v == name else 0 for v in vs): 1})
+        return cls.from_canonical(vs, {tuple(1 if v == name else 0 for v in vs): cls._coeff(1)})
 
     def with_variables(self, variables: Sequence[str]):
         """Re-embed into a larger variable frame (must contain the current one)."""
@@ -116,7 +133,7 @@ class _SparsePolynomial:
             for pos, e in zip(idx, expv):
                 new[pos] = e
             terms[tuple(new)] = c
-        return type(self)(variables, terms)
+        return self.from_canonical(variables, terms)
 
     # -- queries --------------------------------------------------------------
 
@@ -184,12 +201,21 @@ class _SparsePolynomial:
         a, b = self._aligned(other)
         if a is NotImplemented:
             return NotImplemented
-        return type(self)(a.variables, list(a.terms.items()) + list(b.terms.items()))
+        is_zero = self._is_zero
+        terms = dict(a.terms)
+        for e, c in b.terms.items():
+            if e in terms:
+                c = terms[e] + c
+                if is_zero(c):
+                    del terms[e]
+                    continue
+            terms[e] = c
+        return self.from_canonical(a.variables, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self.variables, {e: -c for e, c in self.terms.items()})
+        return self.from_canonical(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         a, b = self._aligned(other)
@@ -204,11 +230,15 @@ class _SparsePolynomial:
         a, b = self._aligned(other)
         if a is NotImplemented:
             return NotImplemented
-        terms = []
+        terms = {}
+        get = terms.get
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                terms.append((tuple(x + y for x, y in zip(e1, e2)), c1 * c2))
-        return type(self)(a.variables, terms)
+                e = tuple(map(operator.add, e1, e2))
+                c = get(e)
+                terms[e] = c1 * c2 if c is None else c + c1 * c2
+        is_zero = self._is_zero
+        return self.from_canonical(a.variables, {e: c for e, c in terms.items() if not is_zero(c)})
 
     __rmul__ = __mul__
 
@@ -433,10 +463,16 @@ class RationalFunction:
         return self.num.substitute_rational(images) / self.den.substitute_rational(images)
 
     def __eq__(self, other) -> bool:
+        """The cross-multiplication identity, in the flat ring when both sides are exact."""
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return (self.num * o.den - o.num * self.den).is_exactly_zero()
+        a, b = self, o
+        if isinstance(a.num, Polynomial):
+            ring = FlatRing.over(merge_variables(a.variables, b.variables), (a, b))
+            if ring is not None:
+                a, b = ring(a), ring(b)
+        return (a.num * b.den - b.num * a.den).is_exactly_zero()
 
     __hash__ = None
 
@@ -447,6 +483,119 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self})"
+
+
+# -- rings of exact identities ---------------------------------------------------
+
+# The eps slot of a flat frame: the parser never reads "eps" as a variable name.
+FLAT_EPS = "eps"
+
+
+class NotFlat(Exception):
+    """A value has no image in a flat ring: an inexact coefficient, an eps
+    exponent off the ring's grid, or a variable outside its frame."""
+
+
+class SeriesRing:
+    """Rational functions over the series field in one frame: where identities
+    run when their data has no flat image (see FlatRing)."""
+
+    __slots__ = ("variables",)
+
+    def __init__(self, variables: Sequence[str]):
+        self.variables = tuple(variables)
+
+    def __call__(self, q) -> RationalFunction:
+        if isinstance(q, RationalFunction):
+            return q
+        if isinstance(q, Polynomial):
+            return RationalFunction(q)
+        return RationalFunction.constant(q, self.variables)
+
+
+class FlatRing:
+    """Exact rational functions over the series field as quotients in Q[t, 1/t][x].
+
+    With t = eps^(1/D), an exact coefficient sum_j a_j eps^(w_j) whose every
+    w_j*D is an integer maps to sum_j a_j t^(w_j*D).  The map is an injective
+    ring homomorphism, so an exact identity holds in one ring exactly when it
+    holds in the other, and products here build no series.  The t slot is
+    Laurent: its exponents may be negative.  Images are ResiduePolynomial
+    quotients over the frame (FLAT_EPS, *variables); numerator and
+    denominator share one integer scale, so every coefficient is an integer
+    and the quotient is unchanged.
+    """
+
+    __slots__ = ("variables", "denominator", "_slots")
+
+    def __init__(self, variables: Sequence[str], denominator: int):
+        variables = tuple(variables)
+        self.variables = (FLAT_EPS,) + variables
+        self.denominator = denominator
+        self._slots = {v: i for i, v in enumerate(variables, 1)}
+
+    @classmethod
+    def over(cls, variables: Sequence[str], values) -> "FlatRing | None":
+        """The flat ring of values (scalars, Polynomials, RationalFunctions), D
+        the lcm of their eps-exponent denominators; None if a coefficient is
+        inexact or D exceeds the exponent-denominator cap, where the series
+        ring's refusals (ExponentBlowup) must stay as they are."""
+        if FLAT_EPS in variables:
+            return None
+        den = 1
+        for q in values:
+            if isinstance(q, RationalFunction):
+                coefficients = (*q.num.terms.values(), *q.den.terms.values())
+            elif isinstance(q, Polynomial):
+                coefficients = q.terms.values()
+            else:
+                coefficients = (q,) if isinstance(q, FieldElement) else ()
+            for c in coefficients:
+                if c.precision is not None:
+                    return None
+                for w, _ in c.terms:
+                    if den % w.denominator:
+                        den = lcm(den, w.denominator)
+        return cls(variables, den) if den <= _EXPONENT_DENOMINATOR_CAP else None
+
+    def _terms(self, p: Polynomial) -> dict:
+        """(t exponent, *exponent vector) -> rational coefficient."""
+        slots = self._slots
+        if any(v not in slots for v in p.variables):
+            raise NotFlat(f"variables {p.variables} outside the frame {self.variables[1:]}")
+        slots = [slots[v] for v in p.variables]
+        width, den = len(self.variables), self.denominator
+        out = {}
+        for expv, c in p.terms.items():
+            if c.precision is not None:
+                raise NotFlat("inexact coefficient")
+            key = [0] * width
+            for i, e in zip(slots, expv):
+                key[i] = e
+            for w, a in c.terms:
+                k, rest = divmod(w.numerator * den, w.denominator)
+                if rest:
+                    raise NotFlat(f"eps exponent {w} off the grid 1/{den}")
+                key[0] = k
+                out[tuple(key)] = a
+        return out
+
+    def __call__(self, q) -> RationalFunction:
+        """The image of a scalar, Polynomial or RationalFunction over a sub-frame."""
+        one = {(0,) * len(self.variables): Fraction(1)}
+        if isinstance(q, RationalFunction):
+            num, den = self._terms(q.num), self._terms(q.den)
+        elif isinstance(q, Polynomial):
+            num, den = self._terms(q), one
+        elif isinstance(q, FieldElement):
+            num, den = self._terms(Polynomial.constant(q)), one
+        else:
+            q = Fraction(q)
+            num, den = ({(0,) * len(self.variables): q} if q else {}), one
+        scale = lcm(*(c.denominator for part in (num, den) for c in part.values()))
+        vs, flat = self.variables, ResiduePolynomial.from_canonical
+        return RationalFunction(flat(vs, {e: c.numerator * (scale // c.denominator) for e, c in num.items()}),
+                                flat(vs, {e: c.numerator * (scale // c.denominator) for e, c in den.items()}))
 
 
 def poly_eval(q: Union[Polynomial, RationalFunction], point: Sequence[FieldElement]) -> FieldElement:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .errors import DivisionByZero
-from .poly import Polynomial, RationalFunction, poly_eval
+from .poly import FlatRing, Polynomial, RationalFunction, SeriesRing, merge_variables, poly_eval
 from .series import FieldElement
 from .sets import SetDescriptor, align_to_set
 
@@ -34,9 +34,12 @@ class SOSExpr:
     def __setattr__(self, name, value):
         raise AttributeError("SOSExpr is immutable")
 
-    def denote(self) -> RationalFunction:
+    def denote(self, ring=None) -> RationalFunction:
+        """The sum of the squares; with a ring, of the summands' images in it."""
         total = None
         for s in self.summands:
+            if ring is not None:
+                s = ring(s)
             sq = s * s
             total = sq if total is None else total + sq
         return total
@@ -54,9 +57,11 @@ class SOSExpr:
 
 
 def verify_sos_expression(target: Union[RationalFunction, Polynomial], r: SOSExpr) -> bool:
-    """Exact rational-function identity target == sum of squares."""
+    """Exact rational-function identity target == sum of squares, in the flat ring when all is exact."""
     tgt = target if isinstance(target, RationalFunction) else RationalFunction(target)
-    return tgt == r.denote()
+    vs = merge_variables(tgt.variables, *(s.variables for s in r.summands))
+    ring = FlatRing.over(vs, (tgt, *r.summands)) or SeriesRing(vs)
+    return ring(tgt) == r.denote(ring)
 
 
 class ConeExpr:
@@ -73,12 +78,13 @@ class ConeExpr:
     def __setattr__(self, name, value):
         raise AttributeError("ConeExpr is immutable")
 
-    def denote(self, strict: Sequence[Polynomial]) -> RationalFunction:
+    def denote(self, strict: Sequence[Polynomial], ring=None) -> RationalFunction:
+        """The cone element; with a ring, built from the images of its parts in it."""
         total = None
         for sos, factors in self.entries:
-            term = sos.denote()
+            term = sos.denote(ring)
             for i in factors:
-                term = term * strict[i]
+                term = term * (strict[i] if ring is None else ring(strict[i]))
             total = term if total is None else total + term
         if total is None:
             raise ValueError("empty cone expression")
@@ -189,27 +195,39 @@ def verify_ring_membership(e: RingExpr, set_descriptor: SetDescriptor,
     return False
 
 
-def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor) -> RationalFunction:
-    """The rational function denoted by the tree relative to the set's generators."""
-    vs = set_descriptor.variables()
-    one = RationalFunction.constant(1, vs)
+def _in_set_frame(q: RationalFunction, set_descriptor: SetDescriptor, ring) -> RationalFunction:
+    """q aligned to the set's variables.  A flat ring's images are in that frame
+    already: it maps only values over canonical variables, which align by name."""
+    return q if isinstance(ring, FlatRing) else align_to_set(q, set_descriptor)
+
+
+def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None) -> RationalFunction:
+    """The rational function denoted by the tree relative to the set's generators.
+
+    Built in ring, a FlatRing or SeriesRing over the set's variables (by
+    default the series ring); a FlatRing raises NotFlat at a leaf without an
+    image in it.
+    """
+    ring = ring or SeriesRing(set_descriptor.variables())
+    one = ring(1)
     if isinstance(e, ConstExpr):
-        return RationalFunction.constant(e.value, vs)
+        return ring(e.value)
     if isinstance(e, GenExpr):
-        return set_descriptor.generators()[e.index]
+        return ring(set_descriptor.generators()[e.index])
     if isinstance(e, SosInverseExpr):
-        return one / (one + align_to_set(e.sos.denote(), set_descriptor))
+        return one / (one + _in_set_frame(e.sos.denote(ring), set_descriptor, ring))
     if isinstance(e, ConeInverseExpr):
-        return one / (one + align_to_set(e.cone.denote(set_descriptor.strict_constraints), set_descriptor))
+        cone = e.cone.denote(set_descriptor.strict_constraints, ring)
+        return one / (one + _in_set_frame(cone, set_descriptor, ring))
     if isinstance(e, SumExpr):
-        total = RationalFunction.constant(0, vs)
+        total = ring(0)
         for a in e.args:
-            total = total + ring_expr_to_rational(a, set_descriptor)
+            total = total + ring_expr_to_rational(a, set_descriptor, ring)
         return total
     if isinstance(e, ProdExpr):
         total = one
         for a in e.args:
-            total = total * ring_expr_to_rational(a, set_descriptor)
+            total = total * ring_expr_to_rational(a, set_descriptor, ring)
         return total
     raise TypeError(f"not a ring expression: {type(e).__name__}")
 
@@ -276,10 +294,9 @@ class PerturbedUnit:
     def is_well_formed(self) -> bool:
         return infinitesimal_or_zero(self.m)
 
-    def denote(self, set_descriptor: SetDescriptor) -> RationalFunction:
-        vs = set_descriptor.variables()
-        one = RationalFunction.constant(1, vs)
-        return one + RationalFunction.constant(self.m, vs) * ring_expr_to_rational(self.a, set_descriptor)
+    def denote(self, set_descriptor: SetDescriptor, ring=None) -> RationalFunction:
+        ring = ring or SeriesRing(set_descriptor.variables())
+        return ring(1) + ring(self.m) * ring_expr_to_rational(self.a, set_descriptor, ring)
 
     @staticmethod
     def trivial() -> "PerturbedUnit":

@@ -52,7 +52,8 @@ def canonical_variables(n: int) -> tuple[str, ...]:
 class SetDescriptor:
     """A polydisc or affine-module set, with optional strict constraints."""
 
-    __slots__ = ("kind", "n", "module_map", "strict_constraints")
+    # _generators: the generator functions, built by the first generators() call.
+    __slots__ = ("kind", "n", "module_map", "strict_constraints", "_generators")
 
     def __init__(self, kind: str, n: int | None = None, module_map: AffineModuleMap | None = None,
                  strict_constraints: Optional[Sequence[Polynomial]] = None):
@@ -89,8 +90,12 @@ class SetDescriptor:
     def variables(self) -> tuple[str, ...]:
         return canonical_variables(self.n)
 
-    def generators(self) -> list[RationalFunction]:
+    def generators(self) -> tuple[RationalFunction, ...]:
         """The functions whose integrality defines the set."""
+        try:
+            return self._generators
+        except AttributeError:
+            pass
         vs = self.variables()
         gens = []
         for i in range(self.n):
@@ -103,6 +108,8 @@ class SetDescriptor:
                 num = xi - Polynomial.constant(a, vs)
                 den = Polynomial.constant(s, vs)
                 gens.append(RationalFunction(num, den))
+        gens = tuple(gens)
+        object.__setattr__(self, "_generators", gens)
         return gens
 
     # -- membership ------------------------------------------------------------

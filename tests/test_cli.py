@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from rcvf.cli import _parser, build_parser, run
-from rcvf.errors import ParseError
+from rcvf.errors import ParseError, RcvfError
 from rcvf.jsonio import (
     canonical_dumps,
     certificate_from_json,
@@ -21,7 +21,7 @@ from rcvf.jsonio import (
     set_from_json,
     set_to_json,
 )
-from rcvf.parser import parse_expression
+from rcvf.parser import _Parser, parse_expression
 from rcvf.poly import Polynomial, RationalFunction
 from rcvf.series import FieldElement
 from rcvf.sets import AffineModuleMap, SetDescriptor
@@ -74,6 +74,57 @@ class TestParser:
                     v2 = RationalFunction(v2 if isinstance(v2, Polynomial)
                                           else Polynomial.constant(v2))
                 assert v == v2
+
+
+    def test_monomial_path_matches_general_path(self, monkeypatch):
+        # Monomial terms are read straight into the sum; the general path
+        # (every term through term(), the sum folded pairwise) must give the
+        # same value, term for term and precision for precision, or the same error.
+        rng = random.Random(654)
+        texts = [_random_text(rng) for _ in range(400)]
+        texts += ["0*x", "0*eps^(1/3)*eps^(1/64)", "eps^(1/3)*eps^(1/64)*x", "x*eps^(1/65)", "2^3*x",
+                  "x^-1 + 1", "1 + x^-1 + x", "-x + x", "1/(1+eps)*x + x - x", "3/0*x", "x/0", "eps^(3/0)",
+                  "x^(1/2)", "2*-x", "x^2^3", "eps(1)", "1 +", "(x + 1)*x - x^2 - x", "eps^(-5/64)*eps^(1/2)",
+                  "0*x + 1/x", "0 - 1/x + x"]
+        ran = [_parsed(t) for t in texts]
+        monkeypatch.setattr(_Parser, "_monomial", lambda self: None)
+        assert [_parsed(t) for t in texts] == ran
+        assert len({r[0] for r in ran}) == 6  # scalars, polynomials, quotients and three kinds of error
+
+
+def _random_text(rng, depth=0) -> str:
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            k = rng.random()
+            if k < 0.25:
+                factors.append(rng.choice(["0", "1", "3", "2/3", "7/4", "-1"]))
+            elif k < 0.45:
+                factors.append("eps" + rng.choice(["", "^2", "^-1", "^0", "^(1/2)", "^(-2/3)", "^(1/64)",
+                                                    "^(1/65)", "^(3/64)"]))
+            elif k < 0.85 or depth >= 2:
+                factors.append(rng.choice(["x", "y", "x1", "x2"]) + rng.choice(["", "", "^2", "^0", "^-1", "^(2)"]))
+            else:
+                factors.append("(" + _random_text(rng, depth + 1) + ")")
+        terms.append("".join(f + rng.choice(["*", "*", "*", "/"]) for f in factors[:-1]) + factors[-1])
+    return rng.choice(["", "-"]) + "".join(t + rng.choice([" + ", " - "]) for t in terms[:-1]) + terms[-1]
+
+
+def _canonical(v):
+    if isinstance(v, FieldElement):
+        return (v.terms, v.precision)
+    if isinstance(v, RationalFunction):
+        return (_canonical(v.num), _canonical(v.den))
+    return (v.variables, [(e, _canonical(c)) for e, c in v.terms.items()])
+
+
+def _parsed(text):
+    try:
+        v = parse_expression(text)
+    except RcvfError as exc:
+        return type(exc).__name__, str(exc)
+    return type(v).__name__, _canonical(v)
 
 
 def _random_poly(rng):
@@ -336,8 +387,10 @@ _STRICT_SET = {"kind": "ball", "n": 1, "strict": ["x1"]}
 
 
 class TestMalformedCertificates:
-    # The last five put a float or a boolean where a JSON integer belongs;
-    # int() would read each one as a valid index or dimension.
+    # Five put a float or a boolean where a JSON integer belongs; int() would
+    # read each one as a valid index or dimension.  The last three hold a
+    # truncated value (1/(1+eps) is cut at the working order), which verified
+    # as false, exit 1, before.
     @pytest.mark.parametrize("blob", [
         dict(_WELL_FORMED, r="12"),  # a string would be read as the summands "1" and "2"
         [_WELL_FORMED],
@@ -347,8 +400,11 @@ class TestMalformedCertificates:
         dict(_WELL_FORMED, witness=_zero_times({"op": "gen", "index": 0.9})),
         dict(_WELL_FORMED, witness=_zero_times({"op": "gen", "index": False})),
         dict(_WELL_FORMED, set=_STRICT_SET, witness=_zero_times(_cone_inverse([0.5]))),
+        dict(_WELL_FORMED, p="1/(1+eps)*x1^2"),
+        dict(_WELL_FORMED, h={"num": "1/(1+eps)*x1^2", "den": "1"}),
+        dict(_WELL_FORMED, witness=_zero_times({"op": "const", "value": "1/(1+eps)"})),
     ], ids=["string_r", "top_level_list", "integer_args", "float_n", "bool_n", "float_index",
-            "bool_index", "float_factor"])
+            "bool_index", "float_factor", "truncated_p", "truncated_h_num", "truncated_witness_const"])
     def test_malformed_file_is_usage_error(self, tmp_path, blob):
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(blob))

@@ -1,0 +1,317 @@
+"""Exact identities in the flat ring give the series ring's verdicts.
+
+The flat ring (``rcvf.poly.FlatRing``) maps exact polynomials over the series
+field into Q[t, 1/t][x] with t = eps^(1/D).  Each case below is checked twice:
+as it runs, and with ``FlatRing.over`` answering None, which puts every
+identity back on the series ring as it ran before the flat ring existed.
+Both runs must give the same verdict and reason, or raise the same error.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from rcvf.certificates import (
+    DickmannCertificate,
+    DickmannTerm,
+    IntegralityWitness,
+    NonnegCertificate,
+    QuotientCoefficient,
+    verify_dickmann_certificate,
+    verify_nonneg_certificate,
+)
+from rcvf.errors import ExponentBlowup, RcvfError
+from rcvf.jsonio import certificate_from_json, certificate_to_json
+from rcvf.parser import parse_expression
+from rcvf.poly import FlatRing, Polynomial, RationalFunction, SeriesRing
+from rcvf.ringexpr import (
+    ConeExpr,
+    ConeInverseExpr,
+    ConstExpr,
+    GenExpr,
+    PerturbedUnit,
+    ProdExpr,
+    SOSExpr,
+    SosInverseExpr,
+    SumExpr,
+    polynomial_to_ring_expr,
+    verify_sos_expression,
+)
+from rcvf.series import FieldElement
+from rcvf.sets import SetDescriptor
+
+from conftest import small_fraction
+
+F = Fraction
+VS = ("x1", "x2")
+BALL = SetDescriptor.unit_polydisc(2)
+# eps exponents of the random coefficients: negative, zero, fractional (D = 6).
+EXPONENTS = [F(-1), F(0), F(0), F(1), F(1, 2), F(2, 3), F(-1, 3)]
+
+
+def random_poly(rng, exponents=EXPONENTS, terms=3, degree=2) -> Polynomial:
+    out = {}
+    for _ in range(terms):
+        expv = tuple(rng.randint(0, degree) for _ in VS)
+        out[expv] = out.get(expv, FieldElement.zero()) + FieldElement.eps_power(
+            rng.choice(exponents), small_fraction(rng, nonzero=True))
+    return Polynomial(VS, out)
+
+
+def sos_certificate(rng):
+    """p = sum r_i^2, m = 0, the trivial witness."""
+    r = [random_poly(rng) for _ in range(rng.randint(1, 3))]
+    p = sum((s * s for s in r[1:]), r[0] * r[0])
+    zero = RationalFunction.constant(0, VS)
+    return p, NonnegCertificate(SOSExpr(r), FieldElement.zero(), zero, IntegralityWitness.trivial())
+
+
+def unit_certificate(rng, m=None):
+    """p = c^2 - m*q with c = 1 + T, T = sum t_j^2; r = [c], h = q/p.
+
+    With S = c^2 - 1 = sum (t_j^2 + t_j^2) + T^2, the witness is
+    h = [q / (1+S)] / (1 - m * [q / (1+S)]), the iord leaf denoting 1/(1+S).
+    q has integral coefficients, so its ring tree passes the membership check.
+    """
+    t = [random_poly(rng, terms=2, degree=1) for _ in range(2)]
+    big_t = t[0] * t[0] + t[1] * t[1]
+    c = big_t + 1
+    m = m if m is not None else FieldElement.eps_power(rng.choice([F(1), F(1, 2), F(2)]))
+    q = random_poly(rng, exponents=[F(0), F(1), F(1, 3)], terms=2)
+    p = c * c - q.scale(m)
+    leaf = ProdExpr([polynomial_to_ring_expr(q, BALL), SosInverseExpr(SOSExpr(t + t + [big_t]))])
+    witness = IntegralityWitness(leaf, PerturbedUnit(-m, leaf))
+    return p, NonnegCertificate(SOSExpr([c]), m, RationalFunction(q, p), witness)
+
+
+def mutants(p, cert):
+    """One copy per changed field, each of which must fail the check."""
+    x = Polynomial.variable("x1", VS)
+    w = cert.witness
+    yield "p", p + x, cert
+    yield "r", p, NonnegCertificate(SOSExpr([cert.r.summands[0] + x, *cert.r.summands[1:]]),
+                                    cert.m, cert.h, w)
+    m = FieldElement.one() if cert.m.is_exact_zero() else -cert.m
+    yield "m", p, NonnegCertificate(cert.r, m, cert.h, w)
+    yield "h.num", p, NonnegCertificate(cert.r, cert.m, RationalFunction(cert.h.num + x, cert.h.den), w)
+    yield "witness.num", p, NonnegCertificate(cert.r, cert.m, cert.h, IntegralityWitness(
+        SumExpr([w.numerator, ConstExpr(1)]), w.denominator))
+    yield "witness.den.m", p, NonnegCertificate(cert.r, cert.m, cert.h, IntegralityWitness(
+        w.numerator, PerturbedUnit(cert.m, w.denominator.a)))
+
+
+def outcome(check, *args):
+    """(verdict, reason) of a check, or the name of the error it raised."""
+    try:
+        result = check(*args)
+    except RcvfError as exc:
+        return type(exc).__name__
+    return (result.ok, result.reason) if hasattr(result, "ok") else result
+
+
+def series_only(monkeypatch):
+    """A context in which every identity runs on the series ring."""
+    context = monkeypatch.context()
+    context.__enter__().setattr(FlatRing, "over", classmethod(lambda cls, variables, values: None))
+    return context
+
+
+def flat_and_series(monkeypatch, check, *args) -> list:
+    """[outcome as it runs, outcome on the series ring]."""
+    flat = outcome(check, *args)
+    context = series_only(monkeypatch)
+    try:
+        series = outcome(check, *args)
+    finally:
+        context.__exit__(None, None, None)
+    return [flat, series]
+
+
+def record_rings(monkeypatch) -> list:
+    """The rings FlatRing.over hands out, in order (None where it refuses)."""
+    rings = []
+    over = FlatRing.over.__func__
+
+    def recording(cls, variables, values):
+        ring = over(cls, variables, values)
+        rings.append(ring)
+        return ring
+
+    monkeypatch.setattr(FlatRing, "over", classmethod(recording))
+    return rings
+
+
+class TestSameVerdicts:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sos_certificates_and_mutants(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        p, cert = sos_certificate(rng)
+        assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, cert, BALL) == [(True, None)] * 2
+        for name, mp, mc in mutants(p, cert):
+            flat, series = flat_and_series(monkeypatch, verify_nonneg_certificate, mp, mc, BALL)
+            assert flat == series, name
+            if name in ("p", "r", "m"):
+                assert flat[0] is False, name
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_unit_certificates_and_mutants(self, monkeypatch, seed):
+        rng = random.Random(100 + seed)
+        p, cert = unit_certificate(rng)
+        assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, cert, BALL) == [(True, None)] * 2
+        for name, mp, mc in mutants(p, cert):
+            flat, series = flat_and_series(monkeypatch, verify_nonneg_certificate, mp, mc, BALL)
+            assert flat == series, name
+            assert flat[0] is False, name
+
+    def test_flat_ring_is_taken(self, monkeypatch):
+        rings = record_rings(monkeypatch)
+        p, cert = unit_certificate(random.Random(5))
+        assert verify_nonneg_certificate(p, cert, BALL).ok
+        assert rings and all(isinstance(ring, FlatRing) for ring in rings)
+        # eps exponents in thirds and halves: the grid is eps^(1/6) or a divisor.
+        assert 6 % rings[0].denominator == 0
+
+    @pytest.mark.parametrize("a", [F(0), F(1, 2), F(2, 3)])
+    def test_monic_witness(self, monkeypatch, a):
+        # h = eps^a * x1 on the ball, m = 0, p = x1^2 + 1 = x1^2 + 1^2; the
+        # witness is monic: h^2 + c_1 h + c_0 = 0 with c_1 = -eps^a * gen(0), c_0 = 0.
+        x, one = Polynomial.variable("x1", VS), Polynomial.constant(1, VS)
+        scale = FieldElement.eps_power(a)
+        h = RationalFunction(x.scale(scale))
+        r = SOSExpr([x, one])
+        trivial = PerturbedUnit.trivial()
+
+        def certificate(c1):
+            monic = (QuotientCoefficient(ConstExpr(0), trivial),
+                     QuotientCoefficient(ProdExpr([ConstExpr(-c1), GenExpr(0)]), trivial))
+            witness = IntegralityWitness(GenExpr(0), trivial, monic)
+            return NonnegCertificate(r, FieldElement.zero(), h, witness)
+
+        p = x * x + one
+        for c1, expected in ((scale, (True, None)),
+                             (scale + FieldElement.eps_power(1), (False, "witness_monic_identity_failed"))):
+            assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, certificate(c1), BALL) == \
+                [expected] * 2
+
+    def test_dickmann_certificates(self, monkeypatch):
+        rng = random.Random(11)
+        for _ in range(8):
+            q1, q2 = random_poly(rng, exponents=[F(0), F(1, 2)]), random_poly(rng, exponents=[F(0), F(1)])
+            m1, m2 = FieldElement.eps_power(F(1, 3)), FieldElement.eps_power(2, -1)
+            # With m2 = 0 the sum is the polynomial 1 + m1*q1^2.
+            p = q1 * q1 * m1 + 1
+            valid = DickmannCertificate((DickmannTerm(m1, q1, FieldElement.zero(), q2),))
+            twice = DickmannCertificate((DickmannTerm(m1, q1, FieldElement.zero(), q2),) * 2)
+            quotient = DickmannCertificate((DickmannTerm(m1, q1, m2, q2),))
+            cases = [(p, valid, (True, None)), (p, twice, (False, "identity_failed")),
+                     (p, quotient, (False, "identity_failed")), (p + p, twice, (True, None))]
+            for check_p, cert, expected in cases:
+                assert flat_and_series(monkeypatch, verify_dickmann_certificate, check_p, cert) == [expected] * 2
+
+    def test_sos_expressions(self, monkeypatch):
+        rng = random.Random(13)
+        for _ in range(8):
+            q1, q2 = random_poly(rng), random_poly(rng)
+            r = SOSExpr([q1, RationalFunction(q2, Polynomial.constant(FieldElement.eps_power(-1), VS))])
+            target = r.denote()
+            for tgt, holds in ((target, True), (target + q1 * q1, False), (target.num, False)):
+                assert flat_and_series(monkeypatch, verify_sos_expression, tgt, r) == [holds] * 2
+
+    def test_rational_function_equality(self, monkeypatch):
+        rng = random.Random(12)
+        for _ in range(40):
+            a, b, c = random_poly(rng), random_poly(rng), random_poly(rng)
+            if b.is_exactly_zero() or c.is_exactly_zero():
+                continue
+            left = RationalFunction(a, b)
+            right = RationalFunction(a * c, b * c)
+            other = RationalFunction(a * c + Polynomial.constant(FieldElement.eps_power(F(-1, 2)), VS), b * c)
+            for x, y in ((left, right), (left, other), (right, left)):
+                flat, series = flat_and_series(monkeypatch, lambda u, v: u == v, x, y)
+                assert flat == series == (y is not other)
+
+
+class TestFallback:
+    def test_inexact_certificate_keeps_its_verdict(self, monkeypatch):
+        # r has a truncated coefficient: 1/(1 + eps) = 1 - eps + ... + O(eps^32).
+        r = parse_expression("1/(1+eps) + x1").with_variables(VS)
+        assert r.terms[(0, 0)].precision is not None
+        p = r * r
+        zero = RationalFunction.constant(0, VS)
+        cert = NonnegCertificate(SOSExpr([r]), FieldElement.zero(), zero, IntegralityWitness.trivial())
+        rings = record_rings(monkeypatch)
+        flat = outcome(verify_nonneg_certificate, p, cert, BALL)
+        assert rings and all(ring is None for ring in rings)
+        assert flat == (False, "identity_failed")
+        monkeypatch.undo()
+        assert flat == flat_and_series(monkeypatch, verify_nonneg_certificate, p, cert, BALL)[1]
+
+    def test_inexact_witness_leaf_keeps_its_verdict(self, monkeypatch):
+        p, cert = unit_certificate(random.Random(3))
+        w = cert.witness
+        inexact = ConstExpr(FieldElement([(0, 1)], precision=5))
+        for num, expected in ((SumExpr([w.numerator, ProdExpr([inexact, ConstExpr(0)])]), (True, None)),
+                              (SumExpr([w.numerator, inexact]), (False, "witness_identity_failed"))):
+            changed = NonnegCertificate(cert.r, cert.m, cert.h, IntegralityWitness(num, w.denominator))
+            assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, changed, BALL) == [expected] * 2
+
+    def test_witness_leaf_off_the_grid_falls_back(self, monkeypatch):
+        # The main identity's eps exponents are in halves and thirds, so its grid
+        # divides 1/6; eps^(1/5) in the witness has no image in that ring, and the
+        # witness identity reruns on the series ring.
+        p, cert = unit_certificate(random.Random(4))
+        assert 6 % FlatRing.over(VS, (p, cert.m, cert.h, *cert.r.summands)).denominator == 0
+        w = cert.witness
+        off = ProdExpr([ConstExpr(FieldElement.eps_power(F(1, 5))), ConstExpr(0)])
+        series_rings = []
+        original = SeriesRing.__init__
+
+        def counting(self, variables):
+            series_rings.append(variables)
+            original(self, variables)
+
+        for num, expected in ((SumExpr([w.numerator, off]), (True, None)),
+                              (SumExpr([w.numerator, off, ConstExpr(FieldElement.eps_power(F(1, 5)))]),
+                               (False, "witness_identity_failed"))):
+            changed = NonnegCertificate(cert.r, cert.m, cert.h, IntegralityWitness(num, w.denominator))
+            monkeypatch.setattr(SeriesRing, "__init__", counting)
+            series_rings.clear()
+            assert outcome(verify_nonneg_certificate, p, changed, BALL) == expected
+            assert series_rings == [VS]
+            monkeypatch.undo()
+            assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, changed, BALL) == [expected] * 2
+
+    def test_exponent_blowup_stays(self, monkeypatch):
+        # eps^(1/3) * eps^(1/64) = eps^(67/192): the denominator 192 is over the cap of 64.
+        r = Polynomial(VS, {(0, 0): FieldElement.eps_power(F(1, 3)), (1, 0): FieldElement.eps_power(F(1, 64))})
+        zero = RationalFunction.constant(0, VS)
+        cert = NonnegCertificate(SOSExpr([r]), FieldElement.zero(), zero, IntegralityWitness.trivial())
+        p = Polynomial.constant(1, VS)
+        rings = record_rings(monkeypatch)
+        with pytest.raises(ExponentBlowup):
+            verify_nonneg_certificate(p, cert, BALL)
+        assert rings[0] is None
+        monkeypatch.undo()
+        assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, cert, BALL) == ["ExponentBlowup"] * 2
+
+    def test_division_by_zero_stays(self, monkeypatch):
+        # 1 + (1^2) * (-1) = 0: the cone inverse divides by zero on both rings.
+        sd = SetDescriptor.unit_polydisc(2, [Polynomial.constant(-1, VS)])
+        cone = ConeInverseExpr(ConeExpr([(SOSExpr([Polynomial.constant(1, VS)]), (0,))]))
+        zero = RationalFunction.constant(0, VS)
+        cert = NonnegCertificate(SOSExpr([Polynomial.constant(1, VS)]), FieldElement.zero(), zero,
+                                 IntegralityWitness(ProdExpr([ConstExpr(0), cone]), PerturbedUnit.trivial()))
+        assert flat_and_series(monkeypatch, verify_nonneg_certificate, Polynomial.constant(1, VS), cert, sd) == \
+            ["DivisionByZero"] * 2
+
+    def test_parsed_certificates_verify_in_the_flat_ring(self, monkeypatch):
+        rng = random.Random(21)
+        for build in (sos_certificate, unit_certificate):
+            p, cert = build(rng)
+            p2, sd, cert2 = certificate_from_json(certificate_to_json(p, BALL, cert))
+            rings = record_rings(monkeypatch)
+            assert verify_nonneg_certificate(p2, cert2, sd).ok
+            assert all(isinstance(ring, FlatRing) for ring in rings)
+            monkeypatch.undo()
+

@@ -19,9 +19,10 @@ from pathlib import Path
 import pytest
 
 import rcvf
-from rcvf import certificates, series, sets, sos
-from rcvf.certificates import CERTIFICATE, falsify_nonnegativity, generate_ball_certificate
+from rcvf import certificates, jsonio, series, sets, sos
+from rcvf.certificates import CERTIFICATE, falsify_nonnegativity, generate_ball_certificate, verify_nonneg_certificate
 from rcvf.parser import parse_expression
+from rcvf.poly import Polynomial, _SparsePolynomial
 from rcvf.sampling import SampleConfig
 from rcvf.series import FieldElement
 from rcvf.sets import SetDescriptor
@@ -182,3 +183,38 @@ def test_falsifier_sign_tests_build_no_series(monkeypatch):
     assert len(draws) == 2 * 90  # 30 structured points, 90 random ones of two coordinates
     assert comparisons == []
     assert len(inits) <= FALSIFY_INITS
+
+
+# FieldElement.__init__ calls of the check below: 229 when every product of the
+# identities was built over series coefficients.  The two left build the set's
+# generator functions.
+VERIFY_INITS = 2
+
+_LEAF = {"op": "prod", "args": [{"op": "gen", "index": 0}, {"op": "iord", "summands": [
+    {"num": "x1", "den": "1"}, {"num": "x1", "den": "1"}, {"num": "x1^2", "den": "1"}]}]}
+# p = c^2 - eps*x1 with c = 1 + x1^2 and h = x1/p; the witness is
+# [x1/(1+S)] / (1 - eps*[x1/(1+S)]) with S = x1^2 + x1^2 + (x1^2)^2 = c^2 - 1.
+_UNIT_CERTIFICATE = {"p": "1 + 2*x1^2 + x1^4 - eps*x1", "set": {"kind": "ball", "n": 1}, "r": ["1 + x1^2"],
+                     "m": "eps", "h": {"num": "x1", "den": "1 + 2*x1^2 + x1^4 - eps*x1"},
+                     "witness": {"num": _LEAF, "den": {"m": "-eps", "a": _LEAF}, "monic": None}}
+
+
+def test_exact_identities_build_no_series(monkeypatch):
+    p, sd, cert = jsonio.certificate_from_json(_UNIT_CERTIFICATE)
+    inits = count_calls(monkeypatch, [(FieldElement, "__init__")])
+    assert verify_nonneg_certificate(p, cert, sd).ok
+    assert len(inits) <= VERIFY_INITS
+
+
+def test_polynomial_arithmetic_skips_validation(monkeypatch):
+    a = parse_expression("1 + eps*x1 - x2^2")
+    b = parse_expression("x1 - (1/2)*eps^(1/2)*x3")
+    inits = count_calls(monkeypatch, [(_SparsePolynomial, "__init__")])
+    a + b, a - b, a * b, a**3, -a, 2 * a, a + 1, a.with_variables(("x1", "x2", "x3"))
+    assert inits == []
+
+
+def test_traced_polynomial_methods_stay_in_polynomial():
+    # perfbench/tracing.py wraps these in Polynomial's own namespace.
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__", "evaluate"):
+        assert name in vars(Polynomial), name
