@@ -48,51 +48,22 @@ def pretty_dumps(obj) -> str:
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
 
-def _expect(obj, kind: type, what: str):
-    """obj itself when it has the JSON type kind, else EncodingError.  Readers
-    check every node: a string where a list belongs would be iterated, and
-    int() would read 0.9 or true as an index."""
+def _expect(obj, what: str, kind: type):
+    """obj, the value at the path what, when it has the JSON type kind, else
+    EncodingError.  Readers check every node: a string where a list belongs
+    would be iterated, and int() would read 0.9 or true as an index."""
     if not isinstance(obj, kind) or isinstance(obj, bool):
         raise EncodingError(f"{what} must be {_JSON_TYPES[kind]} in JSON, got {type(obj).__name__}")
     return obj
 
 
-def _objects(obj, what: str) -> list:
-    return [_expect(item, dict, f"an item of {what}") for item in _expect(obj, list, what)]
-
-
-def _truncated(v) -> bool:
-    if isinstance(v, FieldElement):
-        return v.precision is not None
-    if isinstance(v, RationalFunction):
-        return _truncated(v.num) or _truncated(v.den)
-    return any(c.precision is not None for c in v.terms.values())
-
-
-def _parse(text, exact: bool):
-    """The parsed value; with exact, EncodingError if it has a truncated
-    coefficient (a division by a multi-term scalar), since a certificate
-    holds exact data only."""
-    v = parse_expression(_expect(text, str, "expression text"))
-    if exact and _truncated(v):
-        raise EncodingError(f"inexact coefficient in {text!r}: a certificate holds exact values only")
-    return v
-
-
-# -- scalars and polynomials ---------------------------------------------------
+# -- scalars, polynomials and quotients --------------------------------------------
 
 
 def element_to_text(x: FieldElement) -> str:
     if x.precision is not None:
         raise EncodingError("cannot serialize a truncated element")
     return str(x)
-
-
-def element_from_text(text: str, exact: bool = True) -> FieldElement:
-    v = _parse(text, exact)
-    if not isinstance(v, FieldElement):
-        raise EncodingError(f"expected a scalar, got {type(v).__name__}: {text!r}")
-    return v
 
 
 def poly_to_text(p: Polynomial) -> str:
@@ -102,32 +73,9 @@ def poly_to_text(p: Polynomial) -> str:
     return str(p)
 
 
-def poly_from_text(text: str, exact: bool = True) -> Polynomial:
-    v = _parse(text, exact)
-    if isinstance(v, FieldElement):
-        return Polynomial.constant(v)
-    if isinstance(v, RationalFunction):
-        if not v.den.is_constant():
-            raise EncodingError(f"expected a polynomial, got a quotient: {text!r}")
-        c = v.den.constant_value()
-        if len(c.terms) != 1:
-            raise EncodingError(f"non-monomial constant denominator in {text!r}")
-        return v.num.scale(c.invert())
-    return v
-
-
 def rational_to_text(rf: RationalFunction) -> str:
     poly_to_text(rf.num), poly_to_text(rf.den)  # exactness check
     return str(rf)
-
-
-def rational_from_text(text: str) -> RationalFunction:
-    v = _parse(text, True)
-    if isinstance(v, FieldElement):
-        return RationalFunction.constant(v)
-    if isinstance(v, Polynomial):
-        return RationalFunction(v)
-    return v
 
 
 # -- sets ------------------------------------------------------------------------
@@ -149,15 +97,7 @@ def set_to_json(s: SetDescriptor) -> dict:
 
 def set_from_json(obj: dict) -> SetDescriptor:
     """A set; unlike a certificate's values, its values may be truncated."""
-    obj = _expect(obj, dict, "set")
-    strict = [poly_from_text(t, exact=False) for t in _expect(obj.get("strict", []), list, "strict")] or None
-    if obj["kind"] == "ball":
-        return SetDescriptor.unit_polydisc(_expect(obj["n"], int, "n"), strict)
-    if obj["kind"] == "affine":
-        centers = tuple(element_from_text(t, exact=False) for t in _expect(obj["centers"], list, "centers"))
-        scales = tuple(element_from_text(t, exact=False) for t in _expect(obj["scales"], list, "scales"))
-        return SetDescriptor.affine_module(AffineModuleMap(centers, scales), strict)
-    raise EncodingError(f"unknown set kind {obj.get('kind')!r}")
+    return _Reader().set(obj, "set")
 
 
 # -- ring expressions --------------------------------------------------------------
@@ -165,13 +105,6 @@ def set_from_json(obj: dict) -> SetDescriptor:
 
 def _sos_to_json(sos: SOSExpr) -> list:
     return [{"num": poly_to_text(s.num), "den": poly_to_text(s.den)} for s in sos.summands]
-
-
-def _sos_from_json(items) -> SOSExpr:
-    summands = []
-    for it in _objects(items, "summands"):
-        summands.append(RationalFunction(poly_from_text(it["num"]), poly_from_text(it["den"])))
-    return SOSExpr(summands)
 
 
 def ring_expr_to_json(e: RingExpr) -> dict:
@@ -193,33 +126,11 @@ def ring_expr_to_json(e: RingExpr) -> dict:
 
 
 def ring_expr_from_json(obj: dict) -> RingExpr:
-    op = _expect(obj, dict, "ring expression").get("op")
-    if op == "const":
-        return ConstExpr(element_from_text(obj["value"]))
-    if op == "gen":
-        return GenExpr(_expect(obj["index"], int, "index"))
-    if op == "iord":
-        return SosInverseExpr(_sos_from_json(obj["summands"]))
-    if op == "icone":
-        entries = [(_sos_from_json(t["coeff"]),
-                    tuple(_expect(i, int, "an item of factors")
-                          for i in _expect(t["factors"], list, "factors")))
-                   for t in _objects(obj["entries"], "entries")]
-        return ConeInverseExpr(ConeExpr(entries))
-    if op == "sum":
-        return SumExpr([ring_expr_from_json(a) for a in _expect(obj["args"], list, "args")])
-    if op == "prod":
-        return ProdExpr([ring_expr_from_json(a) for a in _expect(obj["args"], list, "args")])
-    raise EncodingError(f"unknown ring expression op {op!r}")
+    return _Reader().ring_expr(obj, "expression")
 
 
 def _unit_to_json(u: PerturbedUnit) -> dict:
     return {"m": element_to_text(u.m), "a": ring_expr_to_json(u.a)}
-
-
-def _unit_from_json(obj: dict) -> PerturbedUnit:
-    obj = _expect(obj, dict, "unit")
-    return PerturbedUnit(element_from_text(obj["m"]), ring_expr_from_json(obj["a"]))
 
 
 def witness_to_json(w: IntegralityWitness) -> dict:
@@ -227,15 +138,6 @@ def witness_to_json(w: IntegralityWitness) -> dict:
     if w.monic is not None:
         monic = [{"num": ring_expr_to_json(c.num), "den": _unit_to_json(c.den)} for c in w.monic]
     return {"num": ring_expr_to_json(w.numerator), "den": _unit_to_json(w.denominator), "monic": monic}
-
-
-def witness_from_json(obj: dict) -> IntegralityWitness:
-    obj = _expect(obj, dict, "witness")
-    monic = None
-    if obj.get("monic") is not None:
-        monic = tuple(QuotientCoefficient(ring_expr_from_json(c["num"]), _unit_from_json(c["den"]))
-                      for c in _objects(obj["monic"], "monic"))
-    return IntegralityWitness(ring_expr_from_json(obj["num"]), _unit_from_json(obj["den"]), monic)
 
 
 # -- certificates --------------------------------------------------------------------
@@ -255,12 +157,147 @@ def certificate_to_json(p: Polynomial, set_descriptor: SetDescriptor,
 
 def certificate_from_json(obj: dict):
     """Returns (p, set_descriptor, certificate)."""
-    obj = _expect(obj, dict, "certificate")
-    p = poly_from_text(obj["p"])
-    sd = set_from_json(obj["set"])
-    r = SOSExpr([rational_from_text(t) for t in _expect(obj["r"], list, "r")])
-    m = element_from_text(obj["m"])
-    h_obj = _expect(obj["h"], dict, "h")
-    h = RationalFunction(poly_from_text(h_obj["num"]), poly_from_text(h_obj["den"]))
-    witness = witness_from_json(obj["witness"])
-    return p, sd, NonnegCertificate(r, m, h, witness)
+    return _Reader().certificate(obj)
+
+
+# -- reading ---------------------------------------------------------------------------
+
+
+def _field(obj: dict, key: str, path: str = "") -> tuple:
+    """(obj[key], its path), obj being the object at path; EncodingError naming
+    that path when the field is missing."""
+    at = f"{path}.{key}" if path else key
+    if key not in obj:
+        raise EncodingError(f"missing field {at}")
+    return obj[key], at
+
+
+def _truncated(v) -> bool:
+    if isinstance(v, FieldElement):
+        return v.precision is not None
+    if isinstance(v, RationalFunction):
+        return _truncated(v.num) or _truncated(v.den)
+    return any(c.precision is not None for c in v.terms.values())
+
+
+def _items(obj, path: str, kind: type | None = None) -> list:
+    """(item, its path) for each item of the list at path; each item checked
+    to be of the JSON type kind, if given."""
+    items = [(item, f"{path}[{i}]") for i, item in enumerate(_expect(obj, path, list))]
+    return items if kind is None else [(_expect(item, at, kind), at) for item, at in items]
+
+
+def _sum_of_squares(summands: list, path: str) -> SOSExpr:
+    if not summands:
+        raise EncodingError(f"{path} must hold at least one summand")
+    return SOSExpr(summands)
+
+
+class _Reader:
+    """Reads the values of one JSON document.
+
+    Each distinct expression text is parsed once: a unit certificate repeats
+    p as h.den and the leaf 1/(1+S) of its witness.  The memo lives as long
+    as the reader, and a reader serves one call.  Errors name the path of the
+    field at fault, such as ``witness.num.args[1].value``.
+    """
+
+    def __init__(self):
+        self.parsed = {}  # text -> parsed value
+
+    def _parse(self, text, path: str, exact: bool):
+        """The parsed value; with exact, EncodingError if it has a truncated
+        coefficient (a division by a multi-term scalar), since a certificate
+        holds exact data only."""
+        text = _expect(text, path, str)
+        v = self.parsed.get(text)
+        if v is None:
+            v = self.parsed[text] = parse_expression(text)
+        if exact and _truncated(v):
+            raise EncodingError(f"inexact coefficient in {path} {text!r}: a certificate holds exact values only")
+        return v
+
+    def element(self, text, path: str, exact: bool = True) -> FieldElement:
+        v = self._parse(text, path, exact)
+        if not isinstance(v, FieldElement):
+            raise EncodingError(f"{path}: expected a scalar, got {type(v).__name__}: {text!r}")
+        return v
+
+    def poly(self, text, path: str, exact: bool = True) -> Polynomial:
+        v = self._parse(text, path, exact)
+        if isinstance(v, FieldElement):
+            return Polynomial.constant(v)
+        if isinstance(v, RationalFunction):
+            if not v.den.is_constant():
+                raise EncodingError(f"{path}: expected a polynomial, got a quotient: {text!r}")
+            c = v.den.constant_value()
+            if len(c.terms) != 1:
+                raise EncodingError(f"{path}: non-monomial constant denominator in {text!r}")
+            return v.num.scale(c.invert())
+        return v
+
+    def rational(self, text, path: str) -> RationalFunction:
+        v = self._parse(text, path, True)
+        if isinstance(v, FieldElement):
+            return RationalFunction.constant(v)
+        if isinstance(v, Polynomial):
+            return RationalFunction(v)
+        return v
+
+    def set(self, obj, path: str) -> SetDescriptor:
+        obj = _expect(obj, path, dict)
+        strict = [self.poly(t, at, exact=False) for t, at in _items(obj.get("strict", []), f"{path}.strict")] or None
+        kind, _ = _field(obj, "kind", path)
+        if kind == "ball":
+            return SetDescriptor.unit_polydisc(_expect(*_field(obj, "n", path), int), strict)
+        if kind == "affine":
+            centers, scales = (tuple(self.element(t, at, exact=False) for t, at in _items(*_field(obj, key, path)))
+                               for key in ("centers", "scales"))
+            return SetDescriptor.affine_module(AffineModuleMap(centers, scales), strict)
+        raise EncodingError(f"unknown set kind {kind!r} at {path}.kind")
+
+    def sos(self, obj, path: str) -> SOSExpr:
+        summands = [RationalFunction(self.poly(*_field(it, "num", at)), self.poly(*_field(it, "den", at)))
+                    for it, at in _items(obj, path, dict)]
+        return _sum_of_squares(summands, path)
+
+    def ring_expr(self, obj, path: str) -> RingExpr:
+        op, _ = _field(_expect(obj, path, dict), "op", path)
+        if op == "const":
+            return ConstExpr(self.element(*_field(obj, "value", path)))
+        if op == "gen":
+            return GenExpr(_expect(*_field(obj, "index", path), int))
+        if op == "iord":
+            return SosInverseExpr(self.sos(*_field(obj, "summands", path)))
+        if op == "icone":
+            return ConeInverseExpr(ConeExpr([
+                (self.sos(*_field(t, "coeff", at)), tuple(i for i, _ in _items(*_field(t, "factors", at), int)))
+                for t, at in _items(*_field(obj, "entries", path), dict)]))
+        if op in ("sum", "prod"):
+            args = [self.ring_expr(a, at) for a, at in _items(*_field(obj, "args", path))]
+            return SumExpr(args) if op == "sum" else ProdExpr(args)
+        raise EncodingError(f"unknown ring expression op {op!r} at {path}.op")
+
+    def unit(self, obj, path: str) -> PerturbedUnit:
+        obj = _expect(obj, path, dict)
+        return PerturbedUnit(self.element(*_field(obj, "m", path)), self.ring_expr(*_field(obj, "a", path)))
+
+    def witness(self, obj, path: str) -> IntegralityWitness:
+        obj = _expect(obj, path, dict)
+        monic = None
+        if obj.get("monic") is not None:
+            monic = tuple(QuotientCoefficient(self.ring_expr(*_field(c, "num", at)), self.unit(*_field(c, "den", at)))
+                          for c, at in _items(obj["monic"], f"{path}.monic", dict))
+        return IntegralityWitness(self.ring_expr(*_field(obj, "num", path)), self.unit(*_field(obj, "den", path)),
+                                  monic)
+
+    def certificate(self, obj):
+        obj = _expect(obj, "certificate", dict)
+        p = self.poly(*_field(obj, "p"))
+        sd = self.set(*_field(obj, "set"))
+        r = _sum_of_squares([self.rational(t, at) for t, at in _items(*_field(obj, "r"))], "r")
+        m = self.element(*_field(obj, "m"))
+        h_obj = _expect(*_field(obj, "h"), dict)
+        h = RationalFunction(self.poly(*_field(h_obj, "num", "h")), self.poly(*_field(h_obj, "den", "h")))
+        return p, sd, NonnegCertificate(r, m, h, self.witness(*_field(obj, "witness")))
+

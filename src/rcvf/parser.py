@@ -3,15 +3,19 @@
     expr     := ('-')? term (('+'|'-') term)*
     term     := factor (('*'|'/') factor)*
     factor   := base ('^' exponent)?
-    base     := rational | 'eps' | ident | '(' expr ')'
+    base     := rational | 'eps' | ident | '(' expr ')' | '-' base
     exponent := ('-')? integer | '(' rational ')'
     rational := ('-')? integer ('/' positive-integer)?
 
 Rational literals are lexed greedily ("3/2" is one literal, "3/x" a
-division).  Variables are x1..xn or single letters.  Results are classified
-as FieldElement (no variables), Polynomial (no variable denominator) or
-RationalFunction; scalar division by a multi-term scalar truncates at the
-working order, everything else stays exact.
+division).  Variables are x1..xn or single letters; digits are ASCII only.
+Results are classified as FieldElement (no variables), Polynomial (no
+variable denominator) or RationalFunction; scalar division by a multi-term
+scalar truncates at the working order, everything else stays exact.
+
+A monomial term of a sum (c*eps^w*x1^a*...) is read by one regex match;
+everything else goes through the recursive descent, which lexes a token at a
+time and refuses parentheses nested deeper than _MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -24,29 +28,31 @@ from .errors import DivisionByZero, ParseError
 from .poly import Polynomial, RationalFunction, variable_sort_key
 from .series import _EXPONENT_DENOMINATOR_CAP, FieldElement
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|(eps\b)|([a-zA-Z]\d*)|([+\-*/^()]))")
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|(eps\b)|([a-zA-Z][0-9]*)|([+\-*/^()]))")
+_STRAY_RE = re.compile(r"[^0-9a-zA-Z+\-*/^()\s]")  # a character that starts no token
+_NAME_RE = re.compile(r"eps\b|[a-zA-Z][0-9]*")  # the tokens that name eps or a variable
+_MAX_NESTING = 64  # parentheses open at once; deeper input is refused, not recursed into
 
 INT, EPS, IDENT, OP, END = "int", "eps", "ident", "op", "end"
 _KINDS = {2: EPS, 3: IDENT, 4: OP}  # token kind by the regex group that matched
 
+# Before each factor of a monomial term but the first: '*'.  No factor follows a
+# letter, digit or ')' directly, so no name matches part of a longer one (x1 of
+# x12, eps of epsx): nothing could read the rest of it.
+_JOIN = r"(?:\*|(?<![0-9a-zA-Z)]))"
+_DENOMINATOR = r"(0*[1-9][0-9]*)"  # a zero one is left to the general path, which raises
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        group = m.lastindex
-        val = m.group(group)
-        tokens.append((INT, int(val), m.start(group)) if group == 1 else (_KINDS[group], val, m.start(group)))
-        pos = m.end()
-    tokens.append((END, None, len(text)))
-    return tokens
+
+def _term_regex(frame: tuple[str, ...]):
+    """A monomial term c*eps^w*x1^a*... (factors optional, variables in frame
+    order) and the '+' or '-' after it, or its end at ')' or the end of text.
+    Groups: '-' and numerator and denominator of c; eps, its integer exponent or
+    numerator and denominator; per variable '' or '^a'; the '+' or '-'."""
+    return re.compile(
+        r"\s*(?:(-)(?=[0-9])|(?=[0-9a-zA-Z]))(?:([0-9]+)(?:/" + _DENOMINATOR + r")?)?"
+        r"(?:" + _JOIN + r"(eps)(?:\^(?:(-?[0-9]+)|\((-?[0-9]+)(?:/" + _DENOMINATOR + r")?\)))?)?"
+        + "".join(r"(?:" + _JOIN + name + r"(\^[0-9]+|))?" for name in frame)
+        + r"\s*(?:([+-])|(?=\)|\Z))")
 
 
 # Parsed values are carried in one of three domains and promoted on demand.
@@ -78,22 +84,35 @@ def _promote_pair(a: Value, b: Value):
     return up(a), up(b)
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 
 
 class _Parser:
-    def __init__(self, tokens: list, frame: tuple[str, ...]):
-        self.tokens = tokens
-        self.i = 0
+    """Recursive descent over the text, lexing one token ahead on demand."""
+
+    def __init__(self, text: str, frame: tuple[str, ...]):
+        self.text = text
         self.frame = frame
-        self.slots = {v: i for i, v in enumerate(frame)}
+        self.term_re = _term_regex(frame)
+        self.pos = 0  # where the next token is lexed
+        self.tok, self.after = None, 0  # the lexed next token, if any, and the offset after it
+        self.depth = 0  # parentheses open
 
     def peek(self):
-        return self.tokens[self.i]
+        if self.tok is None:
+            m = _TOKEN_RE.match(self.text, self.pos)
+            if m is None:  # only whitespace is left: parse_expression rejected stray characters
+                self.tok, self.after = (END, None, len(self.text)), len(self.text)
+            else:
+                group = m.lastindex
+                val = m.group(group)
+                self.tok = (INT, int(val), m.start(group)) if group == 1 else (_KINDS[group], val, m.start(group))
+                self.after = m.end()
+        return self.tok
 
     def next(self):
-        t = self.tokens[self.i]
-        self.i += 1
+        t = self.peek()
+        self.pos, self.tok = self.after, None
         return t
 
     def expect_op(self, symbol: str):
@@ -127,16 +146,16 @@ class _Parser:
         negative = self.at_op("-")
         if negative:
             self.next()
-        table = {}  # exponent vector -> {eps exponent: rational coefficient}
+        table = {}  # exponent vector -> {eps exponent (an int if integral, to hash fast): coefficient}
         others = []  # the other terms, as FieldElements and Polynomials
         polynomial = False  # whether a term has a variable
         first = True
         while True:
-            mono = self._monomial()
+            mono = self._monomial(negative)
             if mono is None:
                 v = self.term()
                 if negative:
-                    v = self._neg(v)
+                    v = -v
                 if isinstance(v, RationalFunction):
                     if not first:
                         a, b = _promote_pair(self._total(table, others, polynomial), v)
@@ -144,15 +163,17 @@ class _Parser:
                     return self._pairwise(v)
                 others.append(v)
                 polynomial = polynomial or isinstance(v, Polynomial)
+                sign = self.next()[1] if self.at_op("+", "-") else None
             else:
-                expv, w, c, variables = mono
+                expv, w, c, variables, sign = mono
                 polynomial = polynomial or variables
                 if c:
                     coefficients = table.setdefault(expv, {})
-                    coefficients[w] = coefficients.get(w, 0) + (-c if negative else c)
-            if not self.at_op("+", "-"):
+                    old = coefficients.get(w)
+                    coefficients[w] = c if old is None else old + c
+            if sign is None:
                 return self._total(table, others, polynomial)
-            negative = self.next()[1] == "-"
+            negative = sign == "-"
             first = False
 
     def _pairwise(self, v: Value) -> Value:
@@ -167,7 +188,7 @@ class _Parser:
     def _total(self, table: dict, others: list, polynomial: bool) -> Value:
         terms = {}
         for expv, coefficients in table.items():
-            known = tuple(sorted((w, c) for w, c in coefficients.items() if c))
+            known = tuple(sorted((Fraction(w), c) for w, c in coefficients.items() if c))
             if known:
                 terms[expv] = FieldElement.from_canonical(known)
         if polynomial:
@@ -179,57 +200,38 @@ class _Parser:
             total = a + b
         return total
 
-    def _monomial(self):
-        """(exponent vector, eps exponent, coefficient, has a variable) for a term
-        that is a product of rational literals, powers of eps and non-negative
-        integer powers of variables; otherwise None, with nothing consumed.
+    def _monomial(self, negative: bool):
+        """(exponent vector, eps exponent, coefficient with the term's sign, has
+        a variable, the sign after the term or None) for a term that one match
+        of the term regex reads, with the term and that sign consumed;
+        otherwise None, with nothing consumed.
 
-        Such a term is read straight into its one monomial.  Anything else, and
-        any eps exponent whose denominator, or that of a partial product,
-        exceeds the cap (the general path decides whether that raises
-        ExponentBlowup), goes to the general path from the term's first token.
+        Anything else, and an eps exponent whose denominator exceeds the cap
+        (the general path decides whether that raises ExponentBlowup), goes to
+        the general path from the term's first token.
         """
-        start = self.i
-        tokens = self.tokens
-        expv = [0] * len(self.frame)
-        w, c, variables = _ZERO, _ONE, False
-        while True:
-            kind, val, pos = tokens[self.i]
-            self.i += 1
-            if kind == INT:
-                q = self._finish_rational(val, pos)
-                if self.at_op("^"):
-                    break
-                c *= q
-            elif kind == EPS:
-                e = _ONE
-                if self.at_op("^"):
-                    self.i += 1
-                    e = self.exponent()
-                w += e
-                if e.denominator > _EXPONENT_DENOMINATOR_CAP or w.denominator > _EXPONENT_DENOMINATOR_CAP:
-                    break
-            elif kind == IDENT:
-                variables = True
-                slot = self.slots[val]
-                if self.at_op("^"):
-                    kind, e, _ = tokens[self.i + 1]
-                    if kind != INT:
-                        break
-                    self.i += 2
-                    expv[slot] += e
-                else:
-                    expv[slot] += 1
-            else:
-                break
-            if self.at_op("*"):
-                self.i += 1
-            elif self.at_op("/"):
-                break
-            else:
-                return tuple(expv), w, c, variables
-        self.i = start
-        return None
+        m = self.term_re.match(self.text, self.pos)
+        if m is None:
+            return None
+        minus, num, den, eps, e, e_num, e_den, *powers, sign = m.groups()
+        if minus:  # '-' binds to the literal only: -x^2 is (-x)^2, so the regex takes no '-' before a letter
+            negative = not negative
+        if eps is None:
+            w = 0
+        elif e_den is None:
+            w = int(e or e_num or 1)
+        else:
+            w = Fraction(int(e_num), int(e_den))
+            if w.denominator > _EXPONENT_DENOMINATOR_CAP:
+                return None
+        if num is None:
+            c = _MINUS_ONE if negative else _ONE
+        else:
+            n = -int(num) if negative else int(num)
+            c = Fraction(n, int(den)) if den else Fraction(n)
+        expv = tuple([0 if p is None else int(p[1:]) if p else 1 for p in powers])
+        self.pos, self.tok = m.end(), None
+        return expv, w, c, powers.count(None) < len(powers), sign
 
     def term(self) -> Value:
         v = self.factor()
@@ -253,27 +255,33 @@ class _Parser:
 
     def base(self) -> Value:
         kind, val, pos = self.next()
+        negative = False
+        while kind == OP and val == "-":  # a run of signs, read in a loop: no recursion per sign
+            negative = not negative
+            kind, val, pos = self.next()
         if kind == INT:
             q = self._finish_rational(val, pos)
-            return FieldElement.from_canonical(((_ZERO, q),) if q else ())
-        if kind == EPS:
-            return FieldElement.from_canonical(((_ONE, _ONE),))
-        if kind == IDENT:
-            return Polynomial.variable(val, self.frame)
-        if kind == OP and val == "(":
+            v = FieldElement.from_canonical(((_ZERO, q),) if q else ())
+        elif kind == EPS:
+            v = FieldElement.from_canonical(((_ONE, _ONE),))
+        elif kind == IDENT:
+            v = Polynomial.variable(val, self.frame)
+        elif kind == OP and val == "(":
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {_MAX_NESTING}", pos)
             v = self.expr()
             self.expect_op(")")
-            return v
-        if kind == OP and val == "-":
-            inner = self.base()
-            return self._neg(inner)
-        raise ParseError("expected a value", pos, expected={"integer", "eps", "variable", "("})
+            self.depth -= 1
+        else:
+            raise ParseError("expected a value", pos, expected={"integer", "eps", "variable", "("})
+        return -v if negative else v
 
     def _finish_rational(self, intval: int, pos: int) -> Fraction:
         # Greedy: INT '/' INT is a rational literal.
         if self.at_op("/"):
-            kind2, val2, _ = self.tokens[self.i + 1]
-            if kind2 == INT:
+            m = _TOKEN_RE.match(self.text, self.after)
+            if m is not None and m.lastindex == 1:
                 self.next()
                 _, den, dpos = self.next()
                 if den == 0:
@@ -313,10 +321,6 @@ class _Parser:
         raise ParseError("expected an exponent", pos, expected={"integer", "("})
 
     # -- semantics ---------------------------------------------------------
-
-    @staticmethod
-    def _neg(v: Value) -> Value:
-        return -v
 
     def _divide(self, a: Value, b: Value) -> Value:
         if _is_scalar(b):
@@ -392,9 +396,11 @@ def _nth_root(n: int, k: int):
 
 def parse_expression(text: str) -> Value:
     """Parse text into a FieldElement, Polynomial or RationalFunction."""
-    tokens = _tokenize(text)
-    frame = tuple(sorted({val for kind, val, _ in tokens if kind == IDENT}, key=variable_sort_key))
-    value = _Parser(tokens, frame).parse()
+    stray = _STRAY_RE.search(text)
+    if stray:
+        raise ParseError(f"unexpected character {stray.group()!r}", stray.start())
+    frame = tuple(sorted(set(_NAME_RE.findall(text)) - {"eps"}, key=variable_sort_key))
+    value = _Parser(text, frame).parse()
     if isinstance(value, FieldElement) and frame:
         value = Polynomial.constant(value, frame)
     return value

@@ -13,6 +13,7 @@ import pytest
 from rcvf.cli import _parser, build_parser, run
 from rcvf.errors import ParseError, RcvfError
 from rcvf.jsonio import (
+    EncodingError,
     canonical_dumps,
     certificate_from_json,
     certificate_to_json,
@@ -77,19 +78,58 @@ class TestParser:
 
 
     def test_monomial_path_matches_general_path(self, monkeypatch):
-        # Monomial terms are read straight into the sum; the general path
-        # (every term through term(), the sum folded pairwise) must give the
-        # same value, term for term and precision for precision, or the same error.
+        # Monomial terms are read by one match of the term regex straight into
+        # the sum; the general path (every term through term(), the sum folded
+        # as it goes) must give the same value, term for term and precision
+        # for precision, or the same error at the same offset.
         rng = random.Random(654)
         texts = [_random_text(rng) for _ in range(400)]
         texts += ["0*x", "0*eps^(1/3)*eps^(1/64)", "eps^(1/3)*eps^(1/64)*x", "x*eps^(1/65)", "2^3*x",
                   "x^-1 + 1", "1 + x^-1 + x", "-x + x", "1/(1+eps)*x + x - x", "3/0*x", "x/0", "eps^(3/0)",
                   "x^(1/2)", "2*-x", "x^2^3", "eps(1)", "1 +", "(x + 1)*x - x^2 - x", "eps^(-5/64)*eps^(1/2)",
                   "0*x + 1/x", "0 - 1/x + x"]
+        formatted = _formatted_texts(random.Random(657), 300)
+        for piece in ("-1*eps*x1^2", ")*x", "eps^(1/2)", "eps^-1", "eps^(1/65)", " + -"):
+            assert any(piece in t for t in formatted), piece
+        texts += formatted + ["x12 + x1", "x1x2", "epsx", "eps1*x", "2eps", "3/00*x", "x^23x", "1 + -x^2",
+                              "1 + -2^2*x", "--2*x", "x2*x1 - x1*x2", "1 - - 2*x", "1+-2/3*x-4", "(x) y"]
+        reads = []
+        monomial = _Parser._monomial
+
+        def counted(parser, negative):
+            mono = monomial(parser, negative)
+            reads.append(mono is not None)
+            return mono
+
+        monkeypatch.setattr(_Parser, "_monomial", counted)
         ran = [_parsed(t) for t in texts]
-        monkeypatch.setattr(_Parser, "_monomial", lambda self: None)
+        assert reads.count(True) > 1000 and reads.count(False) > 1000  # both paths read many terms
+        monkeypatch.setattr(_Parser, "_monomial", lambda parser, negative: None)
         assert [_parsed(t) for t in texts] == ran
         assert len({r[0] for r in ran}) == 6  # scalars, polynomials, quotients and three kinds of error
+
+    def test_nesting_is_bounded(self):
+        deep = parse_expression("(" * 64 + "x" + ")" * 64)
+        assert deep == parse_expression("x")
+        with pytest.raises(ParseError) as err:
+            parse_expression("1 + " + "(" * 65 + "x" + ")" * 65)
+        assert err.value.position == 4 + 64
+        # A run of signs is read in a loop, not one recursion per sign.
+        assert parse_expression("2*" + "-" * 3001 + "x") == parse_expression("-2*x")
+
+    def test_deep_nesting_is_a_parse_error_on_the_command_line(self):
+        code, out = run_cli("eval", "--expr", "(" * 3000 + "1" + ")" * 3000)
+        assert code == 2
+        assert json.loads(out) == {"error": {"message": "parentheses nested deeper than 64 at offset 64",
+                                             "position": 64, "type": "parse"}}
+
+    @pytest.mark.parametrize("text, position", [("x\u0661 + 1", 1), ("\u0663", 0), ("2*x1\u0663", 4),
+                                                 ("eps^(1/\u0662)", 7)])
+    def test_only_ascii_digits(self, text, position):
+        # Arabic-Indic digits are Unicode digits; x\u0661 would sort as x1.
+        with pytest.raises(ParseError) as err:
+            parse_expression(text)
+        assert err.value.position == position
 
 
 def _random_text(rng, depth=0) -> str:
@@ -111,6 +151,21 @@ def _random_text(rng, depth=0) -> str:
     return rng.choice(["", "-"]) + "".join(t + rng.choice([" + ", " - "]) for t in terms[:-1]) + terms[-1]
 
 
+def _formatted_texts(rng, count) -> list:
+    """Canonical texts of random polynomials (format_polynomial), and each one
+    with an eps^(1/64) made eps^(1/65), beyond the exponent-denominator cap."""
+    texts = []
+    for _ in range(count):
+        frame = tuple(sorted(rng.sample(["x", "y", "x1", "x2", "x10"], rng.randint(1, 3))))
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            terms[tuple(rng.randint(0, 3) for _ in frame)] = FieldElement(
+                [(rng.choice([F(0), F(1), F(2), F(-1), F(1, 2), F(-2, 3), F(1, 64)]),
+                  rng.choice([F(1), F(-1), F(2, 3), F(-5, 2), F(7)])) for _ in range(rng.choice((1, 1, 1, 2)))])
+        texts.append(str(Polynomial(frame, terms)))
+    return texts + [t.replace("eps^(1/64)", "eps^(1/65)") for t in texts if "eps^(1/64)" in t]
+
+
 def _canonical(v):
     if isinstance(v, FieldElement):
         return (v.terms, v.precision)
@@ -123,7 +178,7 @@ def _parsed(text):
     try:
         v = parse_expression(text)
     except RcvfError as exc:
-        return type(exc).__name__, str(exc)
+        return type(exc).__name__, str(exc), getattr(exc, "position", None)
     return type(v).__name__, _canonical(v)
 
 
@@ -411,6 +466,28 @@ class TestMalformedCertificates:
         code, out = run_cli("cert", "verify", str(path))
         assert code == 2
         assert json.loads(out)["error"]["type"] == "EncodingError"
+
+    # A missing field or an empty list of summands was a KeyError or a
+    # ValueError; each is now an EncodingError that names the field's path.
+    @pytest.mark.parametrize("blob, path", [
+        ({k: v for k, v in _WELL_FORMED.items() if k != "p"}, "missing field p"),
+        (dict(_WELL_FORMED, set={"n": 1}), "missing field set.kind"),
+        ({k: v for k, v in _WELL_FORMED.items() if k != "witness"}, "missing field witness"),
+        (dict(_WELL_FORMED, witness=dict(_TRIVIAL_WITNESS, num={"op": "const"})), "missing field witness.num.value"),
+        (dict(_WELL_FORMED, r=[]), "r must hold at least one summand"),
+    ], ids=["missing_p", "missing_set_kind", "missing_witness", "missing_const_value", "empty_r"])
+    def test_missing_field_is_usage_error(self, tmp_path, blob, path):
+        file = tmp_path / "cert.json"
+        file.write_text(json.dumps(blob))
+        code, out = run_cli("cert", "verify", str(file))
+        assert code == 2
+        assert json.loads(out)["error"] == {"type": "EncodingError", "message": path}
+
+    def test_nested_missing_field_names_its_path(self):
+        blob = dict(_WELL_FORMED, witness=_zero_times({"op": "sum", "args": [{"op": "gen", "index": 0},
+                                                                            {"op": "iord", "summands": [{"num": "1"}]}]}))
+        with pytest.raises(EncodingError, match=r"missing field witness\.num\.args\[1\]\.args\[1\]\.summands\[0\]\.den$"):
+            certificate_from_json(blob)
 
     def test_well_formed_file_verifies(self, tmp_path):
         path = tmp_path / "cert.json"

@@ -73,7 +73,23 @@ GOLDEN = [
     # Strict constraints are enforced on samples by rejection.
     ("psd --p 'x^2 + 1' --set {strict} --falsify --seed 1", 0,
      '{"command":"psd","mode":"falsify","samples":500,"witness":null}'),
+    # cert verify on a unit certificate, on the same with m doubled and with an
+    # unclosed parenthesis in h.den (see the certificates fixture).
+    ("cert verify {valid}", 0, '{"command":"cert","mode":"verify","reason":null,"verified":true}'),
+    ("cert verify {mutant}", 1,
+     '{"command":"cert","mode":"verify","reason":"identity_failed","verified":false}'),
+    ("cert verify {malformed}", 2,
+     '{"error":{"message":"unexpected token at offset 27 (expected ))","position":27,"type":"parse"}}'),
 ]
+
+_LEAF = {"op": "prod", "args": [{"op": "gen", "index": 0}, {"op": "iord", "summands": [
+    {"num": "x1", "den": "1"}, {"num": "x1", "den": "1"}, {"num": "x1^2", "den": "1"}]}]}
+# p = (1 + x1^2)^2 - eps*x1, h = x1/p; the witness is [x1/(1+S)] / (1 - eps*[x1/(1+S)]).
+_VALID = {"p": "1 + 2*x1^2 + x1^4 - eps*x1", "set": {"kind": "ball", "n": 1}, "r": ["1 + x1^2"], "m": "eps",
+          "h": {"num": "x1", "den": "1 + 2*x1^2 + x1^4 - eps*x1"},
+          "witness": {"num": _LEAF, "den": {"m": "-eps", "a": _LEAF}, "monic": None}}
+CERTIFICATES = {"valid": _VALID, "mutant": dict(_VALID, m="2*eps"),
+                "malformed": dict(_VALID, h={"num": "x1", "den": "1 + 2*x1^2 + (x1^4 - eps*x1"})}
 
 
 @pytest.fixture
@@ -90,9 +106,18 @@ def strict_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def certificate_files(tmp_path):
+    files = {}
+    for name, cert in CERTIFICATES.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(cert))
+    return files
+
+
 @pytest.mark.parametrize("command, code, stdout", GOLDEN, ids=[c for c, _, _ in GOLDEN])
-def test_golden_output(module_file, strict_file, command, code, stdout):
-    argv = [arg.format(module=module_file, strict=strict_file) for arg in shlex.split(command)]
+def test_golden_output(module_file, strict_file, certificate_files, command, code, stdout):
+    argv = [arg.format(module=module_file, strict=strict_file, **certificate_files) for arg in shlex.split(command)]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         got = run(argv)

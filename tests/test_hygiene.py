@@ -206,6 +206,18 @@ def test_exact_identities_build_no_series(monkeypatch):
     assert len(inits) <= VERIFY_INITS
 
 
+def test_decoding_parses_each_distinct_text_once_per_call(monkeypatch):
+    # p is also h.den, and the witness leaf is in both its numerator and its
+    # denominator: 18 texts, 7 distinct.  The memo serves one call only.
+    parses = count_calls(monkeypatch, [(jsonio, "parse_expression")])
+    first = jsonio.certificate_from_json(_UNIT_CERTIFICATE)
+    texts = [text for text, in parses]
+    assert sorted(texts) == sorted(set(texts)) and len(texts) == 7
+    second = jsonio.certificate_from_json(_UNIT_CERTIFICATE)
+    assert [text for text, in parses[7:]] == texts
+    assert second[0] == first[0] and second[0] is not first[0]
+
+
 def test_polynomial_arithmetic_skips_validation(monkeypatch):
     a = parse_expression("1 + eps*x1 - x2^2")
     b = parse_expression("x1 - (1/2)*eps^(1/2)*x3")
