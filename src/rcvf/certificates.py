@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import CoefficientsNotIntegral, NotIntegral, PrecisionExhausted, RcvfError
-from .integrality import pointwise_integral_oracle, IntegralityVerdict, module_pullback
+from .integrality import IntegralityVerdict, module_pullback, pointwise_integral_oracle, polydisc_frame
 from .poly import (
     FlatRing,
     NotFlat,
@@ -309,16 +309,10 @@ def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
             search = residue_sos_search(rbar, budget.sos, config)
         if search.kind != SOS:
             break
-        if not all(q.den.is_constant() for q in search.quotients):
+        if not all(q.den.is_one() for q in search.quotients):
             break  # rational layers would make the residual a quotient; stop peeling
-        # The value group is the rationals, hence divisible: gamma/2 always exists.
-        half = FieldElement.eps_power(Fraction(layer_gauss, 2))
-        layer_sum = Polynomial(vs)
-        for quot in search.quotients:
-            rf = RationalFunction(_lift_residue(quot.num, vs).scale(half), _lift_residue(quot.den, vs))
-            summands.append(rf)
-            layer_sum = layer_sum + rf.num * rf.num  # den == 1 here
-        residual = residual - layer_sum
+        layer, residual = _peel_layer(residual, rbar, search.quotients, layer_gauss, vs)
+        summands += layer
         layers += 1
 
     if not summands:
@@ -352,13 +346,33 @@ def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
                              gauss=gamma_val, layers=layers)
 
 
+def _peel_layer(residual: Polynomial, rbar: ResiduePolynomial, quotients, gamma: Fraction, vs):
+    """(summands t_i eps^(gamma/2), residual minus their squares) for a layer whose
+    residue rbar = sum t_i^2 with every denominator 1, as the search found it.
+
+    The search checked that identity exactly (verify_residue_sos, or
+    rational_square_terms for a constant), and lifting is a ring map, so the
+    squares add up to eps^gamma * lift(rbar): one scaled subtraction, where
+    squaring and summing the summands would cost a product each.
+    """
+    # The value group is the rationals, hence divisible: gamma/2 always exists.
+    half = FieldElement.eps_power(Fraction(gamma, 2))
+    summands = [RationalFunction(_lift_residue(q.num, vs).scale(half), _lift_residue(q.den, vs)) for q in quotients]
+    return summands, residual - _lift_residue(rbar, vs).scale(FieldElement.eps_power(gamma))
+
+
 def falsify_nonnegativity(p: Polynomial, set_descriptor: SetDescriptor,
                           config: SampleConfig) -> Optional[list[FieldElement]]:
-    """Exact p(b) < 0 search: config.samples sampled points plus the residue-level falsifier."""
-    for b in set_descriptor.stream_points(config):
+    """Exact p(b) < 0 search: config.samples sampled points plus the residue-level falsifier.
+
+    On an affine set the sampled points are tested in p's polydisc frame (see
+    integrality.polydisc_frame); only a negative one goes through the map.
+    """
+    q, module_map = polydisc_frame(p, set_descriptor)
+    for b, form in set_descriptor.stream_forms(config, on_polydisc=module_map is not None):
         try:
-            if leading_sign(p, b) == LT:
-                return list(b)
+            if leading_sign(q, b, form) == LT:
+                return list(b) if module_map is None else module_map.apply(b)
         except PrecisionExhausted:
             continue
     gamma = gauss_valuation(p)

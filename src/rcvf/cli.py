@@ -45,10 +45,10 @@ def _load_set(spec: str) -> SetDescriptor:
     if spec.startswith("affine:"):
         path = spec.split(":", 1)[1]
         with open(path) as fh:
-            return jsonio.set_from_json(json.load(fh))
+            return jsonio.set_from_json(jsonio.load(fh))
     if spec.endswith(".json"):
         with open(spec) as fh:
-            return jsonio.set_from_json(json.load(fh))
+            return jsonio.set_from_json(jsonio.load(fh))
     raise ValueError(f"unrecognized set spec {spec!r} (use ball:n, affine:file.json, or file.json)")
 
 
@@ -213,7 +213,7 @@ def _cmd_psd(args) -> int:
 
 def _cmd_cert_verify(args) -> int:
     with open(args.file) as fh:
-        obj = json.load(fh)
+        obj = jsonio.load(fh)
     p, sd, cert = jsonio.certificate_from_json(obj)
     result = verify_nonneg_certificate(p, cert, sd)
     _emit({"command": "cert", "mode": "verify", "verified": result.ok,

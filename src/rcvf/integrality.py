@@ -67,29 +67,57 @@ def pointwise_integral_oracle(h: Union[Polynomial, RationalFunction], set_descri
     The mix includes structured probes (corners, eps-power coordinates, a
     rational grid), random ball points, and generic-residue points; all
     deterministic under the seed.  Denominator zeros are skipped and counted.
+    On an affine set h is tested in its polydisc frame (see polydisc_frame).
     """
     h = align_to_set(_as_rational_function(h), set_descriptor)
+    h, module_map = polydisc_frame(h, set_descriptor)
     tested = 0
     skipped = 0
-    for b in _oracle_points(set_descriptor, config):
+    for b, form in _oracle_points(set_descriptor, config, module_map is not None):
         try:
-            v = valuation_at(h, b)
+            v = valuation_at(h, b, form)
         except (DivisionByZero, PrecisionExhausted):
             skipped += 1
             continue
         tested += 1
         if not v.is_top and v.value < 0:
-            return IntegralityVerdict(COUNTEREXAMPLE_FOUND, point=tuple(b),
+            point = b if module_map is None else module_map.apply(b)
+            return IntegralityVerdict(COUNTEREXAMPLE_FOUND, point=tuple(point),
                                       value_valuation=v, samples=tested, skipped=skipped)
     return IntegralityVerdict(NO_COUNTEREXAMPLE_FOUND, samples=tested, skipped=skipped)
 
 
-def _oracle_points(set_descriptor: SetDescriptor, config: SampleConfig):
-    """The oracle's points, drawn as they are taken: the set's sample stream, then
-    generic-residue points from their own generator."""
-    yield from set_descriptor.stream_points(config)
+def _oracle_points(set_descriptor: SetDescriptor, config: SampleConfig, on_polydisc: bool):
+    """The oracle's (point, form) pairs, drawn as they are taken: the set's sample
+    stream, then generic-residue points from their own generator."""
+    yield from set_descriptor.stream_forms(config, on_polydisc=on_polydisc)
     rng = _rng(config.seed, 0xC0FFEE)
-    yield from set_descriptor.generic_residue_points(rng, max(4, config.samples // 50), 1009)
+    for b in set_descriptor.generic_residue_points(rng, max(4, config.samples // 50), 1009, on_polydisc):
+        yield b, None
+
+
+def polydisc_frame(q: Union[Polynomial, RationalFunction], set_descriptor: SetDescriptor):
+    """(q', module map or None): the function that sampling tests, and the map
+    that takes its points to the set.
+
+    On an affine set without strict constraints, with q in the set's frame and
+    q and the map exact, q is pulled back once: its value at a polydisc point
+    y is q's at the image of y, exactly, so the points are drawn and tested on
+    the polydisc and only a reported one goes through the map.  Otherwise
+    q and None: on a polydisc; with strict constraints, which are tested on
+    the images; for q in another frame, whose arity error the sign tests
+    report; and for truncated data, whose precision could differ between the
+    two evaluations.
+    """
+    mm = set_descriptor.module_map
+    if (set_descriptor.kind != "affine" or set_descriptor.has_strict_constraints
+            or q.variables != set_descriptor.variables()):
+        return q, None
+    parts = (q,) if isinstance(q, Polynomial) else (q.num, q.den)
+    data = [*mm.centers, *mm.scales, *(c for part in parts for c in part.terms.values())]
+    if any(c.precision is not None for c in data):
+        return q, None
+    return module_pullback(q, mm), mm
 
 
 def module_pullback(h: Union[Polynomial, RationalFunction], module_map: AffineModuleMap):

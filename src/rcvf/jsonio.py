@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .errors import RcvfError
-from .parser import parse_expression
+from .parser import _MAX_NESTING, parse_expression
 from .poly import Polynomial, RationalFunction
 from .ringexpr import (
     ConeExpr,
@@ -35,6 +35,14 @@ from .certificates import (
 
 class EncodingError(RcvfError):
     pass
+
+
+def load(fh):
+    """json.load; a document nested past the interpreter's stack is an EncodingError."""
+    try:
+        return json.load(fh)
+    except RecursionError:
+        raise EncodingError("JSON document nested too deeply to load") from None
 
 
 def canonical_dumps(obj) -> str:
@@ -261,7 +269,11 @@ class _Reader:
                     for it, at in _items(obj, path, dict)]
         return _sum_of_squares(summands, path)
 
-    def ring_expr(self, obj, path: str) -> RingExpr:
+    def ring_expr(self, obj, path: str, depth: int = 0) -> RingExpr:
+        """The expression at path, depth sums and products below the outermost
+        one; as in expression texts, nesting deeper than _MAX_NESTING is refused."""
+        if depth > _MAX_NESTING:
+            raise EncodingError(f"ring expression nested deeper than {_MAX_NESTING} at {path}")
         op, _ = _field(_expect(obj, path, dict), "op", path)
         if op == "const":
             return ConstExpr(self.element(*_field(obj, "value", path)))
@@ -274,7 +286,7 @@ class _Reader:
                 (self.sos(*_field(t, "coeff", at)), tuple(i for i, _ in _items(*_field(t, "factors", at), int)))
                 for t, at in _items(*_field(obj, "entries", path), dict)]))
         if op in ("sum", "prod"):
-            args = [self.ring_expr(a, at) for a, at in _items(*_field(obj, "args", path))]
+            args = [self.ring_expr(a, at, depth + 1) for a, at in _items(*_field(obj, "args", path))]
             return SumExpr(args) if op == "sum" else ProdExpr(args)
         raise EncodingError(f"unknown ring expression op {op!r} at {path}.op")
 

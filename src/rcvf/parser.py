@@ -21,6 +21,7 @@ time and refuses parentheses nested deeper than _MAX_NESTING.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -394,13 +395,28 @@ def _nth_root(n: int, k: int):
     return None
 
 
+def _refuse_long_number(text: str) -> None:
+    """ParseError at the first run of digits (a literal, or a variable's index)
+    over the interpreter's limit on integer conversion, where int() raises a
+    ValueError; no-op without one.  Variable names are read first and literals
+    in text order, so the first long run is the one that raised."""
+    limit = sys.get_int_max_str_digits()
+    long_run = limit and re.search(f"[0-9]{{{limit + 1},}}", text)
+    if long_run:
+        raise ParseError(f"number longer than {limit} digits", long_run.start()) from None
+
+
 def parse_expression(text: str) -> Value:
     """Parse text into a FieldElement, Polynomial or RationalFunction."""
     stray = _STRAY_RE.search(text)
     if stray:
         raise ParseError(f"unexpected character {stray.group()!r}", stray.start())
-    frame = tuple(sorted(set(_NAME_RE.findall(text)) - {"eps"}, key=variable_sort_key))
-    value = _Parser(text, frame).parse()
+    try:
+        frame = tuple(sorted(set(_NAME_RE.findall(text)) - {"eps"}, key=variable_sort_key))
+        value = _Parser(text, frame).parse()
+    except ValueError:
+        _refuse_long_number(text)
+        raise
     if isinstance(value, FieldElement) and frame:
         value = Polynomial.constant(value, frame)
     return value

@@ -14,6 +14,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Mapping, Sequence, Union
 
@@ -59,9 +60,10 @@ class _SparsePolynomial:
 
     The one sparse-polynomial core; each subclass fixes the coefficient ring
     through ``_coeff`` (coercion of a scalar), ``_scalars`` (types taken as
-    constants), ``_zero`` (the zero element) and ``_is_zero`` (the exact-zero
-    test).  The test is per ring because series equality is only up to
-    precision: ``c == 0`` would drop an ``O(eps^k)`` coefficient.
+    constants), ``_zero`` (the zero element), ``_is_zero`` and ``_is_one``
+    (the exact-zero and exact-one tests).  The tests are per ring because
+    series equality is only up to precision: ``c == 0`` would drop an
+    ``O(eps^k)`` coefficient.
     """
 
     __slots__ = ("variables", "terms")
@@ -139,6 +141,13 @@ class _SparsePolynomial:
 
     def is_exactly_zero(self) -> bool:
         return not self.terms
+
+    def is_one(self) -> bool:
+        """Whether this is exactly the constant 1 (an exact coefficient for series)."""
+        if len(self.terms) != 1:
+            return False
+        (expv, c), = self.terms.items()
+        return self._is_one(c) and not any(expv)
 
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in expv) for expv in self.terms)
@@ -276,6 +285,7 @@ class Polynomial(_SparsePolynomial):
     _scalars = (int, Fraction, FieldElement)
     _zero = staticmethod(FieldElement.zero)
     _is_zero = staticmethod(FieldElement.is_exact_zero)
+    _is_one = staticmethod(FieldElement.is_exact_one)
 
     # Bound in this class's own namespace so that per-class instrumentation
     # (perfbench/tracing.py) times Polynomial calls apart from residue ones.
@@ -359,6 +369,7 @@ class ResiduePolynomial(_SparsePolynomial):
     _scalars = (int, Fraction)
     _zero = Fraction
     _is_zero = staticmethod(operator.not_)
+    _is_one = staticmethod(partial(operator.eq, 1))
 
     @classmethod
     def coordinate_square_sum(cls, variables: Sequence[str]) -> "ResiduePolynomial":
@@ -373,6 +384,19 @@ class ResiduePolynomial(_SparsePolynomial):
             mono = "*".join(f"{v}^{d}" for v, d in zip(self.variables, e) if d)
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))
         return "ResiduePolynomial(" + " + ".join(bits) + ")"
+
+
+def _times(a: _SparsePolynomial, b: _SparsePolynomial) -> _SparsePolynomial:
+    """a * b, where a factor that is exactly 1 (most denominators) costs no product.
+
+    The other factor is returned in its own frame; the sums and quotients
+    that take it re-embed it as the product would have been.
+    """
+    if b.is_one():
+        return a
+    if a.is_one():
+        return b
+    return a * b
 
 
 class RationalFunction:
@@ -418,7 +442,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
+        return RationalFunction(_times(self.num, o.den) + _times(o.num, self.den), _times(self.den, o.den))
 
     __radd__ = __add__
 
@@ -438,7 +462,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalFunction(self.num * o.num, self.den * o.den)
+        return RationalFunction(self.num * o.num, _times(self.den, o.den))
 
     __rmul__ = __mul__
 
@@ -448,7 +472,7 @@ class RationalFunction:
             return NotImplemented
         if o.num.is_exactly_zero():
             raise DivisionByZero("division by the zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num)
+        return RationalFunction(_times(self.num, o.den), _times(self.den, o.num))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -472,7 +496,7 @@ class RationalFunction:
             ring = FlatRing.over(merge_variables(a.variables, b.variables), (a, b))
             if ring is not None:
                 a, b = ring(a), ring(b)
-        return (a.num * b.den - b.num * a.den).is_exactly_zero()
+        return (_times(a.num, b.den) - _times(b.num, a.den)).is_exactly_zero()
 
     __hash__ = None
 
@@ -653,7 +677,36 @@ def _initial_form_plan(p: Polynomial):
     return plan
 
 
-def _leading_term(p: Polynomial, point: Sequence):
+def point_form(point: Sequence):
+    """A point's integer initial form (D, coords), the input of the sign kernel.
+
+    Per coordinate b_i = a_i eps^v_i + (terms from v_i + g_i on) with
+    a_i = n_i/q_i: (v_i*D, n_i, q_i, g_i*D), D the lcm of the denominators of
+    every v_i and g_i (g_i None if b_i has nothing after its leading term), or
+    None for an exact zero.  None in place of the form if a coordinate has no
+    visible term (it is only O(eps^k)): no initial form decides there.  Sampled
+    points carry theirs from the draws (``SetDescriptor.stream_forms``).
+    """
+    coords = []  # (v, n, q, r) per coordinate, r its next exponent or its precision
+    den = 1
+    for x in point:
+        if not isinstance(x, FieldElement):
+            x = Fraction(x)
+            coords.append((0, x.numerator, x.denominator, None) if x else None)
+        elif x.terms:
+            v, a, r = _initial(x)
+            den = lcm(den, v.denominator, 1 if r is None else r.denominator)
+            coords.append((v, a.numerator, a.denominator, r))
+        elif x.precision is None:
+            coords.append(None)
+        else:
+            return None
+    return den, [None if x is None else
+                 (_over(x[0], den), x[1], x[2], None if x[3] is None else _over(x[3] - x[0], den))
+                 for x in coords]
+
+
+def _leading_term(p: Polynomial, point: Sequence, form=None):
     """(m, s, P) with p(point) = (s/d) eps^m + O(eps^P) for some d > 0, s != 0 and
     m < P (P None if nothing else is there); None if the initial form does not decide.
 
@@ -670,9 +723,11 @@ def _leading_term(p: Polynomial, point: Sequence):
     O(eps^k) coefficient reaches m, every monomial vanishes, or a coordinate
     has no visible term) None is returned and the caller evaluates exactly.
 
-    Exponents are compared as integers over one denominator, the lcm of the
-    plan's and the point's.  S is summed in integers too: with a_i = n_i/q_i
-    and T_i the largest exponent of variable i among the monomials at m,
+    The point is read through its form (``point_form``), which a sampled point
+    carries; without one it is derived here.  Exponents are compared as
+    integers over one denominator, the lcm of the plan's and the form's.  S is
+    summed in integers too: with a_i = n_i/q_i and T_i the largest exponent of
+    variable i among the monomials at m,
     S = s/d for s = sum_t (c_t*L) * prod_i n_i^e_i * q_i^(T_i-e_i) and
     d = L * prod_i q_i^T_i, so s carries the sign of S and d is never formed.
     As building S eps^m would, an m over the exponent-denominator cap raises
@@ -680,26 +735,18 @@ def _leading_term(p: Polynomial, point: Sequence):
     """
     if len(point) != len(p.variables):
         raise ValueError(f"point arity {len(point)} != {len(p.variables)}")
-    unit, known, unknown = _initial_form_plan(p)
-    coords = []  # (v, n, q, r) per coordinate as _initial gives it, a = n/q; None for an exact zero
-    den = unit  # the common denominator of every exponent in play
-    for x in point:
-        if not isinstance(x, FieldElement):
-            x = Fraction(x)
-            coords.append((0, x.numerator, x.denominator, None) if x else None)
-        elif x.terms:
-            v, a, r = _initial(x)
-            den = lcm(den, v.denominator, 1 if r is None else r.denominator)
-            coords.append((v, a.numerator, a.denominator, r))
-        elif x.precision is None:
-            coords.append(None)
-        else:
+    if form is None:
+        form = point_form(point)
+        if form is None:
             return None
+    unit, known, unknown = _initial_form_plan(p)
+    den, coords = form
+    lifted = lcm(unit, den)  # every exponent below is over it
+    up, den = lifted // den, lifted
+    if up != 1:
+        coords = [None if x is None else (x[0] * up, x[1], x[2], None if x[3] is None else x[3] * up)
+                  for x in coords]
     scale = den // unit
-    # Over den: (v, n, q, g) with g = r - v the coordinate's gap.
-    coords = [None if x is None else
-              (_over(x[0], den), x[1], x[2], None if x[3] is None else _over(x[3] - x[0], den))
-              for x in coords]
     bound = None  # P, the least exponent at which anything but S eps^m can sit
     for positions, k in unknown:
         k *= scale
@@ -756,23 +803,29 @@ def _leading_term(p: Polynomial, point: Sequence):
     return m, s, None if bound is None else Fraction(bound, den)
 
 
-def leading_sign(p: Polynomial, point: Sequence) -> str:
-    """``compare_order(p.evaluate(point), 0)``, read off the initial form when it decides."""
-    lead = _leading_term(p, point)
+def leading_sign(p: Polynomial, point: Sequence, form=None) -> str:
+    """``compare_order(p.evaluate(point), 0)``, read off the initial form when it
+    decides; form is the point's ``point_form``, if the caller has it."""
+    lead = _leading_term(p, point, form)
     if lead is None:
         return compare_order(p.evaluate(point), FieldElement.zero())
     return GT if lead[1] > 0 else LT
 
 
-def valuation_at(q: Union[Polynomial, RationalFunction], point: Sequence[FieldElement]) -> ValueGroupElement:
+def valuation_at(q: Union[Polynomial, RationalFunction], point: Sequence[FieldElement],
+                 form=None) -> ValueGroupElement:
     """Exact valuation of q(point), from the leading terms of numerator and denominator.
 
     A part whose initial form does not decide is evaluated exactly, so exact
     zeros and refusals (``PrecisionExhausted``) are those of the exact values.
+    form is the point's ``point_form``, if the caller has it; otherwise it is
+    derived once for both parts.
     """
+    if form is None:
+        form = point_form(point)
     values = []  # per part: its valuation when the initial form decides, else its exact value
     for part in (q,) if isinstance(q, Polynomial) else (q.num, q.den):
-        lead = _leading_term(part, point)
+        lead = None if form is None else _leading_term(part, point, form)
         values.append(part.evaluate(point) if lead is None else ValueGroupElement(lead[0]))
     if len(values) == 2 and isinstance(values[1], FieldElement) and values[1].is_exact_zero():
         raise DivisionByZero("denominator vanishes at the point")

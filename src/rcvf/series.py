@@ -215,6 +215,9 @@ class FieldElement:
     def is_exact_zero(self) -> bool:
         return not self.terms and self.precision is None
 
+    def is_exact_one(self) -> bool:
+        return self.precision is None and len(self.terms) == 1 and self.terms[0] == (0, 1)
+
     def is_visibly_zero(self) -> bool:
         """No known terms; may still be nonzero below a finite precision."""
         return not self.terms

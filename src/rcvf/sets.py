@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, Optional, Sequence
 
 from .errors import PrecisionExhausted
-from .poly import Polynomial, RationalFunction, leading_sign
+from .poly import Polynomial, RationalFunction, leading_sign, point_form
 from .sampling import SampleConfig, _rng, generic_residue_point, random_element
 from .series import GT, FieldElement
 
@@ -150,58 +150,84 @@ class SetDescriptor:
         consume indices, preserving determinism).  A consumer that stops early
         draws nothing past the last point it took.
         """
+        for y, _ in self.stream_forms(config, count, on_polydisc=True):
+            yield self._from_ball(y)
+
+    def stream_forms(self, config: SampleConfig, count: int | None = None,
+                     on_polydisc: bool = False) -> Iterator[tuple[list[FieldElement], Optional[tuple]]]:
+        """(point, form) per point of ``stream_points``, form being the point's
+        integer initial form (``poly.point_form``): a random point's comes
+        straight from its draws, a structured point's is derived.
+
+        With on_polydisc, the point is the polydisc point whose image under the
+        module map is the set's point (the point itself on a polydisc).
+        Without it, an affine set's points are the images, and their form is
+        None: the sign kernel derives it.
+        """
         want = config.samples if count is None else count
+        if want <= 0:
+            return
+        mapped = self.kind == AFFINE and not on_polydisc
+        strict = self.has_strict_constraints
+        # At most a quarter of the count is structured, so only drawn points can complete it.
+        structured = islice(self._structured_ball_points(), int(want * _STRUCTURED_FRACTION))
+        candidates = chain(((y, point_form(y)) for y in structured), self._drawn_forms(config.seed, 20 * want + 100))
         taken = 0
-        for pt in islice(self.structured_points(), max(0, int(want * _STRUCTURED_FRACTION))):
-            if self._admissible(pt):
-                taken += 1
-                yield pt
-        for index in range(20 * want + 100):
-            if taken >= want:
+        for y, form in candidates:
+            if strict and not self._admissible(self._from_ball(y)):
+                continue
+            yield (self._from_ball(y), None) if mapped else (y, form)
+            taken += 1
+            if taken == want:
                 return
-            rng = _rng(config.seed, index)
-            pt = self._from_ball([random_element(rng) for _ in range(self.n)])
-            if self._admissible(pt):
-                taken += 1
-                yield pt
+
+    def _drawn_forms(self, seed: int, count: int) -> Iterator[tuple[list[FieldElement], tuple]]:
+        """The random polydisc points of indices 0..count-1, each with its form."""
+        for index in range(count):
+            rng = _rng(seed, index)
+            draws = [random_element(rng, form=True) for _ in range(self.n)]
+            yield [x for x, _ in draws], (2, [f for _, f in draws])
 
     def structured_points(self) -> Iterator[list[FieldElement]]:
         """Corners, eps-power coordinates, and a small rational grid."""
+        for y in self._structured_ball_points():
+            yield self._from_ball(y)
+
+    def _structured_ball_points(self) -> Iterator[list[FieldElement]]:
         n = self.n
-        one = FieldElement.one()
+        one, zero = FieldElement.one(), FieldElement.zero()
+        minus_one = -one
         eps_pows = [FieldElement.eps_power(k) for k in range(1, 5)]
         rationals = [FieldElement.from_rational(Fraction(a, b))
                      for a, b in ((0, 1), (1, 2), (-1, 2), (2, 1), (-2, 1), (1, 3), (3, 2))]
-        corners = []
         for mask in range(2**n):
-            corners.append([one if (mask >> i) & 1 == 0 else -one for i in range(n)])
-        for pt in corners:
-            yield self._from_ball(pt)
+            yield [one if (mask >> i) & 1 == 0 else minus_one for i in range(n)]
         for v in eps_pows:
             for i in range(n):
-                base = [FieldElement.from_rational(0)] * n
+                base = [zero] * n
                 base[i] = v
-                yield self._from_ball(base)
-            yield self._from_ball([v] * n)
+                yield base
+            yield [v] * n
         for r in rationals:
-            yield self._from_ball([r] * n)
+            yield [r] * n
             for i in range(n):
                 base = [one] * n
                 base[i] = r
-                yield self._from_ball(base)
+                yield base
         # mixed: eps-power in one slot, rational elsewhere
         for v in eps_pows[:2]:
             for r in rationals[:3]:
                 for i in range(n):
                     base = [r] * n
                     base[i] = v
-                    yield self._from_ball(base)
+                    yield base
 
-    def generic_residue_points(self, rng, count: int, pool_size: int) -> list[list[FieldElement]]:
-        pts = []
-        for _ in range(count):
-            pts.append(self._from_ball(generic_residue_point(rng, self.n, pool_size)))
-        return pts
+    def generic_residue_points(self, rng, count: int, pool_size: int,
+                               on_polydisc: bool = False) -> list[list[FieldElement]]:
+        """Points with coordinates from a large rational pool; with on_polydisc,
+        an affine set's polydisc points rather than their images (as in stream_forms)."""
+        pts = [generic_residue_point(rng, self.n, pool_size) for _ in range(count)]
+        return pts if on_polydisc else [self._from_ball(y) for y in pts]
 
     def _from_ball(self, point: list[FieldElement]) -> list[FieldElement]:
         if self.kind == BALL:

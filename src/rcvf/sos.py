@@ -747,12 +747,19 @@ def residue_sos_decomposition(q: ResiduePolynomial,
 
 
 def verify_residue_sos(q: ResiduePolynomial, decomposition: Sequence[ResidueQuotient]) -> bool:
-    """Exact identity q == sum (num/den)^2, cross-multiplied."""
+    """Exact identity q == sum (num/den)^2, cross-multiplied.
+
+    A denominator 1 (every one of a search without multipliers) costs no
+    product: its summand is num^2 over the denominators so far.
+    """
     num_acc = ResiduePolynomial.constant(0, q.variables)
     den_acc = ResiduePolynomial.constant(1, q.variables)
     for quot in decomposition:
         n2 = quot.num * quot.num
+        if quot.den.is_one():
+            num_acc = num_acc + (n2 if den_acc.is_one() else n2 * den_acc)
+            continue
         d2 = quot.den * quot.den
         num_acc = num_acc * d2 + n2 * den_acc
         den_acc = den_acc * d2
-    return q * den_acc == num_acc
+    return (q if den_acc.is_one() else q * den_acc) == num_acc

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from rcvf import certificates
 from rcvf.certificates import (
     CANDIDATE,
     CERTIFICATE,
@@ -28,7 +29,10 @@ from rcvf.poly import Polynomial, RationalFunction
 from rcvf.ringexpr import ConstExpr, GenExpr, PerturbedUnit, ProdExpr, SOSExpr
 from rcvf.sampling import SampleConfig
 from rcvf.series import EQ, GT, LT, FieldElement, compare_order
+from rcvf.parser import parse_expression
+from rcvf.poly import gauss_valuation
 from rcvf.sets import AffineModuleMap, SetDescriptor, align_to_set
+from rcvf.sos import SOS, SosBudget, residue_sos_decomposition
 
 F = Fraction
 EPS = FieldElement.eps_power(1)
@@ -238,6 +242,61 @@ class TestGeneration:
         sd = SetDescriptor.unit_polydisc(1, strict_constraints=[X1])
         with pytest.raises(ValueError):
             generate_ball_certificate(X1 * X1, sd, config=CONFIG)
+
+
+def _nonneg_sos_input(rng):
+    """Shaped like the benchmark's nonneg_sos inputs: squares of seeded affine and
+    quadratic forms plus a positive-definite diagonal."""
+    x, y = (Polynomial.variable(v, ("x1", "x2")) for v in ("x1", "x2"))
+
+    def c():
+        return rng.choice((-1, 1)) * rng.randint(1, 2)
+
+    lin = [x.scale(c()) + y.scale(c()) + c() for _ in range(2)]
+    p = lin[0] * lin[0] + (x * y).scale(c()) ** 2 + (x * x + y.scale(c())) ** 2
+    p = p + (lin[1] * lin[1]).scale(EPS)
+    return p + (1 + x * x + y * y + x ** 4 + x * x * y * y).scale(rng.randint(1, 2))
+
+
+class TestLayerPeeling:
+    """A layer is peeled as residual - eps^gamma * lift(rbar), which must equal
+    subtracting the squares of its summands, product by product."""
+
+    def peel_each_layer(self, p, depth=3):
+        """Runs generation's layer loop; returns the number of layers peeled."""
+        vs = p.variables
+        residual, layers = p, 0
+        while layers < depth and not residual.is_exactly_zero():
+            gamma = gauss_valuation(residual).value
+            rbar = certificates._residue_polynomial(residual.residue_shift(gamma))
+            search = residue_sos_decomposition(rbar, SosBudget(max_basis=16, denominator_cap=0))
+            assert search.kind == SOS and all(q.den.is_one() for q in search.quotients)
+            summands, peeled = certificates._peel_layer(residual, rbar, search.quotients, gamma, vs)
+            by_products = residual
+            for s in summands:
+                assert s.den.is_one()
+                by_products = by_products - s.num * s.num
+            assert peeled.terms == by_products.terms and peeled.variables == by_products.variables
+            residual, layers = peeled, layers + 1
+        assert residual.is_exactly_zero()
+        return layers
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_nonneg_sos_shaped_inputs(self, seed):
+        assert self.peel_each_layer(_nonneg_sos_input(random.Random(seed))) == 2
+
+    def test_two_layers_and_a_constant_residue(self):
+        # The second layer's residue is the constant 7, a sum of four rational squares.
+        p = parse_expression("(x1^2 + x2)^2 + (x1*x2 + 1)^2 + 2*(1 + x1^2 + x2^2 + x1^4) + 7*eps^(3/2)")
+        assert self.peel_each_layer(p) == 2
+        assert self.peel_each_layer(parse_expression("3 + eps*x1^2 + eps^2")) == 3
+
+    def test_generation_certificates_verify(self):
+        for seed in range(3):
+            p = _nonneg_sos_input(random.Random(seed))
+            outcome = generate_ball_certificate(p, BALL2)
+            assert (outcome.kind, outcome.layers) == (CERTIFICATE, 2)
+            assert verify_nonneg_certificate(p, outcome.certificate, BALL2)
 
 
 class TestDickmann:

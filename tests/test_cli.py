@@ -123,6 +123,19 @@ class TestParser:
         assert json.loads(out) == {"error": {"message": "parentheses nested deeper than 64 at offset 64",
                                              "position": 64, "type": "parse"}}
 
+    @pytest.mark.parametrize("text, position", [
+        ("9" * 5000, 0), ("2*x + 3/" + "1" * 4301, 8), ("x^" + "7" * 4400 + " + 1", 2),
+        ("x1^2 + (1 - eps*x2)*" + "5" * 4301 + "*x1", 20), ("2*x" + "1" * 4301 + " + 1", 3)],
+        ids=["literal", "denominator", "exponent", "factor", "variable"])
+    def test_long_integer_literal_is_a_parse_error(self, text, position):
+        # int() refuses more than sys.get_int_max_str_digits() digits with a ValueError.
+        with pytest.raises(ParseError, match="number longer than 4300 digits") as err:
+            parse_expression(text)
+        assert err.value.position == position
+        code, out = run_cli("eval", "--expr", text)
+        assert code == 2 and json.loads(out)["error"]["position"] == position
+        assert parse_expression("1" * 4300 + "*x") == parse_expression("x") * int("1" * 4300)
+
     @pytest.mark.parametrize("text, position", [("x\u0661 + 1", 1), ("\u0663", 0), ("2*x1\u0663", 4),
                                                  ("eps^(1/\u0662)", 7)])
     def test_only_ascii_digits(self, text, position):
@@ -488,6 +501,29 @@ class TestMalformedCertificates:
                                                                             {"op": "iord", "summands": [{"num": "1"}]}]}))
         with pytest.raises(EncodingError, match=r"missing field witness\.num\.args\[1\]\.args\[1\]\.summands\[0\]\.den$"):
             certificate_from_json(blob)
+
+    @pytest.mark.parametrize("depth", [65, 600, 3000])
+    def test_deeply_nested_ring_expression_is_usage_error(self, tmp_path, depth):
+        # 600 levels overflowed json.load; deeper than 64 recursed through the
+        # reader and the verifier.  Both are EncodingErrors (exit 2) now.
+        # Written as text: json.dumps overflows on such an object too.
+        nested = '{"op":"sum","args":[' * depth + '{"op":"const","value":"0"}' + "]}" * depth
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(dict(_WELL_FORMED, witness=_zero_times("LEAF"))).replace('"LEAF"', nested))
+        code, out = run_cli("cert", "verify", str(path))
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "EncodingError"
+
+    def test_ring_expression_nesting_limit(self):
+        def nested(depth):
+            leaf = {"op": "gen", "index": 0}
+            for _ in range(depth):
+                leaf = {"op": "prod", "args": [leaf]}
+            return leaf
+
+        ring_expr_from_json(nested(64))
+        with pytest.raises(EncodingError, match=r"nested deeper than 64 at expression(\.args\[0\]){65}$"):
+            ring_expr_from_json(nested(65))
 
     def test_well_formed_file_verifies(self, tmp_path):
         path = tmp_path / "cert.json"

@@ -22,11 +22,11 @@ import rcvf
 from rcvf import certificates, jsonio, series, sets, sos
 from rcvf.certificates import CERTIFICATE, falsify_nonnegativity, generate_ball_certificate, verify_nonneg_certificate
 from rcvf.parser import parse_expression
-from rcvf.poly import Polynomial, _SparsePolynomial
+from rcvf.poly import Polynomial, RationalFunction, _SparsePolynomial
 from rcvf.sampling import SampleConfig
 from rcvf.series import FieldElement
 from rcvf.sets import SetDescriptor
-from rcvf.sos import ResiduePolynomial, psd_falsify
+from rcvf.sos import ResidueQuotient, ResiduePolynomial, psd_falsify, verify_residue_sos
 
 MODULES = sorted(p for p in Path(rcvf.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py")
 ROOT = Path(__file__).resolve().parents[1]
@@ -163,8 +163,10 @@ def test_falsifier_stops_drawing_at_a_negative_corner(monkeypatch):
 
 
 # FieldElement.__init__ calls of the run below: 703 when every sign test built
-# its value and every random coordinate went through the general constructor.
-FALSIFY_INITS = 43
+# its value and every random coordinate went through the general constructor,
+# and 29 while the structured points built a zero and a -1 coordinate each
+# time one was needed.
+FALSIFY_INITS = 19
 
 
 def test_falsifier_sign_tests_build_no_series(monkeypatch):
@@ -230,3 +232,28 @@ def test_traced_polynomial_methods_stay_in_polynomial():
     # perfbench/tracing.py wraps these in Polynomial's own namespace.
     for name in ("__add__", "__radd__", "__mul__", "__rmul__", "evaluate"):
         assert name in vars(Polynomial), name
+
+
+def test_products_by_one_are_skipped(monkeypatch):
+    # Denominators 1 cost no product in quotient arithmetic and equality, nor
+    # in the SOS identity check; only num * num products are left.
+    a = RationalFunction(parse_expression("1 + eps*x1 - x2^2"))
+    b = RationalFunction(parse_expression("x1 - 3*eps^(1/2)*x2"))  # integers: flat denominators are 1 too
+    c = RationalFunction(a.num, b.num)
+    products = count_calls(monkeypatch, [(Polynomial, "__mul__"), (Polynomial, "__rmul__"),
+                                         (ResiduePolynomial, "__mul__")])
+    total = a + b + 1
+    assert products == []
+    assert total == RationalFunction(a.num + b.num + 1) and not a == b
+    assert products == []
+    a * b
+    assert len(products) == 1
+    del products[:]
+    a + c  # one cross product and the denominator of c itself
+    assert len(products) == 1
+    vs = ("x", "y")
+    x, y = ResiduePolynomial.variable("x", vs), ResiduePolynomial.variable("y", vs)
+    q, squares = x * x + 2 * y * y, [ResidueQuotient.of(x), ResidueQuotient.of(y), ResidueQuotient.of(y)]
+    del products[:]
+    assert verify_residue_sos(q, squares)
+    assert len(products) == 3

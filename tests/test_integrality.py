@@ -13,10 +13,13 @@ from rcvf.integrality import (
     infinitesimal_decompose,
     module_pullback,
     pointwise_integral_oracle,
+    polydisc_frame,
 )
+from rcvf.certificates import falsify_nonnegativity
 from rcvf.poly import Polynomial, RationalFunction, gauss_valuation, poly_eval, valuation_at
 from rcvf.sampling import SampleConfig, _rng
 from rcvf.series import FieldElement, ValueGroupElement
+from rcvf.parser import parse_expression
 from rcvf.sets import AffineModuleMap, SetDescriptor, align_to_set
 
 from conftest import random_exact_element
@@ -165,6 +168,96 @@ class TestModulePullback:
         assert generic_type_integral(h, module)
         verdict = pointwise_integral_oracle(h, module, SampleConfig(seed=4, samples=300))
         assert verdict.kind == NO_COUNTEREXAMPLE_FOUND
+
+
+def _module(centers, scales, strict=None):
+    parse = parse_expression
+    return SetDescriptor.affine_module(AffineModuleMap(tuple(map(parse, centers)), tuple(map(parse, scales))),
+                                       strict)
+
+
+# The benchmark's affine set, and one with half-integer and negative exponents.
+MODULES = [(("1", "0"), ("eps", "1")), (("1/2 + eps", "-3"), ("eps^(1/2)", "-1/2*eps^(-1)"))]
+
+
+def _always(module_args):
+    """The same set with the strict constraint 1 > 0, true everywhere: sampling
+    then tests every point as the module map's image, as before the polydisc frame."""
+    return _module(*module_args, [Polynomial.constant(1, ("x1", "x2"))])
+
+
+def _random_h(rng, vanishing):
+    """A seeded exact quotient in x1, x2; with vanishing, its denominator is
+    x1 - (1 + eps), zero on the images of the benchmark module's corners y1 = 1."""
+    vs = ("x1", "x2")
+
+    def poly(terms):
+        return Polynomial(vs, {(rng.randint(0, 2), rng.randint(0, 2)): random_exact_element(rng, 2)
+                               for _ in range(terms)})
+
+    num = poly(3)
+    den = (Polynomial.variable("x1", vs) - parse_expression("1 + eps")) if vanishing else poly(2)
+    return None if den.is_exactly_zero() else RationalFunction(num, den)
+
+
+def _same_points(a, b):
+    return a is b is None or (len(a) == len(b) and all((x.terms, x.precision) == (y.terms, y.precision)
+                                                       for x, y in zip(a, b)))
+
+
+class TestPolydiscFrame:
+    """On an affine set the oracle and the falsifier test the pulled-back function
+    at polydisc points; verdicts, counts and reported points must be the ones of
+    testing the function itself at the images."""
+
+    @pytest.mark.parametrize("module_args", MODULES)
+    def test_frames(self, module_args):
+        h = RationalFunction(Polynomial.variable("x1", ("x1", "x2")))
+        pulled, mm = polydisc_frame(h, _module(*module_args))
+        assert mm is not None and pulled == module_pullback(h, mm)
+        assert polydisc_frame(h, _always(module_args))[1] is None
+        assert polydisc_frame(h, BALL1)[1] is None
+        # Truncated data keeps the mapped points.
+        truncated = _module(("1", "1/(1 + eps)"), ("eps", "1"))
+        assert polydisc_frame(h, truncated)[1] is None
+
+    @pytest.mark.parametrize("module_args", MODULES)
+    def test_oracle_matches_the_mapped_oracle(self, module_args):
+        rng = random.Random(11)
+        sd, mapped = _module(*module_args), _always(module_args)
+        kinds, skipped = set(), 0
+        for k in range(40):
+            h = _random_h(rng, vanishing=k % 4 == 0)
+            if h is None:
+                continue
+            config = SampleConfig(seed=k, samples=40)
+            got, want = pointwise_integral_oracle(h, sd, config), pointwise_integral_oracle(h, mapped, config)
+            assert (got.kind, got.samples, got.skipped, got.value_valuation) == \
+                (want.kind, want.samples, want.skipped, want.value_valuation)
+            assert _same_points(got.point, want.point)
+            if got.point is not None:
+                assert valuation_at(h, list(got.point)) == got.value_valuation
+            kinds.add(got.kind)
+            skipped += got.skipped
+        assert kinds == {COUNTEREXAMPLE_FOUND, NO_COUNTEREXAMPLE_FOUND}
+        if module_args == MODULES[0]:
+            assert skipped > 0  # the vanishing denominators were met
+
+    @pytest.mark.parametrize("module_args", MODULES)
+    def test_falsifier_matches_the_mapped_falsifier(self, module_args):
+        rng = random.Random(5)
+        sd, mapped = _module(*module_args), _always(module_args)
+        found = 0
+        for k in range(30):
+            h = _random_h(rng, vanishing=False)
+            if h is None:
+                continue
+            p = h.num - h.den * h.den  # negative somewhere on some sets, not on others
+            config = SampleConfig(seed=k, samples=40)
+            got = falsify_nonnegativity(p, sd, config)
+            assert _same_points(got, falsify_nonnegativity(p, mapped, config))
+            found += got is not None
+        assert 0 < found < 30
 
 
 class TestInfinitesimalDecompose:

@@ -15,7 +15,7 @@ from math import prod
 import pytest
 
 from rcvf.errors import DivisionByZero, ExponentBlowup, PrecisionExhausted, RcvfError
-from rcvf.poly import Polynomial, RationalFunction, _leading_term, leading_sign, valuation_at
+from rcvf.poly import Polynomial, RationalFunction, _leading_term, leading_sign, point_form, valuation_at
 from rcvf.sampling import SampleConfig
 from rcvf.series import TOP, FieldElement, compare_order
 from rcvf.sets import AffineModuleMap, SetDescriptor
@@ -325,3 +325,52 @@ def test_quotient_valuations(q, pt, val):
     got = verdict(lambda: valuation_at(q, pt))
     assert got == verdict(lambda: exact_valuation(q, pt))
     assert got == val
+
+
+def form_as_rationals(form):
+    """A point form's coordinates with their exponents as Fractions, whatever its denominator."""
+    den, coords = form
+    return [None if x is None else (F(x[0], den), x[1], x[2], None if x[3] is None else F(x[3], den))
+            for x in coords]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_carried_forms_decide_as_derived_ones(seed):
+    # stream_forms hands the kernel each sampled point's form from its draws.  It
+    # must be the form point_form derives, and every answer, fallback and error
+    # must be the same with it as without; an eps^(1/3) coefficient puts the
+    # plan's denominator off the form's.
+    rng = random.Random(seed)
+    n = seed + 1
+    pairs = list(SetDescriptor.unit_polydisc(n).stream_forms(SampleConfig(seed=seed, samples=60)))
+    assert len(pairs) == 60
+    for pt, form in pairs:
+        assert form_as_rationals(form) == form_as_rationals(point_form(pt))
+    assert {form[0] for _, form in pairs} == {1, 2}  # structured points derive theirs; draws are in halves
+    fallbacks = decided = 0
+    for _ in range(10):
+        p = random_polynomial(rng, n)
+        for q in (p, p.scale(FieldElement.eps_power(F(1, 3)))):
+            for pt, form in pairs:
+                lead = verdict(lambda: _leading_term(q, pt, form))
+                assert lead == verdict(lambda: _leading_term(q, pt))
+                fallbacks += lead is None
+                decided += isinstance(lead, tuple)
+                assert verdict(lambda: leading_sign(q, pt, form)) == verdict(lambda: leading_sign(q, pt))
+                assert verdict(lambda: valuation_at(q, pt, form)) == verdict(lambda: valuation_at(q, pt))
+                quotient = RationalFunction(q, p + 1)
+                assert verdict(lambda: valuation_at(quotient, pt, form)) == verdict(lambda: valuation_at(quotient, pt))
+    assert fallbacks and decided > fallbacks
+
+
+def test_carried_form_raises_exponent_blowup_as_derived():
+    # eps^(1/33) times a coordinate whose leading exponent is an odd number of
+    # halves has valuation k/66, over the cap of 64.
+    pairs = SetDescriptor.unit_polydisc(1).stream_forms(SampleConfig(seed=1, samples=200))
+    pt, form = next((pt, form) for pt, form in pairs
+                    if form[1][0] is not None and F(form[1][0][0], form[0]).denominator == 2)
+    p = Polynomial(("x",), {(1,): FieldElement.eps_power(F(1, 33))})
+    for query in (partial(_leading_term, p), partial(leading_sign, p), partial(valuation_at, p)):
+        for carried in (form, None):
+            with pytest.raises(ExponentBlowup):
+                query(pt, carried)
