@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import CoefficientsNotIntegral, NotIntegral, PrecisionExhausted, RcvfError
-from .integrality import IntegralityVerdict, module_pullback, pointwise_integral_oracle, polydisc_frame
+from .integrality import IntegralityVerdict, module_pullback, pointwise_integral_oracle
 from .poly import (
     FlatRing,
     NotFlat,
@@ -363,16 +363,11 @@ def _peel_layer(residual: Polynomial, rbar: ResiduePolynomial, quotients, gamma:
 
 def falsify_nonnegativity(p: Polynomial, set_descriptor: SetDescriptor,
                           config: SampleConfig) -> Optional[list[FieldElement]]:
-    """Exact p(b) < 0 search: config.samples sampled points plus the residue-level falsifier.
-
-    On an affine set the sampled points are tested in p's polydisc frame (see
-    integrality.polydisc_frame); only a negative one goes through the map.
-    """
-    q, module_map = polydisc_frame(p, set_descriptor)
-    for b, form in set_descriptor.stream_forms(config, on_polydisc=module_map is not None):
+    """Exact p(b) < 0 search: config.samples sampled points plus the residue-level falsifier."""
+    for b, form in set_descriptor.stream_forms(config):
         try:
-            if leading_sign(q, b, form) == LT:
-                return list(b) if module_map is None else module_map.apply(b)
+            if leading_sign(p, b, form) == LT:
+                return list(b)
         except PrecisionExhausted:
             continue
     gamma = gauss_valuation(p)

@@ -100,18 +100,17 @@ def polydisc_frame(q: Union[Polynomial, RationalFunction], set_descriptor: SetDe
     """(q', module map or None): the function that sampling tests, and the map
     that takes its points to the set.
 
-    On an affine set without strict constraints, with q in the set's frame and
-    q and the map exact, q is pulled back once: its value at a polydisc point
-    y is q's at the image of y, exactly, so the points are drawn and tested on
-    the polydisc and only a reported one goes through the map.  Otherwise
-    q and None: on a polydisc; with strict constraints, which are tested on
-    the images; for q in another frame, whose arity error the sign tests
-    report; and for truncated data, whose precision could differ between the
-    two evaluations.
+    On an affine set, with q in the set's frame and q and the map exact, q is
+    pulled back once: its value at a polydisc point y is q's at the image of
+    y, exactly, so the points are drawn and tested on the polydisc and only a
+    reported one goes through the map.  Strict constraints change nothing:
+    sampling tests them on the image before it yields y.  Otherwise q and
+    None: on a polydisc; for q in another frame, whose arity error the sign
+    tests report; and for truncated data, whose precision could differ
+    between the two evaluations.
     """
     mm = set_descriptor.module_map
-    if (set_descriptor.kind != "affine" or set_descriptor.has_strict_constraints
-            or q.variables != set_descriptor.variables()):
+    if set_descriptor.kind != "affine" or q.variables != set_descriptor.variables():
         return q, None
     parts = (q,) if isinstance(q, Polynomial) else (q.num, q.den)
     data = [*mm.centers, *mm.scales, *(c for part in parts for c in part.terms.values())]

@@ -114,11 +114,14 @@ def random_element(rng: random.Random, min_valuation: Fraction = Fraction(0), fo
     drawn as numbers of halves, so the terms are put in canonical form in
     integers and wrapped by the trusted constructor.
 
-    With form (only at min_valuation 0), returns (element, its initial form):
-    (v, n, q, g) with n/q its leading coefficient, v its leading exponent and g
-    the gap to its next term (None if there is none), both in halves; None for
-    an exact zero.  This is a coordinate of a ``poly.point_form`` over 2.
+    With form, returns (element, its initial form), and raises ValueError
+    unless min_valuation is 0.  The form is (v, n, q, g) with n/q its leading
+    coefficient, v its leading exponent and g the gap to its next term (None
+    if there is none), both in halves; None for an exact zero.  This is a
+    coordinate of a ``poly.point_form`` over 2.
     """
+    if form and min_valuation != 0:
+        raise ValueError("an initial form is drawn only at min_valuation 0")
     terms = _random_terms(rng)
     body = FieldElement.from_canonical(tuple((_HALVES[h], c) for h, c in terms))
     if form:

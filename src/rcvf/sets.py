@@ -150,8 +150,8 @@ class SetDescriptor:
         consume indices, preserving determinism).  A consumer that stops early
         draws nothing past the last point it took.
         """
-        for y, _ in self.stream_forms(config, count, on_polydisc=True):
-            yield self._from_ball(y)
+        for _, _, x in self._stream(config, count, images=True):
+            yield x
 
     def stream_forms(self, config: SampleConfig, count: int | None = None,
                      on_polydisc: bool = False) -> Iterator[tuple[list[FieldElement], Optional[tuple]]]:
@@ -164,27 +164,45 @@ class SetDescriptor:
         Without it, an affine set's points are the images, and their form is
         None: the sign kernel derives it.
         """
+        if self.kind == AFFINE and not on_polydisc:
+            for _, _, x in self._stream(config, count, images=True):
+                yield x, None
+        else:
+            for y, form, _ in self._stream(config, count, images=False):
+                yield y, form
+
+    def _stream(self, config: SampleConfig, count: int | None, images: bool):
+        """(polydisc point, form, image) per sampled point.  Each point is mapped
+        at most once: when images are asked for or strict constraints test
+        them, else the image is None.  Forms are built only when images are
+        not asked for, else they are None."""
         want = config.samples if count is None else count
         if want <= 0:
             return
-        mapped = self.kind == AFFINE and not on_polydisc
         strict = self.has_strict_constraints
         # At most a quarter of the count is structured, so only drawn points can complete it.
         structured = islice(self._structured_ball_points(), int(want * _STRUCTURED_FRACTION))
-        candidates = chain(((y, point_form(y)) for y in structured), self._drawn_forms(config.seed, 20 * want + 100))
+        candidates = chain(((y, None) for y in structured), self._drawn(config.seed, 20 * want + 100, not images))
         taken = 0
         for y, form in candidates:
-            if strict and not self._admissible(self._from_ball(y)):
+            x = self._from_ball(y) if images or strict else None
+            if strict and not self._admissible(x):
                 continue
-            yield (self._from_ball(y), None) if mapped else (y, form)
+            if form is None and not images:
+                form = point_form(y)
+            yield y, form, x
             taken += 1
             if taken == want:
                 return
 
-    def _drawn_forms(self, seed: int, count: int) -> Iterator[tuple[list[FieldElement], tuple]]:
-        """The random polydisc points of indices 0..count-1, each with its form."""
+    def _drawn(self, seed: int, count: int, forms: bool) -> Iterator[tuple[list[FieldElement], Optional[tuple]]]:
+        """The random polydisc points of indices 0..count-1, each with its form
+        if forms is set, else with None."""
         for index in range(count):
             rng = _rng(seed, index)
+            if not forms:
+                yield [random_element(rng) for _ in range(self.n)], None
+                continue
             draws = [random_element(rng, form=True) for _ in range(self.n)]
             yield [x for x, _ in draws], (2, [f for _, f in draws])
 

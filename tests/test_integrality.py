@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from rcvf import integrality
 from rcvf.errors import NotInfinitesimalDefinite
 from rcvf.integrality import (
     COUNTEREXAMPLE_FOUND,
@@ -15,7 +16,6 @@ from rcvf.integrality import (
     pointwise_integral_oracle,
     polydisc_frame,
 )
-from rcvf.certificates import falsify_nonnegativity
 from rcvf.poly import Polynomial, RationalFunction, gauss_valuation, poly_eval, valuation_at
 from rcvf.sampling import SampleConfig, _rng
 from rcvf.series import FieldElement, ValueGroupElement
@@ -180,10 +180,10 @@ def _module(centers, scales, strict=None):
 MODULES = [(("1", "0"), ("eps", "1")), (("1/2 + eps", "-3"), ("eps^(1/2)", "-1/2*eps^(-1)"))]
 
 
-def _always(module_args):
-    """The same set with the strict constraint 1 > 0, true everywhere: sampling
-    then tests every point as the module map's image, as before the polydisc frame."""
-    return _module(*module_args, [Polynomial.constant(1, ("x1", "x2"))])
+def _strict(module_args):
+    """The same set with the strict constraint x1 + x2 > 0, which rejects some samples."""
+    vs = ("x1", "x2")
+    return _module(*module_args, [Polynomial.variable("x1", vs) + Polynomial.variable("x2", vs)])
 
 
 def _random_h(rng, vanishing):
@@ -206,32 +206,36 @@ def _same_points(a, b):
 
 
 class TestPolydiscFrame:
-    """On an affine set the oracle and the falsifier test the pulled-back function
-    at polydisc points; verdicts, counts and reported points must be the ones of
-    testing the function itself at the images."""
+    """On an affine set the oracle tests the pulled-back function at polydisc
+    points; verdicts, counts and reported points must be the ones of testing
+    the function itself at the images, which is the oracle with the frame off."""
 
     @pytest.mark.parametrize("module_args", MODULES)
     def test_frames(self, module_args):
         h = RationalFunction(Polynomial.variable("x1", ("x1", "x2")))
-        pulled, mm = polydisc_frame(h, _module(*module_args))
-        assert mm is not None and pulled == module_pullback(h, mm)
-        assert polydisc_frame(h, _always(module_args))[1] is None
+        for sd in (_module(*module_args), _strict(module_args)):
+            pulled, mm = polydisc_frame(h, sd)
+            assert mm is not None and pulled == module_pullback(h, mm)
         assert polydisc_frame(h, BALL1)[1] is None
         # Truncated data keeps the mapped points.
         truncated = _module(("1", "1/(1 + eps)"), ("eps", "1"))
         assert polydisc_frame(h, truncated)[1] is None
 
+    @pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
     @pytest.mark.parametrize("module_args", MODULES)
-    def test_oracle_matches_the_mapped_oracle(self, module_args):
+    def test_oracle_matches_the_mapped_oracle(self, module_args, strict, monkeypatch):
+        sd = (_strict if strict else lambda args: _module(*args))(module_args)
         rng = random.Random(11)
-        sd, mapped = _module(*module_args), _always(module_args)
-        kinds, skipped = set(), 0
+        cases = []
         for k in range(40):
             h = _random_h(rng, vanishing=k % 4 == 0)
-            if h is None:
-                continue
-            config = SampleConfig(seed=k, samples=40)
-            got, want = pointwise_integral_oracle(h, sd, config), pointwise_integral_oracle(h, mapped, config)
+            if h is not None:
+                config = SampleConfig(seed=k, samples=40)
+                cases.append((h, config, pointwise_integral_oracle(h, sd, config)))
+        monkeypatch.setattr(integrality, "polydisc_frame", lambda q, _: (q, None))
+        kinds, skipped = set(), 0
+        for h, config, got in cases:
+            want = pointwise_integral_oracle(h, sd, config)
             assert (got.kind, got.samples, got.skipped, got.value_valuation) == \
                 (want.kind, want.samples, want.skipped, want.value_valuation)
             assert _same_points(got.point, want.point)
@@ -243,21 +247,17 @@ class TestPolydiscFrame:
         if module_args == MODULES[0]:
             assert skipped > 0  # the vanishing denominators were met
 
-    @pytest.mark.parametrize("module_args", MODULES)
-    def test_falsifier_matches_the_mapped_falsifier(self, module_args):
-        rng = random.Random(5)
-        sd, mapped = _module(*module_args), _always(module_args)
-        found = 0
-        for k in range(30):
-            h = _random_h(rng, vanishing=False)
-            if h is None:
-                continue
-            p = h.num - h.den * h.den  # negative somewhere on some sets, not on others
-            config = SampleConfig(seed=k, samples=40)
-            got = falsify_nonnegativity(p, sd, config)
-            assert _same_points(got, falsify_nonnegativity(p, mapped, config))
-            found += got is not None
-        assert 0 < found < 30
+    def test_strict_constraint_rejects_samples(self):
+        config = SampleConfig(seed=3, samples=40)
+        sd = _strict(MODULES[0])
+        plain = [y for y, _ in _module(*MODULES[0]).stream_forms(config, on_polydisc=True)]
+        strict = [y for y, _ in sd.stream_forms(config, on_polydisc=True)]
+        assert len(strict) == len(plain) and _points_differ(strict, plain)
+        assert all(sd.contains(sd.module_map.apply(y)) for y in strict)
+
+
+def _points_differ(a, b):
+    return any(not _same_points(x, y) for x, y in zip(a, b))
 
 
 class TestInfinitesimalDecompose:

@@ -94,8 +94,12 @@ AFFINE = SetDescriptor.affine_module(AffineModuleMap(
 # Rejects some corners, grid points and random draws; its sign tests refuse none.
 STRICT = SetDescriptor.unit_polydisc(2, strict_constraints=[
     align_polynomial(parse_expression("x1 - x2^2 + 1/4"), 2)])
+# Rejects the images whose second coordinate is at most -3, about half of them.
+STRICT_AFFINE = SetDescriptor.affine_module(AFFINE.module_map, strict_constraints=[
+    align_polynomial(parse_expression("x2 + 3"), 2)])
 SETS = {"ball:1": SetDescriptor.unit_polydisc(1), "ball:2": SetDescriptor.unit_polydisc(2),
-        "ball:3": SetDescriptor.unit_polydisc(3), "affine": AFFINE, "strict": STRICT}
+        "ball:3": SetDescriptor.unit_polydisc(3), "affine": AFFINE, "strict": STRICT,
+        "strict_affine": STRICT_AFFINE}
 
 
 @pytest.mark.parametrize("name", sorted(SETS))
@@ -116,6 +120,41 @@ def test_strict_set_rejects_some_draws():
     assert len(STRICT.sample_points(config)) == 120
     structured = list(islice(STRICT.structured_points(), 30))
     assert sum(map(STRICT._admissible, structured)) < 30
+
+
+def test_each_candidate_is_mapped_once(monkeypatch):
+    calls = []
+    apply = AffineModuleMap.apply
+    monkeypatch.setattr(AffineModuleMap, "apply", lambda mm, y: calls.append(1) or apply(mm, y))
+
+    def count_maps(points):
+        calls.clear()
+        n = sum(1 for _ in points)
+        return n, len(calls)
+
+    def refuse(_):
+        raise AssertionError("a form built for a mapped point")
+
+    monkeypatch.setattr("rcvf.sets.point_form", refuse)
+    config = SampleConfig(seed=1, samples=60)
+    # Without strict constraints only yielded points are mapped, and mapped points need no form.
+    assert count_maps(AFFINE.stream_points(config)) == (60, 60)
+    assert count_maps(AFFINE.stream_forms(config)) == (60, 60)
+    # With them, every candidate is mapped once, for the test, and its image reused.
+    n, candidates = count_maps(STRICT_AFFINE.stream_points(config))
+    assert n == 60 and candidates > 60
+    assert count_maps(STRICT_AFFINE.stream_forms(config)) == (60, candidates)
+    monkeypatch.undo()
+    monkeypatch.setattr(AffineModuleMap, "apply", lambda mm, y: calls.append(1) or apply(mm, y))
+    assert count_maps(AFFINE.stream_forms(config, on_polydisc=True)) == (60, 0)
+    assert count_maps(STRICT_AFFINE.stream_forms(config, on_polydisc=True)) == (60, candidates)
+
+
+def test_random_element_form_only_at_valuation_zero():
+    x, form = random_element(random.Random(3), F(0), form=True)
+    assert form is None or form[0] >= 0
+    with pytest.raises(ValueError):
+        random_element(random.Random(3), F(1, 2), form=True)
 
 
 @pytest.mark.parametrize("min_valuation", [F(0), F(2), F(1, 2), F(-2)])
