@@ -9,6 +9,7 @@ from .errors import (
     NonSquareLeadingCoefficient,
     NotIntegral,
     NotInfinitesimalDefinite,
+    NumberTooLong,
     ParseError,
     PrecisionExhausted,
     RcvfError,

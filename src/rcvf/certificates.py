@@ -9,14 +9,15 @@ unit.
 
 Generation peels residue layers: scale p by its Gauss valuation, decompose
 the residue polynomial as an exact SOS, subtract the lift, and repeat; any
-nonzero remainder is folded into the m*h correction.  Existence proofs behind
+nonzero remainder is folded into the m*h correction.  Points are sampled
+only when these exact stages end without a certificate.  Existence proofs behind
 the certificate shape are non-constructive, so generation is best-effort and
 an explicit candidate-without-witness outcome is kept distinct from success.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -53,7 +54,6 @@ from .sos import (
     SosBudget,
     psd_falsify,
     residue_sos_decomposition,
-    residue_sos_search,
 )
 
 
@@ -263,7 +263,12 @@ def _embed_rational_point(point: Sequence[Fraction]) -> list[FieldElement]:
 def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
                               budget: Optional[GenerationBudget] = None,
                               config: Optional[SampleConfig] = None) -> GenerationOutcome:
-    """Falsify or certify non-negativity of p on a polydisc or affine module."""
+    """Certify or falsify non-negativity of p on a polydisc or affine module.
+
+    The exact stages run first.  A certificate they build is sound, so no
+    sampled point could refute it; points are drawn only for a p they leave
+    without one.
+    """
     if set_descriptor.has_strict_constraints:
         raise ValueError("generation supports polydiscs and affine modules without strict constraints")
     budget = budget or GenerationBudget()
@@ -282,14 +287,41 @@ def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
                                  IntegralityWitness.trivial())
         return GenerationOutcome(CERTIFICATE, certificate=cert, gauss=None)
 
-    # Stage 1: pointwise falsification.
+    try:
+        outcome, failure = _exact_stages(p, set_descriptor, budget), None
+    except RcvfError as exc:
+        # A layer can fail where sampling does not: truncation hides its
+        # valuation, or a summand's exponent passes the cap.  A point the
+        # falsifier finds still refutes p; only without one does the error stand.
+        outcome, failure = None, exc
+    if outcome is not None and outcome.kind == CERTIFICATE:
+        return outcome
+
+    # Stage 3: pointwise falsification, for a p no certificate proves non-negative.
     witness_point = falsify_nonnegativity(p, set_descriptor, config)
     if witness_point is not None:
         return GenerationOutcome(NEGATIVITY_WITNESS, point=tuple(witness_point))
+    if failure is not None:
+        raise failure
+    if outcome.kind != CANDIDATE:
+        return outcome
+    oracle = pointwise_integral_oracle(outcome.h, set_descriptor,
+                                       SampleConfig(config.seed + 1, config.samples))
+    # A candidate is only worth reporting when the oracle backs its h; a
+    # counterexample to integrality demotes the outcome to unknown.
+    kind = UNKNOWN if oracle.found_counterexample else CANDIDATE
+    return replace(outcome, kind=kind, oracle=oracle)
 
+
+def _exact_stages(p: Polynomial, set_descriptor: SetDescriptor,
+                  budget: GenerationBudget) -> GenerationOutcome:
+    """A certificate for a nonzero p, or the unknown or candidate (its oracle
+    not yet run) that peeling and folding end at."""
+    vs = set_descriptor.variables()
     gamma_val = gauss_valuation(p).value  # p nonzero, so rational
 
-    # Stage 2: peel residue layers.
+    # Stage 1: peel residue layers.  No point has been sampled yet; an rbar
+    # negative somewhere has no exact SOS, so peeling stops there all the same.
     summands: list[RationalFunction] = []
     layers = 0
     residual = p
@@ -300,13 +332,7 @@ def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
             rbar = _residue_polynomial(scaled)
         except NotIntegral:
             break
-        if layers == 0:
-            # Stage 1 ran psd_falsify on this rbar with this config and found no
-            # point: a rational z lies on the polydisc and rbar(z) < 0 forces
-            # p(z) < 0.  A negative constant rbar was caught there too.
-            search = residue_sos_decomposition(rbar, budget.sos)
-        else:
-            search = residue_sos_search(rbar, budget.sos, config)
+        search = residue_sos_decomposition(rbar, budget.sos)
         if search.kind != SOS:
             break
         if not all(q.den.is_one() for q in search.quotients):
@@ -322,7 +348,7 @@ def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
                                  RationalFunction.constant(0, vs), IntegralityWitness.trivial())
         return GenerationOutcome(CERTIFICATE, certificate=cert, gauss=gamma_val, layers=layers)
 
-    # Stage 3: fold the remainder into m*h.  q = r - p has Gauss valuation
+    # Stage 2: fold the remainder into m*h.  q = r - p has Gauss valuation
     # strictly above p's, so m is infinitesimal and h = q/(p*m) Gauss-integral.
     q = -residual  # r_acc - p
     q_gauss = gauss_valuation(q).value
@@ -337,13 +363,7 @@ def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
     if witness is not None:
         cert = NonnegCertificate(r_sos, m, h, witness)
         return GenerationOutcome(CERTIFICATE, certificate=cert, gauss=gamma_val, layers=layers)
-    oracle = pointwise_integral_oracle(h, set_descriptor,
-                                       SampleConfig(config.seed + 1, config.samples))
-    # A candidate is only worth reporting when the oracle backs its h; a
-    # counterexample to integrality demotes the outcome to unknown.
-    kind = UNKNOWN if oracle.found_counterexample else CANDIDATE
-    return GenerationOutcome(kind, r=r_sos, m=m, h=h, oracle=oracle,
-                             gauss=gamma_val, layers=layers)
+    return GenerationOutcome(CANDIDATE, r=r_sos, m=m, h=h, gauss=gamma_val, layers=layers)
 
 
 def _peel_layer(residual: Polynomial, rbar: ResiduePolynomial, quotients, gamma: Fraction, vs):
@@ -413,7 +433,7 @@ def _syntactic_witness(p: Polynomial, q: Polynomial, gamma: Fraction, q_gauss: F
     shift = pbar - ResiduePolynomial.constant(1, pbar.variables)
     inv_leaf = None
     if not shift.is_exactly_zero():
-        search = residue_sos_search(shift, SosBudget(max_basis=16, denominator_cap=0))
+        search = residue_sos_decomposition(shift, SosBudget(max_basis=16, denominator_cap=0))
         if search.kind != SOS or any(not t.den.is_constant() for t in search.quotients):
             return None
         sos_lift = SOSExpr([RationalFunction(_lift_residue(t.num, vs)) for t in search.quotients])

@@ -29,8 +29,8 @@ from .integrality import gauss_gap, pointwise_integral_oracle
 from .parser import parse_expression
 from .poly import Polynomial, RationalFunction, gauss_valuation
 from .sampling import SampleConfig
-from .series import FieldElement, compare_order, default_truncation, set_default_truncation
-from .sets import SetDescriptor
+from .series import FieldElement, compare_order, default_truncation, format_rational, set_default_truncation
+from .sets import SetDescriptor, align_to_set
 from .sos import SosBudget
 
 
@@ -55,7 +55,7 @@ def _load_set(spec: str) -> SetDescriptor:
 def _value_payload(v) -> dict:
     if isinstance(v, FieldElement):
         return {"type": "field", "text": str(v),
-                "precision": None if v.precision is None else str(v.precision)}
+                "precision": None if v.precision is None else format_rational(v.precision)}
     if isinstance(v, Polynomial):
         return {"type": "poly", "text": str(v)}
     return {"type": "rational", "num": str(v.num), "den": str(v.den)}
@@ -101,7 +101,7 @@ def _cmd_res(args) -> int:
     v = parse_expression(args.expr)
     if not isinstance(v, FieldElement):
         raise ValueError("residue applies to scalar expressions")
-    _emit({"command": "res", "residue": str(v.residue())}, args.pretty)
+    _emit({"command": "res", "residue": format_rational(v.residue())}, args.pretty)
     return 0
 
 
@@ -146,6 +146,7 @@ def _cmd_integral(args) -> int:
 
 def _psd_falsify(p, sd, config, pretty) -> int:
     from .certificates import falsify_nonnegativity
+    p = align_to_set(p, sd)
     witness = falsify_nonnegativity(p, sd, config)
     if witness is not None:
         _emit({"command": "psd", "mode": "falsify",
@@ -166,7 +167,7 @@ def _generate(p, sd, config, args):
 def _psd_generate(p, sd, config, args) -> int:
     outcome = _generate(p, sd, config, args)
     payload = {"command": "psd", "mode": "generate", "outcome": outcome.kind,
-               "gauss": None if outcome.gauss is None else str(outcome.gauss),
+               "gauss": None if outcome.gauss is None else format_rational(outcome.gauss),
                "layers": outcome.layers}
     code = 0
     if outcome.kind == CERTIFICATE:

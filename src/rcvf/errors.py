@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all rcvf modules."""
 
+import sys
+
 
 class RcvfError(Exception):
     """Base class for all library errors."""
@@ -43,6 +45,15 @@ class NotInfinitesimalDefinite(RcvfError):
 
 class CoefficientsNotIntegral(RcvfError):
     """A polynomial required to have integral coefficients has one of negative valuation."""
+
+
+class NumberTooLong(RcvfError):
+    """A result holds an integer with more digits than the interpreter writes
+    as text (sys.get_int_max_str_digits), so it has no canonical text."""
+
+    def __init__(self):
+        super().__init__(f"result has an integer longer than the output limit of "
+                         f"{sys.get_int_max_str_digits()} digits")
 
 
 class ParseError(RcvfError):

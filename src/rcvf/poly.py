@@ -29,6 +29,7 @@ from .series import (
     _check_exponent,
     compare_order,
     format_element,
+    format_rational,
 )
 
 Scalar = Union[int, Fraction, FieldElement]
@@ -849,7 +850,7 @@ def gauss_valuation(q: Union[Polynomial, RationalFunction]) -> ValueGroupElement
 
 
 def _format_power(v: str, e: int) -> str:
-    return v if e == 1 else f"{v}^{e}"
+    return v if e == 1 else f"{v}^{format_rational(e)}"
 
 
 def format_polynomial(p: Polynomial) -> str:

@@ -23,6 +23,7 @@ from .errors import (
     NegativeElement,
     NonSquareLeadingCoefficient,
     NotIntegral,
+    NumberTooLong,
     PrecisionExhausted,
 )
 
@@ -122,7 +123,7 @@ class ValueGroupElement:
         return hash(self.value)
 
     def __str__(self) -> str:
-        return "TOP" if self.is_top else str(self.value)
+        return "TOP" if self.is_top else format_rational(self.value)
 
     def __repr__(self) -> str:
         return f"ValueGroupElement({self})"
@@ -505,23 +506,29 @@ def sqrt(a: FieldElement) -> FieldElement:
 # -- canonical rendering ----------------------------------------------------
 
 
-def _format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+def format_rational(q: Rational) -> str:
+    """Canonical text of a rational, n or n/d as str(Fraction) writes it.
+
+    Writing an integer past sys.get_int_max_str_digits() raises ValueError,
+    the only one formatting can meet; it becomes NumberTooLong.
+    """
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        raise NumberTooLong() from None
 
 
 def _format_exponent(e: Fraction) -> str:
-    if e.denominator == 1:
-        return str(e.numerator)
-    return f"({e.numerator}/{e.denominator})"
+    return format_rational(e) if e.denominator == 1 else f"({format_rational(e)})"
 
 
 def _format_term(e: Fraction, c: Fraction) -> str:
     if e == 0:
-        return _format_rational(c)
+        return format_rational(c)
     eps = "eps" if e == 1 else f"eps^{_format_exponent(e)}"
     if c == 1:
         return eps
-    return f"{_format_rational(c)}*{eps}"
+    return f"{format_rational(c)}*{eps}"
 
 
 def format_element(a: FieldElement) -> str:

@@ -696,10 +696,11 @@ def residue_sos_search(q: ResiduePolynomial, budget: Optional[SosBudget] = None,
 
 def residue_sos_decomposition(q: ResiduePolynomial,
                               budget: Optional[SosBudget] = None) -> SosSearchResult:
-    """residue_sos_search for a q that psd_falsify has already searched in vain.
+    """residue_sos_search without its psd_falsify pass.
 
     Constants are still decided exactly (a negative one gets the origin as its
-    witness); otherwise the result is an SOS or not_sos_in_budget.
+    witness); otherwise the result is an SOS or not_sos_in_budget, which is
+    also the result for a q negative somewhere, since it has no exact SOS.
     """
     budget = budget or SosBudget()
     vs = q.variables

@@ -24,7 +24,8 @@ from rcvf.certificates import (
     verify_dickmann_certificate,
     verify_nonneg_certificate,
 )
-from rcvf.errors import CoefficientsNotIntegral
+from rcvf.errors import CoefficientsNotIntegral, ExponentBlowup, PrecisionExhausted
+from rcvf.integrality import module_pullback
 from rcvf.poly import Polynomial, RationalFunction
 from rcvf.ringexpr import ConstExpr, GenExpr, PerturbedUnit, ProdExpr, SOSExpr
 from rcvf.sampling import SampleConfig
@@ -297,6 +298,104 @@ class TestLayerPeeling:
             outcome = generate_ball_certificate(p, BALL2)
             assert (outcome.kind, outcome.layers) == (CERTIFICATE, 2)
             assert verify_nonneg_certificate(p, outcome.certificate, BALL2)
+
+
+# x1 = 1 + eps*y1, x2 = y2: the benchmark's affine set.
+AFFINE2 = SetDescriptor.affine_module(AffineModuleMap((FieldElement.one(), FieldElement.zero()),
+                                                      (EPS, FieldElement.one())))
+
+
+def _order_corpus(rng):
+    """(text, set) pairs: certified, negative, Motzkin-type and truncated inputs
+    on ball:1, ball:2 and AFFINE2, with coefficients drawn from rng."""
+
+    def c(bound=2):
+        return rng.choice((-1, 1)) * rng.randint(1, bound)
+
+    def lin(n):
+        return f"({c()}*x1" + (f" + {c()}*x2" if n == 2 else "") + f" + {rng.randint(-2, 2)})"
+
+    def eps_power():
+        return rng.choice(("eps", "eps^2", "eps^(1/2)", "eps^(3/2)"))
+
+    corpus = []
+    for where, n in ((BALL1, 1), (BALL2, 2), (AFFINE2, 2)):
+        x = rng.choice(("x1", "x2")[:n])
+        corpus += [
+            # certified: SOS + eps-layer, and c^2 - eps*q with c = 1 + a*x^2
+            (f"{lin(n)}^2 + ({x}^2 + {c()})^2 + {rng.randint(1, 2)}*(1 + {x}^2) + {eps_power()}*{lin(n)}^2", where),
+            (f"(1 + {rng.randint(1, 2)}*{x}^2)^2 - eps*({c()}*{x}^2 + {c()}*{x} + {c()})", where),
+            # negative: a dip of the residue, a depth of -eps^k, an odd leading form
+            (f"{lin(n)}^2 - {rng.randint(1, 4)}/{rng.randint(1, 4)}", where),
+            (f"{lin(n)}^2 + {rng.randint(1, 3)}*{lin(n)}^2 - {eps_power()}", where),
+            (f"{lin(n)}^3 + {rng.randint(1, 3)}*eps", where),
+            # truncated: 1/(1+eps) has 32 known terms, 1/(1+eps^40) only its 1
+            ("1/(1+eps)*x1^2", where),
+            (f"1/(1+eps)*{lin(n)}^2 - {eps_power()}", where),
+            (f"1/(1+eps^40)*{lin(n)}^2 - {eps_power()}", where),
+        ]
+    s1, s2 = rng.randint(1, 2), rng.randint(1, 2)
+    motzkin = (f"{s1**4 * s2**2}*x1^4*x2^2 + {s1**2 * s2**4}*x1^2*x2^4 - {3 * s1**2 * s2**2}*x1^2*x2^2 + 1"
+               f" + {rng.randint(1, 3)}*eps*(x1^2 + x2^2)")
+    return corpus + [(motzkin, BALL2), (motzkin, AFFINE2)]
+
+
+def _falsified(p, where, config):
+    """The point the falsifier reports for p, in the frame generation samples:
+    on an affine set the image of its point for p pulled back to the polydisc."""
+    if where.kind != "affine":
+        return falsify_nonnegativity(align_to_set(p, where), where, config)
+    ball = SetDescriptor.unit_polydisc(where.n)
+    pulled = align_to_set(module_pullback(align_to_set(p, where), where.module_map), ball)
+    point = falsify_nonnegativity(pulled, ball, config)
+    return None if point is None else where.module_map.apply(point)
+
+
+class TestCertifyBeforeFalsifying:
+    """Generation samples only after the exact stages end without a certificate;
+    every outcome is the one falsifying first gives."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_outcomes_match_falsifying_first(self, seed):
+        rng = random.Random(seed)
+        kinds = set()
+        for text, where in _order_corpus(rng):
+            p = parse_expression(text)
+            config = SampleConfig(seed=rng.randint(0, 9), samples=rng.choice((60, 150)))
+            point = _falsified(p, where, config)
+            # Peeling, gauss_valuation and the witness search run before the
+            # falsifier: none of them may raise where its point answers.
+            try:
+                outcome = generate_ball_certificate(p, where, config=config)
+            except PrecisionExhausted:
+                assert point is None, text  # the error stands only without a point
+                continue
+            kinds.add(outcome.kind)
+            if outcome.kind == CERTIFICATE:
+                assert point is None, text
+                assert falsify_nonnegativity(align_to_set(p, where), where, config) is None, text
+            if point is not None:
+                assert (outcome.kind, outcome.point) == (NEGATIVITY_WITNESS, tuple(point)), text
+            else:
+                assert outcome.kind != NEGATIVITY_WITNESS, text
+        assert kinds == {CERTIFICATE, NEGATIVITY_WITNESS, CANDIDATE, UNKNOWN}
+
+    # Each input peels x1^2 (or eps^(1/64)*x1^2) first.  Then either the next
+    # layer's valuation is hidden, since the x1^2 coefficient left is O(eps^32)
+    # with no known term, or the layer's summand would need eps^(1/128), past
+    # the exponent cap.
+    @pytest.mark.parametrize("text, error", [("1/(1+eps^40)*x1^2", PrecisionExhausted),
+                                             ("eps^(1/64)*x1^2", ExponentBlowup)])
+    def test_exact_stage_error_defers_to_the_falsifier(self, text, error):
+        with pytest.raises(error):
+            generate_ball_certificate(parse_expression(text + " + eps"), BALL1, config=CONFIG)
+        # Non-negative: no point answers, so the error stands.
+        assert falsify_nonnegativity(parse_expression(text + " + eps"), BALL1, CONFIG) is None
+        # Negative: the falsifier's point answers.
+        p = parse_expression(text + " - eps")
+        outcome = generate_ball_certificate(p, BALL1, config=CONFIG)
+        assert outcome.kind == NEGATIVITY_WITNESS
+        assert outcome.point == tuple(falsify_nonnegativity(p, BALL1, CONFIG))
 
 
 class TestDickmann:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from rcvf.cli import _parser, build_parser, run
-from rcvf.errors import ParseError, RcvfError
+from rcvf.errors import NumberTooLong, ParseError, RcvfError
 from rcvf.jsonio import (
     EncodingError,
     canonical_dumps,
@@ -135,6 +135,20 @@ class TestParser:
         code, out = run_cli("eval", "--expr", text)
         assert code == 2 and json.loads(out)["error"]["position"] == position
         assert parse_expression("1" * 4300 + "*x") == parse_expression("x") * int("1" * 4300)
+
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--expr", "2*x + 3*" + "9" * 4300), ("res", "--expr", "3*" + "9" * 4300),
+        ("val", "--expr", "x*eps^" + "9" * 4300 + "*eps^" + "9" * 4300),
+        ("eval", "--expr", "x^" + "9" * 4300 + "*x^" + "9" * 4300)],
+        ids=["coefficient", "residue", "valuation", "exponent"])
+    def test_long_integer_in_a_result_is_number_too_long(self, argv):
+        # Each literal is within the limit; the result's integer is one digit longer.
+        code, out = run_cli(*argv)
+        assert code == 2
+        assert json.loads(out) == {"error": {"type": "NumberTooLong", "message":
+                                             "result has an integer longer than the output limit of 4300 digits"}}
+        with pytest.raises(NumberTooLong):
+            str(parse_expression(argv[2]))
 
     @pytest.mark.parametrize("text, position", [("x\u0661 + 1", 1), ("\u0663", 0), ("2*x1\u0663", 4),
                                                  ("eps^(1/\u0662)", 7)])
@@ -274,6 +288,17 @@ class TestExitCodes:
         code, out = run_cli("psd", "--p", "x^2", "--set", "ball:1", "--falsify", "--seed", "7")
         assert code == 0
         assert json.loads(out)["witness"] is None
+
+    def test_psd_falsify_aligns_p_to_the_set(self):
+        # p names x1 only; the points of ball:2 have two coordinates.
+        code, out = run_cli("psd", "--p", "x1^2 - 1/4", "--set", "ball:2", "--falsify", "--seed", "1")
+        assert code == 1
+        witness = json.loads(out)["witness"]
+        point = [parse_expression(t) for t in witness["point"]]
+        value = parse_expression("x1^2 - 1/4").evaluate(point[:1])
+        assert len(point) == 2 and value < 0 and witness["value"] == str(value)
+        code, out = run_cli("psd", "--p", "x1^2 - 1/4", "--set", "ball:2", "--generate", "--seed", "1")
+        assert code == 1 and json.loads(out)["witness"]["point"] == witness["point"]
 
     def test_integral_divergence_case(self):
         code, out = run_cli("integral", "--h", "(x+eps)/x", "--set", "ball:1", "--seed", "7")

@@ -142,15 +142,18 @@ def test_falsifier_search_evaluates_no_residue_polynomial(monkeypatch):
     assert evaluations == []
 
 
-def test_generation_falsifies_each_residue_layer_once(monkeypatch):
+def test_generation_samples_no_point_for_a_certified_input(monkeypatch):
     # Shaped like the benchmark's nonneg_sos inputs, with a second residue layer
-    # (the eps part) on which the descent runs too.
+    # (the eps part).  Both layers peel into a certificate, which no point could
+    # refute, so neither the residue falsifier nor the sampler runs.
     p = parse_expression("(x^2 + y)^2 + (x*y + 1)^2 + (x + y + 1)^2 + 2*(1 + x^2 + y^2 + x^4)"
                          " + eps*(x^2 - y)^2")
     searches = count_calls(monkeypatch, [(sos, "psd_falsify"), (certificates, "psd_falsify")])
+    streams = count_calls(monkeypatch, [(SetDescriptor, "stream_forms")])
     outcome = generate_ball_certificate(p, SetDescriptor.unit_polydisc(2))
     assert (outcome.kind, outcome.layers) == (CERTIFICATE, 2)
-    assert len(searches) == outcome.layers
+    assert searches == []
+    assert streams == []
 
 
 def test_falsifier_stops_drawing_at_a_negative_corner(monkeypatch):
