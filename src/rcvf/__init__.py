@@ -27,9 +27,9 @@ from .series import (
     field_arith,
     invert,
     residue,
-    set_default_truncation,
     sqrt,
     valuation,
+    working_truncation,
 )
 from .sampling import SampleConfig, sample_ball
 from .poly import (

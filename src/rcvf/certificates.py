@@ -343,7 +343,7 @@ def _exact_stages(p: Polynomial, set_descriptor: SetDescriptor,
 
     if not summands:
         return GenerationOutcome(UNKNOWN, gauss=gamma_val, layers=layers)
-    if residual.is_exactly_zero():
+    if residual.is_exactly_zero():  # so p is exact: a truncated coefficient leaves a residual
         cert = NonnegCertificate(SOSExpr(summands), FieldElement.zero(),
                                  RationalFunction.constant(0, vs), IntegralityWitness.trivial())
         return GenerationOutcome(CERTIFICATE, certificate=cert, gauss=gamma_val, layers=layers)
@@ -359,7 +359,9 @@ def _exact_stages(p: Polynomial, set_descriptor: SetDescriptor,
     h = RationalFunction(q_scaled, p)
     r_sos = SOSExpr(summands)
 
-    witness = _syntactic_witness(p, q, gamma_val, q_gauss, set_descriptor)
+    # Truncated data proves no identity: for an inexact p, r, m and h stay a candidate.
+    exact = all(c.precision is None for c in p.terms.values())
+    witness = _syntactic_witness(p, q, gamma_val, q_gauss, set_descriptor, budget.sos) if exact else None
     if witness is not None:
         cert = NonnegCertificate(r_sos, m, h, witness)
         return GenerationOutcome(CERTIFICATE, certificate=cert, gauss=gamma_val, layers=layers)
@@ -411,7 +413,7 @@ def falsify_nonnegativity(p: Polynomial, set_descriptor: SetDescriptor,
 
 
 def _syntactic_witness(p: Polynomial, q: Polynomial, gamma: Fraction, q_gauss: Fraction,
-                       set_descriptor: SetDescriptor) -> Optional[IntegralityWitness]:
+                       set_descriptor: SetDescriptor, sos_budget: SosBudget) -> Optional[IntegralityWitness]:
     """Recognize the denominator of h = q1/P as (1 + SOS) * (perturbed unit).
 
     P = p/eps^gamma has Gauss valuation 0.  When its residue polynomial is
@@ -433,7 +435,7 @@ def _syntactic_witness(p: Polynomial, q: Polynomial, gamma: Fraction, q_gauss: F
     shift = pbar - ResiduePolynomial.constant(1, pbar.variables)
     inv_leaf = None
     if not shift.is_exactly_zero():
-        search = residue_sos_decomposition(shift, SosBudget(max_basis=16, denominator_cap=0))
+        search = residue_sos_decomposition(shift, sos_budget)
         if search.kind != SOS or any(not t.den.is_constant() for t in search.quotients):
             return None
         sos_lift = SOSExpr([RationalFunction(_lift_residue(t.num, vs)) for t in search.quotients])

@@ -13,6 +13,7 @@ import functools
 import json
 import sys
 import traceback
+from dataclasses import replace
 
 from . import jsonio
 from .certificates import (
@@ -21,6 +22,7 @@ from .certificates import (
     NEGATIVITY_WITNESS,
     GenerationBudget,
     check_general_characterization,
+    falsify_nonnegativity,
     generate_ball_certificate,
     verify_nonneg_certificate,
 )
@@ -29,9 +31,8 @@ from .integrality import gauss_gap, pointwise_integral_oracle
 from .parser import parse_expression
 from .poly import Polynomial, RationalFunction, gauss_valuation
 from .sampling import SampleConfig
-from .series import FieldElement, compare_order, default_truncation, format_rational, set_default_truncation
+from .series import FieldElement, compare_order, default_truncation, format_rational, working_truncation
 from .sets import SetDescriptor, align_to_set
-from .sos import SosBudget
 
 
 def _emit(payload: dict, pretty: bool) -> None:
@@ -42,12 +43,8 @@ def _emit(payload: dict, pretty: bool) -> None:
 def _load_set(spec: str) -> SetDescriptor:
     if spec.startswith("ball:"):
         return SetDescriptor.unit_polydisc(int(spec.split(":", 1)[1]))
-    if spec.startswith("affine:"):
-        path = spec.split(":", 1)[1]
-        with open(path) as fh:
-            return jsonio.set_from_json(jsonio.load(fh))
-    if spec.endswith(".json"):
-        with open(spec) as fh:
+    if spec.startswith("affine:") or spec.endswith(".json"):
+        with open(spec.removeprefix("affine:")) as fh:
             return jsonio.set_from_json(jsonio.load(fh))
     raise ValueError(f"unrecognized set spec {spec!r} (use ball:n, affine:file.json, or file.json)")
 
@@ -66,8 +63,7 @@ def _element_list(point) -> list:
 
 
 def _config(args, default_samples=500) -> SampleConfig:
-    samples = getattr(args, "samples", None) or default_samples
-    return SampleConfig(seed=args.seed, samples=samples)
+    return SampleConfig(seed=args.seed, samples=args.samples or default_samples)
 
 
 def _as_poly(v) -> Polynomial:
@@ -78,51 +74,46 @@ def _as_poly(v) -> Polynomial:
     return v
 
 
-# -- subcommand bodies -----------------------------------------------------------
+# -- subcommand bodies: each returns (payload, exit code) ---------------------
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args):
     v = parse_expression(args.expr)
-    _emit({"command": "eval", "value": _value_payload(v)}, args.pretty)
-    return 0
+    return {"command": "eval", "value": _value_payload(v)}, 0
 
 
-def _cmd_val(args) -> int:
+def _cmd_val(args):
     v = parse_expression(args.expr)
     if isinstance(v, FieldElement):
         out = str(v.valuation())
     else:
         out = str(gauss_valuation(v))
-    _emit({"command": "val", "valuation": out}, args.pretty)
-    return 0
+    return {"command": "val", "valuation": out}, 0
 
 
-def _cmd_res(args) -> int:
+def _cmd_res(args):
     v = parse_expression(args.expr)
     if not isinstance(v, FieldElement):
         raise ValueError("residue applies to scalar expressions")
-    _emit({"command": "res", "residue": format_rational(v.residue())}, args.pretty)
-    return 0
+    return {"command": "res", "residue": format_rational(v.residue())}, 0
 
 
-def _cmd_cmp(args) -> int:
+def _cmd_cmp(args):
     a = parse_expression(args.a)
     b = parse_expression(args.b)
     if not isinstance(a, FieldElement) or not isinstance(b, FieldElement):
         raise ValueError("cmp applies to scalar expressions")
-    _emit({"command": "cmp", "order": compare_order(a, b)}, args.pretty)
-    return 0
+    return {"command": "cmp", "order": compare_order(a, b)}, 0
 
 
-def _cmd_gauss(args) -> int:
+def _cmd_gauss(args):
     v = parse_expression(args.expr)
     if isinstance(v, FieldElement):
         v = Polynomial.constant(v)
-    _emit({"command": "gauss", "gauss": str(gauss_valuation(v))}, args.pretty)
-    return 0
+    return {"command": "gauss", "gauss": str(gauss_valuation(v))}, 0
 
 
-def _cmd_integral(args) -> int:
+def _cmd_integral(args):
     h = parse_expression(args.h)
     if isinstance(h, FieldElement):
         h = Polynomial.constant(h)
@@ -140,33 +131,28 @@ def _cmd_integral(args) -> int:
     if verdict.found_counterexample:
         payload["pointwise"]["point"] = _element_list(verdict.point)
         payload["pointwise"]["value_valuation"] = str(verdict.value_valuation)
-    _emit(payload, args.pretty)
-    return 1 if (not gauss_ok or verdict.found_counterexample) else 0
+    return payload, 1 if (not gauss_ok or verdict.found_counterexample) else 0
 
 
-def _psd_falsify(p, sd, config, pretty) -> int:
-    from .certificates import falsify_nonnegativity
+def _psd_falsify(p, sd, config):
     p = align_to_set(p, sd)
     witness = falsify_nonnegativity(p, sd, config)
     if witness is not None:
-        _emit({"command": "psd", "mode": "falsify",
-               "witness": {"point": _element_list(witness), "value": str(p.evaluate(witness))}},
-              pretty)
-        return 1
-    _emit({"command": "psd", "mode": "falsify", "witness": None, "samples": config.samples}, pretty)
-    return 0
+        return {"command": "psd", "mode": "falsify",
+                "witness": {"point": _element_list(witness), "value": str(p.evaluate(witness))}}, 1
+    return {"command": "psd", "mode": "falsify", "witness": None, "samples": config.samples}, 0
 
 
-def _generate(p, sd, config, args):
-    """The generator under the budget --depth and --max-basis set, drawing --samples points."""
+def _generate(p, sd, args):
+    """The generation outcome body of psd --generate and cert find, and its exit code.
+
+    The budget is GenerationBudget's with --depth and --max-basis; --samples
+    points are drawn.
+    """
     budget = GenerationBudget(depth=args.depth,
-                              sos=SosBudget(max_basis=args.max_basis, denominator_cap=0))
-    return generate_ball_certificate(p, sd, budget, config)
-
-
-def _psd_generate(p, sd, config, args) -> int:
-    outcome = _generate(p, sd, config, args)
-    payload = {"command": "psd", "mode": "generate", "outcome": outcome.kind,
+                              sos=replace(GenerationBudget.sos, max_basis=args.max_basis))
+    outcome = generate_ball_certificate(p, sd, budget, _config(args))
+    payload = {"outcome": outcome.kind,
                "gauss": None if outcome.gauss is None else format_rational(outcome.gauss),
                "layers": outcome.layers}
     code = 0
@@ -182,11 +168,10 @@ def _psd_generate(p, sd, config, args) -> int:
             "h": {"num": str(outcome.h.num), "den": str(outcome.h.den)},
             "oracle": {"verdict": outcome.oracle.kind, "samples": outcome.oracle.samples},
         }
-    _emit(payload, args.pretty)
-    return code
+    return payload, code
 
 
-def _psd_probe(p, sd, config, args) -> int:
+def _psd_probe(p, sd, config):
     report = check_general_characterization(p, sd, config)
     payload = {"command": "psd", "mode": "probe41", "verdict": report.verdict,
                "samples_tested": report.samples_tested}
@@ -197,60 +182,44 @@ def _psd_probe(p, sd, config, args) -> int:
             payload["confirm_point"] = _element_list(report.confirm_point)
         if report.obstruction:
             payload["obstruction"] = report.obstruction
-    _emit(payload, args.pretty)
-    return 1 if report.verdict == NEGATIVITY_WITNESS else 0
+    return payload, 1 if report.verdict == NEGATIVITY_WITNESS else 0
 
 
-def _cmd_psd(args) -> int:
+def _cmd_psd(args):
     p = _as_poly(parse_expression(args.p))
     sd = _load_set(args.set)
-    config = _config(args)
     if args.falsify:
-        return _psd_falsify(p, sd, config, args.pretty)
+        return _psd_falsify(p, sd, _config(args))
     if args.probe41:
-        return _psd_probe(p, sd, config, args)
-    return _psd_generate(p, sd, config, args)
+        return _psd_probe(p, sd, _config(args))
+    body, code = _generate(p, sd, args)
+    return {"command": "psd", "mode": "generate", **body}, code
 
 
-def _cmd_cert_verify(args) -> int:
+def _cmd_cert_verify(args):
     with open(args.file) as fh:
         obj = jsonio.load(fh)
     p, sd, cert = jsonio.certificate_from_json(obj)
     result = verify_nonneg_certificate(p, cert, sd)
-    _emit({"command": "cert", "mode": "verify", "verified": result.ok,
-           "reason": result.reason}, args.pretty)
-    return 0 if result.ok else 1
+    return {"command": "cert", "mode": "verify", "verified": result.ok,
+            "reason": result.reason}, 0 if result.ok else 1
 
 
-def _cmd_cert_find(args) -> int:
+def _cmd_cert_find(args):
     p = _as_poly(parse_expression(args.p))
     sd = _load_set(args.set)
-    outcome = _generate(p, sd, _config(args), args)
-    payload = {"command": "cert", "mode": "find", "outcome": outcome.kind}
-    code = 0
-    if outcome.kind == CERTIFICATE:
-        cert_json = jsonio.certificate_to_json(p, sd, outcome.certificate)
-        payload["certificate"] = cert_json
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(jsonio.canonical_dumps(cert_json) + "\n")
-    elif outcome.kind == NEGATIVITY_WITNESS:
-        payload["witness"] = {"point": _element_list(outcome.point)}
-        code = 1
-    elif outcome.kind == CANDIDATE:
-        payload["candidate"] = {"m": str(outcome.m),
-                                "h": {"num": str(outcome.h.num), "den": str(outcome.h.den)},
-                                "oracle": outcome.oracle.kind}
-    _emit(payload, args.pretty)
-    return code
+    body, code = _generate(p, sd, args)
+    if args.out and "certificate" in body:
+        with open(args.out, "w") as fh:
+            fh.write(jsonio.canonical_dumps(body["certificate"]) + "\n")
+    return {"command": "cert", "mode": "find", **body}, code
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args):
     from . import selftest
     report = selftest.run_selftest(args.seed)
-    _emit({"command": "selftest", "passed": report["passed"], "checks": report["checks"]},
-          args.pretty)
-    return 0 if report["passed"] else 1
+    return ({"command": "selftest", "passed": report["passed"], "checks": report["checks"]},
+            0 if report["passed"] else 1)
 
 
 # -- argument wiring ------------------------------------------------------------
@@ -280,6 +249,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
         if sampled:
             p.add_argument("--samples", type=_int_at_least(1), default=None, help="sample budget")
+
+    def generation(p):
+        p.add_argument("--depth", type=_int_at_least(0), default=GenerationBudget.depth)
+        p.add_argument("--max-basis", type=_int_at_least(0), default=GenerationBudget.sos.max_basis,
+                       dest="max_basis")
 
     p = sub.add_parser("eval", help="evaluate an expression")
     p.add_argument("--expr", required=True)
@@ -320,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--falsify", action="store_true")
     mode.add_argument("--generate", action="store_true")
     mode.add_argument("--probe41", action="store_true")
-    p.add_argument("--depth", type=_int_at_least(0), default=3)
-    p.add_argument("--max-basis", type=_int_at_least(0), default=16, dest="max_basis")
+    generation(p)
     common(p, seed=True, sampled=True)
     p.set_defaults(handler="_cmd_psd")
 
@@ -335,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--p", required=True)
     pf.add_argument("--set", required=True)
     pf.add_argument("--out", default=None, help="write the certificate JSON here")
-    pf.add_argument("--depth", type=_int_at_least(0), default=3)
-    pf.add_argument("--max-basis", type=_int_at_least(0), default=16, dest="max_basis")
+    generation(pf)
     common(pf, seed=True, sampled=True)
     pf.set_defaults(handler="_cmd_cert_find")
 
@@ -358,28 +330,21 @@ def run(argv) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    previous_truncation = default_truncation()
     try:
-        if args.trunc is not None:
-            set_default_truncation(args.trunc)
-        # Looked up by name on each call: the parser is built once per process,
-        # and the handler is whatever the module binds now.
-        return globals()[args.handler](args)
+        with working_truncation(args.trunc or default_truncation()):
+            # Looked up by name on each call: the parser is built once per process,
+            # and the handler is whatever the module binds now.
+            payload, code = globals()[args.handler](args)
     except ParseError as exc:
-        _emit({"error": {"type": "parse", "message": str(exc), "position": exc.position}},
-              getattr(args, "pretty", False))
-        return 2
+        payload, code = {"error": {"type": "parse", "message": str(exc), "position": exc.position}}, 2
     except (RcvfError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}},
-              getattr(args, "pretty", False))
-        return 2
+        payload, code = {"error": {"type": type(exc).__name__, "message": str(exc)}}, 2
     except Exception as exc:  # a crash must not exit 1, which reads as "rejected"
         traceback.print_exc(file=sys.stderr)
-        _emit({"error": {"type": "internal", "exception": type(exc).__name__, "message": str(exc)}},
-              getattr(args, "pretty", False))
-        return 2
-    finally:
-        set_default_truncation(previous_truncation)
+        payload = {"error": {"type": "internal", "exception": type(exc).__name__, "message": str(exc)}}
+        code = 2
+    _emit(payload, args.pretty)
+    return code
 
 
 def main() -> None:

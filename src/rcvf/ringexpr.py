@@ -17,7 +17,7 @@ from .poly import FlatRing, Polynomial, RationalFunction, SeriesRing, merge_vari
 from .series import FieldElement
 from .sets import SetDescriptor, align_to_set
 
-DEFAULT_CONE_DEGREE_CAP = 8
+CONE_DEGREE_CAP = 8  # highest factor degree of a cone-inverse leaf on a set
 
 
 class SOSExpr:
@@ -172,8 +172,7 @@ class ProdExpr(RingExpr):
         raise AttributeError("immutable")
 
 
-def verify_ring_membership(e: RingExpr, set_descriptor: SetDescriptor,
-                           cone_degree_cap: int = DEFAULT_CONE_DEGREE_CAP) -> bool:
+def verify_ring_membership(e: RingExpr, set_descriptor: SetDescriptor) -> bool:
     """Every leaf legal for the set: generator indices in range, cone leaves
     only with strict constraints, all constants integral."""
     if isinstance(e, ConstExpr):
@@ -189,9 +188,9 @@ def verify_ring_membership(e: RingExpr, set_descriptor: SetDescriptor,
         for _, factors in e.cone.entries:
             if any(i < 0 or i >= len(strict) for i in factors):
                 return False
-        return e.cone.factor_degree(strict) <= cone_degree_cap
+        return e.cone.factor_degree(strict) <= CONE_DEGREE_CAP
     if isinstance(e, (SumExpr, ProdExpr)):
-        return all(verify_ring_membership(a, set_descriptor, cone_degree_cap) for a in e.args)
+        return all(verify_ring_membership(a, set_descriptor) for a in e.args)
     return False
 
 

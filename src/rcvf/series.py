@@ -5,7 +5,8 @@ series over the rationals, with ``eps`` a positive infinitesimal.  Every
 element carries an explicit precision: terms with exponent >= ``precision``
 are unknown (``precision is None`` means the element is exact).  Addition,
 subtraction and multiplication of exact elements stay exact; inversion and
-square roots of non-monomials truncate at the working default order.
+square roots of non-monomials truncate at the working order
+(:func:`working_truncation`).
 
 Sign, valuation and residue queries never guess: an element whose known
 terms all vanish at finite precision raises :class:`PrecisionExhausted`.
@@ -13,9 +14,11 @@ terms all vanish at finite precision raises :class:`PrecisionExhausted`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import (
     DivisionByZero,
@@ -29,21 +32,30 @@ from .errors import (
 
 Rational = Union[int, Fraction]
 
-_DEFAULT_TRUNCATION = Fraction(32)
+_TRUNCATION: ContextVar[Fraction] = ContextVar("rcvf_truncation", default=Fraction(32))
 _EXPONENT_DENOMINATOR_CAP = 64
 
 
-def set_default_truncation(order: Rational) -> None:
-    """Set the working relative precision used when inversion/sqrt must truncate."""
-    global _DEFAULT_TRUNCATION
+@contextmanager
+def working_truncation(order: Rational) -> Iterator[None]:
+    """Truncate inversion and square roots at relative order ``order`` inside the block.
+
+    The order is held in a context variable, so it holds for this thread (or
+    task) only and is restored on exit.
+    """
     order = Fraction(order)
     if order <= 0:
         raise ValueError("truncation order must be positive")
-    _DEFAULT_TRUNCATION = order
+    token = _TRUNCATION.set(order)
+    try:
+        yield
+    finally:
+        _TRUNCATION.reset(token)
 
 
 def default_truncation() -> Fraction:
-    return _DEFAULT_TRUNCATION
+    """The working relative precision used when inversion/sqrt must truncate."""
+    return _TRUNCATION.get()
 
 
 def rational_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -343,7 +355,7 @@ class FieldElement:
             return lead_inv
         # u = self/(c0 eps^e0) - 1 has strictly positive valuation; work at
         # relative order rel so intermediate term counts stay bounded.
-        rel = (self.precision - e0) if self.precision is not None else _DEFAULT_TRUNCATION
+        rel = (self.precision - e0) if self.precision is not None else _TRUNCATION.get()
         u = _clamp(tail * lead_inv, rel)
         acc = FieldElement.one()
         power = FieldElement.one()
@@ -385,7 +397,7 @@ class FieldElement:
         tail = FieldElement(self.terms[1:], self.precision)
         if tail.is_exact_zero():
             return lead_sqrt
-        rel = (self.precision - e0) if self.precision is not None else _DEFAULT_TRUNCATION
+        rel = (self.precision - e0) if self.precision is not None else _TRUNCATION.get()
         u = _clamp(tail * FieldElement.eps_power(-e0, 1 / c0), rel)
         # Binomial series (1+u)^{1/2} = sum binom(1/2,k) u^k up to relative order.
         acc = FieldElement.one()

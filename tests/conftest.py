@@ -75,9 +75,7 @@ def rng():
 @pytest.fixture
 def coarse_truncation():
     """Lower the working order: valuation-level checks don't need 32 digits."""
-    from rcvf.series import default_truncation, set_default_truncation
+    from rcvf.series import working_truncation
 
-    old = default_truncation()
-    set_default_truncation(4)
-    yield
-    set_default_truncation(old)
+    with working_truncation(4):
+        yield

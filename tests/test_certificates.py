@@ -304,10 +304,14 @@ class TestLayerPeeling:
 AFFINE2 = SetDescriptor.affine_module(AffineModuleMap((FieldElement.one(), FieldElement.zero()),
                                                       (EPS, FieldElement.one())))
 
+# x1 = 1/(1+eps) + eps*y1, x2 = y2: AFFINE2 with a center known to O(eps^32).
+AFFINE2_TRUNCATED = SetDescriptor.affine_module(AffineModuleMap(
+    (parse_expression("1/(1+eps)"), FieldElement.zero()), (EPS, FieldElement.one())))
+
 
 def _order_corpus(rng):
     """(text, set) pairs: certified, negative, Motzkin-type and truncated inputs
-    on ball:1, ball:2 and AFFINE2, with coefficients drawn from rng."""
+    on ball:1, ball:2, AFFINE2 and AFFINE2_TRUNCATED, with coefficients drawn from rng."""
 
     def c(bound=2):
         return rng.choice((-1, 1)) * rng.randint(1, bound)
@@ -319,7 +323,7 @@ def _order_corpus(rng):
         return rng.choice(("eps", "eps^2", "eps^(1/2)", "eps^(3/2)"))
 
     corpus = []
-    for where, n in ((BALL1, 1), (BALL2, 2), (AFFINE2, 2)):
+    for where, n in ((BALL1, 1), (BALL2, 2), (AFFINE2, 2), (AFFINE2_TRUNCATED, 2)):
         x = rng.choice(("x1", "x2")[:n])
         corpus += [
             # certified: SOS + eps-layer, and c^2 - eps*q with c = 1 + a*x^2
@@ -353,7 +357,7 @@ def _falsified(p, where, config):
 
 class TestCertifyBeforeFalsifying:
     """Generation samples only after the exact stages end without a certificate;
-    every outcome is the one falsifying first gives."""
+    every outcome is the one falsifying first gives, and every certificate verifies."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_outcomes_match_falsifying_first(self, seed):
@@ -374,6 +378,8 @@ class TestCertifyBeforeFalsifying:
             if outcome.kind == CERTIFICATE:
                 assert point is None, text
                 assert falsify_nonnegativity(align_to_set(p, where), where, config) is None, text
+                # Truncated data, in p or in the set's centers, never yields one.
+                assert verify_nonneg_certificate(p, outcome.certificate, where), text
             if point is not None:
                 assert (outcome.kind, outcome.point) == (NEGATIVITY_WITNESS, tuple(point)), text
             else:
@@ -396,6 +402,26 @@ class TestCertifyBeforeFalsifying:
         outcome = generate_ball_certificate(p, BALL1, config=CONFIG)
         assert outcome.kind == NEGATIVITY_WITNESS
         assert outcome.point == tuple(falsify_nonnegativity(p, BALL1, CONFIG))
+
+
+class TestGeneratedCertificatesVerify:
+    """Truncated data, in p or pulled back through a truncated module map,
+    proves no identity, so the exact stages report a candidate for it."""
+
+    @pytest.mark.parametrize("text, where", [
+        ("1/(1+eps) + x1^2", BALL1), ("1/(1+eps) + x1^2", BALL2), ("1/(1+eps)*x1^2", AFFINE2),
+        ("1/(1+eps)*x1^2", BALL2), ("1 + x1^2", AFFINE2_TRUNCATED), ("1 - eps*x1^2", AFFINE2_TRUNCATED),
+    ])
+    def test_truncated_data_ends_as_a_candidate(self, text, where):
+        outcome = generate_ball_certificate(parse_expression(text), where, config=CONFIG)
+        assert outcome.kind == CANDIDATE, text
+
+    def test_exact_input_on_a_truncated_set_keeps_its_certificate(self):
+        # x2 keeps its exact center, so the pulled-back p is exact.
+        p = parse_expression("1 - eps*x2^2")
+        outcome = generate_ball_certificate(p, AFFINE2_TRUNCATED, config=CONFIG)
+        assert outcome.kind == CERTIFICATE
+        assert verify_nonneg_certificate(p, outcome.certificate, AFFINE2_TRUNCATED)
 
 
 class TestDickmann:

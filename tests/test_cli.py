@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from rcvf import certificates
 from rcvf.cli import _parser, build_parser, run
 from rcvf.errors import NumberTooLong, ParseError, RcvfError
 from rcvf.jsonio import (
@@ -585,6 +586,45 @@ class TestDeterminism:
             code2, out2 = run_cli(*argv)
             assert code1 == code2
             assert out1 == out2, argv
+
+
+class TestGenerationOutcomePath:
+    """psd --generate and cert find run one generator under one budget and print
+    one outcome body; only command and mode tell them apart."""
+
+    @pytest.mark.parametrize("p, where, kind", [
+        ("1 - eps*x^2", "ball:1", "certificate"),
+        ("eps - x^2", "ball:1", "negativity_witness"),
+        # Truncated coefficients prove no identity: a candidate, not an unwritable certificate.
+        ("1/(1+eps) + x1^2", "ball:1", "candidate_without_witness"),
+        ("x1^4*x2^2 + x1^2*x2^4 - 3*x1^2*x2^2 + 1", "ball:2", "unknown"),
+    ])
+    def test_psd_generate_and_cert_find_agree(self, p, where, kind):
+        args = ("--p", p, "--set", where, "--seed", "0", "--samples", "150")
+        psd_code, psd_out = run_cli("psd", "--generate", *args)
+        find_code, find_out = run_cli("cert", "find", *args)
+        psd, find = json.loads(psd_out), json.loads(find_out)
+        assert (psd.pop("command"), psd.pop("mode")) == ("psd", "generate")
+        assert (find.pop("command"), find.pop("mode")) == ("cert", "find")
+        assert psd == find and psd_code == find_code
+        assert psd["outcome"] == kind
+        assert psd_code == (1 if kind == "negativity_witness" else 0)
+
+    @pytest.mark.parametrize("command", [("psd", "--generate"), ("cert", "find")])
+    def test_max_basis_reaches_every_sos_search(self, command, monkeypatch):
+        budgets = []
+        search = certificates.residue_sos_decomposition
+
+        def recorded(rbar, budget):
+            budgets.append((budget.max_basis, budget.denominator_cap))
+            return search(rbar, budget)
+
+        monkeypatch.setattr(certificates, "residue_sos_decomposition", recorded)
+        code, out = run_cli(*command, "--p", "1 + x1^2 - eps*x1^4", "--set", "ball:1", "--seed", "1",
+                            "--max-basis", "20")
+        assert json.loads(out)["outcome"] == "certificate"
+        # Two layers, then the witness's search on the residue of p.
+        assert budgets == [(20, 0)] * 3
 
 
 class TestAffineSetLoading:

@@ -1,6 +1,7 @@
 """Series field: arithmetic, order, valuation, residue, sqrt, sampling."""
 
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,9 @@ from rcvf.series import (
     FieldElement,
     ValueGroupElement,
     compare_order,
+    default_truncation,
     field_arith,
+    working_truncation,
 )
 
 from conftest import random_exact_element, random_truncated_element, exact_elements
@@ -257,6 +260,36 @@ class TestExponentCap:
 
     def test_cap_boundary_allowed(self):
         FieldElement.eps_power(F(1, 64))
+
+
+class TestWorkingTruncation:
+    def test_scoped_and_restored(self):
+        x = fe((0, 1), (1, -1))  # 1 - eps: its inverse has no last term
+        with working_truncation(4):
+            assert default_truncation() == 4
+            assert x.invert().precision == 4 and x.sqrt().precision == 4
+            with working_truncation(F(3, 2)):
+                assert x.invert().precision == F(3, 2)
+            assert default_truncation() == 4
+        assert default_truncation() == 32
+        assert x.invert().precision == 32
+
+    @pytest.mark.parametrize("order", [0, -1, F(-1, 2)])
+    def test_order_must_be_positive(self, order):
+        with pytest.raises(ValueError):
+            with working_truncation(order):
+                pass
+        assert default_truncation() == 32
+
+    def test_other_threads_keep_the_default(self):
+        seen = []
+        with working_truncation(4):
+            thread = threading.Thread(target=lambda: seen.append(default_truncation()))
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            assert default_truncation() == 4
+        assert seen == [32]
 
 
 class TestSampleBall:

@@ -41,7 +41,7 @@ GOLDEN = [
      '{"certificate":{"h":{"den":"1","num":"0"},"m":"0","p":"x^2 + 2*x*y + 2*y^2","r":["1/2*'
      'x1 + x2","1/2*x1 + x2","1/2*x1","1/2*x1"],"set":{"kind":"ball","n":2},"witness":{"den"'
      ':{"a":{"op":"const","value":"0"},"m":"0"},"monic":null,"num":{"op":"const","value":"0"'
-     '}}},"command":"cert","mode":"find","outcome":"certificate"}'),
+     '}}},"command":"cert","gauss":"0","layers":1,"mode":"find","outcome":"certificate"}'),
     ('selftest --seed 9', 0,
      '{"checks":[{"name":"order_valuation_axiom","ok":true},{"name":"sos_unit_integral","ok"'
      ':true},{"name":"gauss_lower_bound","ok":true},{"name":"divergence_counterexample","ok"'
@@ -49,7 +49,7 @@ GOLDEN = [
      '}'),
     ("cert find --p 'x1^4*x2^2 + x1^2*x2^4 - 3*x1^2*x2^2 + 1' --set ball:2"
      " --seed 9 --samples 150", 0,
-     '{"command":"cert","mode":"find","outcome":"unknown"}'),
+     '{"command":"cert","gauss":"0","layers":0,"mode":"find","outcome":"unknown"}'),
     ("integral --h '(x-1)/eps' --set 'affine:{module}' --seed 3 --samples 100", 0,
      '{"command":"integral","gauss":{"gap":"0","integral":true},"pointwise":{"samples":104,"'
      'skipped":0,"verdict":"no_counterexample_found"}}'),

@@ -5,9 +5,10 @@ public re-exports): a name bound by ``import``/``from ... import`` must occur
 as a name somewhere else in the module.  A second scan requires every field
 of a dataclass in the package to be read as an attribute (``.name``)
 somewhere in ``src/``, ``tests/`` or ``perfbench/``, and every target of the
-benchmark's tracer to be defined where the tracer wraps it.  Structural guards count
-calls of hot functions on fixed inputs, so work that comes back shows up as a
-count, not as a timing.
+benchmark's tracer to be defined where the tracer wraps it.  Two more scans
+keep ``rcvf.cli`` printing only from ``run`` and the package free of
+``global`` statements.  Structural guards count calls of hot functions on
+fixed inputs, so work that comes back shows up as a count, not as a timing.
 """
 
 import ast
@@ -95,6 +96,41 @@ def test_no_unread_dataclass_fields():
     fields = [f for p in MODULES for f in dataclass_fields(p.read_text())]
     assert fields, "the scan found no dataclass fields"
     assert unread_fields(fields, reads) == []
+
+
+def functions_calling(source: str, callee: str) -> list[str]:
+    """Names of the functions whose bodies (nested functions included) call ``callee`` by name."""
+    return sorted({fn.name for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == callee})
+
+
+def global_statements(source: str) -> list[str]:
+    return [name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Global)
+            for name in node.names]
+
+
+def test_scans_see_calls_and_globals():
+    source = "def a():\n    global x\n    _emit(1)\ndef b():\n    obj._emit(2)\n    c(_emit)\n"
+    assert functions_calling(source, "_emit") == ["a"]
+    assert global_statements(source) == ["x"]
+
+
+def test_cli_emits_only_from_run():
+    # Handlers return (payload, exit code); run prints once, so --pretty and the
+    # error payloads have one path.
+    cli = Path(rcvf.__file__).resolve().parent / "cli.py"
+    assert functions_calling(cli.read_text(), "_emit") == ["run"]
+
+
+@pytest.mark.parametrize("path", sorted(Path(rcvf.__file__).resolve().parent.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_global_statements(path):
+    # Process-wide mutable settings (such as the working truncation) live in
+    # context variables, scoped to a block and a thread.
+    assert global_statements(path.read_text()) == []
 
 
 def tracing_targets() -> list:

@@ -239,6 +239,8 @@ class TestRingMembership:
         cone = ConeExpr([(SOSExpr([RationalFunction(Polynomial.constant(1, ("x1",)))]), (0, 0))])
         sd = SetDescriptor.unit_polydisc(1, strict_constraints=[high])
         assert not verify_ring_membership(ConeInverseExpr(cone), sd)  # degree 10 > cap 8
+        at_cap = SetDescriptor.unit_polydisc(1, strict_constraints=[x1 ** 4])
+        assert verify_ring_membership(ConeInverseExpr(cone), at_cap)  # degree 8
 
 
 class TestEvalRingExpr:
