@@ -46,7 +46,7 @@ from .ringexpr import (
     verify_ring_membership,
 )
 from .sampling import SampleConfig
-from .series import LT, FieldElement
+from .series import LT, FieldElement, _check_exponent
 from .sets import SetDescriptor, align_to_set
 from .sos import (
     SOS,
@@ -252,8 +252,10 @@ def _residue_polynomial(p: Polynomial) -> ResiduePolynomial:
     return ResiduePolynomial(p.variables, terms)
 
 
-def _lift_residue(q: ResiduePolynomial, variables) -> Polynomial:
-    return Polynomial(variables, q.terms)
+def _lift_residue(q: ResiduePolynomial, variables: tuple, exponent: Fraction = Fraction(0)) -> Polynomial:
+    """q with each rational coefficient c as the exact series c eps^exponent."""
+    return Polynomial.from_canonical(
+        variables, {e: FieldElement.from_canonical(((exponent, c),)) for e, c in q.terms.items()})
 
 
 def _embed_rational_point(point: Sequence[Fraction]) -> list[FieldElement]:
@@ -330,7 +332,7 @@ def _exact_stages(p: Polynomial, set_descriptor: SetDescriptor,
         scaled = residual.residue_shift(layer_gauss)
         try:
             rbar = _residue_polynomial(scaled)
-        except NotIntegral:
+        except (NotIntegral, PrecisionExhausted):  # truncation can hide a residue: fold the rest
             break
         search = residue_sos_decomposition(rbar, budget.sos)
         if search.kind != SOS:
@@ -374,13 +376,26 @@ def _peel_layer(residual: Polynomial, rbar: ResiduePolynomial, quotients, gamma:
 
     The search checked that identity exactly (verify_residue_sos, or
     rational_square_terms for a constant), and lifting is a ring map, so the
-    squares add up to eps^gamma * lift(rbar): one scaled subtraction, where
-    squaring and summing the summands would cost a product each.
+    squares add up to eps^gamma * lift(rbar).  That is the residual's eps^gamma
+    slice: each monomial of rbar has its coefficient at eps^gamma, the residue
+    rbar was read from, in the residual.  So the layer is peeled by dropping
+    that slice, and each summand coefficient is the single term c eps^(gamma/2).
     """
     # The value group is the rationals, hence divisible: gamma/2 always exists.
-    half = FieldElement.eps_power(Fraction(gamma, 2))
-    summands = [RationalFunction(_lift_residue(q.num, vs).scale(half), _lift_residue(q.den, vs)) for q in quotients]
-    return summands, residual - _lift_residue(rbar, vs).scale(FieldElement.eps_power(gamma))
+    half = Fraction(gamma, 2)
+    _check_exponent(half)
+    summands = [RationalFunction(_lift_residue(q.num, vs, half), _lift_residue(q.den, vs)) for q in quotients]
+    terms = dict(residual.terms)
+    for expv in rbar.terms:
+        c = terms[expv]
+        rest = tuple(t for t in c.terms if t[0] != gamma)
+        if c.precision is not None:
+            terms[expv] = FieldElement(rest, c.precision)
+        elif rest:
+            terms[expv] = FieldElement.from_canonical(rest)
+        else:
+            del terms[expv]
+    return summands, Polynomial.from_canonical(residual.variables, terms)
 
 
 def falsify_nonnegativity(p: Polynomial, set_descriptor: SetDescriptor,
@@ -398,7 +413,7 @@ def falsify_nonnegativity(p: Polynomial, set_descriptor: SetDescriptor,
     scaled = p.residue_shift(gamma.value)
     try:
         rbar = _residue_polynomial(scaled)
-    except NotIntegral:
+    except (NotIntegral, PrecisionExhausted):
         return None
     z = psd_falsify(rbar, config)
     if z is not None:

@@ -157,5 +157,4 @@ def infinitesimal_decompose(h: Union[Polynomial, RationalFunction],
     if g.value <= 0:
         raise NotInfinitesimalDefinite(f"gauss valuation {g} is not positive")
     m = FieldElement.eps_power(g.value)
-    scaled_num = hr.num.scale_coefficients(lambda c: c * FieldElement.eps_power(-g.value))
-    return m, RationalFunction(scaled_num, hr.den)
+    return m, RationalFunction(hr.num.residue_shift(g.value), hr.den)

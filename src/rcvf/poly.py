@@ -301,10 +301,6 @@ class Polynomial(_SparsePolynomial):
         c = _as_coeff(c)
         return Polynomial(self.variables, {e: co * c for e, co in self.terms.items()})
 
-    def scale_coefficients(self, f) -> "Polynomial":
-        """Apply an exact map to every coefficient (used for eps-power shifts)."""
-        return Polynomial(self.variables, {e: f(c) for e, c in self.terms.items()})
-
     # -- substitution and valuation ----------------------------------------------
 
     def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
@@ -340,20 +336,52 @@ class Polynomial(_SparsePolynomial):
         return acc
 
     def gauss_valuation(self) -> ValueGroupElement:
-        """Minimum coefficient valuation; TOP for the zero polynomial."""
+        """Minimum coefficient valuation; TOP for the zero polynomial.
+
+        A coefficient that is only O(eps^k) has a valuation of k or more, so
+        the minimum is decided when the least known valuation is at most every
+        such k; otherwise PrecisionExhausted is raised, as the first of those
+        coefficients raises it.
+        """
         if not self.terms:
             return TOP
-        best: ValueGroupElement | None = None
+        # The least known valuation, and the least precision and the first of the
+        # coefficients with no known term.
+        best = bound = hidden = None
         for c in self.terms.values():
-            v = c.valuation()
-            if best is None or v < best:
-                best = v
-        return best
+            if c.terms:
+                if best is None or c.terms[0][0] < best:
+                    best = c.terms[0][0]
+            else:
+                if hidden is None:
+                    hidden = c
+                if bound is None or c.precision < bound:
+                    bound = c.precision
+        if best is None or (bound is not None and best > bound):
+            hidden.valuation()  # raises PrecisionExhausted
+        return ValueGroupElement(best)
 
     def residue_shift(self, gamma: Fraction) -> "Polynomial":
-        """Divide every coefficient by eps^gamma (exact)."""
-        shift = FieldElement.eps_power(-gamma)
-        return self.scale_coefficients(lambda c: c * shift)
+        """Divide every coefficient by eps^gamma (exact): an exponent shift.
+
+        Each term (e, c) becomes (e - gamma, c), and a truncated coefficient
+        keeps its precision minus gamma.  As the product by eps^(-gamma) would,
+        a gamma or a shifted exponent over the exponent-denominator cap raises
+        ExponentBlowup.
+        """
+        _check_exponent(gamma)
+        if not gamma:
+            return self
+        terms = {}
+        for expv, c in self.terms.items():
+            shifted = tuple((e - gamma, a) for e, a in c.terms)
+            if c.precision is None:
+                for e, _ in shifted:
+                    _check_exponent(e)
+                terms[expv] = FieldElement.from_canonical(shifted)
+            else:
+                terms[expv] = FieldElement(shifted, c.precision - gamma)
+        return Polynomial.from_canonical(self.variables, terms)
 
     def __str__(self) -> str:
         return format_polynomial(self)
@@ -502,8 +530,11 @@ class RationalFunction:
     __hash__ = None
 
     def __str__(self) -> str:
-        if self.den.is_constant() and self.den.constant_value() == FieldElement.one():
-            return format_polynomial(self.num)
+        if self.den.is_constant():
+            c = self.den.constant_value()
+            # An exact 1 is read off its terms; a truncated one is 1 up to its precision.
+            if c.is_exact_one() or (c.precision is not None and c == FieldElement.one()):
+                return format_polynomial(self.num)
         return f"({format_polynomial(self.num)})/({format_polynomial(self.den)})"
 
     def __repr__(self) -> str:
@@ -824,13 +855,15 @@ def valuation_at(q: Union[Polynomial, RationalFunction], point: Sequence[FieldEl
     """
     if form is None:
         form = point_form(point)
-    values = []  # per part: its valuation when the initial form decides, else its exact value
+    values = []  # per part: its leading exponent when the initial form decides, else its exact value
     for part in (q,) if isinstance(q, Polynomial) else (q.num, q.den):
         lead = None if form is None else _leading_term(part, point, form)
-        values.append(part.evaluate(point) if lead is None else ValueGroupElement(lead[0]))
+        values.append(part.evaluate(point) if lead is None else lead[0])
+    if not any(isinstance(v, FieldElement) for v in values):
+        return ValueGroupElement(values[0] - values[1] if len(values) == 2 else values[0])
     if len(values) == 2 and isinstance(values[1], FieldElement) and values[1].is_exact_zero():
         raise DivisionByZero("denominator vanishes at the point")
-    num, *den = [v.valuation() if isinstance(v, FieldElement) else v for v in values]
+    num, *den = [v.valuation() if isinstance(v, FieldElement) else ValueGroupElement(v) for v in values]
     return num - den[0] if den else num
 
 

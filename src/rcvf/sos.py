@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import inf, isqrt, lcm, log, sqrt
 from typing import Optional, Sequence
 
@@ -108,13 +109,15 @@ def ldl_psd(G: list[list[Fraction]]):
     """Exact PSD test by outer-product elimination with diagonal pivoting.
 
     Returns ("psd", [(pivot, vector)...]) with G = sum pivot * v v^T, or
-    ("indefinite", direction) with direction^T G direction < 0.
+    ("indefinite", direction) with direction^T G direction < 0.  Each
+    elimination is recorded as (pivot, [(i, l_i)...]); the basis that the
+    eliminations transform, whose rows give the direction, is built from that
+    record only when a direction is returned.
     """
     n = len(G)
     M = [list(row) for row in G]
-    basis = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     active = list(range(n))
-    squares = []
+    squares, eliminations = [], []
     while active:
         p = None
         best = None
@@ -127,23 +130,36 @@ def ldl_psd(G: list[list[Fraction]]):
             for i, j in itertools.combinations(active, 2):
                 if M[i][j] != 0:
                     sgn = 1 if M[i][j] > 0 else -1
-                    direction = [a - sgn * b for a, b in zip(basis[i], basis[j])]
-                    return "indefinite", direction
+                    basis = _eliminated_basis(n, eliminations)
+                    return "indefinite", [a - sgn * b for a, b in zip(basis[i], basis[j])]
             break
         d = M[p][p]
         if d < 0:
-            return "indefinite", list(basis[p])
+            return "indefinite", _eliminated_basis(n, eliminations)[p]
         v = [M[p][j] / d for j in range(n)]
         squares.append((d, v))
+        support = [(j, x) for j, x in enumerate(v) if x]  # subtracting a zero changes no entry
+        factors = []
         for i in range(n):
             if M[i][p] != 0 or M[p][i] != 0:
-                li = M[i][p] / d
-                for j in range(n):
-                    M[i][j] -= li * d * v[j]
+                row, f = M[i], M[i][p]
+                for j, x in support:
+                    row[j] -= f * x
                 if i != p:
-                    basis[i] = [a - li * b for a, b in zip(basis[i], basis[p])]
+                    factors.append((i, f / d))
+        eliminations.append((p, factors))
         active.remove(p)
     return "psd", squares
+
+
+def _eliminated_basis(n: int, eliminations) -> list[list[Fraction]]:
+    """The identity basis with every recorded elimination applied, in order:
+    row i loses l_i times the pivot's row."""
+    basis = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for p, factors in eliminations:
+        for i, li in factors:
+            basis[i] = [a - li * b for a, b in zip(basis[i], basis[p])]
+    return basis
 
 
 # -- four squares without factoring (Rabin & Shallit) ---------------------------
@@ -547,6 +563,28 @@ def _min_eig(A: list[list[float]]) -> tuple[float, list[float]]:
     return a[k][k], W[k]
 
 
+def _moment(expv) -> Fraction:
+    """E[x^expv] for x uniform on [-1, 1]^n: 1/(e+1) per even e, 0 if any e is odd."""
+    out = Fraction(1)
+    for e in expv:
+        if e % 2:
+            return Fraction(0)
+        out /= e + 1
+    return out
+
+
+@lru_cache(maxsize=256)
+def _moment_eigen_floor(basis: tuple[tuple[int, ...], ...]) -> float:
+    """lambda_min of the basis's moment matrix M, kept off zero relative to tr(M).
+
+    A pure function of the basis, so the bounded cache serves every target
+    searched in the same basis.
+    """
+    M = [[float(_moment(tuple(x + y for x, y in zip(a, b)))) for b in basis] for a in basis]
+    floor = 1e-15 * sum(M[i][i] for i in range(len(M)))
+    return max(_min_eig(M)[0], floor)
+
+
 def _trace_bound(target: ResiduePolynomial, basis: list[tuple[int, ...]]) -> float:
     """An upper bound on the trace of every PSD Gram matrix of target.
 
@@ -555,18 +593,8 @@ def _trace_bound(target: ResiduePolynomial, basis: list[tuple[int, ...]]) -> flo
     G is PSD.  The moments are exact (E[x^e] = 1/(e+1) for even e, else 0);
     lambda_min(M) is a float, kept off zero relative to tr(M).
     """
-    def moment(expv):
-        out = Fraction(1)
-        for e in expv:
-            if e % 2:
-                return Fraction(0)
-            out /= e + 1
-        return out
-
-    mean = sum(c * moment(expv) for expv, c in target.terms.items())
-    M = [[float(moment(tuple(x + y for x, y in zip(a, b)))) for b in basis] for a in basis]
-    floor = 1e-15 * sum(M[i][i] for i in range(len(M)))
-    return max(float(mean), 0.0) / max(_min_eig(M)[0], floor)
+    mean = sum(c * _moment(expv) for expv, c in target.terms.items())
+    return max(float(mean), 0.0) / _moment_eigen_floor(tuple(basis))
 
 
 # Relative accuracy to which the ellipsoid search pins down max lambda_min.
@@ -664,6 +692,7 @@ def _gram_search(target: ResiduePolynomial, basis: list[tuple[int, ...]]):
     size = len(basis)
     G0 = _vec_to_matrix(pairs, particular, size)
     nullmats = [_vec_to_matrix(pairs, v, size) for v in nullbasis]
+    entries = [[(i, j, v) for i, row in enumerate(N) for j, v in enumerate(row) if v] for N in nullmats]
     tried = set()
     bound = _trace_bound(target, basis) if nullmats else 0.0
     for y in _psd_candidates(G0, nullmats, bound):
@@ -673,11 +702,10 @@ def _gram_search(target: ResiduePolynomial, basis: list[tuple[int, ...]]):
                 continue
             tried.add(yr)
             M = [row[:] for row in G0]
-            for coef, N in zip(yr, nullmats):
+            for coef, ent in zip(yr, entries):
                 if coef:
-                    for i in range(size):
-                        for j in range(size):
-                            M[i][j] += coef * N[i][j]
+                    for i, j, v in ent:
+                        M[i][j] += coef * v
             verdict, payload = ldl_psd(M)
             if verdict == "psd":
                 return payload

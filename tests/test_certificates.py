@@ -388,20 +388,26 @@ class TestCertifyBeforeFalsifying:
 
     # Each input peels x1^2 (or eps^(1/64)*x1^2) first.  Then either the next
     # layer's valuation is hidden, since the x1^2 coefficient left is O(eps^32)
-    # with no known term, or the layer's summand would need eps^(1/128), past
-    # the exponent cap.
+    # with no known term and the known eps^40 lies above it, or the layer's
+    # summand would need eps^(1/128), past the exponent cap.
     @pytest.mark.parametrize("text, error", [("1/(1+eps^40)*x1^2", PrecisionExhausted),
                                              ("eps^(1/64)*x1^2", ExponentBlowup)])
     def test_exact_stage_error_defers_to_the_falsifier(self, text, error):
         with pytest.raises(error):
-            generate_ball_certificate(parse_expression(text + " + eps"), BALL1, config=CONFIG)
+            generate_ball_certificate(parse_expression(text + " + eps^40"), BALL1, config=CONFIG)
         # Non-negative: no point answers, so the error stands.
-        assert falsify_nonnegativity(parse_expression(text + " + eps"), BALL1, CONFIG) is None
+        assert falsify_nonnegativity(parse_expression(text + " + eps^40"), BALL1, CONFIG) is None
         # Negative: the falsifier's point answers.
-        p = parse_expression(text + " - eps")
+        p = parse_expression(text + " - eps^40")
         outcome = generate_ball_certificate(p, BALL1, config=CONFIG)
         assert outcome.kind == NEGATIVITY_WITNESS
         assert outcome.point == tuple(falsify_nonnegativity(p, BALL1, CONFIG))
+
+    def test_known_valuation_below_a_hidden_one_decides_the_layer(self):
+        # O(eps^32)*x1^2 + eps, left by the x1^2 layer, has Gauss valuation 1;
+        # its residue is hidden at x1^2, so peeling stops and the rest is folded.
+        outcome = generate_ball_certificate(parse_expression("1/(1+eps^40)*x1^2 + eps"), BALL1, config=CONFIG)
+        assert (outcome.kind, outcome.layers) in {(CANDIDATE, 1), (UNKNOWN, 1)}
 
 
 class TestGeneratedCertificatesVerify:

@@ -422,6 +422,14 @@ class TestExitCodes:
         assert code == 2
         assert json.loads(out)["error"]["type"] == "internal"
 
+    def test_hidden_coefficient_above_a_known_valuation_is_no_error(self):
+        # The second layer's residual O(eps^32)*x1^2 + eps has Gauss valuation 1.
+        code, out = run_cli("cert", "find", "--p", "1/(1+eps^40)*x1^2 + eps", "--set", "ball:1", "--seed", "0")
+        payload = json.loads(out)
+        assert code in (0, 1) and "error" not in payload
+        assert (payload["command"], payload["layers"]) == ("cert", 1)
+        assert payload["outcome"] in ("candidate_without_witness", "unknown")
+
     def test_trunc_flag_scopes_to_one_invocation(self):
         code, out = run_cli("eval", "--expr", "1/(1-eps)", "--trunc", "5")
         payload = json.loads(out)["value"]

@@ -42,6 +42,49 @@ GOLDEN = [
      'x1 + x2","1/2*x1 + x2","1/2*x1","1/2*x1"],"set":{"kind":"ball","n":2},"witness":{"den"'
      ':{"a":{"op":"const","value":"0"},"m":"0"},"monic":null,"num":{"op":"const","value":"0"'
      '}}},"command":"cert","gauss":"0","layers":1,"mode":"find","outcome":"certificate"}'),
+    # Three layers, with half-integer exponents in the summands.
+    ("cert find --p 'x^2 + eps*y^2 + eps^3' --set ball:2 --seed 9 --samples 150", 0,
+     '{"certificate":{"h":{"den":"1","num":"0"},"m":"0","p":"x^2 + eps*y^2 + eps^3","r":["x1'
+     '","eps^(1/2)*x2","eps^(3/2)"],"set":{"kind":"ball","n":2},"witness":{"den":{"a":{"op":'
+     '"const","value":"0"},"m":"0"},"monic":null,"num":{"op":"const","value":"0"}}},"command'
+     '":"cert","gauss":"0","layers":3,"mode":"find","outcome":"certificate"}'),
+    # An affine-set certificate whose remainder folds into m = eps.
+    ("cert find --p '1 + 2*x^2 + x^4 - eps*x' --set 'affine:{module}' --seed 3 --samples 100", 0,
+     '{"certificate":{"h":{"den":"eps^20*x1^4 + 2*eps^20*x1^2 + -1*eps^21*x1 + eps^20","num"'
+     ':"-1*eps^19*x1^4 + -2*eps^19*x1^2 + eps^20*x1 + 3*eps^19"},"m":"eps","p":"x^4 + 2*x^2 '
+     '+ -1*eps*x + 1","r":["2"],"set":{"centers":["1"],"kind":"affine","scales":["eps"]},"wi'
+     'tness":{"den":{"a":{"args":[{"args":[{"op":"const","value":"-1"},{"args":[{"op":"const'
+     '","value":"8 - eps"},{"index":0,"op":"gen"}],"op":"prod"},{"args":[{"op":"const","valu'
+     'e":"8*eps"},{"index":0,"op":"gen"},{"index":0,"op":"gen"}],"op":"prod"},{"args":[{"op"'
+     ':"const","value":"4*eps^2"},{"index":0,"op":"gen"},{"index":0,"op":"gen"},{"index":0,"'
+     'op":"gen"}],"op":"prod"},{"args":[{"op":"const","value":"eps^3"},{"index":0,"op":"gen"'
+     '},{"index":0,"op":"gen"},{"index":0,"op":"gen"},{"index":0,"op":"gen"}],"op":"prod"}],'
+     '"op":"sum"},{"op":"iord","summands":[{"den":"1","num":"1"},{"den":"1","num":"1"},{"den'
+     '":"1","num":"1"}]}],"op":"prod"},"m":"eps"},"monic":null,"num":{"args":[{"args":[{"op"'
+     ':"const","value":"1"},{"args":[{"op":"const","value":"-8 + eps"},{"index":0,"op":"gen"'
+     '}],"op":"prod"},{"args":[{"op":"const","value":"-8*eps"},{"index":0,"op":"gen"},{"inde'
+     'x":0,"op":"gen"}],"op":"prod"},{"args":[{"op":"const","value":"-4*eps^2"},{"index":0,"'
+     'op":"gen"},{"index":0,"op":"gen"},{"index":0,"op":"gen"}],"op":"prod"},{"args":[{"op":'
+     '"const","value":"-1*eps^3"},{"index":0,"op":"gen"},{"index":0,"op":"gen"},{"index":0,"'
+     'op":"gen"},{"index":0,"op":"gen"}],"op":"prod"}],"op":"sum"},{"op":"iord","summands":['
+     '{"den":"1","num":"1"},{"den":"1","num":"1"},{"den":"1","num":"1"}]}],"op":"prod"}}},"c'
+     'ommand":"cert","gauss":"0","layers":1,"mode":"find","outcome":"certificate"}'),
+    # Shaped like the benchmark's nonneg_sos inputs: the ellipsoid and the exact
+    # LDL find the first layer, and the eps part is a second one.
+    ("cert find --p '6 + eps + 4*x2 - 2*eps*x2 + 6*x2^2 + eps*x2^2 + 4*x1 - 2*eps*x1"
+     " + 2*eps*x1*x2 + 2*x1^2 + eps*x1^2 + 4*x1^2*x2 + 2*x1^2*x2^2 + 2*x1^4'"
+     " --set ball:2 --seed 9 --samples 150", 0,
+     '{"certificate":{"h":{"den":"1","num":"0"},"m":"0","p":"2*x1^4 + 2*x1^2*x2^2 + 4*x1^2*x'
+     '2 + (2 + eps)*x1^2 + 2*eps*x1*x2 + (6 + eps)*x2^2 + (4 - 2*eps)*x1 + (4 - 2*eps)*x2 + '
+     '(6 + eps)","r":["-1/3*x1^2 + 2/3*x1*x2 + 2/3*x1 + 2/3*x2 + 2","-1/6*x1^2 + 1/3*x1*x2 +'
+     ' 1/3*x1 + 1/3*x2 + 1","-1/6*x1^2 + 1/3*x1*x2 + 1/3*x1 + 1/3*x2 + 1","1/12*x1^2 + -1/6*'
+     'x1*x2 + -2/3*x1 + 4/3*x2","1/12*x1^2 + -1/6*x1*x2 + -2/3*x1 + 4/3*x2","1/12*x1^2 + -1/'
+     '6*x1*x2 + -2/3*x1 + 4/3*x2","1/4*x1^2 + 1/2*x1*x2 + x1","1/4*x1^2 + 1/2*x1*x2 + x1","5'
+     '/4*x1^2 + 5/54*x1*x2","1/4*x1^2 + 1/54*x1*x2","1/4*x1^2 + 1/54*x1*x2","2/27*x1*x2","22'
+     '/27*x1*x2","2/9*x1*x2","4/27*x1*x2","-1*eps^(1/2)*x1 + -1*eps^(1/2)*x2 + eps^(1/2)"],"'
+     'set":{"kind":"ball","n":2},"witness":{"den":{"a":{"op":"const","value":"0"},"m":"0"},"'
+     'monic":null,"num":{"op":"const","value":"0"}}},"command":"cert","gauss":"0","layers":2'
+     ',"mode":"find","outcome":"certificate"}'),
     ('selftest --seed 9', 0,
      '{"checks":[{"name":"order_valuation_axiom","ok":true},{"name":"sos_unit_integral","ok"'
      ':true},{"name":"gauss_lower_bound","ok":true},{"name":"divergence_counterexample","ok"'

@@ -12,8 +12,10 @@ fixed inputs, so work that comes back shows up as a count, not as a timing.
 """
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -22,6 +24,7 @@ import pytest
 import rcvf
 from rcvf import certificates, jsonio, series, sets, sos
 from rcvf.certificates import CERTIFICATE, falsify_nonnegativity, generate_ball_certificate, verify_nonneg_certificate
+from rcvf.cli import run
 from rcvf.parser import parse_expression
 from rcvf.poly import Polynomial, RationalFunction, _SparsePolynomial
 from rcvf.sampling import SampleConfig
@@ -224,6 +227,25 @@ def test_falsifier_sign_tests_build_no_series(monkeypatch):
     assert len(draws) == 2 * 90  # 30 structured points, 90 random ones of two coordinates
     assert comparisons == []
     assert len(inits) <= FALSIFY_INITS
+
+
+# FieldElement.__init__ calls of the run below, parse included: 239 while a
+# residue shift was a series product per coefficient and a layer was peeled by
+# lifting its residue, scaling it by eps^gamma and subtracting it.
+GENERATE_INITS = 6
+
+
+def test_generation_shifts_and_peels_build_no_series(monkeypatch):
+    # Shaped like the benchmark's nonneg_sos inputs: the first layer comes from
+    # the ellipsoid and the exact LDL, the eps part is a second one.
+    argv = ["cert", "find", "--p", "6 + eps + 4*x2 - 2*eps*x2 + 6*x2^2 + eps*x2^2 + 4*x1 - 2*eps*x1"
+            " + 2*eps*x1*x2 + 2*x1^2 + eps*x1^2 + 4*x1^2*x2 + 2*x1^2*x2^2 + 2*x1^4",
+            "--set", "ball:2", "--seed", "9", "--samples", "150"]
+    inits = count_calls(monkeypatch, [(FieldElement, "__init__")])
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run(argv) == 0
+    assert '"layers":2' in out.getvalue() and '"outcome":"certificate"' in out.getvalue()
+    assert len(inits) <= GENERATE_INITS
 
 
 # FieldElement.__init__ calls of the check below: 229 when every product of the

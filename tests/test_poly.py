@@ -80,6 +80,17 @@ class TestGaussValuation:
         h = RationalFunction(x + Polynomial.constant(EPS, ("x",)), x)
         assert gauss_valuation(h) == ValueGroupElement(0)
 
+    def test_known_valuation_below_every_hidden_one_decides(self):
+        # A coefficient that is only O(eps^k) has valuation k or more.
+        hidden = {k: FieldElement((), k) for k in (1, 2, 32)}
+        x = (1,)
+        assert gauss_valuation(Polynomial(("x1",), {(2,): hidden[32], (0,): EPS})) == ValueGroupElement(1)
+        assert gauss_valuation(Polynomial(("x1",), {x: hidden[2], (0,): EPS * EPS})) == ValueGroupElement(2)
+        with pytest.raises(PrecisionExhausted, match="below precision 1$"):
+            gauss_valuation(Polynomial(("x1",), {x: hidden[1], (0,): EPS * EPS}))
+        with pytest.raises(PrecisionExhausted, match="below precision 2$"):
+            gauss_valuation(Polynomial(("x1",), {x: hidden[2], (2,): hidden[1]}))
+
     def test_zero_polynomial_is_top(self):
         assert gauss_valuation(Polynomial(("x",))) == TOP
 
