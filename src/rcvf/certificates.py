@@ -46,7 +46,7 @@ from .ringexpr import (
     verify_ring_membership,
 )
 from .sampling import SampleConfig
-from .series import LT, FieldElement, _check_exponent
+from .series import LT, FieldElement
 from .sets import SetDescriptor, align_to_set
 from .sos import (
     SOS,
@@ -252,12 +252,6 @@ def _residue_polynomial(p: Polynomial) -> ResiduePolynomial:
     return ResiduePolynomial(p.variables, terms)
 
 
-def _lift_residue(q: ResiduePolynomial, variables: tuple, exponent: Fraction = Fraction(0)) -> Polynomial:
-    """q with each rational coefficient c as the exact series c eps^exponent."""
-    return Polynomial.from_canonical(
-        variables, {e: FieldElement.from_canonical(((exponent, c),)) for e, c in q.terms.items()})
-
-
 def _embed_rational_point(point: Sequence[Fraction]) -> list[FieldElement]:
     return [FieldElement.from_rational(x) for x in point]
 
@@ -383,19 +377,8 @@ def _peel_layer(residual: Polynomial, rbar: ResiduePolynomial, quotients, gamma:
     """
     # The value group is the rationals, hence divisible: gamma/2 always exists.
     half = Fraction(gamma, 2)
-    _check_exponent(half)
-    summands = [RationalFunction(_lift_residue(q.num, vs, half), _lift_residue(q.den, vs)) for q in quotients]
-    terms = dict(residual.terms)
-    for expv in rbar.terms:
-        c = terms[expv]
-        rest = tuple(t for t in c.terms if t[0] != gamma)
-        if c.precision is not None:
-            terms[expv] = FieldElement(rest, c.precision)
-        elif rest:
-            terms[expv] = FieldElement.from_canonical(rest)
-        else:
-            del terms[expv]
-    return summands, Polynomial.from_canonical(residual.variables, terms)
+    summands = [RationalFunction(q.num.lift(vs, half), q.den.lift(vs)) for q in quotients]
+    return summands, residual.without_slice(gamma, rbar.terms)
 
 
 def falsify_nonnegativity(p: Polynomial, set_descriptor: SetDescriptor,
@@ -453,7 +436,7 @@ def _syntactic_witness(p: Polynomial, q: Polynomial, gamma: Fraction, q_gauss: F
         search = residue_sos_decomposition(shift, sos_budget)
         if search.kind != SOS or any(not t.den.is_constant() for t in search.quotients):
             return None
-        sos_lift = SOSExpr([RationalFunction(_lift_residue(t.num, vs)) for t in search.quotients])
+        sos_lift = SOSExpr([RationalFunction(t.num.lift(vs)) for t in search.quotients])
         inv_leaf = SosInverseExpr(sos_lift)
 
     def over_one_plus_s(e: RingExpr) -> RingExpr:
@@ -461,7 +444,7 @@ def _syntactic_witness(p: Polynomial, q: Polynomial, gamma: Fraction, q_gauss: F
 
     q1 = q.residue_shift(q_gauss)  # q/(eps^gamma * m): Gauss valuation 0
     num = over_one_plus_s(polynomial_to_ring_expr(q1, set_descriptor))
-    one_plus_s = Polynomial.constant(1, vs) + _lift_residue(shift, vs)
+    one_plus_s = Polynomial.constant(1, vs) + shift.lift(vs)
     correction = P - one_plus_s
     if correction.is_exactly_zero():
         return IntegralityWitness(num, PerturbedUnit.trivial())

@@ -339,27 +339,17 @@ class Polynomial(_SparsePolynomial):
         """Minimum coefficient valuation; TOP for the zero polynomial.
 
         A coefficient that is only O(eps^k) has a valuation of k or more, so
-        the minimum is decided when the least known valuation is at most every
-        such k; otherwise PrecisionExhausted is raised, as the first of those
-        coefficients raises it.
+        the minimum is decided when a coefficient with a known term reaches the
+        least lower bound; otherwise PrecisionExhausted is raised, as the first
+        coefficient with no known term raises it.
         """
         if not self.terms:
             return TOP
-        # The least known valuation, and the least precision and the first of the
-        # coefficients with no known term.
-        best = bound = hidden = None
-        for c in self.terms.values():
-            if c.terms:
-                if best is None or c.terms[0][0] < best:
-                    best = c.terms[0][0]
-            else:
-                if hidden is None:
-                    hidden = c
-                if bound is None or c.precision < bound:
-                    bound = c.precision
-        if best is None or (bound is not None and best > bound):
-            hidden.valuation()  # raises PrecisionExhausted
-        return ValueGroupElement(best)
+        coeffs = self.terms.values()
+        least = min(c.valuation_lower_bound() for c in coeffs)
+        if not any(not c.is_visibly_zero() and c.valuation() == least for c in coeffs):
+            next(c for c in coeffs if c.is_visibly_zero()).valuation()  # raises PrecisionExhausted
+        return least
 
     def residue_shift(self, gamma: Fraction) -> "Polynomial":
         """Divide every coefficient by eps^gamma (exact): an exponent shift.
@@ -383,6 +373,21 @@ class Polynomial(_SparsePolynomial):
                 terms[expv] = FieldElement(shifted, c.precision - gamma)
         return Polynomial.from_canonical(self.variables, terms)
 
+    def without_slice(self, gamma: Fraction, monomials) -> "Polynomial":
+        """self minus the eps^gamma term of its coefficient at each of monomials;
+        a truncated coefficient keeps its precision."""
+        terms = dict(self.terms)
+        for expv in monomials:
+            c = terms[expv]
+            rest = tuple(t for t in c.terms if t[0] != gamma)
+            if c.precision is not None:
+                terms[expv] = FieldElement(rest, c.precision)
+            elif rest:
+                terms[expv] = FieldElement.from_canonical(rest)
+            else:
+                del terms[expv]
+        return Polynomial.from_canonical(self.variables, terms)
+
     def __str__(self) -> str:
         return format_polynomial(self)
 
@@ -404,6 +409,12 @@ class ResiduePolynomial(_SparsePolynomial):
     def coordinate_square_sum(cls, variables: Sequence[str]) -> "ResiduePolynomial":
         vs = tuple(variables)
         return cls(vs, {tuple(2 if j == i else 0 for j in range(len(vs))): 1 for i in range(len(vs))})
+
+    def lift(self, variables: Sequence[str], exponent: Fraction = Fraction(0)) -> Polynomial:
+        """self over the series, each rational coefficient c as the exact c eps^exponent."""
+        _check_exponent(exponent)
+        return Polynomial.from_canonical(
+            tuple(variables), {e: FieldElement.from_canonical(((exponent, c),)) for e, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -859,12 +870,10 @@ def valuation_at(q: Union[Polynomial, RationalFunction], point: Sequence[FieldEl
     for part in (q,) if isinstance(q, Polynomial) else (q.num, q.den):
         lead = None if form is None else _leading_term(part, point, form)
         values.append(part.evaluate(point) if lead is None else lead[0])
-    if not any(isinstance(v, FieldElement) for v in values):
-        return ValueGroupElement(values[0] - values[1] if len(values) == 2 else values[0])
     if len(values) == 2 and isinstance(values[1], FieldElement) and values[1].is_exact_zero():
         raise DivisionByZero("denominator vanishes at the point")
-    num, *den = [v.valuation() if isinstance(v, FieldElement) else ValueGroupElement(v) for v in values]
-    return num - den[0] if den else num
+    num, *den = [v.valuation().value if isinstance(v, FieldElement) else v for v in values]
+    return ValueGroupElement(num if not den or num is None else num - den[0])
 
 
 def gauss_valuation(q: Union[Polynomial, RationalFunction]) -> ValueGroupElement:

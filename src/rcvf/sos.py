@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import inf, isqrt, lcm, log, sqrt
 from typing import Optional, Sequence
 
@@ -573,18 +572,6 @@ def _moment(expv) -> Fraction:
     return out
 
 
-@lru_cache(maxsize=256)
-def _moment_eigen_floor(basis: tuple[tuple[int, ...], ...]) -> float:
-    """lambda_min of the basis's moment matrix M, kept off zero relative to tr(M).
-
-    A pure function of the basis, so the bounded cache serves every target
-    searched in the same basis.
-    """
-    M = [[float(_moment(tuple(x + y for x, y in zip(a, b)))) for b in basis] for a in basis]
-    floor = 1e-15 * sum(M[i][i] for i in range(len(M)))
-    return max(_min_eig(M)[0], floor)
-
-
 def _trace_bound(target: ResiduePolynomial, basis: list[tuple[int, ...]]) -> float:
     """An upper bound on the trace of every PSD Gram matrix of target.
 
@@ -594,7 +581,9 @@ def _trace_bound(target: ResiduePolynomial, basis: list[tuple[int, ...]]) -> flo
     lambda_min(M) is a float, kept off zero relative to tr(M).
     """
     mean = sum(c * _moment(expv) for expv, c in target.terms.items())
-    return max(float(mean), 0.0) / _moment_eigen_floor(tuple(basis))
+    M = [[float(_moment(tuple(x + y for x, y in zip(a, b)))) for b in basis] for a in basis]
+    floor = 1e-15 * sum(M[i][i] for i in range(len(M)))
+    return max(float(mean), 0.0) / max(_min_eig(M)[0], floor)
 
 
 # Relative accuracy to which the ellipsoid search pins down max lambda_min.
