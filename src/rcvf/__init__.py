@@ -52,7 +52,6 @@ from .ringexpr import (
     SOSExpr,
     SosInverseExpr,
     SumExpr,
-    eval_ring_expr,
     ring_expr_to_rational,
     verify_ring_membership,
     verify_sos_expression,

@@ -7,12 +7,13 @@ verified certificate is pointwise sound because on-set every sum of squares
 is non-negative and every perturbed unit 1 + m*(integral value) is a positive
 unit.
 
-Generation peels residue layers: scale p by its Gauss valuation, decompose
-the residue polynomial as an exact SOS, subtract the lift, and repeat; any
-nonzero remainder is folded into the m*h correction.  Points are sampled
-only when these exact stages end without a certificate.  Existence proofs behind
-the certificate shape are non-constructive, so generation is best-effort and
-an explicit candidate-without-witness outcome is kept distinct from success.
+Generation peels residue layers: read the residue polynomial at p's Gauss
+valuation gamma, decompose it as an exact SOS, drop the eps^gamma slice that
+its squares account for, and repeat; any nonzero remainder is folded into the
+m*h correction.  Points are sampled only when these exact stages end without a
+certificate.  Existence proofs behind the certificate shape are
+non-constructive, so generation is best-effort and an explicit
+candidate-without-witness outcome is kept distinct from success.
 """
 
 from __future__ import annotations
@@ -464,26 +465,21 @@ def _transport_to_module(outcome: GenerationOutcome,
     Ring-expression trees transport verbatim (generator leaves re-denote);
     SOS summands and h compose with the inverse coordinate map.
     """
-    mm = module_set.module_map
     if outcome.kind == NEGATIVITY_WITNESS:
-        return GenerationOutcome(NEGATIVITY_WITNESS, point=tuple(mm.apply(list(outcome.point))))
+        return replace(outcome, point=tuple(module_set.module_map.apply(outcome.point)))
     gens = module_set.generators()
 
     def compose(rf: RationalFunction) -> RationalFunction:
-        return rf.substitute_rational(gens)
+        rf = align_to_set(rf, module_set)
+        return rf.num.substitute(gens) / rf.den.substitute(gens)
+
+    def moved(x):  # a certificate or a candidate outcome: r and h compose
+        return replace(x, r=SOSExpr([compose(s) for s in x.r.summands]), h=compose(x.h))
 
     if outcome.kind == CERTIFICATE:
-        cert = outcome.certificate
-        new_r = SOSExpr([compose(align_to_set(s, module_set)) for s in cert.r.summands])
-        new_h = compose(align_to_set(cert.h, module_set))
-        new_cert = NonnegCertificate(new_r, cert.m, new_h, cert.witness)
-        return GenerationOutcome(CERTIFICATE, certificate=new_cert, gauss=outcome.gauss,
-                                 layers=outcome.layers)
+        return replace(outcome, certificate=moved(outcome.certificate))
     if outcome.kind == CANDIDATE:
-        new_r = SOSExpr([compose(align_to_set(s, module_set)) for s in outcome.r.summands])
-        new_h = compose(align_to_set(outcome.h, module_set))
-        return GenerationOutcome(CANDIDATE, r=new_r, m=outcome.m, h=new_h, oracle=outcome.oracle,
-                                 gauss=outcome.gauss, layers=outcome.layers)
+        return moved(outcome)
     return outcome
 
 

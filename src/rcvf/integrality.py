@@ -125,20 +125,13 @@ def module_pullback(h: Union[Polynomial, RationalFunction], module_map: AffineMo
     Integrality of h on the module equals integrality of the pullback on the
     unit polydisc.
     """
-    poly_input = isinstance(h, Polynomial)
-    hr = _as_rational_function(h)
-    vs = hr.variables
+    vs = h.variables
     if len(vs) != module_map.dimension:
         raise ValueError(f"function arity {len(vs)} != module dimension {module_map.dimension}")
-    images = []
-    for i, v in enumerate(vs):
-        xi = Polynomial.variable(v, vs)
-        images.append(Polynomial.constant(module_map.centers[i], vs) + xi.scale(module_map.scales[i]))
-    num = hr.num.substitute(images)
-    den = hr.den.substitute(images)
-    if poly_input:
-        return num if den.is_constant() and den.constant_value() == FieldElement.one() else RationalFunction(num, den)
-    return RationalFunction(num, den)
+    images = module_map.apply([Polynomial.variable(v, vs) for v in vs])
+    if isinstance(h, Polynomial):
+        return h.substitute(images)
+    return RationalFunction(h.num.substitute(images), h.den.substitute(images))
 
 
 def infinitesimal_decompose(h: Union[Polynomial, RationalFunction],

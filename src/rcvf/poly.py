@@ -171,24 +171,28 @@ class _SparsePolynomial:
         return tuple(out)
 
     def evaluate(self, point: Sequence):
-        """Exact value at a point: each coefficient times ``x**e`` per coordinate.
-
-        The terms are multiplied and summed one monomial at a time, as written:
-        regrouping them could let a cancellation raise a partial sum's precision
-        and change the result.  Each power ``x_i**e`` is raised once per call
-        and shared by the monomials that use it.
-        """
+        """Exact value at a point: each coefficient times ``x**e`` per coordinate."""
         if len(point) != len(self.variables):
             raise ValueError(f"point arity {len(point)} != {len(self.variables)}")
-        point = [self._coeff(x) for x in point]
+        return self._power_sum([self._coeff(x) for x in point], self._zero())
+
+    def _power_sum(self, values: Sequence, total):
+        """total plus each coefficient times ``values[i]**e`` per variable.
+
+        The one loop that puts values into a polynomial: points (``evaluate``)
+        and images (``Polynomial.substitute``).  The terms are multiplied and
+        summed one monomial at a time, as written: regrouping them could let a
+        cancellation raise a partial sum's precision and change the result.
+        Each power ``values[i]**e`` is raised once per call and shared by the
+        monomials that use it.
+        """
         powers = {}
-        total = self._zero()
         for expv, c in self.terms.items():
             for i, e in enumerate(expv):
                 if e:
                     xe = powers.get((i, e))
                     if xe is None:
-                        xe = powers[(i, e)] = point[i] ** e
+                        xe = powers[(i, e)] = values[i] ** e
                     c *= xe
             total += c
         return total
@@ -255,15 +259,16 @@ class _SparsePolynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial; use RationalFunction")
-        result = self.constant(1, self.variables)
-        base = self
-        while n:
+        if not n:
+            return self.constant(1, self.variables)
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # -- equality ---------------------------------------------------------------
 
@@ -303,37 +308,22 @@ class Polynomial(_SparsePolynomial):
 
     # -- substitution and valuation ----------------------------------------------
 
-    def substitute(self, images: Sequence["Polynomial"]) -> "Polynomial":
-        """Polynomial substitution variable_i -> images[i] (images share one frame)."""
+    def substitute(self, images: Sequence):
+        """variable_i -> images[i]: Polynomials or RationalFunctions of one frame.
+
+        The value is summed into the zero of the images' ring, so even a
+        constant polynomial comes back as a Polynomial or a RationalFunction in
+        the images' frame.  With no variables there are no images: self.
+        """
         if len(images) != len(self.variables):
             raise ValueError("substitution arity mismatch")
         if not images:
             return self
         frame = images[0].variables
-        acc = Polynomial(frame)
-        for expv, c in self.terms.items():
-            term = Polynomial.constant(c, frame)
-            for img, e in zip(images, expv):
-                for _ in range(e):
-                    term = term * img
-            acc = acc + term
-        return acc
-
-    def substitute_rational(self, images: Sequence["RationalFunction"]) -> "RationalFunction":
-        """Substitution by rational functions, exactly, via common denominators."""
-        if len(images) != len(self.variables):
-            raise ValueError("substitution arity mismatch")
-        if not images:
-            return RationalFunction(self, Polynomial.constant(1, self.variables))
-        frame = images[0].num.variables
-        acc = RationalFunction(Polynomial(frame), Polynomial.constant(1, frame))
-        for expv, c in self.terms.items():
-            term = RationalFunction(Polynomial.constant(c, frame), Polynomial.constant(1, frame))
-            for img, e in zip(images, expv):
-                for _ in range(e):
-                    term = term * img
-            acc = acc + term
-        return acc
+        zero = Polynomial(frame)
+        if isinstance(images[0], RationalFunction):
+            zero = RationalFunction(zero, Polynomial.constant(1, frame))
+        return self._power_sum(images, zero)
 
     def gauss_valuation(self) -> ValueGroupElement:
         """Minimum coefficient valuation; TOP for the zero polynomial.
@@ -522,9 +512,6 @@ class RationalFunction:
         if n < 0:
             return (RationalFunction.constant(1, self.variables) / self) ** (-n)
         return RationalFunction(self.num**n, self.den**n)
-
-    def substitute_rational(self, images: Sequence["RationalFunction"]) -> "RationalFunction":
-        return self.num.substitute_rational(images) / self.den.substitute_rational(images)
 
     def __eq__(self, other) -> bool:
         """The cross-multiplication identity, in the flat ring when both sides are exact."""

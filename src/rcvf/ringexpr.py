@@ -12,8 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import DivisionByZero
-from .poly import FlatRing, Polynomial, RationalFunction, SeriesRing, merge_variables, poly_eval
+from .poly import FlatRing, Polynomial, RationalFunction, SeriesRing, merge_variables
 from .series import FieldElement
 from .sets import SetDescriptor, align_to_set
 
@@ -42,14 +41,6 @@ class SOSExpr:
                 s = ring(s)
             sq = s * s
             total = sq if total is None else total + sq
-        return total
-
-    def evaluate(self, set_descriptor: SetDescriptor, point: Sequence[FieldElement]) -> FieldElement:
-        """Value at a point of the set, summands aligned to the set's variables."""
-        total = FieldElement.zero()
-        for s in self.summands:
-            v = poly_eval(align_to_set(s, set_descriptor), point)
-            total = total + v * v
         return total
 
     def __repr__(self):
@@ -201,7 +192,8 @@ def _in_set_frame(q: RationalFunction, set_descriptor: SetDescriptor, ring) -> R
 
 
 def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None) -> RationalFunction:
-    """The rational function denoted by the tree relative to the set's generators.
+    """The rational function denoted by the tree relative to the set's generators;
+    the tree's value at a point is this function's value there (``poly_eval``).
 
     Built in ring, a FlatRing or SeriesRing over the set's variables (by
     default the series ring); a FlatRing raises NotFlat at a leaf without an
@@ -227,45 +219,6 @@ def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None)
         total = one
         for a in e.args:
             total = total * ring_expr_to_rational(a, set_descriptor, ring)
-        return total
-    raise TypeError(f"not a ring expression: {type(e).__name__}")
-
-
-def eval_ring_expr(e: RingExpr, set_descriptor: SetDescriptor,
-                   point: Sequence[FieldElement]) -> FieldElement:
-    """Value of the denoted element at a point.
-
-    On-set points always succeed (leaf denominators are 1 + SOS >= 1);
-    DivisionByZero is possible only off-set.
-    """
-    if isinstance(e, ConstExpr):
-        return e.value
-    if isinstance(e, GenExpr):
-        return poly_eval(set_descriptor.generators()[e.index], point)
-    if isinstance(e, SosInverseExpr):
-        w = FieldElement.one() + e.sos.evaluate(set_descriptor, point)
-        if w.is_exact_zero():
-            raise DivisionByZero("1 + SOS vanished (off-set point)")
-        return w.invert()
-    if isinstance(e, ConeInverseExpr):
-        total = FieldElement.one()
-        for sos, factors in e.cone.entries:
-            term = sos.evaluate(set_descriptor, point)
-            for i in factors:
-                term = term * set_descriptor.strict_constraints[i].evaluate(point)
-            total = total + term
-        if total.is_exact_zero():
-            raise DivisionByZero("1 + cone element vanished (off-set point)")
-        return total.invert()
-    if isinstance(e, SumExpr):
-        total = FieldElement.zero()
-        for a in e.args:
-            total = total + eval_ring_expr(a, set_descriptor, point)
-        return total
-    if isinstance(e, ProdExpr):
-        total = FieldElement.one()
-        for a in e.args:
-            total = total * eval_ring_expr(a, set_descriptor, point)
         return total
     raise TypeError(f"not a ring expression: {type(e).__name__}")
 

@@ -41,7 +41,9 @@ class AffineModuleMap:
     def dimension(self) -> int:
         return len(self.centers)
 
-    def apply(self, point: Sequence[FieldElement]) -> list[FieldElement]:
+    def apply(self, point: Sequence) -> list:
+        """The image of a point; its coordinates may be polynomials, whose
+        images a pullback substitutes."""
         return [a + s * y for a, s, y in zip(self.centers, self.scales, point)]
 
 
@@ -57,15 +59,14 @@ class SetDescriptor:
 
     def __init__(self, kind: str, n: int | None = None, module_map: AffineModuleMap | None = None,
                  strict_constraints: Optional[Sequence[Polynomial]] = None):
-        if kind == BALL:
-            if n is None or n < 1:
-                raise ValueError("ball descriptor needs a positive dimension")
-        elif kind == AFFINE:
+        if kind == AFFINE:
             if module_map is None:
                 raise ValueError("affine descriptor needs a module map")
             n = module_map.dimension
-        else:
+        elif kind != BALL:
             raise ValueError(f"unknown set kind {kind!r}")
+        if n is None or n < 1:
+            raise ValueError(f"{kind} descriptor needs a positive dimension")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "module_map", module_map)
@@ -174,15 +175,16 @@ class SetDescriptor:
     def _stream(self, config: SampleConfig, count: int | None, images: bool):
         """(polydisc point, form, image) per sampled point.  Each point is mapped
         at most once: when images are asked for or strict constraints test
-        them, else the image is None.  Forms are built only when images are
-        not asked for, else they are None."""
+        them, else the image is None.  A drawn point comes with its form; a
+        structured point's is derived only when images are not asked for, else
+        it is None."""
         want = config.samples if count is None else count
         if want <= 0:
             return
         strict = self.has_strict_constraints
         # At most a quarter of the count is structured, so only drawn points can complete it.
         structured = islice(self._structured_ball_points(), int(want * _STRUCTURED_FRACTION))
-        candidates = chain(((y, None) for y in structured), self._drawn(config.seed, 20 * want + 100, not images))
+        candidates = chain(((y, None) for y in structured), self._drawn(config.seed, 20 * want + 100))
         taken = 0
         for y, form in candidates:
             x = self._from_ball(y) if images or strict else None
@@ -195,14 +197,10 @@ class SetDescriptor:
             if taken == want:
                 return
 
-    def _drawn(self, seed: int, count: int, forms: bool) -> Iterator[tuple[list[FieldElement], Optional[tuple]]]:
-        """The random polydisc points of indices 0..count-1, each with its form
-        if forms is set, else with None."""
+    def _drawn(self, seed: int, count: int) -> Iterator[tuple[list[FieldElement], tuple]]:
+        """The random polydisc points of indices 0..count-1, each with its form."""
         for index in range(count):
             rng = _rng(seed, index)
-            if not forms:
-                yield [random_element(rng) for _ in range(self.n)], None
-                continue
             draws = [random_element(rng, form=True) for _ in range(self.n)]
             yield [x for x, _ in draws], (2, [f for _, f in draws])
 

@@ -658,12 +658,12 @@ def _psd_candidates(G0, nullmats, radius: float):
         yield best_y
 
 
-def _extract_squares(squares, basis, variables, scale=Fraction(1)) -> list[ResiduePolynomial]:
+def _extract_squares(squares, basis, variables) -> list[ResiduePolynomial]:
     """Turn LDL pivots/vectors into polynomials t with sum t^2 = Gram form."""
     out = []
     for d, v in squares:
         row = ResiduePolynomial(variables, {basis[j]: v[j] for j in range(len(basis)) if v[j] != 0})
-        for s in rational_square_terms(d * scale):
+        for s in rational_square_terms(d):
             out.append(row * s)
     return out
 

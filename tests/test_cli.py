@@ -652,3 +652,22 @@ class TestAffineSetLoading:
                             "--samples", "150")
         # x1 > 0 on the set, so no witness
         assert code == 0
+
+    # An affine set with no coordinates was accepted: integral exited 0, a
+    # falsifier reported the empty point, and a certificate on it verified.
+    @pytest.mark.parametrize("argv", [
+        ("integral", "--h", "1", "--set", "SET", "--seed", "1"),
+        ("psd", "--p", "-1", "--set", "SET", "--probe41", "--seed", "1"),
+        ("psd", "--p", "-1", "--set", "SET", "--falsify", "--seed", "1"),
+        ("cert", "find", "--p", "-1", "--set", "SET", "--seed", "1"),
+        ("cert", "verify", "CERT"),
+    ], ids=["integral", "psd-probe41", "psd-falsify", "cert-find", "cert-verify"])
+    def test_zero_dimensional_affine_set_is_refused(self, tmp_path, argv):
+        empty = {"kind": "affine", "centers": [], "scales": []}
+        set_path, cert_path = tmp_path / "set.json", tmp_path / "cert.json"
+        set_path.write_text(json.dumps(empty))
+        cert_path.write_text(json.dumps(dict(_WELL_FORMED, p="1", r=["1"], set=empty)))
+        paths = {"SET": str(set_path), "CERT": str(cert_path)}
+        code, out = run_cli(*(paths.get(a, a) for a in argv))
+        assert (code, out) == (2, '{"error":{"message":"affine descriptor needs a positive dimension",'
+                                  '"type":"ValueError"}}\n')

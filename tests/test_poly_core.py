@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from rcvf.poly import Polynomial, ResiduePolynomial
+from rcvf.poly import Polynomial, RationalFunction, ResiduePolynomial
 from rcvf.series import FieldElement
+from rcvf.sets import AffineModuleMap, SetDescriptor
 
 from conftest import random_exact_element, random_truncated_element, small_fraction, subprocess_env
 
@@ -290,3 +291,131 @@ class TestEvaluationPlans:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               timeout=20, env=subprocess_env(), preexec_fn=cap_memory)
         assert proc.returncode == 0, proc.stderr
+
+
+def reference_substitute(p, images):
+    """The repeated-product loops ``substitute`` replaced: per monomial, the
+    coefficient times each image once per unit of its exponent, summed in
+    order into 0 (a polynomial image) or 0/1 (a rational one)."""
+    frame = images[0].variables
+    if isinstance(images[0], RationalFunction):
+        def wrap(q):
+            return RationalFunction(q, Polynomial.constant(1, frame))
+    else:
+        def wrap(q):
+            return q
+    acc = wrap(Polynomial(frame))
+    for expv, c in p.terms.items():
+        term = wrap(Polynomial.constant(c, frame))
+        for img, e in zip(images, expv):
+            for _ in range(e):
+                term = term * img
+        acc = acc + term
+    return acc
+
+
+def reference_power(p, n):
+    result = Polynomial.constant(1, p.variables)
+    for _ in range(n):
+        result = result * p
+    return result
+
+
+def layout(q):
+    """Type, frame, and every coefficient's terms and precision, numerator and denominator apart."""
+    if isinstance(q, RationalFunction):
+        return "quotient", layout(q.num), layout(q.den)
+    return type(q).__name__, q.variables, [(e, c.terms, c.precision) for e, c in q.terms.items()]
+
+
+IMAGE_FRAME = ("y1", "y2")
+
+
+def random_linear_images(rng, arity, truncated, rational, shared):
+    """arity linear images over IMAGE_FRAME: a + s*y_i per coordinate, as a
+    module map's, or with shared, a + s1*y1 + s2*y2; with rational, each over
+    a constant (a generator's (y - a)/s has that shape)."""
+    def coefficient():
+        if truncated and rng.random() < 0.5:
+            return random_truncated_element(rng)
+        return random_exact_element(rng, max_terms=2)
+
+    def nonzero():
+        while True:
+            c = coefficient()
+            if not c.is_visibly_zero():
+                return c
+
+    images = []
+    for i in range(arity):
+        ys = IMAGE_FRAME if shared else (IMAGE_FRAME[i % 2],)
+        q = Polynomial.constant(coefficient(), IMAGE_FRAME)
+        for y in ys:
+            q = q + coefficient() * Polynomial.variable(y, IMAGE_FRAME)
+        images.append(RationalFunction(q, Polynomial.constant(nonzero(), IMAGE_FRAME)) if rational else q)
+    return images
+
+
+class TestSubstitution:
+    """``substitute`` shares ``evaluate``'s loop and equals the repeated products it replaced."""
+
+    FRAMES = [("x",), ("x1", "x2"), FRAME]
+
+    @pytest.mark.parametrize("rational", [False, True], ids=["polynomial", "rational"])
+    @pytest.mark.parametrize("truncated", [False, True], ids=["exact", "truncated"])
+    def test_linear_images(self, rational, truncated):
+        rng = random.Random(17 + 2 * rational + truncated)
+        for _ in range(80):
+            frame = rng.choice(self.FRAMES)
+            p = random_series(rng, frame, max_deg=2, max_terms=4)
+            images = random_linear_images(rng, len(frame), truncated, rational, shared=rng.random() < 0.3)
+            assert layout(p.substitute(images)) == layout(reference_substitute(p, images)), (p, images)
+
+    def test_module_map_images(self):
+        # The pullback's images and the transport's generators.
+        rng = random.Random(23)
+        for _ in range(60):
+            frame = rng.choice(self.FRAMES)
+            n = len(frame)
+            centers = [random_truncated_element(rng) for _ in range(n)]
+            scales = []
+            while len(scales) < n:
+                s = random_truncated_element(rng)
+                if not s.is_visibly_zero():
+                    scales.append(s)
+            mm = AffineModuleMap(tuple(centers), tuple(scales))
+            vs = tuple(f"x{i + 1}" for i in range(n))
+            p = random_series(rng, vs, max_deg=2, max_terms=4)
+            images = mm.apply([Polynomial.variable(v, vs) for v in vs])
+            assert layout(p.substitute(images)) == layout(reference_substitute(p, images))
+            gens = SetDescriptor.affine_module(mm).generators()
+            assert layout(p.substitute(gens)) == layout(reference_substitute(p, gens))
+
+    def test_zero_and_constant_land_in_the_image_frame(self):
+        rng = random.Random(29)
+        o2 = FieldElement((), precision=2)
+        for rational in (False, True):
+            images = random_linear_images(rng, 2, True, rational, shared=False)
+            kind = RationalFunction if rational else Polynomial
+            for p in (Polynomial(("x1", "x2")), Polynomial.constant(F(-3, 2), ("x1", "x2")),
+                      Polynomial.constant(o2, ("x1", "x2"))):
+                got = p.substitute(images)
+                assert type(got) is kind and got.variables == IMAGE_FRAME, (p, got)
+                assert layout(got) == layout(reference_substitute(p, images))
+        for c in (0, F(5, 7), o2):
+            p = Polynomial.constant(c)
+            got = p.substitute([])
+            assert type(got) is Polynomial and got.variables == () and layout(got) == layout(p)
+
+    def test_arity_mismatch(self):
+        p = Polynomial.variable("x1", ("x1", "x2"))
+        with pytest.raises(ValueError):
+            p.substitute([Polynomial.variable("y1")])
+
+    def test_power_equals_repeated_products(self):
+        rng = random.Random(31)
+        for _ in range(80):
+            frame = rng.choice([(), ("x",), ("x1", "x2")])
+            p = random_series(rng, frame, max_deg=2, max_terms=3)
+            for n in range(7):
+                assert layout(p**n) == layout(reference_power(p, n)), (p, n)
