@@ -4,19 +4,21 @@ Two deliberately separate semantics are exposed side by side: the exact Gauss
 criterion (compare Gauss valuations of numerator and denominator, valid at a
 generic point of the polydisc) and a pointwise sampling oracle.  For
 non-polynomial functions the two can disagree; neither is silently
-substituted for the other.
+substituted for the other (the oracle reads the numerator's Gauss valuation
+only as a lower bound of its values).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Optional, Union
 
 from .errors import DivisionByZero, NotInfinitesimalDefinite, PrecisionExhausted
-from .poly import Polynomial, RationalFunction, gauss_valuation, valuation_at
+from .poly import Polynomial, RationalFunction, gauss_valuation, point_form, valuation_at
 from .sampling import SampleConfig, _rng
-from .series import FieldElement, ValueGroupElement
-from .sets import AffineModuleMap, SetDescriptor, align_to_set
+from .series import _EXPONENT_DENOMINATOR_CAP, FieldElement, ValueGroupElement
+from .sets import BALL, AffineModuleMap, SetDescriptor, align_to_set
 
 INTEGRAL_BY_GAUSS = "integral_by_gauss"
 NOT_INTEGRAL_BY_GAUSS = "not_integral_by_gauss"
@@ -67,24 +69,48 @@ def pointwise_integral_oracle(h: Union[Polynomial, RationalFunction], set_descri
     The mix includes structured probes (corners, eps-power coordinates, a
     rational grid), random ball points, and generic-residue points; all
     deterministic under the seed.  Denominator zeros are skipped and counted.
-    On an affine set h is tested in its polydisc frame (see polydisc_frame).
+    On an affine set h is tested in its polydisc frame (see polydisc_frame);
+    on the polydisc, exact h is read by the Gauss bound of _oracle_valuation.
     """
     h = align_to_set(_as_rational_function(h), set_descriptor)
     h, module_map = polydisc_frame(h, set_descriptor)
+    bound = None  # (gauss(num), D): D the lcm of the numerator's eps-exponent denominators
+    if (set_descriptor.kind == BALL or module_map is not None) and \
+            all(c.precision is None for part in (h.num, h.den) for c in part.terms.values()):
+        bound = h.num.gauss_valuation(), lcm(*(w.denominator for c in h.num.terms.values() for w, _ in c.terms))
     tested = 0
     skipped = 0
     for b, form in _oracle_points(set_descriptor, config, module_map is not None):
         try:
-            v = valuation_at(h, b, form)
+            v = _oracle_valuation(h, b, form, bound)
         except (DivisionByZero, PrecisionExhausted):
             skipped += 1
             continue
         tested += 1
-        if not v.is_top and v.value < 0:
+        if v is not None and not v.is_top and v.value < 0:
             point = b if module_map is None else module_map.apply(b)
             return IntegralityVerdict(COUNTEREXAMPLE_FOUND, point=tuple(point),
                                       value_valuation=v, samples=tested, skipped=skipped)
     return IntegralityVerdict(NO_COUNTEREXAMPLE_FOUND, samples=tested, skipped=skipped)
+
+
+def _oracle_valuation(h: RationalFunction, b, form, bound) -> Optional[ValueGroupElement]:
+    """valuation_at(h, b, form), or None where the Gauss bound shows it is not negative.
+
+    On the closed unit polydisc an exact numerator has v(num(b)) >= gauss(num),
+    so where v(den(b)) <= gauss(num) the numerator is not evaluated.  The
+    denominator goes first only where the numerator's evaluation cannot raise
+    ExponentBlowup: every exponent of its values lies over lcm(D, the form's
+    denominator) (an oracle point's all lie over its form's), within the cap.
+    """
+    if form is None:
+        form = point_form(b)
+    if bound is None or form is None or lcm(bound[1], form[0]) > _EXPONENT_DENOMINATOR_CAP:
+        return valuation_at(h, b, form)
+    den = valuation_at(h.den, b, form)
+    if den.is_top:
+        raise DivisionByZero("denominator vanishes at the point")
+    return None if den <= bound[0] else valuation_at(h.num, b, form) - den
 
 
 def _oracle_points(set_descriptor: SetDescriptor, config: SampleConfig, on_polydisc: bool):

@@ -7,11 +7,12 @@ Failures are reported as "not in budget", never guessed.
 
 Degree <= 2 polynomials are decided completely (the Gram matrix in the
 affine monomial basis is unique).  For higher degrees the Gram family is
-built on a reduced half basis (monomials that would force a zero Gram row
-are dropped), and a pure-Python ellipsoid method proposes float points of
-the family; each is rounded to small denominators and accepted only by the
-exact LDL test.  The search may multiply the target by powers of
-(x_1^2+...+x_n^2), so results are quotients of polynomials.
+read off in closed form on a reduced half basis (monomials forcing a zero
+Gram row are dropped), and an ellipsoid method on block-wise Householder-QL
+eigenpairs proposes float points of the family; each is rounded to small
+denominators and accepted only by the exact LDL test.  The search may
+multiply the target by powers of (x_1^2+...+x_n^2), so results are
+quotients of polynomials.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isqrt, lcm, log, sqrt
+from math import copysign, hypot, inf, isqrt, lcm, log, sqrt
+from operator import mul
 from typing import Optional, Sequence
 
 from .poly import ResiduePolynomial
@@ -56,52 +58,6 @@ class SosSearchResult:
 
 
 # -- exact linear algebra -----------------------------------------------------
-
-
-def solve_affine(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve A y = b over the rationals.
-
-    Returns (particular, nullspace_basis) or None when inconsistent.
-    """
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        sel = None
-        for r in range(row, m):
-            if aug[r][col] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    for r in range(row, m):
-        if aug[r][n] != 0:
-            return None
-    particular = [Fraction(0)] * n
-    for r, col in enumerate(pivots):
-        particular[col] = aug[r][n]
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -aug[r][fc]
-        basis.append(vec)
-    return particular, basis
 
 
 def ldl_psd(G: list[list[Fraction]]):
@@ -478,41 +434,36 @@ def _half_basis(q: ResiduePolynomial) -> list[tuple[int, ...]]:
         basis = kept
 
 
-def _gram_constraints(q: ResiduePolynomial, basis: list[tuple[int, ...]]):
-    """Linear system over the upper-triangular Gram entries matching q exactly."""
-    idx = {}
-    pairs = []
-    for i in range(len(basis)):
-        for j in range(i, len(basis)):
-            idx[(i, j)] = len(pairs)
-            pairs.append((i, j))
-    rows_by_mono: dict[tuple[int, ...], dict[int, Fraction]] = {}
-    for i, j in pairs:
-        mono = tuple(a + b for a, b in zip(basis[i], basis[j]))
-        rows_by_mono.setdefault(mono, {})[idx[(i, j)]] = Fraction(1 if i == j else 2)
-    monos = sorted(set(rows_by_mono) | set(q.terms))
-    rows, rhs = [], []
-    for mono in monos:
-        coeffs = rows_by_mono.get(mono)
-        target = q.terms.get(mono, Fraction(0))
-        if coeffs is None:
-            if target != 0:
-                return None
-            continue
-        row = [Fraction(0)] * len(pairs)
-        for k, v in coeffs.items():
-            row[k] = v
-        rows.append(row)
-        rhs.append(target)
-    return pairs, rows, rhs
+def _gram_family(target: ResiduePolynomial, basis: list[tuple[int, ...]]):
+    """The affine family of Gram matrices of target in basis, as (G0, directions),
+    or None if a monomial of target is no sum of two basis monomials.
 
-
-def _vec_to_matrix(pairs, vec, size):
-    G = [[Fraction(0)] * size for _ in range(size)]
-    for (i, j), v in zip(pairs, vec):
-        G[i][j] = v
-        G[j][i] = v
-    return G
+    Gram entry (i, j) lies on the one monomial b_i + b_j (weight 1 on the
+    diagonal, 2 off it), so the system over the upper-triangular entries is in
+    reduced row echelon form once each monomial's row is scaled by its first
+    entry in row-major order, the pivot: G0 puts the target's coefficient over
+    the pivot's weight, and each other entry f gives the direction that is 1
+    at f and -w_f/w_pivot at the pivot, as Gauss-Jordan elimination would.
+    A direction lists its (i, j, v) over the whole matrix in row-major order.
+    """
+    size = len(basis)
+    pivots, free = {}, []  # monomial -> (i, j, weight); (i, j, weight, pivot) per other entry
+    for i in range(size):
+        for j in range(i, size):
+            entry = (i, j, 1 if i == j else 2)
+            pivot = pivots.setdefault(tuple(a + b for a, b in zip(basis[i], basis[j])), entry)
+            if pivot is not entry:
+                free.append((*entry, pivot))
+    if any(mono not in pivots for mono in target.terms):
+        return None
+    G0 = [[Fraction(0)] * size for _ in range(size)]
+    for mono, (i, j, w) in pivots.items():
+        G0[i][j] = G0[j][i] = Fraction(target.terms.get(mono, 0), w)
+    directions = []
+    for i, j, w, (pi, pj, pw) in free:
+        cells = {(i, j): Fraction(1), (j, i): Fraction(1), (pi, pj): Fraction(-w, pw), (pj, pi): Fraction(-w, pw)}
+        directions.append([(a, b, v) for (a, b), v in sorted(cells.items())])
+    return G0, directions
 
 
 # Denominators tried, in order, when a float point y is rounded for the exact
@@ -524,42 +475,97 @@ _DENOMINATOR_LADDER = (1, 2, 3, 4, 6, 8, 16, 10**3, 10**4, 10**6, 10**8, 10**10,
 def _min_eig(A: list[list[float]]) -> tuple[float, list[float]]:
     """Least eigenvalue of a symmetric float matrix and a unit eigenvector.
 
-    Cyclic Jacobi rotations A <- P^T A P until the off-diagonal mass is
-    negligible against the diagonal.  Each rotation recomputes rows p and q
-    and mirrors them into the columns; W accumulates the eigenvectors as rows.
+    Each connected component of A's non-zero pattern is solved on its own, and
+    u is zero outside its component.  A solve over the whole matrix would mix
+    decoupled blocks with nearly equal least eigenvalues; such a u is still a
+    subgradient, but the ellipsoid then converges several times more slowly.
     """
     n = len(A)
-    a = [list(row) for row in A]
-    W = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    for _ in range(64):
-        off = sum(a[p][q] * a[p][q] for p in range(n) for q in range(p + 1, n))
-        if off <= 1e-30 * (sum(a[i][i] * a[i][i] for i in range(n)) + 1e-300):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))
-                if theta < 0:
-                    t = -t
-                c = 1.0 / sqrt(t * t + 1.0)
-                s = t * c
-                ap, aq = a[p], a[q]
-                app, aqq = ap[p], aq[q]
-                rp = [c * x - s * y for x, y in zip(ap, aq)]
-                rq = [s * x + c * y for x, y in zip(ap, aq)]
-                rp[p], rq[q] = app - t * apq, aqq + t * apq
-                rp[q] = rq[p] = 0.0
-                a[p], a[q] = rp, rq
-                for k, row in enumerate(a):
-                    row[p], row[q] = rp[k], rq[k]
-                wp, wq = W[p], W[q]
-                W[p] = [c * x - s * y for x, y in zip(wp, wq)]
-                W[q] = [s * x + c * y for x, y in zip(wp, wq)]
-    k = min(range(n), key=lambda i: a[i][i])
-    return a[k][k], W[k]
+    best, seen = None, [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start], block = True, [start]
+        for i in block:  # grows while it is walked
+            for j, x in enumerate(A[i]):
+                if x and not seen[j]:
+                    seen[j] = True
+                    block.append(j)
+        block.sort()
+        lam, v = _least_eigenpair([[A[i][j] for j in block] for i in block])
+        if best is None or lam < best[0]:
+            best = lam, block, v
+    lam, block, v = best
+    u = dict(zip(block, v))
+    return lam, [u.get(i, 0.0) for i in range(n)]
+
+
+def _least_eigenpair(a: list[list[float]]) -> tuple[float, list[float]]:
+    """Least eigenvalue and a unit eigenvector of a symmetric matrix (a is overwritten).
+
+    Householder reflections reduce a to tridiagonal T = Q^T a Q, and QL with
+    implicit shifts diagonalises T by plane rotations, as EISPACK's tred2 and
+    tql2 (Wilkinson & Reinsch 1971).  Both are recorded, not accumulated:
+    only the least eigenvector is carried back through them.
+    """
+    n = len(a)
+    reflections = []
+    for k in range(n - 2):
+        v = [a[i][k] for i in range(k + 1, n)]
+        if not any(v[1:]):
+            continue
+        alpha = -copysign(sqrt(sum(x * x for x in v)), v[0])  # H v_old = alpha e_1
+        v[0] -= alpha
+        beta = 2.0 / sum(x * x for x in v)  # H = I - beta v v^T
+        p = [beta * sum(x * y for x, y in zip(row[k + 1:], v)) for row in a[k + 1:]]
+        half = 0.5 * beta * sum(x * y for x, y in zip(p, v))
+        q = [x - half * y for x, y in zip(p, v)]
+        for row, vr, qr in zip(a[k + 1:], v, q):  # a <- H a H on the trailing block
+            row[k + 1:] = [x - vr * qc - qr * vc for x, vc, qc in zip(row[k + 1:], v, q)]
+        a[k + 1][k] = alpha
+        reflections.append((k + 1, v, beta))
+    d = [a[i][i] for i in range(n)]
+    e = [a[i + 1][i] for i in range(n - 1)] + [0.0]
+    rotations = []
+    for low in range(n):
+        for _ in range(30):
+            m = low
+            while m < n - 1 and abs(e[m]) > 2.2e-16 * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == low:
+                break
+            g = (d[low + 1] - d[low]) / (2.0 * e[low])
+            r = hypot(g, 1.0)
+            g = d[m] - d[low] + e[low] / (g + (r if g >= 0 else -r))
+            s, c, p = 1.0, 1.0, 0.0
+            for i in range(m - 1, low - 1, -1):
+                f, b = s * e[i], c * e[i]
+                r = e[i + 1] = hypot(f, g)
+                if r == 0.0:  # the rotation underflowed: deflate and iterate again
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / r, g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                rotations.append((i, c, s))
+            else:
+                d[low] -= p
+                e[low] = g
+                e[m] = 0.0
+    least = min(range(n), key=d.__getitem__)
+    u = [0.0] * n  # the least eigenvector of the diagonalised T, carried back to a's basis
+    u[least] = 1.0
+    for i, c, s in reversed(rotations):
+        ui, uj = u[i], u[i + 1]
+        u[i], u[i + 1] = c * ui + s * uj, c * uj - s * ui
+    for k, v, beta in reversed(reflections):
+        t = beta * sum(x * y for x, y in zip(v, u[k:]))
+        u[k:] = [x - t * y for x, y in zip(u[k:], v)]
+    return d[least], u
 
 
 def _moment(expv) -> Fraction:
@@ -578,20 +584,25 @@ def _trace_bound(target: ResiduePolynomial, basis: list[tuple[int, ...]]) -> flo
     For mu uniform on [-1, 1]^n and M the moment matrix of the basis under
     mu, target = z^T G z integrates to tr(G M) >= lambda_min(M) tr(G) when
     G is PSD.  The moments are exact (E[x^e] = 1/(e+1) for even e, else 0);
-    lambda_min(M) is a float, kept off zero relative to tr(M).
+    lambda_min(M) is a float, kept off zero relative to tr(M) (M splits into
+    parity blocks).  A mean with no float image gives 0, an empty ball.
     """
-    mean = sum(c * _moment(expv) for expv, c in target.terms.items())
+    try:
+        mean = float(sum(c * _moment(expv) for expv, c in target.terms.items()))
+    except OverflowError:
+        return 0.0
     M = [[float(_moment(tuple(x + y for x, y in zip(a, b)))) for b in basis] for a in basis]
     floor = 1e-15 * sum(M[i][i] for i in range(len(M)))
-    return max(float(mean), 0.0) / max(_min_eig(M)[0], floor)
+    return max(mean, 0.0) / max(_min_eig(M)[0], floor)
 
 
 # Relative accuracy to which the ellipsoid search pins down max lambda_min.
 _ELLIPSOID_TOL = 1e-6
 
 
-def _psd_candidates(G0, nullmats, radius: float):
+def _psd_candidates(G0, directions, radius: float):
     """Float points y of the affine Gram family G0 + sum y_k N_k; yields y vectors.
+    Each N_k is given as a direction of _gram_family.
 
     Yields the zero vector first.  Then an ellipsoid method maximises the
     concave lambda_min(G(y)), whose subgradient is (u^T N_k u)_k for a unit
@@ -601,23 +612,24 @@ def _psd_candidates(G0, nullmats, radius: float):
 
     The y_k are distinct entries of G(y), so |y| <= |G|_F <= tr G for a PSD
     G(y): a ball whose radius bounds that trace (see _trace_bound) holds every
-    PSD point, and so the maximiser whenever that is PSD.  Each cut keeps the y that can reach the
-    level max(best, -tol) by the subgradient inequality (a deep cut; central
-    while the centre is the best point).  The search stops when the upper
-    bound lambda_min(centre) + |g|_P over the ellipsoid falls below -tol (no
-    PSD point) or within tol of the best value.  The step cap is the count
-    after which the ellipsoid's volume, falling by e^(-1/(2(n+1))) or more per
-    step, is below that of a ball of radius tol.  In one dimension the method
-    is bisection.
+    PSD point, and so the maximiser whenever that is PSD.  Each cut keeps the
+    y that can reach the level max(best, -tol) by the subgradient inequality
+    (a deep cut; central while the centre is the best point).  The search
+    stops when the upper bound lambda_min(centre) + |g|_P over the ellipsoid
+    falls below -tol (no PSD point) or within tol of the best value.  The step
+    cap is the count after which the ellipsoid's volume, falling by at least
+    e^(-1/(2(n+1))) per step, is below that of a ball of radius tol.  In one
+    dimension this is bisection.  A G0 with no float image yields only y = 0.
     """
-    dims = len(nullmats)
+    dims = len(directions)
     yield [0.0] * dims
     if dims == 0 or radius <= 0:
         return
-    size = len(G0)
-    g0 = [[float(v) for v in row] for row in G0]
-    entries = [[(i, j, float(N[i][j])) for i in range(size) for j in range(size) if N[i][j]]
-               for N in nullmats]
+    try:
+        g0 = [[float(v) for v in row] for row in G0]
+    except OverflowError:
+        return
+    entries = [[(i, j, float(v)) for i, j, v in d] for d in directions]
     tol = _ELLIPSOID_TOL * max(abs(v) for row in g0 for v in row)
     steps = int(2 * dims * (dims + 1) * log(radius / tol)) + 1 if radius > tol else 0
     y = [0.0] * dims
@@ -630,7 +642,7 @@ def _psd_candidates(G0, nullmats, radius: float):
                 G[i][j] += yk * v
         lam, u = _min_eig(G)
         g = [sum(v * u[i] * u[j] for i, j, v in ent) for ent in entries]
-        Pg = [sum(pk * gk for pk, gk in zip(row, g)) for row in P]
+        Pg = [sum(map(mul, row, g)) for row in P]
         gPg = sum(a * b for a, b in zip(g, Pg))
         if lam > best:
             best, best_y = lam, y
@@ -653,7 +665,7 @@ def _psd_candidates(G0, nullmats, radius: float):
         else:
             f = dims * dims * (1 - alpha * alpha) / (dims * dims - 1.0)
             h = 2 * step / (1 + alpha)
-            P = [[f * (P[i][j] - h * b[i] * b[j]) for j in range(dims)] for i in range(dims)]
+            P = [[f * (pij - hbi * bj) for pij, bj in zip(row, b)] for row, hbi in zip(P, [h * bi for bi in b])]
     if best_y is not last_y:
         yield best_y
 
@@ -670,30 +682,22 @@ def _extract_squares(squares, basis, variables) -> list[ResiduePolynomial]:
 
 def _gram_search(target: ResiduePolynomial, basis: list[tuple[int, ...]]):
     """An exact PSD Gram matrix for target in the given basis, or None."""
-    built = _gram_constraints(target, basis)
-    if built is None:
+    family = _gram_family(target, basis)
+    if family is None:
         return None
-    pairs, rows, rhs = built
-    solved = solve_affine(rows, rhs)
-    if solved is None:
-        return None
-    particular, nullbasis = solved
-    size = len(basis)
-    G0 = _vec_to_matrix(pairs, particular, size)
-    nullmats = [_vec_to_matrix(pairs, v, size) for v in nullbasis]
-    entries = [[(i, j, v) for i, row in enumerate(N) for j, v in enumerate(row) if v] for N in nullmats]
+    G0, directions = family
     tried = set()
-    bound = _trace_bound(target, basis) if nullmats else 0.0
-    for y in _psd_candidates(G0, nullmats, bound):
+    bound = _trace_bound(target, basis) if directions else 0.0
+    for y in _psd_candidates(G0, directions, bound):
         for den in _DENOMINATOR_LADDER:
             yr = tuple(Fraction(v).limit_denominator(den) for v in y)
             if yr in tried:
                 continue
             tried.add(yr)
             M = [row[:] for row in G0]
-            for coef, ent in zip(yr, entries):
+            for coef, direction in zip(yr, directions):
                 if coef:
-                    for i, j, v in ent:
+                    for i, j, v in direction:
                         M[i][j] += coef * v
             verdict, payload = ldl_psd(M)
             if verdict == "psd":

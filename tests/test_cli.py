@@ -430,6 +430,15 @@ class TestExitCodes:
         assert (payload["command"], payload["layers"]) == ("cert", 1)
         assert payload["outcome"] in ("candidate_without_witness", "unknown")
 
+    def test_coefficients_beyond_float_range_are_no_error(self):
+        # 10^400 has no float image, so the Gram search tries only the exact
+        # particular solution; it is indefinite, and the search ends in budget.
+        code, out = run_cli("cert", "find", "--p", "10^400*x1^4 - x1^3 + x1^2 - x1 + 1", "--set", "ball:1",
+                            "--seed", "0", "--samples", "20")
+        payload = json.loads(out)
+        assert code == 0 and "error" not in payload
+        assert (payload["command"], payload["outcome"]) == ("cert", "unknown")
+
     def test_trunc_flag_scopes_to_one_invocation(self):
         code, out = run_cli("eval", "--expr", "1/(1-eps)", "--trunc", "5")
         payload = json.loads(out)["value"]

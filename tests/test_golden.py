@@ -107,6 +107,13 @@ GOLDEN = [
     ("integral --h '(x*y+eps)/(x*y)' --set ball:2 --seed 9 --samples 150", 1,
      '{"command":"integral","gauss":{"gap":"0","integral":true},"pointwise":{"point":["eps",'
      '"eps"],"samples":5,"skipped":2,"value_valuation":"-1","verdict":"counterexample_found"}}'),
+    # The numerator meets the points' half-integer exponents beyond the exponent
+    # cap: in its leading term, and only in its exact value after the leading
+    # terms cancel.
+    ("integral --h 'eps^(1/63)*x1*x2/(1 + x1^2)' --set ball:2 --seed 0 --samples 120", 2,
+     '{"error":{"message":"exponent denominator 126 exceeds cap 64","type":"ExponentBlowup"}}'),
+    ("integral --h '(1 + eps^(1/2) + eps^(64/63))*(x - 1)' --set ball:1 --seed 0 --samples 120", 2,
+     '{"error":{"message":"exponent denominator 126 exceeds cap 64","type":"ExponentBlowup"}}'),
     ("psd --p 'x^2 + eps*y^2' --set ball:2 --probe41 --seed 9 --samples 150", 0,
      '{"command":"psd","mode":"probe41","samples_tested":150,"verdict":"'
      'consistent_nonneg"}'),

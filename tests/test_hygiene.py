@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import rcvf
-from rcvf import certificates, jsonio, series, sets, sos
+from rcvf import certificates, jsonio, poly, series, sets, sos
 from rcvf.certificates import CERTIFICATE, falsify_nonnegativity, generate_ball_certificate, verify_nonneg_certificate
 from rcvf.cli import run
 from rcvf.parser import parse_expression
@@ -246,6 +246,24 @@ def test_generation_shifts_and_peels_build_no_series(monkeypatch):
         assert run(argv) == 0
     assert '"layers":2' in out.getvalue() and '"outcome":"certificate"' in out.getvalue()
     assert len(inits) <= GENERATE_INITS
+
+
+# _leading_term calls of the run below: 248 when the oracle read the numerator
+# and the denominator at each of its 124 points.
+ORACLE_LEADING_TERMS = 124
+
+
+def test_oracle_reads_no_numerator_the_gauss_bound_decides(monkeypatch):
+    # Shaped like the benchmark's int_ball inputs: Gauss gap 0, and the
+    # denominator's residue 1 + 2*x2^2 + x1^2 never vanishes, so v(den(b)) = 1
+    # is the numerator's Gauss valuation at every point.
+    argv = ["integral", "--h", "(eps + eps*x2^2 + 1/2*eps^(3/2)*x1 + 1/2*eps^2*x1*x2 - eps^(3/2)*x1^2*x2)"
+            "/(4*eps + 8*eps*x2^2 + 4*eps*x1^2)", "--set", "ball:2", "--seed", "0", "--samples", "120"]
+    leads = count_calls(monkeypatch, [(poly, "_leading_term")])
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert run(argv) == 0
+    assert '"samples":124' in out.getvalue() and '"no_counterexample_found"' in out.getvalue()
+    assert len(leads) <= ORACLE_LEADING_TERMS
 
 
 # FieldElement.__init__ calls of the check below: 229 when every product of the

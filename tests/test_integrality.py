@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from rcvf import integrality
-from rcvf.errors import NotInfinitesimalDefinite
+from rcvf.errors import DivisionByZero, NotInfinitesimalDefinite, PrecisionExhausted, RcvfError
 from rcvf.integrality import (
     COUNTEREXAMPLE_FOUND,
     NO_COUNTEREXAMPLE_FOUND,
+    IntegralityVerdict,
     generic_type_integral,
     infinitesimal_decompose,
     module_pullback,
@@ -22,7 +23,7 @@ from rcvf.series import FieldElement, ValueGroupElement
 from rcvf.parser import parse_expression
 from rcvf.sets import AffineModuleMap, SetDescriptor, align_to_set
 
-from conftest import random_exact_element
+from conftest import random_exact_element, random_truncated_element, small_fraction
 
 F = Fraction
 EPS = FieldElement.eps_power(1)
@@ -258,6 +259,114 @@ class TestPolydiscFrame:
 
 def _points_differ(a, b):
     return any(not _same_points(x, y) for x, y in zip(a, b))
+
+
+def reference_oracle(h, set_descriptor, config):
+    """The oracle with valuation_at(h, b, form) at every point: the numerator is
+    always evaluated, before the denominator."""
+    h = align_to_set(h if isinstance(h, RationalFunction) else RationalFunction(h), set_descriptor)
+    h, module_map = polydisc_frame(h, set_descriptor)
+    tested = skipped = 0
+    for b, form in integrality._oracle_points(set_descriptor, config, module_map is not None):
+        try:
+            v = valuation_at(h, b, form)
+        except (DivisionByZero, PrecisionExhausted):
+            skipped += 1
+            continue
+        tested += 1
+        if not v.is_top and v.value < 0:
+            point = b if module_map is None else module_map.apply(b)
+            return IntegralityVerdict(COUNTEREXAMPLE_FOUND, point=tuple(point), value_valuation=v,
+                                      samples=tested, skipped=skipped)
+    return IntegralityVerdict(NO_COUNTEREXAMPLE_FOUND, samples=tested, skipped=skipped)
+
+
+def _oracle_cases():
+    """(set, h, config): seeded exact and truncated quotients on ball:1, ball:2
+    and the benchmark's affine set, with zero numerators, denominators that
+    vanish at sampled points, negative Gauss gaps and exponent denominators
+    that meet the points' halves beyond the cap."""
+    rng = random.Random(4040)
+    sets = [BALL1, SetDescriptor.unit_polydisc(2), _module(*MODULES[0])]
+    for sd in sets:
+        vs = sd.variables()
+        x1 = Polynomial.variable("x1", vs)
+
+        def poly(count, element):
+            return Polynomial(vs, {tuple(rng.randint(0, 2) for _ in vs): element() for _ in range(count)})
+
+        def exact():
+            return random_exact_element(rng, 2)
+
+        def rational():
+            return FieldElement.from_rational(small_fraction(rng, nonzero=True))
+
+        for k in range(48):
+            num, den = poly(3, exact), poly(2, exact)
+            kind = k % 8
+            if kind == 1:
+                num = Polynomial(vs)
+            elif kind == 2:  # zero at the corners y1 = 1 (and their images on the affine set)
+                den = x1 - parse_expression("1 + eps" if sd.kind == "affine" else "1")
+            elif kind == 3:
+                den = den.scale(FieldElement.eps_power(rng.randint(1, 3)))
+            elif kind == 4:
+                num = poly(3, rational).scale(FieldElement.eps_power(F(1, rng.choice((63, 33, 5)))))
+            elif kind == 5:  # a third term whose exponent only the exact evaluation meets
+                num = poly(3, rational).scale(parse_expression("1 + eps^(1/2) + eps^(64/63)"))
+            elif kind == 6:
+                num = poly(3, lambda: random_truncated_element(rng))
+            elif kind == 7:
+                den = poly(2, lambda: random_truncated_element(rng))
+            if not den.is_exactly_zero():
+                yield sd, RationalFunction(num, den), SampleConfig(seed=k, samples=30)
+    yield sets[1], parse_expression("eps^(1/63)*x1*x2/(1 + x1^2)"), SampleConfig(seed=0, samples=120)
+    # The initial form cancels at drawn points 1 + a*eps^(1/2) + ..., and the
+    # exact value meets 64/63 + 1/2: the lcm of the leading and next exponents
+    # (2) would not show it, the lcm of every exponent (126) does.
+    yield BALL1, parse_expression("(1 + eps^(1/2) + eps^(64/63))*(x1 - 1)"), SampleConfig(seed=0, samples=120)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except RcvfError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestGaussBoundSkip:
+    """Where the numerator's Gauss valuation decides, the oracle does not
+    evaluate the numerator; verdicts, points, counts and errors must be those
+    of evaluating h at every point."""
+
+    def test_matches_evaluating_every_point(self):
+        kinds = set()
+        for sd, h, config in _oracle_cases():
+            got = _outcome(lambda: pointwise_integral_oracle(h, sd, config))
+            want = _outcome(lambda: reference_oracle(h, sd, config))
+            if isinstance(want, tuple):
+                assert got == want, (sd, h)
+                kinds.add(want[0])
+                continue
+            assert (got.kind, got.value_valuation, got.samples, got.skipped) == \
+                (want.kind, want.value_valuation, want.samples, want.skipped), (sd, h)
+            assert _same_points(got.point, want.point)
+            kinds.add(got.kind)
+            if want.skipped:
+                kinds.add("skipped")
+        assert kinds == {COUNTEREXAMPLE_FOUND, NO_COUNTEREXAMPLE_FOUND, "skipped", "ExponentBlowup"}
+
+    def test_numerator_is_read_only_where_the_bound_does_not_decide(self, monkeypatch):
+        # 1/(1 + x1^2) on ball:1: the numerator's Gauss valuation 0 bounds
+        # v(den(b)) = 0 at every point but x1 = i, which is no sampled point.
+        h = parse_expression("1/(1 + x1^2)")
+        config = SampleConfig(seed=5, samples=200)
+        calls = []
+        valuation = integrality.valuation_at
+        monkeypatch.setattr(integrality, "valuation_at", lambda q, *a: calls.append(q) or valuation(q, *a))
+        verdict = pointwise_integral_oracle(h, BALL1, config)
+        assert verdict.kind == NO_COUNTEREXAMPLE_FOUND and verdict.samples > 0
+        assert len(calls) == verdict.samples and all(q is not h.num for q in calls)
 
 
 class TestInfinitesimalDecompose:

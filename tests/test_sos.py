@@ -212,13 +212,133 @@ class TestDenominatorSearch:
 
 
 def _gram_family(q):
-    """(reduced basis, particular Gram matrix, null matrices) of q's Gram family."""
+    """(reduced basis, particular Gram matrix, null directions) of q's Gram family."""
     basis = sos._half_basis(q)
-    pairs, rows, rhs = sos._gram_constraints(q, basis)
-    particular, nullbasis = sos.solve_affine(rows, rhs)
-    size = len(basis)
-    return (basis, sos._vec_to_matrix(pairs, particular, size),
-            [sos._vec_to_matrix(pairs, v, size) for v in nullbasis])
+    G0, directions = sos._gram_family(q, basis)
+    return basis, G0, directions
+
+
+# -- the Gram family against Gauss-Jordan elimination ---------------------------
+
+
+def reference_solve_affine(rows, rhs):
+    """Solve A y = b over the rationals by Gauss-Jordan elimination: (particular,
+    nullspace basis) or None when inconsistent."""
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
+    pivots = []
+    row = 0
+    for col in range(n):
+        sel = next((r for r in range(row, m) if aug[r][col] != 0), None)
+        if sel is None:
+            continue
+        aug[row], aug[sel] = aug[sel], aug[row]
+        inv = Fraction(1) / aug[row][col]
+        aug[row] = [v * inv for v in aug[row]]
+        for r in range(m):
+            if r != row and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    if any(aug[r][n] != 0 for r in range(row, m)):
+        return None
+    particular = [Fraction(0)] * n
+    for r, col in enumerate(pivots):
+        particular[col] = aug[r][n]
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -aug[r][fc]
+        basis.append(vec)
+    return particular, basis
+
+
+def reference_gram_family(q, basis):
+    """(G0, null matrices) from the linear system over the upper-triangular Gram
+    entries, one row per monomial, solved by Gauss-Jordan; None if unsolvable."""
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i, len(basis))]
+    rows_by_mono = {}
+    for k, (i, j) in enumerate(pairs):
+        mono = tuple(a + b for a, b in zip(basis[i], basis[j]))
+        rows_by_mono.setdefault(mono, {})[k] = Fraction(1 if i == j else 2)
+    rows, rhs = [], []
+    for mono in sorted(set(rows_by_mono) | set(q.terms)):
+        target = q.terms.get(mono, Fraction(0))
+        if mono not in rows_by_mono:
+            if target != 0:
+                return None
+            continue
+        row = [Fraction(0)] * len(pairs)
+        for k, v in rows_by_mono[mono].items():
+            row[k] = v
+        rows.append(row)
+        rhs.append(target)
+    solved = reference_solve_affine(rows, rhs)
+    if solved is None:
+        return None
+
+    def matrix(vec):
+        G = [[Fraction(0)] * len(basis) for _ in basis]
+        for (i, j), v in zip(pairs, vec):
+            G[i][j] = G[j][i] = v
+        return G
+
+    particular, nullbasis = solved
+    return matrix(particular), [matrix(v) for v in nullbasis]
+
+
+def _gram_targets():
+    """(target, basis) pairs in 1-3 variables of degree 2-6: half bases, and
+    random sub-bases of the degree box that miss some monomials."""
+    rng = random.Random(2020)
+    out = []
+    for _ in range(150):
+        n, degree = rng.randint(1, 3), rng.randint(2, 6)
+        q = ResiduePolynomial(_frame(n))
+        for _ in range(rng.randint(1, 3)):  # squares: their monomials are reachable
+            t = _random_poly(rng, n, degree // 2, 4)
+            q = q + t * t
+        if rng.random() < 0.3:  # any monomials of degree <= 6
+            q = q + _random_poly(rng, n, degree, rng.randint(1, 4))
+        if q.is_exactly_zero():
+            continue
+        out.append((q, sos._half_basis(q)))
+        box = [e for e in itertools.product(range(degree // 2 + 1), repeat=n) if sum(e) <= degree // 2]
+        out.append((q, sorted(rng.sample(box, rng.randint(1, len(box))))))
+    return out
+
+
+class TestGramFamily:
+    def test_closed_form_is_gauss_jordan(self):
+        solvable = unsolvable = 0
+        for q, basis in _gram_targets():
+            got, want = sos._gram_family(q, basis), reference_gram_family(q, basis)
+            if want is None:
+                assert got is None, (q, basis)
+                unsolvable += 1
+                continue
+            G0, directions = got
+            want_G0, nullmats = want
+            assert G0 == want_G0, (q, basis)
+            assert all(type(v) is Fraction for row in G0 for v in row)
+            # The directions are the null matrices' non-zero entries, in row-major order.
+            assert directions == [[(i, j, v) for i, row in enumerate(N) for j, v in enumerate(row) if v]
+                                  for N in nullmats], (q, basis)
+            solvable += 1
+        assert solvable >= 200 and unsolvable >= 80
+
+    def test_unsupported_monomial(self):
+        vs = ("x",)
+        x = x_of(vs, "x")
+        q = x**4 + x**3
+        assert sos._gram_family(q, [(0,), (2,)]) is None
+        assert sos._gram_family(q, [(0,), (1,), (2,)]) is not None
 
 
 class TestGramSearch:
@@ -285,6 +405,23 @@ class TestGramSearch:
         assert result.kind == SOS
         assert verify_residue_sos(q, result.quotients)
 
+    def test_coefficients_beyond_float_range(self):
+        # No float image: of the trace bound's mean in the first, of G0 alone in
+        # the second (its mean is 10^400/5 - 2*10^399 + 1/3 + 1 = 4/3).  Only the
+        # exact particular solution is tried, and it is indefinite.
+        vs = ("x",)
+        x, one = x_of(vs, "x"), ResiduePolynomial.constant(1, vs)
+        for q, radius in ((10**400 * x**4 - x**3 + x**2 - x + one, 0.0),
+                          (10**400 * x**4 - 2 * 10**399 * one + one - x**3 + x**2, None)):
+            basis = sos._half_basis(q)
+            G0, directions = sos._gram_family(q, basis)
+            bound = sos._trace_bound(q, basis)
+            assert bound == radius if radius is not None else bound > 0
+            assert list(sos._psd_candidates(G0, directions, bound)) == [[0.0] * len(directions)]
+            assert sos.ldl_psd(G0)[0] == "indefinite"
+            result = sos.residue_sos_decomposition(q, SosBudget(denominator_cap=2))
+            assert result.kind == NOT_SOS_IN_BUDGET
+
     def test_half_basis_drops_unsupported_squares(self):
         # Motzkin: the degree box has 8 monomials.  y^2 is dropped: its square
         # y^4 is not in the support, and no two other box monomials sum to it.
@@ -304,21 +441,79 @@ class TestGramSearch:
         assert verify_residue_sos(q, result.quotients)
 
     def test_min_eig(self):
+        # Entries uniform in [-3, 3] times a scale; tolerances are 1e-12 times that scale.
         rng = random.Random(77)
-        for n in (1, 2, 3, 5, 8):
-            A = [[0.0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    A[i][j] = A[j][i] = rng.uniform(-3, 3)
+        matrices = []
+        for n in (1, 2, 3, 5, 8, 12, 16):
+            for scale in (1e-9, 1.0, 1e9):
+                for density in (1.0, 0.3):
+                    A = [[0.0] * n for _ in range(n)]
+                    for i in range(n):
+                        for j in range(i, n):
+                            if i == j or rng.random() < density:
+                                A[i][j] = A[j][i] = rng.uniform(-3, 3) * scale
+                    matrices.append((A, scale))
+        matrices += [([[0.0]], 1.0), ([[2.5]], 1.0), ([[-1e9]], 1e9), ([[0.0] * 4 for _ in range(4)], 1.0),
+                     ([[float(i - 2) if i == j else 0.0 for j in range(5)] for i in range(5)], 1.0)]
+        for A, scale in matrices:
+            n = len(A)
             lam, u = sos._min_eig(A)
             assert abs(sum(v * v for v in u) - 1) < 1e-12
             Au = [sum(a * v for a, v in zip(row, u)) for row in A]
-            assert max(abs(a - lam * v) for a, v in zip(Au, u)) < 1e-12
+            assert max(abs(a - lam * v) for a, v in zip(Au, u)) < 1e-12 * scale
             # lambda_min is the least Rayleigh quotient.
             for _ in range(20):
                 w = [rng.uniform(-1, 1) for _ in range(n)]
                 Aw = [sum(a * v for a, v in zip(row, w)) for row in A]
-                assert sum(a * v for a, v in zip(Aw, w)) >= lam * sum(v * v for v in w) - 1e-12
+                assert sum(a * v for a, v in zip(Aw, w)) >= lam * sum(v * v for v in w) - 1e-12 * scale
+        assert sos._min_eig([[0.0] * 3 for _ in range(3)]) == (0.0, [1.0, 0.0, 0.0])
+        assert sos._min_eig([[3.0, 0.0], [0.0, -2.0]]) == (-2.0, [0.0, 1.0])
+
+    def test_min_eig_keeps_u_in_one_block(self):
+        # Two decoupled, interleaved blocks whose least eigenvalues are both 1
+        # (up to rounding): a solve over the whole matrix leaves rounding
+        # residue of one block's eigenvector in the other's rows, a solve per
+        # block gives exact zeros there.
+        def conjugated(eigenvalues, rng):
+            n, Q = len(eigenvalues), []
+            for _ in range(n):  # a random orthonormal basis, by Gram-Schmidt
+                v = [rng.gauss(0, 1) for _ in range(n)]
+                for q in Q:
+                    d = sum(a * b for a, b in zip(v, q))
+                    v = [a - d * b for a, b in zip(v, q)]
+                norm = sum(a * a for a in v) ** 0.5
+                Q.append([a / norm for a in v])
+            return [[sum(Q[k][i] * eigenvalues[k] * Q[k][j] for k in range(n)) for j in range(n)]
+                    for i in range(n)]
+
+        rng = random.Random(1)
+        blocks = ((0, 3), (1, 2, 4))
+        for _ in range(10):
+            A = [[0.0] * 5 for _ in range(5)]
+            for eigenvalues, rows in (((1.0, 3.0), blocks[0]), ((1.0, 2.5, 4.0), blocks[1])):
+                block = conjugated(eigenvalues, rng)
+                for r, i in enumerate(rows):
+                    for c, j in enumerate(rows):
+                        A[i][j] = block[r][c]
+            lam, u = sos._min_eig(A)
+            assert abs(lam - 1) < 1e-12
+            support = {i for i, v in enumerate(u) if v}
+            assert any(support <= set(rows) for rows in blocks), u
+
+    def test_large_family_converges(self, monkeypatch):
+        # Motzkin in an (x, y, z) frame: at k = 2 the family has dimension 180
+        # on a basis of 24.  Its Gram matrices split into decoupled blocks; an
+        # eigenvector that mixes them slows the ellipsoid about sixfold.
+        vs = ("x", "y", "z")
+        x, y = x_of(vs, "x"), x_of(vs, "y")
+        M = (x**4) * (y**2) + (x**2) * (y**4) - 3 * (x**2) * (y**2) + ResiduePolynomial.constant(1, vs)
+        calls = []
+        min_eig = sos._min_eig
+        monkeypatch.setattr(sos, "_min_eig", lambda A: calls.append(len(A)) or min_eig(A))
+        result = sos.residue_sos_decomposition(M, SosBudget(max_basis=40, denominator_cap=2))
+        assert result.kind == NOT_SOS_IN_BUDGET
+        assert 24 in calls
+        assert len(calls) <= 1000
 
 
 # -- the lattice falsifier against the Fraction one -----------------------------
