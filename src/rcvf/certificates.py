@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import CoefficientsNotIntegral, NotIntegral, PrecisionExhausted, RcvfError
@@ -27,9 +28,9 @@ from .integrality import IntegralityVerdict, module_pullback, pointwise_integral
 from .poly import (
     FlatRing,
     NotFlat,
+    OffGrid,
     Polynomial,
     RationalFunction,
-    SeriesRing,
     gauss_valuation,
     leading_sign,
     valuation_at,
@@ -101,38 +102,34 @@ class VerificationResult:
         return self.ok
 
 
-def _holds(identity, ring, variables) -> bool:
-    """identity(ring); in the series ring if ring is flat and a leaf has no image there."""
-    if isinstance(ring, FlatRing):
+def _holds(identity, ring: FlatRing) -> bool:
+    """identity(ring), rerun on the wider grid a leaf off ring's grid needs;
+    False at a leaf with no exact image."""
+    while True:
         try:
             return identity(ring)
+        except OffGrid as off:
+            ring = FlatRing(ring.variables[1:], lcm(ring.denominator, off.denominator))
         except NotFlat:
-            pass
-    return identity(SeriesRing(variables))
+            return False
 
 
 def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
                               set_descriptor: SetDescriptor) -> VerificationResult:
     """Exact check of p*(1+m*h) = sum r_i^2 plus the integrality witness.
 
-    The identities run in the flat ring of p, m, h and r (see FlatRing) when
-    their data is exact; otherwise, and for a witness with a leaf off that
-    ring's grid, in the series ring.
+    Every identity runs in the flat ring of p, m, h and r (see FlatRing), a
+    witness or monic identity on a finer grid if a leaf needs one.  Inexact
+    data proves no identity: p, m, h or r inexact fails the main identity, an
+    inexact leaf the identity it is in.
     """
     p = align_to_set(p, set_descriptor)
     h = align_to_set(cert.h, set_descriptor)
-    vs = set_descriptor.variables()
     if not infinitesimal_or_zero(cert.m):
         return VerificationResult(False, "m_not_infinitesimal")
-    r = [align_to_set(s, set_descriptor) for s in cert.r.summands]
-    ring = FlatRing.over(vs, (p, cert.m, h, *r)) or SeriesRing(vs)
-    lhs = ring(p) * (ring(1) + ring(cert.m) * ring(h))
-    rhs = None
-    for s in r:
-        s = ring(s)
-        sq = s * s
-        rhs = sq if rhs is None else rhs + sq
-    if lhs != rhs:
+    r = SOSExpr([align_to_set(s, set_descriptor) for s in cert.r.summands])
+    ring = FlatRing.over(set_descriptor.variables(), (p, cert.m, h, *r.summands))
+    if ring is None or ring(p) * (ring(1) + ring(cert.m) * ring(h)) != r.denote(ring):
         return VerificationResult(False, "identity_failed")
     w = cert.witness
     if not verify_ring_membership(w.numerator, set_descriptor):
@@ -146,7 +143,7 @@ def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
             num = ring_expr_to_rational(w.numerator, set_descriptor, ring)
             return ring(h) * w.denominator.denote(set_descriptor, ring) == num
 
-        if not _holds(witness, ring, vs):
+        if not _holds(witness, ring):
             return VerificationResult(False, "witness_identity_failed")
     else:
         d = len(w.monic)
@@ -166,7 +163,7 @@ def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
                 total = total + ci * hr**i
             return total == ring(0)
 
-        if not _holds(monic, ring, vs):
+        if not _holds(monic, ring):
             return VerificationResult(False, "witness_monic_identity_failed")
     return VerificationResult(True)
 
@@ -204,7 +201,9 @@ def verify_dickmann_certificate(p: Polynomial, cert: DickmannCertificate) -> Ver
             return VerificationResult(False, "m_not_infinitesimal")
         if not (_coefficients_integral(t.q1) and _coefficients_integral(t.q2)):
             return VerificationResult(False, "q_not_integral")
-    ring = FlatRing.over(vs, (p, *(x for t in cert.terms for x in (t.m1, t.q1, t.m2, t.q2)))) or SeriesRing(vs)
+    ring = FlatRing.over(vs, (p, *(x for t in cert.terms for x in (t.m1, t.q1, t.m2, t.q2))))
+    if ring is None:
+        return VerificationResult(False, "identity_failed")
     total = ring(0)
     one = ring(1)
     for t in cert.terms:

@@ -5,8 +5,9 @@ One sparse core serves two coefficient rings: :class:`Polynomial` has
 ``Fraction`` ones (the residue polynomials of the SOS layer).  Exponent
 vectors are tuples of non-negative ints keyed to an ordered variable tuple.
 Rational functions are kept unreduced; equality is the cross-multiplication
-identity, checked in a flat rational ring (:class:`FlatRing`) when the data
-is exact.
+identity.  Exact identities are checked in a flat rational ring
+(:class:`FlatRing`) on the grid their data needs; inexact data has no image
+there.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Mapping, Sequence, Union
 
 from .errors import DivisionByZero, UndefinedGauss
 from .series import (
-    _EXPONENT_DENOMINATOR_CAP,
     GT,
     LT,
     TOP,
@@ -546,13 +546,22 @@ FLAT_EPS = "eps"
 
 
 class NotFlat(Exception):
-    """A value has no image in a flat ring: an inexact coefficient, an eps
-    exponent off the ring's grid, or a variable outside its frame."""
+    """A value has no image in a flat ring: an inexact coefficient, a variable
+    outside its frame, or (OffGrid) an eps exponent off its grid."""
+
+
+class OffGrid(NotFlat):
+    """An exact eps exponent off a flat ring's grid; the ring of the lcm of the
+    two denominators holds it."""
+
+    def __init__(self, exponent: Fraction, denominator: int):
+        super().__init__(f"eps exponent {exponent} off the grid 1/{denominator}")
+        self.denominator = exponent.denominator
 
 
 class SeriesRing:
-    """Rational functions over the series field in one frame: where identities
-    run when their data has no flat image (see FlatRing)."""
+    """Rational functions over the series field in one frame: the denotation of
+    ring expressions read at points (see ringexpr.ring_expr_to_rational)."""
 
     __slots__ = ("variables",)
 
@@ -591,9 +600,8 @@ class FlatRing:
     @classmethod
     def over(cls, variables: Sequence[str], values) -> "FlatRing | None":
         """The flat ring of values (scalars, Polynomials, RationalFunctions), D
-        the lcm of their eps-exponent denominators; None if a coefficient is
-        inexact or D exceeds the exponent-denominator cap, where the series
-        ring's refusals (ExponentBlowup) must stay as they are."""
+        the lcm of their eps-exponent denominators, however large: no series is
+        built in it.  None if a coefficient is inexact or the frame names eps."""
         if FLAT_EPS in variables:
             return None
         den = 1
@@ -610,7 +618,7 @@ class FlatRing:
                 for w, _ in c.terms:
                     if den % w.denominator:
                         den = lcm(den, w.denominator)
-        return cls(variables, den) if den <= _EXPONENT_DENOMINATOR_CAP else None
+        return cls(variables, den)
 
     def _terms(self, p: Polynomial) -> dict:
         """(t exponent, *exponent vector) -> rational coefficient."""
@@ -629,7 +637,7 @@ class FlatRing:
             for w, a in c.terms:
                 k, rest = divmod(w.numerator * den, w.denominator)
                 if rest:
-                    raise NotFlat(f"eps exponent {w} off the grid 1/{den}")
+                    raise OffGrid(w, den)
                 key[0] = k
                 out[tuple(key)] = a
         return out

@@ -48,11 +48,11 @@ class SOSExpr:
 
 
 def verify_sos_expression(target: Union[RationalFunction, Polynomial], r: SOSExpr) -> bool:
-    """Exact rational-function identity target == sum of squares, in the flat ring when all is exact."""
+    """Exact rational-function identity target == sum of squares, in the flat ring; False for inexact data."""
     tgt = target if isinstance(target, RationalFunction) else RationalFunction(target)
     vs = merge_variables(tgt.variables, *(s.variables for s in r.summands))
-    ring = FlatRing.over(vs, (tgt, *r.summands)) or SeriesRing(vs)
-    return ring(tgt) == r.denote(ring)
+    ring = FlatRing.over(vs, (tgt, *r.summands))
+    return ring is not None and ring(tgt) == r.denote(ring)
 
 
 class ConeExpr:
@@ -97,6 +97,9 @@ class ConeExpr:
 class RingExpr:
     __slots__ = ()
 
+    def __setattr__(self, name, value):
+        raise AttributeError("immutable")
+
 
 class ConstExpr(RingExpr):
     __slots__ = ("value",)
@@ -105,18 +108,12 @@ class ConstExpr(RingExpr):
         object.__setattr__(self, "value",
                            value if isinstance(value, FieldElement) else FieldElement.from_rational(value))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
-
 
 class GenExpr(RingExpr):
     __slots__ = ("index",)
 
     def __init__(self, index: int):
         object.__setattr__(self, "index", int(index))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
 
 
 class SosInverseExpr(RingExpr):
@@ -127,9 +124,6 @@ class SosInverseExpr(RingExpr):
     def __init__(self, sos: SOSExpr):
         object.__setattr__(self, "sos", sos)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
-
 
 class ConeInverseExpr(RingExpr):
     """Denotes 1 / (1 + cone element); legal only on sets with strict constraints."""
@@ -139,9 +133,6 @@ class ConeInverseExpr(RingExpr):
     def __init__(self, cone: ConeExpr):
         object.__setattr__(self, "cone", cone)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
-
 
 class SumExpr(RingExpr):
     __slots__ = ("args",)
@@ -149,18 +140,12 @@ class SumExpr(RingExpr):
     def __init__(self, args: Sequence[RingExpr]):
         object.__setattr__(self, "args", tuple(args))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
-
 
 class ProdExpr(RingExpr):
     __slots__ = ("args",)
 
     def __init__(self, args: Sequence[RingExpr]):
         object.__setattr__(self, "args", tuple(args))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
 
 
 def verify_ring_membership(e: RingExpr, set_descriptor: SetDescriptor) -> bool:
@@ -185,19 +170,27 @@ def verify_ring_membership(e: RingExpr, set_descriptor: SetDescriptor) -> bool:
     return False
 
 
-def _in_set_frame(q: RationalFunction, set_descriptor: SetDescriptor, ring) -> RationalFunction:
-    """q aligned to the set's variables.  A flat ring's images are in that frame
-    already: it maps only values over canonical variables, which align by name."""
-    return q if isinstance(ring, FlatRing) else align_to_set(q, set_descriptor)
+def _in_set_frame(leaf, set_descriptor: SetDescriptor):
+    """An SOSExpr or ConeExpr leaf with its summands aligned to the set's frame
+    together, as align_to_set aligns the value the leaf denotes."""
+    vs = set_descriptor.variables()
+    entries = [(leaf, ())] if isinstance(leaf, SOSExpr) else leaf.entries
+    frames = [s.variables for sos, _ in entries for s in sos.summands]
+    if set().union(*frames) <= set(vs):
+        return leaf  # rings and sums embed these by name
+    frame = merge_variables(*frames, *(vs for _, factors in entries if factors))
+    entries = [(SOSExpr([align_to_set(s.with_variables(frame), set_descriptor) for s in sos.summands]), factors)
+               for sos, factors in entries]
+    return entries[0][0] if isinstance(leaf, SOSExpr) else ConeExpr(entries)
 
 
 def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None) -> RationalFunction:
-    """The rational function denoted by the tree relative to the set's generators;
-    the tree's value at a point is this function's value there (``poly_eval``).
+    """The rational function denoted by the tree relative to the set's generators.
 
-    Built in ring, a FlatRing or SeriesRing over the set's variables (by
-    default the series ring); a FlatRing raises NotFlat at a leaf without an
-    image in it.
+    Built in ring: a FlatRing over the set's variables, where certificate
+    identities are checked and a leaf without an image raises NotFlat (OffGrid
+    for an exponent off its grid), or by default the series ring, whose value
+    at a point is the tree's value there (``poly_eval``).
     """
     ring = ring or SeriesRing(set_descriptor.variables())
     one = ring(1)
@@ -206,10 +199,9 @@ def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None)
     if isinstance(e, GenExpr):
         return ring(set_descriptor.generators()[e.index])
     if isinstance(e, SosInverseExpr):
-        return one / (one + _in_set_frame(e.sos.denote(ring), set_descriptor, ring))
+        return one / (one + _in_set_frame(e.sos, set_descriptor).denote(ring))
     if isinstance(e, ConeInverseExpr):
-        cone = e.cone.denote(set_descriptor.strict_constraints, ring)
-        return one / (one + _in_set_frame(cone, set_descriptor, ring))
+        return one / (one + _in_set_frame(e.cone, set_descriptor).denote(set_descriptor.strict_constraints, ring))
     if isinstance(e, SumExpr):
         total = ring(0)
         for a in e.args:
@@ -240,8 +232,7 @@ class PerturbedUnit:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "a", a)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("immutable")
+    __setattr__ = RingExpr.__setattr__
 
     def is_well_formed(self) -> bool:
         return infinitesimal_or_zero(self.m)

@@ -284,8 +284,8 @@ class SetDescriptor:
 def align_polynomial(p: Polynomial, n: int) -> Polynomial:
     """Express a polynomial in the canonical x1..xn frame of an n-dimensional set.
 
-    Canonical names embed by name; other variable names map positionally in
-    their natural order.
+    Canonical names embed by name, other names by position in their natural
+    order; a mix is refused, as x2 could then mean x1 here and x2 elsewhere.
     """
     vs = canonical_variables(n)
     if p.variables == vs:
@@ -294,6 +294,8 @@ def align_polynomial(p: Polynomial, n: int) -> Polynomial:
         raise ValueError(f"expression has {len(p.variables)} variables but the set has {n}")
     if set(p.variables) <= set(vs):
         return p.with_variables(vs)
+    if not set(p.variables).isdisjoint(vs):
+        raise ValueError(f"variables {p.variables} mix the set's names {vs} with other names")
     terms = {}
     for expv, c in p.terms.items():
         terms[tuple(expv) + (0,) * (n - len(expv))] = c

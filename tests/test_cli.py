@@ -587,6 +587,43 @@ class TestMalformedCertificates:
         assert json.loads(out)["verified"] is True
 
 
+def _ball2_certificate(p, r):
+    """A certificate file body on ball:2 with m = 0 and the trivial witness."""
+    return {"p": p, "set": {"kind": "ball", "n": 2}, "r": r, "m": "0", "h": {"num": "0", "den": "1"},
+            "witness": _TRIVIAL_WITNESS}
+
+
+class TestVerdicts:
+    def verify(self, tmp_path, blob):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(blob))
+        code, out = run_cli("cert", "verify", str(path))
+        return code, json.loads(out)
+
+    def test_grid_past_the_exponent_cap_is_rejected(self, tmp_path):
+        # (eps^(1/3) + eps^(1/64)*x1)^2 has the exponent 67/192: the identity
+        # runs on the grid 1/192 and fails, where series arithmetic refused it.
+        code, out = self.verify(tmp_path, _ball2_certificate("1", ["eps^(1/3) + eps^(1/64)*x1"]))
+        assert (code, out["verified"], out["reason"]) == (1, False, "identity_failed")
+
+    def test_grid_past_the_exponent_cap_verifies(self, tmp_path):
+        code, out = self.verify(tmp_path, _ball2_certificate("eps^(1/3)*x1^2 + eps^(1/32)*x2^2",
+                                                             ["eps^(1/6)*x1", "eps^(1/64)*x2"]))
+        assert (code, out["verified"]) == (0, True)
+
+    def test_mixed_variable_names_are_refused(self, tmp_path):
+        # By position x2 and x5 would be x1 and x2 in p, while r's x2 stays x2.
+        code, out = self.verify(tmp_path, _ball2_certificate("x2^2 + x5^4", ["x1", "x2^2"]))
+        assert code == 2
+        assert out["error"]["type"] == "ValueError" and "mix" in out["error"]["message"]
+
+    @pytest.mark.parametrize("p, r", [("x2^2 + x1^4", ["x2", "x1^2"]), ("x^2 + 2*x*y + y^2", ["x + y"])],
+                             ids=["canonical", "other"])
+    def test_unmixed_variable_names_verify(self, tmp_path, p, r):
+        code, out = self.verify(tmp_path, _ball2_certificate(p, r))
+        assert (code, out["verified"]) == (0, True)
+
+
 class TestDeterminism:
     COMMANDS = [
         ("integral", "--h", "(x+eps)/x", "--set", "ball:1", "--seed", "9", "--samples", "150"),

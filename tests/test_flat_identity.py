@@ -1,10 +1,13 @@
 """Exact identities in the flat ring give the series ring's verdicts.
 
 The flat ring (``rcvf.poly.FlatRing``) maps exact polynomials over the series
-field into Q[t, 1/t][x] with t = eps^(1/D).  Each case below is checked twice:
-as it runs, and with ``FlatRing.over`` answering None, which puts every
-identity back on the series ring as it ran before the flat ring existed.
-Both runs must give the same verdict and reason, or raise the same error.
+field into Q[t, 1/t][x] with t = eps^(1/D).  Each case in TestSameVerdicts is
+checked twice: as it runs, and with ``FlatRing.over`` handing out the series
+ring (``SeriesRing``), which runs every identity on series coefficients as
+before the flat ring existed.  Both runs must give the same verdict and
+reason, or raise the same error.  TestFallback holds the cases a series
+fallback once served: what only the flat ring decides, and what it refuses
+that series arithmetic let through.
 """
 
 import random
@@ -21,7 +24,7 @@ from rcvf.certificates import (
     verify_dickmann_certificate,
     verify_nonneg_certificate,
 )
-from rcvf.errors import ExponentBlowup, RcvfError
+from rcvf.errors import RcvfError
 from rcvf.jsonio import certificate_from_json, certificate_to_json
 from rcvf.parser import parse_expression
 from rcvf.poly import FlatRing, Polynomial, RationalFunction, SeriesRing
@@ -113,7 +116,7 @@ def outcome(check, *args):
 def series_only(monkeypatch):
     """A context in which every identity runs on the series ring."""
     context = monkeypatch.context()
-    context.__enter__().setattr(FlatRing, "over", classmethod(lambda cls, variables, values: None))
+    context.__enter__().setattr(FlatRing, "over", classmethod(lambda cls, variables, values: SeriesRing(variables)))
     return context
 
 
@@ -171,6 +174,53 @@ class TestSameVerdicts:
         assert rings and all(isinstance(ring, FlatRing) for ring in rings)
         # eps exponents in thirds and halves: the grid is eps^(1/6) or a divisor.
         assert 6 % rings[0].denominator == 0
+
+    def test_grid_past_the_series_cap(self, monkeypatch):
+        # r_i^2 = eps^(1/3)*x1^2 and eps^(1/32)*x2^2: each product stays within the
+        # series ring's exponent cap of 64, while the grid of p and r is 1/192.
+        p = parse_expression("eps^(1/3)*x1^2 + eps^(1/32)*x2^2")
+        r = SOSExpr([parse_expression("eps^(1/6)*x1"), parse_expression("eps^(1/64)*x2")])
+        zero = RationalFunction.constant(0, VS)
+        cert = NonnegCertificate(r, FieldElement.zero(), zero, IntegralityWitness.trivial())
+        rings = record_rings(monkeypatch)
+        assert verify_nonneg_certificate(p, cert, BALL).ok
+        assert rings[0].denominator == 192
+        monkeypatch.undo()
+        assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, cert, BALL) == [(True, None)] * 2
+        for name, mp, mc in mutants(p, cert):
+            flat, series = flat_and_series(monkeypatch, verify_nonneg_certificate, mp, mc, BALL)
+            assert flat == series, name
+            if name in ("p", "r", "m"):
+                assert flat[0] is False, name
+
+    def test_leaves_over_other_names(self, monkeypatch):
+        # Leaf summands over y and z align together, as the value they denote
+        # does: y is x1 and z is x2, so the leaves denote 1/(1 + x1^2 + x2^2).
+        y, z = (Polynomial.variable(v) for v in "yz")
+        sd = SetDescriptor.unit_polydisc(2, [Polynomial.variable("x1", VS)])
+        leaves = (SosInverseExpr(SOSExpr([y, z])),
+                  ConeInverseExpr(ConeExpr([(SOSExpr([y]), ()), (SOSExpr([z]), ())])))
+        one = Polynomial.constant(1, VS)
+        h = RationalFunction(one, one + parse_expression("x1^2 + x2^2"))
+
+        def certificate(num):
+            return NonnegCertificate(SOSExpr([one]), FieldElement.zero(), h,
+                                     IntegralityWitness(num, PerturbedUnit.trivial()))
+
+        for leaf in leaves:
+            for num, expected in ((leaf, (True, None)),
+                                  (SumExpr([leaf, ConstExpr(1)]), (False, "witness_identity_failed"))):
+                assert flat_and_series(monkeypatch, verify_nonneg_certificate, one, certificate(num), sd) == \
+                    [expected] * 2
+        # y and x2 together: by position y would be x1 and x2 would be x2, or both x1.
+        mixed = certificate(SosInverseExpr(SOSExpr([y, Polynomial.variable("x2")])))
+
+        def refused():
+            with pytest.raises(ValueError, match="mix"):
+                verify_nonneg_certificate(one, mixed, sd)
+            return "refused"
+
+        assert flat_and_series(monkeypatch, refused) == ["refused"] * 2
 
     @pytest.mark.parametrize("a", [F(0), F(1, 2), F(2, 3)])
     def test_monic_witness(self, monkeypatch, a):
@@ -247,53 +297,63 @@ class TestFallback:
         monkeypatch.undo()
         assert flat == flat_and_series(monkeypatch, verify_nonneg_certificate, p, cert, BALL)[1]
 
-    def test_inexact_witness_leaf_keeps_its_verdict(self, monkeypatch):
+    def test_inexact_witness_leaf_is_refused(self, monkeypatch):
+        # A truncated constant has no flat image, so the witness identity fails,
+        # even where an exact zero annihilates it and series arithmetic held.
         p, cert = unit_certificate(random.Random(3))
         w = cert.witness
         inexact = ConstExpr(FieldElement([(0, 1)], precision=5))
-        for num, expected in ((SumExpr([w.numerator, ProdExpr([inexact, ConstExpr(0)])]), (True, None)),
-                              (SumExpr([w.numerator, inexact]), (False, "witness_identity_failed"))):
+        for num, series in ((SumExpr([w.numerator, ProdExpr([inexact, ConstExpr(0)])]), (True, None)),
+                            (SumExpr([w.numerator, inexact]), (False, "witness_identity_failed"))):
             changed = NonnegCertificate(cert.r, cert.m, cert.h, IntegralityWitness(num, w.denominator))
-            assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, changed, BALL) == [expected] * 2
+            assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, changed, BALL) == \
+                [(False, "witness_identity_failed"), series]
 
-    def test_witness_leaf_off_the_grid_falls_back(self, monkeypatch):
+    def test_witness_leaf_off_the_grid_widens_the_ring(self, monkeypatch):
         # The main identity's eps exponents are in halves and thirds, so its grid
         # divides 1/6; eps^(1/5) in the witness has no image in that ring, and the
-        # witness identity reruns on the series ring.
+        # witness identity reruns in the flat ring of the lcm of the two grids.
         p, cert = unit_certificate(random.Random(4))
-        assert 6 % FlatRing.over(VS, (p, cert.m, cert.h, *cert.r.summands)).denominator == 0
+        main = FlatRing.over(VS, (p, cert.m, cert.h, *cert.r.summands)).denominator
+        assert 6 % main == 0
         w = cert.witness
         off = ProdExpr([ConstExpr(FieldElement.eps_power(F(1, 5))), ConstExpr(0)])
-        series_rings = []
-        original = SeriesRing.__init__
+        built = []
 
-        def counting(self, variables):
-            series_rings.append(variables)
-            original(self, variables)
+        def recording(cls, name):
+            original = getattr(cls, "__init__")
+
+            def init(self, variables, *args):
+                built.append((name, *args))
+                original(self, variables, *args)
+
+            monkeypatch.setattr(cls, "__init__", init)
 
         for num, expected in ((SumExpr([w.numerator, off]), (True, None)),
                               (SumExpr([w.numerator, off, ConstExpr(FieldElement.eps_power(F(1, 5)))]),
                                (False, "witness_identity_failed"))):
             changed = NonnegCertificate(cert.r, cert.m, cert.h, IntegralityWitness(num, w.denominator))
-            monkeypatch.setattr(SeriesRing, "__init__", counting)
-            series_rings.clear()
+            recording(FlatRing, "flat")
+            recording(SeriesRing, "series")
+            built.clear()
             assert outcome(verify_nonneg_certificate, p, changed, BALL) == expected
-            assert series_rings == [VS]
+            assert built == [("flat", main), ("flat", 5 * main)]
             monkeypatch.undo()
             assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, changed, BALL) == [expected] * 2
 
-    def test_exponent_blowup_stays(self, monkeypatch):
-        # eps^(1/3) * eps^(1/64) = eps^(67/192): the denominator 192 is over the cap of 64.
+    def test_grid_past_the_series_cap_is_decided(self, monkeypatch):
+        # eps^(1/3) * eps^(1/64) = eps^(67/192): the series ring refuses the
+        # denominator 192 (over its cap of 64); the flat ring of grid 1/192 rejects.
         r = Polynomial(VS, {(0, 0): FieldElement.eps_power(F(1, 3)), (1, 0): FieldElement.eps_power(F(1, 64))})
         zero = RationalFunction.constant(0, VS)
         cert = NonnegCertificate(SOSExpr([r]), FieldElement.zero(), zero, IntegralityWitness.trivial())
         p = Polynomial.constant(1, VS)
         rings = record_rings(monkeypatch)
-        with pytest.raises(ExponentBlowup):
-            verify_nonneg_certificate(p, cert, BALL)
-        assert rings[0] is None
+        assert outcome(verify_nonneg_certificate, p, cert, BALL) == (False, "identity_failed")
+        assert [ring.denominator for ring in rings] == [192]
         monkeypatch.undo()
-        assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, cert, BALL) == ["ExponentBlowup"] * 2
+        assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, cert, BALL) == \
+            [(False, "identity_failed"), "ExponentBlowup"]
 
     def test_division_by_zero_stays(self, monkeypatch):
         # 1 + (1^2) * (-1) = 0: the cone inverse divides by zero on both rings.

@@ -16,21 +16,32 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import rcvf
 from rcvf import certificates, jsonio, poly, series, sets, sos
-from rcvf.certificates import CERTIFICATE, falsify_nonnegativity, generate_ball_certificate, verify_nonneg_certificate
+from rcvf.certificates import (
+    CERTIFICATE,
+    IntegralityWitness,
+    NonnegCertificate,
+    falsify_nonnegativity,
+    generate_ball_certificate,
+    verify_nonneg_certificate,
+)
 from rcvf.cli import run
 from rcvf.parser import parse_expression
 from rcvf.poly import Polynomial, RationalFunction, _SparsePolynomial
+from rcvf.ringexpr import ConstExpr, ProdExpr, SumExpr
 from rcvf.sampling import SampleConfig
 from rcvf.series import FieldElement
 from rcvf.sets import SetDescriptor
 from rcvf.sos import ResidueQuotient, ResiduePolynomial, psd_falsify, verify_residue_sos
+from test_flat_identity import BALL, unit_certificate
 
 MODULES = sorted(p for p in Path(rcvf.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py")
 ROOT = Path(__file__).resolve().parents[1]
@@ -266,9 +277,11 @@ def test_oracle_reads_no_numerator_the_gauss_bound_decides(monkeypatch):
     assert len(leads) <= ORACLE_LEADING_TERMS
 
 
-# FieldElement.__init__ calls of the check below: 229 when every product of the
-# identities was built over series coefficients.  The two left build the set's
-# generator functions.
+# FieldElement.__init__ calls of the checks below: 229 for the first when every
+# product of the identities was built over series coefficients, and 636 for the
+# second while a witness leaf off the main identity's grid reran the witness
+# identity on series coefficients.  The two left build the set's generator
+# functions.
 VERIFY_INITS = 2
 
 _LEAF = {"op": "prod", "args": [{"op": "gen", "index": 0}, {"op": "iord", "summands": [
@@ -281,10 +294,18 @@ _UNIT_CERTIFICATE = {"p": "1 + 2*x1^2 + x1^4 - eps*x1", "set": {"kind": "ball", 
 
 
 def test_exact_identities_build_no_series(monkeypatch):
-    p, sd, cert = jsonio.certificate_from_json(_UNIT_CERTIFICATE)
-    inits = count_calls(monkeypatch, [(FieldElement, "__init__")])
-    assert verify_nonneg_certificate(p, cert, sd).ok
-    assert len(inits) <= VERIFY_INITS
+    # The unit certificate of test_flat_identity whose witness numerator gains
+    # eps^(1/5) * 0: its grid divides 1/6, so the witness needs the grid 1/30.
+    p, unit = unit_certificate(random.Random(4))
+    w = unit.witness
+    off = ProdExpr([ConstExpr(FieldElement.eps_power(Fraction(1, 5))), ConstExpr(0)])
+    off_grid = NonnegCertificate(unit.r, unit.m, unit.h,
+                                 IntegralityWitness(SumExpr([w.numerator, off]), w.denominator))
+    for p, sd, cert in (jsonio.certificate_from_json(_UNIT_CERTIFICATE), (p, BALL, off_grid)):
+        inits = count_calls(monkeypatch, [(FieldElement, "__init__")])
+        assert verify_nonneg_certificate(p, cert, sd).ok
+        assert len(inits) <= VERIFY_INITS
+        monkeypatch.undo()
 
 
 def test_decoding_parses_each_distinct_text_once_per_call(monkeypatch):
