@@ -321,7 +321,7 @@ class TestFallback:
         built = []
 
         def recording(cls, name):
-            original = getattr(cls, "__init__")
+            original = cls.__init__
 
             def init(self, variables, *args):
                 built.append((name, *args))
