@@ -26,13 +26,11 @@ from typing import Optional, Sequence
 from .errors import CoefficientsNotIntegral, NotIntegral, PrecisionExhausted, RcvfError
 from .integrality import IntegralityVerdict, module_pullback, pointwise_integral_oracle
 from .poly import (
-    FlatRing,
-    NotFlat,
-    OffGrid,
     Polynomial,
     RationalFunction,
     gauss_valuation,
     leading_sign,
+    merge_variables,
     valuation_at,
 )
 from .ringexpr import (
@@ -47,6 +45,7 @@ from .ringexpr import (
     ring_expr_to_rational,
     verify_ring_membership,
 )
+from .rings import FlatRing, NotFlat, OffGrid
 from .sampling import SampleConfig
 from .series import LT, FieldElement
 from .sets import SetDescriptor, align_to_set
@@ -118,16 +117,24 @@ def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
                               set_descriptor: SetDescriptor) -> VerificationResult:
     """Exact check of p*(1+m*h) = sum r_i^2 plus the integrality witness.
 
+    The values over names other than the set's are aligned in the merge of
+    those names, so that such a name means one coordinate in all of them; the
+    set's own names embed by name (cert find writes p in its caller's names
+    and h and r in the set's).
+
     Every identity runs in the flat ring of p, m, h and r (see FlatRing), a
     witness or monic identity on a finer grid if a leaf needs one.  Inexact
     data proves no identity: p, m, h or r inexact fails the main identity, an
     inexact leaf the identity it is in.
     """
-    p = align_to_set(p, set_descriptor)
-    h = align_to_set(cert.h, set_descriptor)
+    values = (p, cert.h, *cert.r.summands)
+    own = set(set_descriptor.variables())
+    others = merge_variables(*(v.variables for v in values if not own.issuperset(v.variables)))
+    p, h, *r = (align_to_set(v if own.issuperset(v.variables) else v.with_variables(others), set_descriptor)
+                for v in values)
     if not infinitesimal_or_zero(cert.m):
         return VerificationResult(False, "m_not_infinitesimal")
-    r = SOSExpr([align_to_set(s, set_descriptor) for s in cert.r.summands])
+    r = SOSExpr(r)
     ring = FlatRing.over(set_descriptor.variables(), (p, cert.m, h, *r.summands))
     if ring is None or ring(p) * (ring(1) + ring(cert.m) * ring(h)) != r.denote(ring):
         return VerificationResult(False, "identity_failed")

@@ -4,10 +4,9 @@ One sparse core serves two coefficient rings: :class:`Polynomial` has
 :class:`FieldElement` coefficients, :class:`ResiduePolynomial` has exact
 ``Fraction`` ones (the residue polynomials of the SOS layer).  Exponent
 vectors are tuples of non-negative ints keyed to an ordered variable tuple.
-Rational functions are kept unreduced; equality is the cross-multiplication
-identity.  Exact identities are checked in a flat rational ring
-(:class:`FlatRing`) on the grid their data needs; inexact data has no image
-there.
+Rational functions are kept unreduced.  Equality of exact rational functions
+is checked in the flat ring of :mod:`rcvf.rings`, where values are factored
+quotients; equality of inexact ones is the cross-multiplication identity.
 """
 
 from __future__ import annotations
@@ -514,16 +513,19 @@ class RationalFunction:
         return RationalFunction(self.num**n, self.den**n)
 
     def __eq__(self, other) -> bool:
-        """The cross-multiplication identity, in the flat ring when both sides are exact."""
+        """Equality of the images in the flat ring when both sides are exact, else
+        the cross-multiplication identity."""
+        from .rings import FlatQuotient, FlatRing  # rings builds on this module
+
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        a, b = self, o
-        if isinstance(a.num, Polynomial):
-            ring = FlatRing.over(merge_variables(a.variables, b.variables), (a, b))
-            if ring is not None:
-                a, b = ring(a), ring(b)
-        return (_times(a.num, b.den) - _times(b.num, a.den)).is_exactly_zero()
+        ring = FlatRing.over(merge_variables(self.variables, o.variables), (self, o))
+        if ring is not None:
+            a, b = ring(self), ring(o)
+            if isinstance(a, FlatQuotient):  # a SeriesRing hands back self and o themselves
+                return a == b
+        return (_times(self.num, o.den) - _times(o.num, self.den)).is_exactly_zero()
 
     __hash__ = None
 
@@ -537,127 +539,6 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({self})"
-
-
-# -- rings of exact identities ---------------------------------------------------
-
-# The eps slot of a flat frame: the parser never reads "eps" as a variable name.
-FLAT_EPS = "eps"
-
-
-class NotFlat(Exception):
-    """A value has no image in a flat ring: an inexact coefficient, a variable
-    outside its frame, or (OffGrid) an eps exponent off its grid."""
-
-
-class OffGrid(NotFlat):
-    """An exact eps exponent off a flat ring's grid; the ring of the lcm of the
-    two denominators holds it."""
-
-    def __init__(self, exponent: Fraction, denominator: int):
-        super().__init__(f"eps exponent {exponent} off the grid 1/{denominator}")
-        self.denominator = exponent.denominator
-
-
-class SeriesRing:
-    """Rational functions over the series field in one frame: the denotation of
-    ring expressions read at points (see ringexpr.ring_expr_to_rational)."""
-
-    __slots__ = ("variables",)
-
-    def __init__(self, variables: Sequence[str]):
-        self.variables = tuple(variables)
-
-    def __call__(self, q) -> RationalFunction:
-        if isinstance(q, RationalFunction):
-            return q
-        if isinstance(q, Polynomial):
-            return RationalFunction(q)
-        return RationalFunction.constant(q, self.variables)
-
-
-class FlatRing:
-    """Exact rational functions over the series field as quotients in Q[t, 1/t][x].
-
-    With t = eps^(1/D), an exact coefficient sum_j a_j eps^(w_j) whose every
-    w_j*D is an integer maps to sum_j a_j t^(w_j*D).  The map is an injective
-    ring homomorphism, so an exact identity holds in one ring exactly when it
-    holds in the other, and products here build no series.  The t slot is
-    Laurent: its exponents may be negative.  Images are ResiduePolynomial
-    quotients over the frame (FLAT_EPS, *variables); numerator and
-    denominator share one integer scale, so every coefficient is an integer
-    and the quotient is unchanged.
-    """
-
-    __slots__ = ("variables", "denominator", "_slots")
-
-    def __init__(self, variables: Sequence[str], denominator: int):
-        variables = tuple(variables)
-        self.variables = (FLAT_EPS,) + variables
-        self.denominator = denominator
-        self._slots = {v: i for i, v in enumerate(variables, 1)}
-
-    @classmethod
-    def over(cls, variables: Sequence[str], values) -> "FlatRing | None":
-        """The flat ring of values (scalars, Polynomials, RationalFunctions), D
-        the lcm of their eps-exponent denominators, however large: no series is
-        built in it.  None if a coefficient is inexact or the frame names eps."""
-        if FLAT_EPS in variables:
-            return None
-        den = 1
-        for q in values:
-            if isinstance(q, RationalFunction):
-                coefficients = (*q.num.terms.values(), *q.den.terms.values())
-            elif isinstance(q, Polynomial):
-                coefficients = q.terms.values()
-            else:
-                coefficients = (q,) if isinstance(q, FieldElement) else ()
-            for c in coefficients:
-                if c.precision is not None:
-                    return None
-                for w, _ in c.terms:
-                    if den % w.denominator:
-                        den = lcm(den, w.denominator)
-        return cls(variables, den)
-
-    def _terms(self, p: Polynomial) -> dict:
-        """(t exponent, *exponent vector) -> rational coefficient."""
-        slots = self._slots
-        if any(v not in slots for v in p.variables):
-            raise NotFlat(f"variables {p.variables} outside the frame {self.variables[1:]}")
-        slots = [slots[v] for v in p.variables]
-        width, den = len(self.variables), self.denominator
-        out = {}
-        for expv, c in p.terms.items():
-            if c.precision is not None:
-                raise NotFlat("inexact coefficient")
-            key = [0] * width
-            for i, e in zip(slots, expv):
-                key[i] = e
-            for w, a in c.terms:
-                k, rest = divmod(w.numerator * den, w.denominator)
-                if rest:
-                    raise OffGrid(w, den)
-                key[0] = k
-                out[tuple(key)] = a
-        return out
-
-    def __call__(self, q) -> RationalFunction:
-        """The image of a scalar, Polynomial or RationalFunction over a sub-frame."""
-        one = {(0,) * len(self.variables): Fraction(1)}
-        if isinstance(q, RationalFunction):
-            num, den = self._terms(q.num), self._terms(q.den)
-        elif isinstance(q, Polynomial):
-            num, den = self._terms(q), one
-        elif isinstance(q, FieldElement):
-            num, den = self._terms(Polynomial.constant(q)), one
-        else:
-            q = Fraction(q)
-            num, den = ({(0,) * len(self.variables): q} if q else {}), one
-        scale = lcm(*(c.denominator for part in (num, den) for c in part.values()))
-        vs, flat = self.variables, ResiduePolynomial.from_canonical
-        return RationalFunction(flat(vs, {e: c.numerator * (scale // c.denominator) for e, c in num.items()}),
-                                flat(vs, {e: c.numerator * (scale // c.denominator) for e, c in den.items()}))
 
 
 def poly_eval(q: Union[Polynomial, RationalFunction], point: Sequence[FieldElement]) -> FieldElement:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .poly import FlatRing, Polynomial, RationalFunction, SeriesRing, merge_variables
+from .poly import Polynomial, RationalFunction, merge_variables
+from .rings import FlatRing, SeriesRing
 from .series import FieldElement
 from .sets import SetDescriptor, align_to_set
 
@@ -193,14 +194,15 @@ def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None)
     at a point is the tree's value there (``poly_eval``).
     """
     ring = ring or SeriesRing(set_descriptor.variables())
-    one = ring(1)
     if isinstance(e, ConstExpr):
         return ring(e.value)
     if isinstance(e, GenExpr):
         return ring(set_descriptor.generators()[e.index])
     if isinstance(e, SosInverseExpr):
+        one = ring(1)
         return one / (one + _in_set_frame(e.sos, set_descriptor).denote(ring))
     if isinstance(e, ConeInverseExpr):
+        one = ring(1)
         return one / (one + _in_set_frame(e.cone, set_descriptor).denote(set_descriptor.strict_constraints, ring))
     if isinstance(e, SumExpr):
         total = ring(0)
@@ -208,7 +210,7 @@ def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None)
             total = total + ring_expr_to_rational(a, set_descriptor, ring)
         return total
     if isinstance(e, ProdExpr):
-        total = one
+        total = ring(1)
         for a in e.args:
             total = total * ring_expr_to_rational(a, set_descriptor, ring)
         return total

@@ -623,6 +623,14 @@ class TestVerdicts:
         code, out = self.verify(tmp_path, _ball2_certificate(p, r))
         assert (code, out["verified"]) == (0, True)
 
+    @pytest.mark.parametrize("r, verified", [(["y", "x^2"], True), (["x", "y^2"], False)],
+                             ids=["agrees", "disagrees"])
+    def test_one_name_is_one_coordinate(self, tmp_path, r, verified):
+        # p names x and y, r[0] names y alone: y is x2 in every value, as in p.
+        code, out = self.verify(tmp_path, _ball2_certificate("y^2 + x^4", r))
+        assert (code, out["verified"]) == (0 if verified else 1, verified)
+        assert out["reason"] == (None if verified else "identity_failed")
+
 
 class TestDeterminism:
     COMMANDS = [

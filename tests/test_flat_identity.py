@@ -1,19 +1,26 @@
 """Exact identities in the flat ring give the series ring's verdicts.
 
-The flat ring (``rcvf.poly.FlatRing``) maps exact polynomials over the series
+The flat ring (``rcvf.rings.FlatRing``) maps exact polynomials over the series
 field into Q[t, 1/t][x] with t = eps^(1/D).  Each case in TestSameVerdicts is
 checked twice: as it runs, and with ``FlatRing.over`` handing out the series
 ring (``SeriesRing``), which runs every identity on series coefficients as
 before the flat ring existed.  Both runs must give the same verdict and
 reason, or raise the same error.  TestFallback holds the cases a series
 fallback once served: what only the flat ring decides, and what it refuses
-that series arithmetic let through.
+that series arithmetic let through.  TestFactoredEquality checks the flat
+ring's factored quotients (``rcvf.rings.FlatQuotient``), which cancel shared
+factors before multiplying out, against quotients of expanded polynomials
+compared by full cross-multiplication.
 """
 
+import operator
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcvf.certificates import (
     DickmannCertificate,
@@ -21,13 +28,14 @@ from rcvf.certificates import (
     IntegralityWitness,
     NonnegCertificate,
     QuotientCoefficient,
+    _holds,
     verify_dickmann_certificate,
     verify_nonneg_certificate,
 )
-from rcvf.errors import RcvfError
+from rcvf.errors import DivisionByZero, RcvfError
 from rcvf.jsonio import certificate_from_json, certificate_to_json
 from rcvf.parser import parse_expression
-from rcvf.poly import FlatRing, Polynomial, RationalFunction, SeriesRing
+from rcvf.poly import Polynomial, RationalFunction, ResiduePolynomial
 from rcvf.ringexpr import (
     ConeExpr,
     ConeInverseExpr,
@@ -41,6 +49,7 @@ from rcvf.ringexpr import (
     polynomial_to_ring_expr,
     verify_sos_expression,
 )
+from rcvf.rings import FLAT_EPS, FlatRing, OffGrid, SeriesRing
 from rcvf.series import FieldElement
 from rcvf.sets import SetDescriptor
 
@@ -375,3 +384,137 @@ class TestFallback:
             assert all(isinstance(ring, FlatRing) for ring in rings)
             monkeypatch.undo()
 
+
+
+# -- factored quotients against full cross-multiplication -------------------------
+
+# eps exponents of the leaves: on the grid 1/6, and eps^(1/5) off it.
+ON_GRID = [F(0), F(1), F(1, 2), F(-1, 3), F(2, 3)]
+OFF_GRID = F(1, 5)
+GRID = 6
+
+
+class Cross:
+    """A quotient of expanded polynomials; equality by full cross-multiplication."""
+
+    def __init__(self, num: ResiduePolynomial, den: ResiduePolynomial):
+        self.num, self.den = num, den
+
+    def __add__(self, o):
+        return Cross(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    def __mul__(self, o):
+        return Cross(self.num * o.num, self.den * o.den)
+
+    def __truediv__(self, o):
+        if o.num.is_exactly_zero():
+            raise DivisionByZero("division by zero")
+        return Cross(self.num * o.den, self.den * o.num)
+
+    def __pow__(self, n):
+        if n < 0:
+            return (Cross(self.den, self.den) / self) ** -n
+        return Cross(self.num**n, self.den**n)
+
+    def __eq__(self, o):
+        return (self.num * o.den - o.num * self.den).is_exactly_zero()
+
+
+def cross_image(p: Polynomial, den: int) -> Cross:
+    """p with eps^w read as t^(w*den), t Laurent: the flat map, written out."""
+    vs = (FLAT_EPS,) + VS
+    terms = {}
+    for expv, c in p.terms.items():
+        for w, a in c.terms:
+            terms[(int(w * den), *expv)] = a
+    return Cross(ResiduePolynomial.from_canonical(vs, terms), ResiduePolynomial.constant(1, vs))
+
+
+OPS = {"+": operator.add, "*": operator.mul, "/": operator.truediv}
+
+
+def denote(tree, leaf):
+    """The value of an expression tree: a leaf index, (op, tree, tree) or ("**", tree, n)."""
+    if isinstance(tree, int):
+        return leaf(tree)
+    op, a, b = tree
+    if op == "**":
+        return denote(a, leaf) ** b
+    return OPS[op](denote(a, leaf), denote(b, leaf))
+
+
+monomial_terms = st.lists(st.tuples(st.sampled_from(ON_GRID), st.integers(0, 1), st.integers(0, 1),
+                                    st.integers(-2, 2).filter(bool)), min_size=1, max_size=3)
+
+
+def leaf_polynomial(terms, off_grid=False) -> Polynomial:
+    out = {}
+    for w, e1, e2, c in terms:
+        out[(e1, e2)] = out.get((e1, e2), FieldElement.zero()) + FieldElement.eps_power(w, c)
+    if off_grid:
+        out[(0, 0)] = out.get((0, 0), FieldElement.zero()) + FieldElement.eps_power(OFF_GRID)
+    return Polynomial(VS, out)
+
+
+# Leaf 0 is zero; the others are drawn, and a tree may use any leaf more than once.
+leaf_pools = st.tuples(monomial_terms, monomial_terms, monomial_terms, st.booleans()).map(
+    lambda d: [Polynomial(VS), leaf_polynomial(d[0]), leaf_polynomial(d[1]), leaf_polynomial(d[2], d[3])])
+trees = st.recursive(
+    st.integers(0, 3),
+    lambda sub: st.tuples(st.sampled_from(sorted(OPS)), sub, sub) | st.tuples(st.just("**"), sub, st.integers(-2, 2)),
+    max_leaves=4)
+# (left, right) built from trees a and b: identities that hold wherever they are
+# defined, and the pair (a, b) itself.  A test may add a leaf to the right side.
+PAIRS = [lambda a, b: (a, a), lambda a, b: (("/", ("*", a, b), b), a),
+         lambda a, b: (("+", ("/", a, b), ("/", b, b)), ("/", ("+", a, b), b)),
+         lambda a, b: (("*", ("+", a, b), a), ("+", ("*", a, a), ("*", b, a))),
+         lambda a, b: (("*", a, b), ("*", b, a)), lambda a, b: (("**", a, 2), ("*", a, a)),
+         lambda a, b: (("*", 0, a), ("*", 0, b)), lambda a, b: (a, b)]
+
+
+def factored_and_cross(pool, left, right) -> list:
+    """[verdict of the factored quotients, verdict of full cross-multiplication],
+    "DivisionByZero" where the expression divides by zero.  The factored one
+    starts on the grid 1/6 and reruns on a finer grid an off-grid leaf needs."""
+    def identity(ring):
+        return denote(left, lambda i: ring(pool[i])) == denote(right, lambda i: ring(pool[i]))
+
+    fine = lcm(GRID, OFF_GRID.denominator)
+    return [outcome(_holds, identity, FlatRing(VS, GRID)),
+            outcome(lambda: denote(left, lambda i: cross_image(pool[i], fine)) ==
+                    denote(right, lambda i: cross_image(pool[i], fine)))]
+
+
+class TestFactoredEquality:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pool=leaf_pools, a=trees, b=trees, pair=st.sampled_from(PAIRS), added=st.integers(0, 3) | st.none())
+    def test_same_verdict_as_full_cross_multiplication(self, pool, a, b, pair, added):
+        left, right = pair(a, b)
+        if added is not None:
+            right = ("+", right, added)
+        flat, cross = factored_and_cross(pool, left, right)
+        assert flat == cross
+
+    def test_zero_factors_are_never_cancelled(self):
+        ring = FlatRing(VS, GRID)
+        zero, x, y = ring(0), ring(Polynomial.variable("x1", VS)), ring(Polynomial.variable("x2", VS))
+        cancelled = x + ring(-1) * x
+        assert zero * x == zero * y
+        assert zero * x == ring(0)
+        assert not zero * x == x  # cancelling the shared x would leave 0 == 1
+        assert not x == zero * x
+        assert cancelled * y == zero
+        with pytest.raises(DivisionByZero):
+            x / (zero * y)
+        with pytest.raises(DivisionByZero):
+            cancelled ** -1
+
+    def test_off_grid_leaf_reruns_on_the_finer_grid(self):
+        pool = [Polynomial(VS), leaf_polynomial([(F(1, 2), 1, 0, 1)]), leaf_polynomial([(F(0), 0, 1, 2)]),
+                leaf_polynomial([(F(-1, 3), 1, 1, -1)], off_grid=True)]
+        ring = FlatRing(VS, GRID)
+        with pytest.raises(OffGrid) as off:
+            ring(pool[3])
+        assert off.value.denominator == OFF_GRID.denominator
+        for left, right, verdict in ((("*", 3, ("/", 1, 3)), 1, True), (("+", 3, 2), ("+", 2, 1), False)):
+            assert factored_and_cross(pool, left, right) == [verdict] * 2

@@ -308,6 +308,21 @@ def test_exact_identities_build_no_series(monkeypatch):
         monkeypatch.undo()
 
 
+# ResiduePolynomial.__mul__ calls of the check below: 19 while every image was
+# one expanded quotient and each sum and equality multiplied out every
+# denominator.  Kept factored, the main identity multiplies out c*c and m*q,
+# and the witness identity only 1 + S (three squares, once per leaf copy) and
+# m*x1, cancelling x1 and 1 + S.
+VERIFY_PRODUCTS = 9
+
+
+def test_identities_cancel_shared_factors(monkeypatch):
+    p, sd, cert = jsonio.certificate_from_json(_UNIT_CERTIFICATE)
+    products = count_calls(monkeypatch, [(ResiduePolynomial, "__mul__")])
+    assert verify_nonneg_certificate(p, cert, sd).ok
+    assert len(products) <= VERIFY_PRODUCTS
+
+
 def test_decoding_parses_each_distinct_text_once_per_call(monkeypatch):
     # p is also h.den, and the witness leaf is in both its numerator and its
     # denominator: 18 texts, 7 distinct.  The memo serves one call only.
@@ -335,8 +350,9 @@ def test_traced_polynomial_methods_stay_in_polynomial():
 
 
 def test_products_by_one_are_skipped(monkeypatch):
-    # Denominators 1 cost no product in quotient arithmetic and equality, nor
-    # in the SOS identity check; only num * num products are left.
+    # Denominators 1 cost no product in quotient arithmetic, nor in the SOS
+    # identity check; only num * num products are left.  Equality of exact
+    # quotients runs on flat images, whose denominator 1 is no factor at all.
     a = RationalFunction(parse_expression("1 + eps*x1 - x2^2"))
     b = RationalFunction(parse_expression("x1 - 3*eps^(1/2)*x2"))  # integers: flat denominators are 1 too
     c = RationalFunction(a.num, b.num)
