@@ -118,9 +118,10 @@ def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
     """Exact check of p*(1+m*h) = sum r_i^2 plus the integrality witness.
 
     The values over names other than the set's are aligned in the merge of
-    those names, so that such a name means one coordinate in all of them; the
-    set's own names embed by name (cert find writes p in its caller's names
-    and h and r in the set's).
+    those names, and the witness leaves over such names in its merge with
+    theirs, so that such a name means one coordinate in all of them; the set's
+    own names embed by name (cert find writes p in its caller's names and h
+    and r in the set's).
 
     Every identity runs in the flat ring of p, m, h and r (see FlatRing), a
     witness or monic identity on a finer grid if a leaf needs one.  Inexact
@@ -147,8 +148,8 @@ def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
         return VerificationResult(False, "witness_denominator_membership")
     if w.monic is None:
         def witness(ring):
-            num = ring_expr_to_rational(w.numerator, set_descriptor, ring)
-            return ring(h) * w.denominator.denote(set_descriptor, ring) == num
+            num = ring_expr_to_rational(w.numerator, set_descriptor, ring, others)
+            return ring(h) * w.denominator.denote(set_descriptor, ring, others) == num
 
         if not _holds(witness, ring):
             return VerificationResult(False, "witness_identity_failed")
@@ -166,7 +167,8 @@ def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
             hr = ring(h)
             total = hr**d
             for i, c in enumerate(w.monic):
-                ci = ring_expr_to_rational(c.num, set_descriptor, ring) / c.den.denote(set_descriptor, ring)
+                ci = (ring_expr_to_rational(c.num, set_descriptor, ring, others)
+                      / c.den.denote(set_descriptor, ring, others))
                 total = total + ci * hr**i
             return total == ring(0)
 

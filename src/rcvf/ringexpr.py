@@ -171,27 +171,35 @@ def verify_ring_membership(e: RingExpr, set_descriptor: SetDescriptor) -> bool:
     return False
 
 
-def _in_set_frame(leaf, set_descriptor: SetDescriptor):
+def _in_set_frame(leaf, set_descriptor: SetDescriptor, others: Sequence[str] = ()):
     """An SOSExpr or ConeExpr leaf with its summands aligned to the set's frame
-    together, as align_to_set aligns the value the leaf denotes."""
+    together, as align_to_set aligns the value the leaf denotes.
+
+    Names other than the set's are aligned in their merge with others, the
+    frame the values around the leaf were aligned in, so that such a name
+    means one coordinate in the leaf and around it.
+    """
     vs = set_descriptor.variables()
     entries = [(leaf, ())] if isinstance(leaf, SOSExpr) else leaf.entries
     frames = [s.variables for sos, _ in entries for s in sos.summands]
     if set().union(*frames) <= set(vs):
         return leaf  # rings and sums embed these by name
-    frame = merge_variables(*frames, *(vs for _, factors in entries if factors))
+    frame = merge_variables(others, *frames, *(vs for _, factors in entries if factors))
     entries = [(SOSExpr([align_to_set(s.with_variables(frame), set_descriptor) for s in sos.summands]), factors)
                for sos, factors in entries]
     return entries[0][0] if isinstance(leaf, SOSExpr) else ConeExpr(entries)
 
 
-def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None) -> RationalFunction:
+def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None,
+                          others: Sequence[str] = ()) -> RationalFunction:
     """The rational function denoted by the tree relative to the set's generators.
 
     Built in ring: a FlatRing over the set's variables, where certificate
     identities are checked and a leaf without an image raises NotFlat (OffGrid
     for an exponent off its grid), or by default the series ring, whose value
-    at a point is the tree's value there (``poly_eval``).
+    at a point is the tree's value there (``poly_eval``).  others: the frame
+    of names other than the set's that the values the tree is checked against
+    were aligned in (see _in_set_frame).
     """
     ring = ring or SeriesRing(set_descriptor.variables())
     if isinstance(e, ConstExpr):
@@ -200,19 +208,20 @@ def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None)
         return ring(set_descriptor.generators()[e.index])
     if isinstance(e, SosInverseExpr):
         one = ring(1)
-        return one / (one + _in_set_frame(e.sos, set_descriptor).denote(ring))
+        return one / (one + _in_set_frame(e.sos, set_descriptor, others).denote(ring))
     if isinstance(e, ConeInverseExpr):
         one = ring(1)
-        return one / (one + _in_set_frame(e.cone, set_descriptor).denote(set_descriptor.strict_constraints, ring))
+        cone = _in_set_frame(e.cone, set_descriptor, others)
+        return one / (one + cone.denote(set_descriptor.strict_constraints, ring))
     if isinstance(e, SumExpr):
         total = ring(0)
         for a in e.args:
-            total = total + ring_expr_to_rational(a, set_descriptor, ring)
+            total = total + ring_expr_to_rational(a, set_descriptor, ring, others)
         return total
     if isinstance(e, ProdExpr):
         total = ring(1)
         for a in e.args:
-            total = total * ring_expr_to_rational(a, set_descriptor, ring)
+            total = total * ring_expr_to_rational(a, set_descriptor, ring, others)
         return total
     raise TypeError(f"not a ring expression: {type(e).__name__}")
 
@@ -239,9 +248,9 @@ class PerturbedUnit:
     def is_well_formed(self) -> bool:
         return infinitesimal_or_zero(self.m)
 
-    def denote(self, set_descriptor: SetDescriptor, ring=None) -> RationalFunction:
+    def denote(self, set_descriptor: SetDescriptor, ring=None, others: Sequence[str] = ()) -> RationalFunction:
         ring = ring or SeriesRing(set_descriptor.variables())
-        return ring(1) + ring(self.m) * ring_expr_to_rational(self.a, set_descriptor, ring)
+        return ring(1) + ring(self.m) * ring_expr_to_rational(self.a, set_descriptor, ring, others)
 
     @staticmethod
     def trivial() -> "PerturbedUnit":

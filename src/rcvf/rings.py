@@ -67,16 +67,13 @@ class FlatRing:
     (:class:`FlatQuotient`) over the frame (FLAT_EPS, *variables).
     """
 
-    # _images: id(value) -> (value, image), so that a value met again (a set's
-    # generator, a decoded text shared by several leaves) is mapped once.
-    __slots__ = ("variables", "denominator", "_slots", "_images")
+    __slots__ = ("variables", "denominator", "_slots")
 
     def __init__(self, variables: Sequence[str], denominator: int):
         variables = tuple(variables)
         self.variables = (FLAT_EPS,) + variables
         self.denominator = denominator
         self._slots = {v: i for i, v in enumerate(variables, 1)}
-        self._images = {}
 
     @classmethod
     def over(cls, variables: Sequence[str], values) -> "FlatRing | None":
@@ -125,14 +122,6 @@ class FlatRing:
 
     def __call__(self, q) -> "FlatQuotient":
         """The image of a scalar, Polynomial or RationalFunction over a sub-frame."""
-        seen = self._images.get(id(q))
-        if seen is not None and seen[0] is q:
-            return seen[1]
-        image = self._image(q)
-        self._images[id(q)] = (q, image)
-        return image
-
-    def _image(self, q) -> "FlatQuotient":
         if isinstance(q, RationalFunction):
             num, den = self._terms(q.num), self._terms(q.den)
         elif isinstance(q, Polynomial):
@@ -211,14 +200,14 @@ class FlatQuotient:
     sides of the cross-multiplication share and multiplies out the rest:
     Z[t, 1/t][x] is an integral domain, so cancelling a non-zero factor keeps
     the verdict of the full cross-multiplication.  A quotient multiplies out
-    its own numerator and denominator at most once.
+    its own numerator and its own denominator each at most once.
     """
 
-    __slots__ = ("variables", "unit", "num", "den", "_expanded")
+    __slots__ = ("variables", "unit", "num", "den", "_num_product", "_den_product")
 
     def __init__(self, variables: tuple, unit: Fraction, num: tuple, den: tuple):
         self.variables, self.unit, self.num, self.den = variables, unit, num, den
-        self._expanded = None
+        self._num_product = self._den_product = None
 
     def _peer(self, other) -> "FlatQuotient | None":
         """other if it is a value of this ring, None if it is no FlatQuotient."""
@@ -231,12 +220,17 @@ class FlatQuotient:
     def is_zero(self) -> bool:
         return any(not f.terms for f in self.num)
 
-    def expanded(self) -> tuple:
-        """(product of num, product of den), multiplied out once."""
-        if self._expanded is None:
-            vs = self.variables
-            self._expanded = _product(vs, self.num), _product(vs, self.den)
-        return self._expanded
+    def numerator(self) -> ResiduePolynomial:
+        """The product of num, multiplied out once."""
+        if self._num_product is None:
+            self._num_product = _product(self.variables, self.num)
+        return self._num_product
+
+    def denominator(self) -> ResiduePolynomial:
+        """The product of den, multiplied out once."""
+        if self._den_product is None:
+            self._den_product = _product(self.variables, self.den)
+        return self._den_product
 
     def __add__(self, other):
         o = self._peer(other)
@@ -247,10 +241,12 @@ class FlatQuotient:
         if o.is_zero():
             return self
         shared, ra, rb = _shared(self.den, o.den)
-        (x, dx), (y, dy) = self.expanded(), o.expanded()
         vs = self.variables
         if shared:
             dx, dy = _product(vs, ra), _product(vs, rb)
+        else:
+            dx, dy = self.denominator(), o.denominator()
+        x, y = self.numerator(), o.numerator()
         # unit_a*x/dx + unit_b*y/dy = (ka*x*dy + kb*y*dx) / (the two unit
         # denominators * dx*dy), over the shared denominator factors.
         a, b = self.unit, o.unit

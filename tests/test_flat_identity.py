@@ -122,10 +122,21 @@ def outcome(check, *args):
     return (result.ok, result.reason) if hasattr(result, "ok") else result
 
 
+def cross_multiplied(a, b) -> bool:
+    """RationalFunction equality as the cross-multiplication identity."""
+    b = a._coerce(b)
+    if b is NotImplemented:
+        return NotImplemented
+    return (a.num * b.den - b.num * a.den).is_exactly_zero()
+
+
 def series_only(monkeypatch):
-    """A context in which every identity runs on the series ring."""
+    """A context in which every identity runs on the series ring, and equality
+    of rational functions cross-multiplies their series coefficients."""
     context = monkeypatch.context()
-    context.__enter__().setattr(FlatRing, "over", classmethod(lambda cls, variables, values: SeriesRing(variables)))
+    patch = context.__enter__()
+    patch.setattr(FlatRing, "over", classmethod(lambda cls, variables, values: SeriesRing(variables)))
+    patch.setattr(RationalFunction, "__eq__", cross_multiplied)
     return context
 
 
