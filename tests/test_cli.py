@@ -631,23 +631,29 @@ class TestVerdicts:
         assert (code, out["verified"]) == (0 if verified else 1, verified)
         assert out["reason"] == (None if verified else "identity_failed")
 
-    @pytest.mark.parametrize("leaf, reason", [("y", None), ("x", "witness_identity_failed")],
-                             ids=["agrees", "disagrees"])
-    def test_one_name_is_one_coordinate_in_witness_leaves(self, tmp_path, leaf, reason):
+    @pytest.mark.parametrize("monic", [False, True], ids=["numerator", "monic"])
+    @pytest.mark.parametrize("leaf, code, answer", [
+        ("y", 0, {"verified": True, "reason": None}),
+        ("x", 1, {"verified": False, "reason": "witness_identity_failed"}),
+        ("z", 2, {"error": {"message": "expression has 3 variables but the set has 2", "type": "ValueError"}})],
+        ids=["agrees", "disagrees", "beyond_the_set"])
+    def test_one_name_is_one_coordinate_in_witness_leaves(self, tmp_path, leaf, code, answer, monic):
         # p and r name x, h names y: y is x2 in h, and so in the witness leaf
-        # 1/(1 + y^2) = h; the leaf 1/(1 + x^2) is another function.
+        # 1/(1 + y^2) = h (as the numerator over the unit 1, or in the monic
+        # h - 1/(1 + y^2) = 0); the leaf 1/(1 + x^2) is another function, and
+        # the leaf's z would be a third coordinate on ball:2.
         blob = dict(_ball2_certificate("x^2 + 1", ["x", "1"]), h={"num": "1", "den": "1 + y^2"})
-        blob["witness"] = dict(_TRIVIAL_WITNESS, num={"op": "iord", "summands": [{"num": leaf, "den": "1"}]})
-        code, out = self.verify(tmp_path, blob)
-        assert (code, out["verified"], out["reason"]) == (0 if reason is None else 1, reason is None, reason)
-
-    def test_witness_leaf_name_beyond_the_set_is_refused(self, tmp_path):
-        # x, y and the leaf's z are three coordinates, one more than ball:2 has.
-        blob = dict(_ball2_certificate("x^2 + 1", ["x", "1"]), h={"num": "1", "den": "1 + y^2"})
-        blob["witness"] = dict(_TRIVIAL_WITNESS, num={"op": "iord", "summands": [{"num": "z", "den": "1"}]})
-        code, out = self.verify(tmp_path, blob)
-        assert code == 2
-        assert out["error"] == {"message": "expression has 3 variables but the set has 2", "type": "ValueError"}
+        leaf = {"op": "iord", "summands": [{"num": leaf, "den": "1"}]}
+        if monic:
+            minus_leaf = {"op": "prod", "args": [{"op": "const", "value": "-1"}, leaf]}
+            blob["witness"] = dict(_TRIVIAL_WITNESS, monic=[{"num": minus_leaf, "den": _TRIVIAL_WITNESS["den"]}])
+            if answer.get("reason"):
+                answer = dict(answer, reason="witness_monic_identity_failed")
+        else:
+            blob["witness"] = dict(_TRIVIAL_WITNESS, num=leaf)
+        got, out = self.verify(tmp_path, blob)
+        assert got == code
+        assert {k: out[k] for k in answer} == answer
 
 
 class TestDeterminism:
