@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import CoefficientsNotIntegral, NotIntegral, PrecisionExhausted, RcvfError
 from .integrality import IntegralityVerdict, module_pullback, pointwise_integral_oracle
@@ -41,6 +41,7 @@ from .ringexpr import (
     SOSExpr,
     SosInverseExpr,
     infinitesimal_or_zero,
+    map_leaves,
     polynomial_to_ring_expr,
     ring_expr_to_rational,
     verify_ring_membership,
@@ -113,33 +114,58 @@ def _holds(identity, ring: FlatRing) -> bool:
             return False
 
 
+def _read_names(p: Polynomial, cert: NonnegCertificate, set_descriptor: SetDescriptor):
+    """(p, h, r, witness) of cert with every variable name read through one table.
+
+    The set's names x1..xn name themselves; the other names of p, h and r take
+    x1, x2, ... in natural order, then the names only witness leaves use take
+    the next ones, so the main identity reads the same whatever the witness
+    says.  A value, or a leaf's summands together, that mixes the set's names
+    with other names is refused, as is a coordinate past the set's.
+    """
+    own, w, values, leaves = set_descriptor.variables(), cert.witness, (p, cert.h, *cert.r.summands), []
+
+    def witness(f):  # w with f(summands) in place of each leaf's summands
+        def unit(u):
+            return PerturbedUnit(u.m, map_leaves(u.a, f))
+        return IntegralityWitness(map_leaves(w.numerator, f), unit(w.denominator), w.monic and tuple(
+            QuotientCoefficient(map_leaves(c.num, f), unit(c.den)) for c in w.monic))
+
+    witness(lambda summands: leaves.extend(summands) or summands)
+    names = merge_variables(*(v.variables for v in values)) + merge_variables(*(s.variables for s in leaves))
+    order = [*dict.fromkeys(v for v in names if v not in own)]
+    if not order:
+        return p, cert.h, cert.r, w
+
+    def read(group):  # one value, or one leaf's summands, aligned as one value
+        used = set().union(*(v.variables for v in group))
+        if used <= set(own):
+            return group
+        frame = tuple(order[:1 + max(map(order.index, used))]) if used.isdisjoint(own) else merge_variables(used)
+        return [align_to_set(v.with_variables(frame), set_descriptor) for v in group]
+
+    p, h, *r = (read([v])[0] for v in values)
+    return p, h, SOSExpr(r), witness(read)
+
+
 def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
                               set_descriptor: SetDescriptor) -> VerificationResult:
     """Exact check of p*(1+m*h) = sum r_i^2 plus the integrality witness.
 
-    The values over names other than the set's are aligned in the merge of
-    those names, and the witness leaves over such names in its merge with
-    theirs, so that such a name means one coordinate in all of them; the set's
-    own names embed by name (cert find writes p in its caller's names and h
-    and r in the set's).
+    Every name is read through one table before any identity is checked (see
+    _read_names): cert find writes p in its caller's names, h and r in the set's.
 
     Every identity runs in the flat ring of p, m, h and r (see FlatRing), a
     witness or monic identity on a finer grid if a leaf needs one.  Inexact
     data proves no identity: p, m, h or r inexact fails the main identity, an
     inexact leaf the identity it is in.
     """
-    values = (p, cert.h, *cert.r.summands)
-    own = set(set_descriptor.variables())
-    others = merge_variables(*(v.variables for v in values if not own.issuperset(v.variables)))
-    p, h, *r = (align_to_set(v if own.issuperset(v.variables) else v.with_variables(others), set_descriptor)
-                for v in values)
+    p, h, r, w = _read_names(p, cert, set_descriptor)
     if not infinitesimal_or_zero(cert.m):
         return VerificationResult(False, "m_not_infinitesimal")
-    r = SOSExpr(r)
     ring = FlatRing.over(set_descriptor.variables(), (p, cert.m, h, *r.summands))
     if ring is None or ring(p) * (ring(1) + ring(cert.m) * ring(h)) != r.denote(ring):
         return VerificationResult(False, "identity_failed")
-    w = cert.witness
     if not verify_ring_membership(w.numerator, set_descriptor):
         return VerificationResult(False, "witness_numerator_membership")
     if not w.denominator.is_well_formed():
@@ -148,8 +174,8 @@ def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
         return VerificationResult(False, "witness_denominator_membership")
     if w.monic is None:
         def witness(ring):
-            num = ring_expr_to_rational(w.numerator, set_descriptor, ring, others)
-            return ring(h) * w.denominator.denote(set_descriptor, ring, others) == num
+            num = ring_expr_to_rational(w.numerator, set_descriptor, ring)
+            return ring(h) * w.denominator.denote(set_descriptor, ring) == num
 
         if not _holds(witness, ring):
             return VerificationResult(False, "witness_identity_failed")
@@ -167,8 +193,7 @@ def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
             hr = ring(h)
             total = hr**d
             for i, c in enumerate(w.monic):
-                ci = (ring_expr_to_rational(c.num, set_descriptor, ring, others)
-                      / c.den.denote(set_descriptor, ring, others))
+                ci = ring_expr_to_rational(c.num, set_descriptor, ring) / c.den.denote(set_descriptor, ring)
                 total = total + ci * hr**i
             return total == ring(0)
 
@@ -255,14 +280,7 @@ class GenerationBudget:
 
 
 def _residue_polynomial(p: Polynomial) -> ResiduePolynomial:
-    terms = {}
-    for expv, c in p.terms.items():
-        terms[expv] = c.residue()
-    return ResiduePolynomial(p.variables, terms)
-
-
-def _embed_rational_point(point: Sequence[Fraction]) -> list[FieldElement]:
-    return [FieldElement.from_rational(x) for x in point]
+    return ResiduePolynomial(p.variables, {expv: c.residue() for expv, c in p.terms.items()})
 
 
 def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
@@ -281,15 +299,13 @@ def generate_ball_certificate(p: Polynomial, set_descriptor: SetDescriptor,
     p = align_to_set(p, set_descriptor)
     if set_descriptor.kind == "affine":
         ball = SetDescriptor.unit_polydisc(set_descriptor.n)
-        pulled = align_to_set(module_pullback(p, set_descriptor.module_map), ball)
+        pulled = module_pullback(p, set_descriptor.module_map)
         inner = generate_ball_certificate(pulled, ball, budget, config)
         return _transport_to_module(inner, set_descriptor)
     vs = set_descriptor.variables()
     if p.is_exactly_zero():
-        cert = NonnegCertificate(SOSExpr([RationalFunction.constant(0, vs)]),
-                                 FieldElement.zero(),
-                                 RationalFunction.constant(0, vs),
-                                 IntegralityWitness.trivial())
+        zero = RationalFunction.constant(0, vs)
+        cert = NonnegCertificate(SOSExpr([zero]), FieldElement.zero(), zero, IntegralityWitness.trivial())
         return GenerationOutcome(CERTIFICATE, certificate=cert, gauss=None)
 
     try:
@@ -409,7 +425,7 @@ def falsify_nonnegativity(p: Polynomial, set_descriptor: SetDescriptor,
         return None
     z = psd_falsify(rbar, config)
     if z is not None:
-        pt = _embed_rational_point(z)
+        pt = [FieldElement.from_rational(x) for x in z]
         try:
             on_set = set_descriptor.contains(pt)
         except PrecisionExhausted:
@@ -478,7 +494,6 @@ def _transport_to_module(outcome: GenerationOutcome,
     gens = module_set.generators()
 
     def compose(rf: RationalFunction) -> RationalFunction:
-        rf = align_to_set(rf, module_set)
         return rf.num.substitute(gens) / rf.den.substitute(gens)
 
     def moved(x):  # a certificate or a candidate outcome: r and h compose

@@ -15,7 +15,7 @@ from typing import Sequence, Union
 from .poly import Polynomial, RationalFunction, merge_variables
 from .rings import FlatRing, SeriesRing
 from .series import FieldElement
-from .sets import SetDescriptor, align_to_set
+from .sets import SetDescriptor
 
 CONE_DEGREE_CAP = 8  # highest factor degree of a cone-inverse leaf on a set
 
@@ -62,10 +62,8 @@ class ConeExpr:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Sequence[tuple[SOSExpr, Sequence[int]]]):
-        fixed = []
-        for sos, factors in entries:
-            fixed.append((sos, tuple(sorted(int(i) for i in factors))))
-        object.__setattr__(self, "entries", tuple(fixed))
+        fixed = tuple((sos, tuple(sorted(int(i) for i in factors))) for sos, factors in entries)
+        object.__setattr__(self, "entries", fixed)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConeExpr is immutable")
@@ -83,10 +81,7 @@ class ConeExpr:
         return total
 
     def factor_degree(self, strict: Sequence[Polynomial]) -> int:
-        deg = 0
-        for _, factors in self.entries:
-            deg = max(deg, sum(strict[i].total_degree() for i in factors))
-        return deg
+        return max((sum(strict[i].total_degree() for i in factors) for _, factors in self.entries), default=0)
 
     def __repr__(self):
         return f"ConeExpr({len(self.entries)} terms)"
@@ -171,35 +166,29 @@ def verify_ring_membership(e: RingExpr, set_descriptor: SetDescriptor) -> bool:
     return False
 
 
-def _in_set_frame(leaf, set_descriptor: SetDescriptor, others: Sequence[str] = ()):
-    """An SOSExpr or ConeExpr leaf with its summands aligned to the set's frame
-    together, as align_to_set aligns the value the leaf denotes.
-
-    Names other than the set's are aligned in their merge with others, the
-    frame the values around the leaf were aligned in, so that such a name
-    means one coordinate in the leaf and around it.
-    """
-    vs = set_descriptor.variables()
-    entries = [(leaf, ())] if isinstance(leaf, SOSExpr) else leaf.entries
-    frames = [s.variables for sos, _ in entries for s in sos.summands]
-    if set().union(*frames) <= set(vs):
-        return leaf  # rings and sums embed these by name
-    frame = merge_variables(others, *frames, *(vs for _, factors in entries if factors))
-    entries = [(SOSExpr([align_to_set(s.with_variables(frame), set_descriptor) for s in sos.summands]), factors)
-               for sos, factors in entries]
-    return entries[0][0] if isinstance(leaf, SOSExpr) else ConeExpr(entries)
+def map_leaves(e: RingExpr, f) -> RingExpr:
+    """The tree with f(summands) in place of each leaf's summands, an SOSExpr's
+    or all of a ConeExpr's entries' together, in order."""
+    if isinstance(e, SosInverseExpr):
+        return SosInverseExpr(SOSExpr(f(e.sos.summands)))
+    if isinstance(e, ConeInverseExpr):
+        summands = iter(f([s for sos, _ in e.cone.entries for s in sos.summands]))
+        return ConeInverseExpr(ConeExpr([(SOSExpr([next(summands) for _ in sos.summands]), factors)
+                                         for sos, factors in e.cone.entries]))
+    if isinstance(e, (SumExpr, ProdExpr)):
+        return type(e)([map_leaves(a, f) for a in e.args])
+    return e
 
 
-def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None,
-                          others: Sequence[str] = ()) -> RationalFunction:
+def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None) -> RationalFunction:
     """The rational function denoted by the tree relative to the set's generators.
 
     Built in ring: a FlatRing over the set's variables, where certificate
     identities are checked and a leaf without an image raises NotFlat (OffGrid
     for an exponent off its grid), or by default the series ring, whose value
-    at a point is the tree's value there (``poly_eval``).  others: the frame
-    of names other than the set's that the values the tree is checked against
-    were aligned in (see _in_set_frame).
+    at a point is the tree's value there (``poly_eval``).  A leaf's summands
+    embed by name: the verifier reads a certificate's names before it denotes
+    a leaf (see certificates.verify_nonneg_certificate).
     """
     ring = ring or SeriesRing(set_descriptor.variables())
     if isinstance(e, ConstExpr):
@@ -208,20 +197,19 @@ def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None,
         return ring(set_descriptor.generators()[e.index])
     if isinstance(e, SosInverseExpr):
         one = ring(1)
-        return one / (one + _in_set_frame(e.sos, set_descriptor, others).denote(ring))
+        return one / (one + e.sos.denote(ring))
     if isinstance(e, ConeInverseExpr):
         one = ring(1)
-        cone = _in_set_frame(e.cone, set_descriptor, others)
-        return one / (one + cone.denote(set_descriptor.strict_constraints, ring))
+        return one / (one + e.cone.denote(set_descriptor.strict_constraints, ring))
     if isinstance(e, SumExpr):
         total = ring(0)
         for a in e.args:
-            total = total + ring_expr_to_rational(a, set_descriptor, ring, others)
+            total = total + ring_expr_to_rational(a, set_descriptor, ring)
         return total
     if isinstance(e, ProdExpr):
         total = ring(1)
         for a in e.args:
-            total = total * ring_expr_to_rational(a, set_descriptor, ring, others)
+            total = total * ring_expr_to_rational(a, set_descriptor, ring)
         return total
     raise TypeError(f"not a ring expression: {type(e).__name__}")
 
@@ -248,9 +236,10 @@ class PerturbedUnit:
     def is_well_formed(self) -> bool:
         return infinitesimal_or_zero(self.m)
 
-    def denote(self, set_descriptor: SetDescriptor, ring=None, others: Sequence[str] = ()) -> RationalFunction:
+    def denote(self, set_descriptor: SetDescriptor, ring=None) -> RationalFunction:
+        """1 + m*a in ring, by default the series ring (see ring_expr_to_rational)."""
         ring = ring or SeriesRing(set_descriptor.variables())
-        return ring(1) + ring(self.m) * ring_expr_to_rational(self.a, set_descriptor, ring, others)
+        return ring(1) + ring(self.m) * ring_expr_to_rational(self.a, set_descriptor, ring)
 
     @staticmethod
     def trivial() -> "PerturbedUnit":

@@ -296,10 +296,7 @@ def align_polynomial(p: Polynomial, n: int) -> Polynomial:
         return p.with_variables(vs)
     if not set(p.variables).isdisjoint(vs):
         raise ValueError(f"variables {p.variables} mix the set's names {vs} with other names")
-    terms = {}
-    for expv, c in p.terms.items():
-        terms[tuple(expv) + (0,) * (n - len(expv))] = c
-    return Polynomial(vs, terms)
+    return Polynomial(vs, {tuple(expv) + (0,) * (n - len(expv)): c for expv, c in p.terms.items()})
 
 
 def align_to_set(q, set_descriptor: "SetDescriptor"):

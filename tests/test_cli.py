@@ -593,6 +593,13 @@ def _ball2_certificate(p, r):
             "witness": _TRIVIAL_WITNESS}
 
 
+# h = 1/(1 + y^2) with p and r over x, or over y.
+_X_AND_Y = dict(_ball2_certificate("x^2 + 1", ["x", "1"]), h={"num": "1", "den": "1 + y^2"})
+_Y_ONLY = dict(_ball2_certificate("y^2 + 1", ["y", "1"]), h={"num": "1", "den": "1 + y^2"})
+_VERIFIED = {"verified": True, "reason": None}
+_WITNESS_FAILED = {"verified": False, "reason": "witness_identity_failed"}
+
+
 class TestVerdicts:
     def verify(self, tmp_path, blob):
         path = tmp_path / "cert.json"
@@ -632,17 +639,25 @@ class TestVerdicts:
         assert out["reason"] == (None if verified else "identity_failed")
 
     @pytest.mark.parametrize("monic", [False, True], ids=["numerator", "monic"])
-    @pytest.mark.parametrize("leaf, code, answer", [
-        ("y", 0, {"verified": True, "reason": None}),
-        ("x", 1, {"verified": False, "reason": "witness_identity_failed"}),
-        ("z", 2, {"error": {"message": "expression has 3 variables but the set has 2", "type": "ValueError"}})],
-        ids=["agrees", "disagrees", "beyond_the_set"])
-    def test_one_name_is_one_coordinate_in_witness_leaves(self, tmp_path, leaf, code, answer, monic):
-        # p and r name x, h names y: y is x2 in h, and so in the witness leaf
-        # 1/(1 + y^2) = h (as the numerator over the unit 1, or in the monic
+    @pytest.mark.parametrize("body, leaf, code, answer", [
+        (_X_AND_Y, "y", 0, _VERIFIED),
+        (_X_AND_Y, "x", 1, _WITNESS_FAILED),
+        (_X_AND_Y, "z", 2,
+         {"error": {"message": "expression has 3 variables but the set has 2", "type": "ValueError"}}),
+        (_Y_ONLY, "y", 0, _VERIFIED),
+        (_Y_ONLY, "y + 0*z", 0, _VERIFIED),
+        (_Y_ONLY, "y + 0*a", 0, _VERIFIED),
+        (_Y_ONLY, "a", 1, _WITNESS_FAILED)],
+        ids=["agrees", "disagrees", "beyond_the_set",
+             "same_name", "leaf_name_after", "leaf_name_before", "leaf_name_alone"])
+    def test_one_name_is_one_coordinate_in_witness_leaves(self, tmp_path, body, leaf, code, answer, monic):
+        # _X_AND_Y: p and r name x, h names y, so y is x2 in h and in the witness
+        # leaf 1/(1 + y^2) = h (as the numerator over the unit 1, or in the monic
         # h - 1/(1 + y^2) = 0); the leaf 1/(1 + x^2) is another function, and
-        # the leaf's z would be a third coordinate on ball:2.
-        blob = dict(_ball2_certificate("x^2 + 1", ["x", "1"]), h={"num": "1", "den": "1 + y^2"})
+        # the leaf's z would be a third coordinate on ball:2.  _Y_ONLY: y is x1,
+        # and a name only the leaf uses takes the next coordinate, x2, whether
+        # it sorts before or after y: the leaf a alone is 1/(1 + x2^2), not h.
+        blob = dict(body)
         leaf = {"op": "iord", "summands": [{"num": leaf, "den": "1"}]}
         if monic:
             minus_leaf = {"op": "prod", "args": [{"op": "const", "value": "-1"}, leaf]}

@@ -242,6 +242,20 @@ class TestSameVerdicts:
 
         assert flat_and_series(monkeypatch, refused) == ["refused"] * 2
 
+    def test_cone_leaf_with_factors_over_other_names(self, monkeypatch):
+        # The entry y^2 * x1 has a strict factor in the set's names and a summand
+        # in another name; the summand alone is read through the table, where y
+        # (a name only the leaf uses) is x1, so the leaf is 1/(1 + x1^3).
+        sd = SetDescriptor.unit_polydisc(2, [Polynomial.variable("x1", VS)])
+        leaf = ConeInverseExpr(ConeExpr([(SOSExpr([Polynomial.variable("y")]), (0,))]))
+        one = Polynomial.constant(1, VS)
+        h = RationalFunction(one, one + parse_expression("x1^3"))
+        for num, expected in ((leaf, (True, None)),
+                              (SumExpr([leaf, ConstExpr(1)]), (False, "witness_identity_failed"))):
+            cert = NonnegCertificate(SOSExpr([one]), FieldElement.zero(), h,
+                                     IntegralityWitness(num, PerturbedUnit.trivial()))
+            assert flat_and_series(monkeypatch, verify_nonneg_certificate, one, cert, sd) == [expected] * 2
+
     @pytest.mark.parametrize("a", [F(0), F(1, 2), F(2, 3)])
     def test_monic_witness(self, monkeypatch, a):
         # h = eps^a * x1 on the ball, m = 0, p = x1^2 + 1 = x1^2 + 1^2; the

@@ -5,10 +5,11 @@ public re-exports): a name bound by ``import``/``from ... import`` must occur
 as a name somewhere else in the module.  A second scan requires every field
 of a dataclass in the package to be read as an attribute (``.name``)
 somewhere in ``src/``, ``tests/`` or ``perfbench/``, and every target of the
-benchmark's tracer to be defined where the tracer wraps it.  Two more scans
-keep ``rcvf.cli`` printing only from ``run`` and the package free of
-``global`` statements.  Structural guards count calls of hot functions on
-fixed inputs, so work that comes back shows up as a count, not as a timing.
+benchmark's tracer to be defined where the tracer wraps it.  Three more scans
+keep ``rcvf.cli`` printing only from ``run``, the package free of ``global``
+statements, and name alignment out of ``rcvf.ringexpr`` and ``rcvf.rings``.
+Structural guards count calls of hot functions on fixed inputs, so work that
+comes back shows up as a count, not as a timing.
 """
 
 import ast
@@ -145,6 +146,14 @@ def test_no_global_statements(path):
     # Process-wide mutable settings (such as the working truncation) live in
     # context variables, scoped to a block and a thread.
     assert global_statements(path.read_text()) == []
+
+
+def test_denotation_reads_no_names():
+    # What a variable name means is decided once, by the verifier's name table;
+    # rings and ring expressions embed what they are given by name.
+    for module in ("ringexpr.py", "rings.py"):
+        path = Path(rcvf.__file__).resolve().parent / module
+        assert functions_calling(path.read_text(), "align_to_set") == [], module
 
 
 def tracing_targets() -> list:
@@ -306,6 +315,16 @@ def test_exact_identities_build_no_series(monkeypatch):
         assert verify_nonneg_certificate(p, cert, sd).ok
         assert len(inits) <= VERIFY_INITS
         monkeypatch.undo()
+
+
+def test_canonical_names_are_not_aligned(monkeypatch):
+    # The unit certificate names only x1: verifying it builds no name table, so
+    # sets.align_polynomial (called for p, h and each r_i while every value was
+    # aligned) is not called at all.
+    p, sd, cert = jsonio.certificate_from_json(_UNIT_CERTIFICATE)
+    alignments = count_calls(monkeypatch, [(sets, "align_polynomial")])
+    assert verify_nonneg_certificate(p, cert, sd).ok
+    assert alignments == []
 
 
 # ResiduePolynomial.__mul__ calls of the check below: 19 while every image was
