@@ -41,6 +41,7 @@ from .ringexpr import (
     SOSExpr,
     SosInverseExpr,
     infinitesimal_or_zero,
+    leaf_summands,
     map_leaves,
     polynomial_to_ring_expr,
     ring_expr_to_rational,
@@ -123,19 +124,19 @@ def _read_names(p: Polynomial, cert: NonnegCertificate, set_descriptor: SetDescr
     says.  A value, or a leaf's summands together, that mixes the set's names
     with other names is refused, as is a coordinate past the set's.
     """
-    own, w, values, leaves = set_descriptor.variables(), cert.witness, (p, cert.h, *cert.r.summands), []
+    own, w, values = set_descriptor.variables(), cert.witness, (p, cert.h, *cert.r.summands)
+    trees = (w.numerator, w.denominator.a, *(e for c in w.monic or () for e in (c.num, c.den.a)))
+    leaves = (s for e in trees for summands in leaf_summands(e) for s in summands)
+    names = merge_variables(*(v.variables for v in values)) + merge_variables(*(s.variables for s in leaves))
+    order = [*dict.fromkeys(v for v in names if v not in own)]
+    if not order:
+        return p, cert.h, cert.r, w
 
     def witness(f):  # w with f(summands) in place of each leaf's summands
         def unit(u):
             return PerturbedUnit(u.m, map_leaves(u.a, f))
         return IntegralityWitness(map_leaves(w.numerator, f), unit(w.denominator), w.monic and tuple(
             QuotientCoefficient(map_leaves(c.num, f), unit(c.den)) for c in w.monic))
-
-    witness(lambda summands: leaves.extend(summands) or summands)
-    names = merge_variables(*(v.variables for v in values)) + merge_variables(*(s.variables for s in leaves))
-    order = [*dict.fromkeys(v for v in names if v not in own)]
-    if not order:
-        return p, cert.h, cert.r, w
 
     def read(group):  # one value, or one leaf's summands, aligned as one value
         used = set().union(*(v.variables for v in group))
@@ -241,8 +242,7 @@ def verify_dickmann_certificate(p: Polynomial, cert: DickmannCertificate) -> Ver
     total = ring(0)
     one = ring(1)
     for t in cert.terms:
-        q1 = ring(t.q1.with_variables(vs) if t.q1.variables != vs else t.q1)
-        q2 = ring(t.q2.with_variables(vs) if t.q2.variables != vs else t.q2)
+        q1, q2 = ring(t.q1.with_variables(vs)), ring(t.q2.with_variables(vs))
         num = one + ring(t.m1) * (q1 * q1)
         den = one + ring(t.m2) * (q2 * q2)
         total = total + num / den

@@ -204,26 +204,42 @@ def _sum_of_squares(summands: list, path: str) -> SOSExpr:
 class _Reader:
     """Reads the values of one JSON document.
 
-    Each distinct expression text is parsed once: a unit certificate repeats
-    p as h.den and the leaf 1/(1+S) of its witness.  The memo lives as long
-    as the reader, and a reader serves one call.  Errors name the path of the
-    field at fault, such as ``witness.num.args[1].value``.
+    Each distinct expression text is parsed once, and its polynomial built
+    once: a unit certificate repeats p as h.den and the leaf 1/(1+S) of its
+    witness.  Identical ring-expression subtrees decode to one object, keyed
+    bottom-up by the op, the index or texts of a leaf and the objects of a
+    node's children, so a ring that denotes each object once denotes each
+    distinct subtree once.  The memos live as long as the reader, and a reader
+    serves one call.  Errors name the path of the field at fault, such as
+    ``witness.num.args[1].value``.
     """
 
     def __init__(self):
-        self.parsed = {}  # text -> parsed value
+        self.parsed = {}  # text -> [parsed value, its polynomial once poly() has read it]
+        self.nodes = {}  # key -> the one summand, sum of squares or ring expression decoded under it
 
     def _parse(self, text, path: str, exact: bool):
         """The parsed value; with exact, EncodingError if it has a truncated
         coefficient (a division by a multi-term scalar), since a certificate
         holds exact data only."""
+        return self._entry(text, path, exact)[0]
+
+    def _entry(self, text, path: str, exact: bool) -> list:
+        """The memo entry of text, [parsed value, polynomial or None]; see _parse."""
         text = _expect(text, path, str)
-        v = self.parsed.get(text)
-        if v is None:
-            v = self.parsed[text] = parse_expression(text)
-        if exact and _truncated(v):
+        entry = self.parsed.get(text)
+        if entry is None:
+            entry = self.parsed[text] = [parse_expression(text), None]
+        if exact and _truncated(entry[0]):
             raise EncodingError(f"inexact coefficient in {path} {text!r}: a certificate holds exact values only")
-        return v
+        return entry
+
+    def _node(self, key: tuple, build):
+        """The object decoded under key, built by build() the first time."""
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = build()
+        return node
 
     def element(self, text, path: str, exact: bool = True) -> FieldElement:
         v = self._parse(text, path, exact)
@@ -232,16 +248,20 @@ class _Reader:
         return v
 
     def poly(self, text, path: str, exact: bool = True) -> Polynomial:
-        v = self._parse(text, path, exact)
+        entry = self._entry(text, path, exact)
+        if entry[1] is not None:
+            return entry[1]
+        v = entry[0]
         if isinstance(v, FieldElement):
-            return Polynomial.constant(v)
-        if isinstance(v, RationalFunction):
+            v = Polynomial.constant(v)
+        elif isinstance(v, RationalFunction):
             if not v.den.is_constant():
                 raise EncodingError(f"{path}: expected a polynomial, got a quotient: {text!r}")
             c = v.den.constant_value()
             if len(c.terms) != 1:
                 raise EncodingError(f"{path}: non-monomial constant denominator in {text!r}")
-            return v.num.scale(c.invert())
+            v = v.num.scale(c.invert())
+        entry[1] = v
         return v
 
     def rational(self, text, path: str) -> RationalFunction:
@@ -265,9 +285,13 @@ class _Reader:
         raise EncodingError(f"unknown set kind {kind!r} at {path}.kind")
 
     def sos(self, obj, path: str) -> SOSExpr:
-        summands = [RationalFunction(self.poly(*_field(it, "num", at)), self.poly(*_field(it, "den", at)))
-                    for it, at in _items(obj, path, dict)]
-        return _sum_of_squares(summands, path)
+        key, summands = ["sos"], []
+        for it, at in _items(obj, path, dict):
+            num, den = (self.poly(*_field(it, field, at)) for field in ("num", "den"))
+            texts = it["num"], it["den"]
+            summands.append(self._node(("quotient", *texts), lambda: RationalFunction(num, den)))
+            key += texts
+        return self._node(tuple(key), lambda: _sum_of_squares(summands, path))
 
     def ring_expr(self, obj, path: str, depth: int = 0) -> RingExpr:
         """The expression at path, depth sums and products below the outermost
@@ -276,18 +300,23 @@ class _Reader:
             raise EncodingError(f"ring expression nested deeper than {_MAX_NESTING} at {path}")
         op, _ = _field(_expect(obj, path, dict), "op", path)
         if op == "const":
-            return ConstExpr(self.element(*_field(obj, "value", path)))
+            text, at = _field(obj, "value", path)
+            value = self.element(text, at)
+            return self._node((op, text), lambda: ConstExpr(value))
         if op == "gen":
-            return GenExpr(_expect(*_field(obj, "index", path), int))
+            index = _expect(*_field(obj, "index", path), int)
+            return self._node((op, index), lambda: GenExpr(index))
         if op == "iord":
-            return SosInverseExpr(self.sos(*_field(obj, "summands", path)))
+            sos = self.sos(*_field(obj, "summands", path))
+            return self._node((op, sos), lambda: SosInverseExpr(sos))
         if op == "icone":
-            return ConeInverseExpr(ConeExpr([
-                (self.sos(*_field(t, "coeff", at)), tuple(i for i, _ in _items(*_field(t, "factors", at), int)))
-                for t, at in _items(*_field(obj, "entries", path), dict)]))
+            entries = tuple((self.sos(*_field(t, "coeff", at)),
+                             tuple(i for i, _ in _items(*_field(t, "factors", at), int)))
+                            for t, at in _items(*_field(obj, "entries", path), dict))
+            return self._node((op, entries), lambda: ConeInverseExpr(ConeExpr(entries)))
         if op in ("sum", "prod"):
-            args = [self.ring_expr(a, at, depth + 1) for a, at in _items(*_field(obj, "args", path))]
-            return SumExpr(args) if op == "sum" else ProdExpr(args)
+            args = tuple(self.ring_expr(a, at, depth + 1) for a, at in _items(*_field(obj, "args", path)))
+            return self._node((op, args), lambda: SumExpr(args) if op == "sum" else ProdExpr(args))
         raise EncodingError(f"unknown ring expression op {op!r} at {path}.op")
 
     def unit(self, obj, path: str) -> PerturbedUnit:

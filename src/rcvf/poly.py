@@ -122,8 +122,11 @@ class _SparsePolynomial:
         return cls.from_canonical(vs, {tuple(1 if v == name else 0 for v in vs): cls._coeff(1)})
 
     def with_variables(self, variables: Sequence[str]):
-        """Re-embed into a larger variable frame (must contain the current one)."""
+        """Re-embed into a larger variable frame (must contain the current one);
+        the polynomial itself in its own frame."""
         variables = tuple(variables)
+        if variables == self.variables:
+            return self
         idx = []
         for v in self.variables:
             if v not in variables:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .poly import Polynomial, RationalFunction, merge_variables
-from .rings import FlatRing, SeriesRing
+from .rings import FlatRing, SeriesRing, flat_sum
 from .series import FieldElement
 from .sets import SetDescriptor
 
@@ -36,13 +36,8 @@ class SOSExpr:
 
     def denote(self, ring=None) -> RationalFunction:
         """The sum of the squares; with a ring, of the summands' images in it."""
-        total = None
-        for s in self.summands:
-            if ring is not None:
-                s = ring(s)
-            sq = s * s
-            total = sq if total is None else total + sq
-        return total
+        summands = self.summands if ring is None else map(ring, self.summands)
+        return _sum(ring, [s * s for s in summands])
 
     def __repr__(self):
         return f"SOSExpr({list(map(str, self.summands))})"
@@ -70,21 +65,26 @@ class ConeExpr:
 
     def denote(self, strict: Sequence[Polynomial], ring=None) -> RationalFunction:
         """The cone element; with a ring, built from the images of its parts in it."""
-        total = None
+        if not self.entries:
+            raise ValueError("empty cone expression")
+        terms = []
         for sos, factors in self.entries:
             term = sos.denote(ring)
             for i in factors:
                 term = term * (strict[i] if ring is None else ring(strict[i]))
-            total = term if total is None else total + term
-        if total is None:
-            raise ValueError("empty cone expression")
-        return total
+            terms.append(term)
+        return _sum(ring, terms)
 
     def factor_degree(self, strict: Sequence[Polynomial]) -> int:
         return max((sum(strict[i].total_degree() for i in factors) for _, factors in self.entries), default=0)
 
     def __repr__(self):
         return f"ConeExpr({len(self.entries)} terms)"
+
+
+def _sum(ring, values: list):
+    """The sum of values (at least one): n-ary in a flat ring, else left to right."""
+    return flat_sum(values) if isinstance(ring, FlatRing) else sum(values[1:], values[0])
 
 
 # -- expression tree ----------------------------------------------------------
@@ -180,17 +180,38 @@ def map_leaves(e: RingExpr, f) -> RingExpr:
     return e
 
 
+def leaf_summands(e: RingExpr):
+    """Each leaf's summands, in the groups and order map_leaves hands them to
+    its f, with nothing built."""
+    if isinstance(e, SosInverseExpr):
+        yield e.sos.summands
+    elif isinstance(e, ConeInverseExpr):
+        yield [s for sos, _ in e.cone.entries for s in sos.summands]
+    elif isinstance(e, (SumExpr, ProdExpr)):
+        for a in e.args:
+            yield from leaf_summands(a)
+
+
 def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None) -> RationalFunction:
     """The rational function denoted by the tree relative to the set's generators.
 
     Built in ring: a FlatRing over the set's variables, where certificate
     identities are checked and a leaf without an image raises NotFlat (OffGrid
     for an exponent off its grid), or by default the series ring, whose value
-    at a point is the tree's value there (``poly_eval``).  A leaf's summands
-    embed by name: the verifier reads a certificate's names before it denotes
-    a leaf (see certificates.verify_nonneg_certificate).
+    at a point is the tree's value there (``poly_eval``).  A flat ring denotes
+    each node object once (FlatRing.once), so a subtree a decode shared is
+    denoted once.  A leaf's summands embed by name: the verifier reads a
+    certificate's names before it denotes a leaf (see
+    certificates.verify_nonneg_certificate).
     """
     ring = ring or SeriesRing(set_descriptor.variables())
+    if isinstance(ring, FlatRing):
+        return ring.once(e, lambda e: _denote(e, set_descriptor, ring))
+    return _denote(e, set_descriptor, ring)
+
+
+def _denote(e: RingExpr, set_descriptor: SetDescriptor, ring) -> RationalFunction:
+    """The value of e in ring, each subtree through ring_expr_to_rational."""
     if isinstance(e, ConstExpr):
         return ring(e.value)
     if isinstance(e, GenExpr):
@@ -202,10 +223,8 @@ def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None)
         one = ring(1)
         return one / (one + e.cone.denote(set_descriptor.strict_constraints, ring))
     if isinstance(e, SumExpr):
-        total = ring(0)
-        for a in e.args:
-            total = total + ring_expr_to_rational(a, set_descriptor, ring)
-        return total
+        args = [ring_expr_to_rational(a, set_descriptor, ring) for a in e.args]
+        return flat_sum(args) if args and isinstance(ring, FlatRing) else sum(args, ring(0))
     if isinstance(e, ProdExpr):
         total = ring(1)
         for a in e.args:
@@ -253,7 +272,7 @@ def polynomial_to_ring_expr(p: Polynomial, set_descriptor: SetDescriptor) -> Rin
     becomes Const * Gen(i)^e products.
     """
     vs = set_descriptor.variables()
-    aligned = p.with_variables(vs) if p.variables != vs else p
+    aligned = p.with_variables(vs)
     terms = []
     for expv, c in aligned.terms.items():
         factors: list[RingExpr] = [ConstExpr(c)]

@@ -3,10 +3,11 @@
 :class:`FlatRing` maps exact rational functions over the series field into
 Q[t, 1/t][x], t = eps^(1/D) on the grid their data needs, where every
 certificate identity and the equality of exact rational functions are
-checked.  Its values are factored quotients (:class:`FlatQuotient`): products
-concatenate factors, a sum multiplies out only what the two denominators do
-not share, and equality cancels the non-zero factors the two sides share
-before it cross-multiplies the rest.  Inexact data has no image there.
+checked.  A ring maps each distinct value once.  Its values are factored
+quotients (:class:`FlatQuotient`): products concatenate factors, a sum of any
+number of values multiplies out only what their denominators do not share,
+and equality cancels the non-zero factors the two sides share before it
+cross-multiplies the rest.  Inexact data has no image there.
 :class:`SeriesRing` denotes ring expressions over the series field, to be
 read at points.
 """
@@ -65,15 +66,21 @@ class FlatRing:
     holds in the other, and products here build no series.  The t slot is
     Laurent: its exponents may be negative.  Images are factored quotients
     (:class:`FlatQuotient`) over the frame (FLAT_EPS, *variables).
+
+    A ring keeps the image of each polynomial and scalar it maps, and of each
+    ring expression denoted in it (see once), keyed by the object: p and the h.den
+    a decode reads from the same text are one object, mapped once.  A ring
+    lives for one identity family on one grid.
     """
 
-    __slots__ = ("variables", "denominator", "_slots")
+    __slots__ = ("variables", "denominator", "_slots", "_images")
 
     def __init__(self, variables: Sequence[str], denominator: int):
         variables = tuple(variables)
         self.variables = (FLAT_EPS,) + variables
         self.denominator = denominator
         self._slots = {v: i for i, v in enumerate(variables, 1)}
+        self._images = {}  # id of a value mapped here -> (the value, its image)
 
     @classmethod
     def over(cls, variables: Sequence[str], values) -> "FlatRing | None":
@@ -98,6 +105,16 @@ class FlatRing:
                         den = lcm(den, w.denominator)
         return cls(variables, den)
 
+    def once(self, value, image):
+        """image(value), built the first time and handed out again while this
+        ring lives; the ring holds value, so its id names nothing else
+        meanwhile.  An OffGrid rerun builds a fresh ring, so no image crosses
+        grids."""
+        hit = self._images.get(id(value))
+        if hit is None:
+            hit = self._images[id(value)] = (value, image(value))
+        return hit[1]
+
     def _terms(self, p: Polynomial) -> dict:
         """(t exponent, *exponent vector) -> rational coefficient."""
         slots = self._slots
@@ -120,22 +137,22 @@ class FlatRing:
                 out[tuple(key)] = a
         return out
 
+    def _image(self, q) -> tuple:
+        """(unit, factors) of the image of a Polynomial or scalar (see _factor)."""
+        if isinstance(q, Polynomial):
+            return self._factor(self._terms(q))
+        if isinstance(q, FieldElement):
+            return self._factor(self._terms(Polynomial.constant(q)))
+        q = Fraction(q)
+        return self._factor({(0,) * len(self.variables): q} if q else {})
+
     def __call__(self, q) -> "FlatQuotient":
         """The image of a scalar, Polynomial or RationalFunction over a sub-frame."""
         if isinstance(q, RationalFunction):
-            num, den = self._terms(q.num), self._terms(q.den)
-        elif isinstance(q, Polynomial):
-            num, den = self._terms(q), None
-        elif isinstance(q, FieldElement):
-            num, den = self._terms(Polynomial.constant(q)), None
-        else:
-            q = Fraction(q)
-            num, den = ({(0,) * len(self.variables): q} if q else {}), None
-        unit, num = self._factor(num)
-        if den is None:
-            return FlatQuotient(self.variables, unit, num, ())
-        den_unit, den = self._factor(den)
-        return FlatQuotient(self.variables, unit / den_unit, num, den)
+            (unit, num), (den_unit, den) = self.once(q.num, self._image), self.once(q.den, self._image)
+            return FlatQuotient(self.variables, unit / den_unit, num, den)
+        unit, num = self.once(q, self._image)
+        return FlatQuotient(self.variables, unit, num, ())
 
     def _factor(self, terms: dict) -> tuple:
         """(c, factors) with c times the product of factors the polynomial of
@@ -184,6 +201,36 @@ def _shared(xs: tuple, ys: tuple) -> tuple:
     return tuple(shared), tuple(rest), tuple(ys)
 
 
+def flat_sum(values: Sequence["FlatQuotient"]) -> "FlatQuotient":
+    """The sum of values of one flat ring (at least one) over the least common
+    denominator of their factors, content taken once.
+
+    Each value's numerator is multiplied out by the factors of that
+    denominator its own lacks; a zero term is skipped and a single non-zero
+    one handed back as it is.
+    """
+    terms = [v for v in values if not v.is_zero()]
+    if len(terms) < 2:
+        return terms[0] if terms else values[0]
+    variables = terms[0].variables
+    den = terms[0].den
+    for v in terms[1:]:
+        den += _shared(v.den, den)[1]
+    scale = lcm(*(v.unit.denominator for v in terms))
+    out = {}
+    for v in terms:
+        # unit*x/d = (unit*scale)*x*(den/d) / (scale*den)
+        k = v.unit.numerator * (scale // v.unit.denominator)
+        for e, c in _times(v.numerator(), _product(variables, _shared(den, v.den)[1])).terms.items():
+            c = out.get(e, 0) + k * c
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+    unit, num = _content(variables, out)
+    return FlatQuotient(variables, Fraction(unit, scale), num, den)
+
+
 class FlatQuotient:
     """An element of a flat ring, kept factored: unit * prod(num) / prod(den).
 
@@ -195,19 +242,19 @@ class FlatQuotient:
     factor 1 is dropped.  Zero is a numerator with the zero polynomial among
     its factors; a denominator factor is never zero (RationalFunction's
     invariant, and division checks its divisor).  Products, quotients and
-    powers concatenate factor tuples; a sum multiplies out only what the two
-    denominators do not share.  Equality cancels the non-zero factors the two
-    sides of the cross-multiplication share and multiplies out the rest:
-    Z[t, 1/t][x] is an integral domain, so cancelling a non-zero factor keeps
-    the verdict of the full cross-multiplication.  A quotient multiplies out
-    its own numerator and its own denominator each at most once.
+    powers concatenate factor tuples; a sum (see flat_sum) multiplies out only
+    what the denominators do not share.  Equality cancels the non-zero factors
+    the two sides of the cross-multiplication share and multiplies out the
+    rest: Z[t, 1/t][x] is an integral domain, so cancelling a non-zero factor
+    keeps the verdict of the full cross-multiplication.  A quotient multiplies
+    out its own numerator at most once.
     """
 
-    __slots__ = ("variables", "unit", "num", "den", "_num_product", "_den_product")
+    __slots__ = ("variables", "unit", "num", "den", "_num_product")
 
     def __init__(self, variables: tuple, unit: Fraction, num: tuple, den: tuple):
         self.variables, self.unit, self.num, self.den = variables, unit, num, den
-        self._num_product = self._den_product = None
+        self._num_product = None
 
     def _peer(self, other) -> "FlatQuotient | None":
         """other if it is a value of this ring, None if it is no FlatQuotient."""
@@ -226,40 +273,11 @@ class FlatQuotient:
             self._num_product = _product(self.variables, self.num)
         return self._num_product
 
-    def denominator(self) -> ResiduePolynomial:
-        """The product of den, multiplied out once."""
-        if self._den_product is None:
-            self._den_product = _product(self.variables, self.den)
-        return self._den_product
-
     def __add__(self, other):
         o = self._peer(other)
         if o is None:
             return NotImplemented
-        if self.is_zero():
-            return o
-        if o.is_zero():
-            return self
-        shared, ra, rb = _shared(self.den, o.den)
-        vs = self.variables
-        if shared:
-            dx, dy = _product(vs, ra), _product(vs, rb)
-        else:
-            dx, dy = self.denominator(), o.denominator()
-        x, y = self.numerator(), o.numerator()
-        # unit_a*x/dx + unit_b*y/dy = (ka*x*dy + kb*y*dx) / (the two unit
-        # denominators * dx*dy), over the shared denominator factors.
-        a, b = self.unit, o.unit
-        ka, kb = a.numerator * b.denominator, b.numerator * a.denominator
-        terms = {e: ka * c for e, c in _times(x, dy).terms.items()}
-        for e, c in _times(y, dx).terms.items():
-            c = terms.get(e, 0) + kb * c
-            if c:
-                terms[e] = c
-            else:
-                del terms[e]
-        unit, num = _content(vs, terms)
-        return FlatQuotient(vs, Fraction(unit, a.denominator * b.denominator), num, shared + ra + rb)
+        return flat_sum((self, o))
 
     def __mul__(self, other):
         o = self._peer(other)

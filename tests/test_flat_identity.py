@@ -10,9 +10,12 @@ fallback once served: what only the flat ring decides, and what it refuses
 that series arithmetic let through.  TestFactoredEquality checks the flat
 ring's factored quotients (``rcvf.rings.FlatQuotient``), which cancel shared
 factors before multiplying out, against quotients of expanded polynomials
-compared by full cross-multiplication.
+compared by full cross-multiplication.  TestOneImagePerValue checks that a
+ring mapping each distinct value once, and a decode reading identical
+subtrees as one object, keep the verdicts.
 """
 
+import json
 import operator
 import random
 from fractions import Fraction
@@ -49,7 +52,7 @@ from rcvf.ringexpr import (
     polynomial_to_ring_expr,
     verify_sos_expression,
 )
-from rcvf.rings import FLAT_EPS, FlatRing, OffGrid, SeriesRing
+from rcvf.rings import FLAT_EPS, FlatRing, OffGrid, SeriesRing, flat_sum
 from rcvf.series import FieldElement
 from rcvf.sets import SetDescriptor
 
@@ -410,7 +413,6 @@ class TestFallback:
             monkeypatch.undo()
 
 
-
 # -- factored quotients against full cross-multiplication -------------------------
 
 # eps exponents of the leaves: on the grid 1/6, and eps^(1/5) off it.
@@ -520,6 +522,23 @@ class TestFactoredEquality:
         flat, cross = factored_and_cross(pool, left, right)
         assert flat == cross
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(pool=leaf_pools, parts=st.lists(trees, min_size=1, max_size=4), other=trees)
+    def test_n_ary_sum_as_full_cross_multiplication(self, pool, parts, other):
+        # flat_sum of the parts against their sum written out, added
+        # pairwise in reverse, and against an unrelated tree.
+        fine = lcm(GRID, OFF_GRID.denominator)
+        ring = FlatRing(VS, fine)
+        reverse = parts[-1]
+        for t in parts[-2::-1]:
+            reverse = ("+", reverse, t)
+        for right in (reverse, other):
+            flat = outcome(lambda: flat_sum([denote(t, lambda i: ring(pool[i])) for t in parts]) ==
+                           denote(right, lambda i: ring(pool[i])))
+            cross = outcome(lambda: denote(reverse, lambda i: cross_image(pool[i], fine)) ==
+                            denote(right, lambda i: cross_image(pool[i], fine)))
+            assert flat == cross
+
     def test_zero_factors_are_never_cancelled(self):
         ring = FlatRing(VS, GRID)
         zero, x, y = ring(0), ring(Polynomial.variable("x1", VS)), ring(Polynomial.variable("x2", VS))
@@ -543,3 +562,71 @@ class TestFactoredEquality:
         assert off.value.denominator == OFF_GRID.denominator
         for left, right, verdict in ((("*", 3, ("/", 1, 3)), 1, True), (("+", 3, 2), ("+", 2, 1), False)):
             assert factored_and_cross(pool, left, right) == [verdict] * 2
+
+
+# -- one image per value ---------------------------------------------------------
+
+
+def leaf_copies(cert_json: dict):
+    """(witness numerator, witness denominator's a) of a certificate's JSON."""
+    w = cert_json["witness"]
+    return w["num"], w["den"]["a"]
+
+
+class TestOneImagePerValue:
+    """A flat ring maps each distinct value once, and one decode reads identical
+    subtrees as one object; the verdicts stay the series ring's."""
+
+    def test_changing_one_leaf_copy_is_rejected(self, monkeypatch):
+        p, cert = unit_certificate(random.Random(7))
+        valid = certificate_to_json(p, BALL, cert)
+        num, den = leaf_copies(valid)
+        assert num == den
+
+        def changed(copy, change):
+            out = json.loads(json.dumps(valid))
+            change(leaf_copies(out)[copy])
+            return out
+
+        def summand(leaf):
+            leaf["args"][-1]["summands"][0]["num"] += " + x1"
+
+        def index(leaf):
+            gens = [a for term in leaf["args"][0]["args"] for a in term.get("args", ()) if a["op"] == "gen"]
+            gens[0]["index"] = 1 - gens[0]["index"]
+
+        def op(leaf):
+            leaf["op"] = "sum"
+
+        cases = [(valid, (True, None))] + [(changed(copy, change), (False, "witness_identity_failed"))
+                                           for copy in (0, 1) for change in (summand, index, op)]
+        for obj, expected in cases:
+            p2, sd, cert2 = certificate_from_json(obj)
+            assert flat_and_series(monkeypatch, verify_nonneg_certificate, p2, cert2, sd) == [expected] * 2
+
+    def test_shared_leaf_off_the_grid_keeps_its_verdict(self, monkeypatch):
+        # One leaf object in both the witness numerator and denominator, with
+        # eps^(1/5) off the main grid: the main ring maps the leaf's other parts
+        # before eps^(1/5) stops it, and the rerun on the finer grid maps them
+        # all afresh in its own ring.
+        p, cert = unit_certificate(random.Random(4))
+        main = FlatRing.over(VS, (p, cert.m, cert.h, *cert.r.summands)).denominator
+        leaf, eps5 = cert.witness.numerator, ConstExpr(FieldElement.eps_power(F(1, 5)))
+        for shared, expected in ((SumExpr([leaf, ProdExpr([eps5, ConstExpr(0)])]), (True, None)),
+                                 (SumExpr([leaf, eps5]), (False, "witness_identity_failed"))):
+            changed = NonnegCertificate(cert.r, cert.m, cert.h,
+                                        IntegralityWitness(shared, PerturbedUnit(-cert.m, shared)))
+            rings = record_rings(monkeypatch)
+            grids = []
+            holds = FlatRing.once
+
+            def once(ring, value, image):
+                grids.append(ring.denominator)
+                return holds(ring, value, image)
+
+            monkeypatch.setattr(FlatRing, "once", once)
+            assert outcome(verify_nonneg_certificate, p, changed, BALL) == expected
+            assert [ring.denominator for ring in rings] == [main]
+            assert sorted(set(grids)) == [main, 5 * main]
+            monkeypatch.undo()
+            assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, changed, BALL) == [expected] * 2

@@ -38,6 +38,7 @@ from rcvf.cli import run
 from rcvf.parser import parse_expression
 from rcvf.poly import Polynomial, RationalFunction, _SparsePolynomial
 from rcvf.ringexpr import ConstExpr, ProdExpr, SumExpr
+from rcvf.rings import FlatRing
 from rcvf.sampling import SampleConfig
 from rcvf.series import FieldElement
 from rcvf.sets import SetDescriptor
@@ -329,10 +330,19 @@ def test_canonical_names_are_not_aligned(monkeypatch):
 
 # ResiduePolynomial.__mul__ calls of the check below: 19 while every image was
 # one expanded quotient and each sum and equality multiplied out every
-# denominator.  Kept factored, the main identity multiplies out c*c and m*q,
-# and the witness identity only 1 + S (three squares, once per leaf copy) and
-# m*x1, cancelling x1 and 1 + S.
-VERIFY_PRODUCTS = 9
+# denominator, and 9 while the witness leaf was denoted once per copy.  Kept
+# factored, the main identity multiplies out c*c and m*q, and the witness
+# identity only 1 + S (three squares, its one copy) and m*x1, cancelling x1
+# and 1 + S.
+VERIFY_PRODUCTS = 6
+
+# FlatRing._terms calls (polynomial images built) of the same check: 25 while
+# every mapping built its image afresh, p three times over (as p, as h.den and
+# in the witness identity) and the leaf once per copy.  One image per object:
+# p, x1 (h.num and the leaf's summand), 1 + x1^2, the generator x1, x1^2, eps,
+# -eps, and four distinct objects that read 1 (a constant and summand
+# denominators in their numerators' frames).
+VERIFY_IMAGES = 11
 
 
 def test_identities_cancel_shared_factors(monkeypatch):
@@ -340,6 +350,13 @@ def test_identities_cancel_shared_factors(monkeypatch):
     products = count_calls(monkeypatch, [(ResiduePolynomial, "__mul__")])
     assert verify_nonneg_certificate(p, cert, sd).ok
     assert len(products) <= VERIFY_PRODUCTS
+
+
+def test_each_polynomial_is_mapped_once(monkeypatch):
+    p, sd, cert = jsonio.certificate_from_json(_UNIT_CERTIFICATE)
+    images = count_calls(monkeypatch, [(FlatRing, "_terms")])
+    assert verify_nonneg_certificate(p, cert, sd).ok
+    assert len(images) <= VERIFY_IMAGES
 
 
 def test_decoding_parses_each_distinct_text_once_per_call(monkeypatch):
@@ -352,6 +369,36 @@ def test_decoding_parses_each_distinct_text_once_per_call(monkeypatch):
     second = jsonio.certificate_from_json(_UNIT_CERTIFICATE)
     assert [text for text, in parses[7:]] == texts
     assert second[0] == first[0] and second[0] is not first[0]
+
+
+def _leaf(summand="x1^2", index=0, op="prod") -> dict:
+    """A copy of _LEAF, changed in one place if asked."""
+    return {"op": op, "args": [{"op": "gen", "index": index}, {"op": "iord", "summands": [
+        {"num": "x1", "den": "1"}, {"num": "x1", "den": "1"}, {"num": summand, "den": "1"}]}]}
+
+
+def _witness_leaves(num: dict, den: dict) -> tuple:
+    """The witness numerator and denominator tree of _UNIT_CERTIFICATE with
+    these leaves, as one decode reads them."""
+    cert = dict(_UNIT_CERTIFICATE, witness={"num": num, "den": {"m": "-eps", "a": den}, "monic": None})
+    w = jsonio.certificate_from_json(cert)[2].witness
+    return w.numerator, w.denominator.a
+
+
+def test_decoding_shares_identical_subtrees_per_call():
+    # One decode reads the two copies of the leaf as one object, and the
+    # summand x1/1, written twice, as one summand.  The memo serves one call.
+    num, den = _witness_leaves(_leaf(), _leaf())
+    assert num is den and num.args[1].sos.summands[0] is num.args[1].sos.summands[1]
+    again, _ = _witness_leaves(_leaf(), _leaf())
+    assert again is not num and again.args[0] is not num.args[0]
+    # A leaf that differs in one summand text, one index or its op is another
+    # object; the children the two copies have in common are still one.
+    for changed, shared in ((_leaf(summand="x1^3"), [True, False]), (_leaf(index=1), [False, True]),
+                            (_leaf(op="sum"), [True, True])):
+        num, den = _witness_leaves(_leaf(), changed)
+        assert num is not den
+        assert [a is b for a, b in zip(num.args, den.args)] == shared
 
 
 def test_polynomial_arithmetic_skips_validation(monkeypatch):
