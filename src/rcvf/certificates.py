@@ -42,7 +42,6 @@ from .ringexpr import (
     SosInverseExpr,
     infinitesimal_or_zero,
     leaf_summands,
-    map_leaves,
     polynomial_to_ring_expr,
     ring_expr_to_rational,
     verify_ring_membership,
@@ -104,19 +103,19 @@ class VerificationResult:
 
 
 def _holds(identity, ring: FlatRing) -> bool:
-    """identity(ring), rerun on the wider grid a leaf off ring's grid needs;
-    False at a leaf with no exact image."""
+    """identity(ring), rerun over the same names on the wider grid a leaf off
+    ring's grid needs; False at a leaf with no exact image."""
     while True:
         try:
             return identity(ring)
         except OffGrid as off:
-            ring = FlatRing(ring.variables[1:], lcm(ring.denominator, off.denominator))
+            ring = FlatRing(ring.names, lcm(ring.denominator, off.denominator))
         except NotFlat:
             return False
 
 
-def _read_names(p: Polynomial, cert: NonnegCertificate, set_descriptor: SetDescriptor):
-    """(p, h, r, witness) of cert with every variable name read through one table.
+def _read_names(p: Polynomial, cert: NonnegCertificate, set_descriptor: SetDescriptor) -> dict:
+    """The name table of cert: each variable name -> the set coordinate it reads as.
 
     The set's names x1..xn name themselves; the other names of p, h and r take
     x1, x2, ... in natural order, then the names only witness leaves use take
@@ -124,47 +123,40 @@ def _read_names(p: Polynomial, cert: NonnegCertificate, set_descriptor: SetDescr
     says.  A value, or a leaf's summands together, that mixes the set's names
     with other names is refused, as is a coordinate past the set's.
     """
-    own, w, values = set_descriptor.variables(), cert.witness, (p, cert.h, *cert.r.summands)
+    own, w = set_descriptor.variables(), cert.witness
     trees = (w.numerator, w.denominator.a, *(e for c in w.monic or () for e in (c.num, c.den.a)))
-    leaves = (s for e in trees for summands in leaf_summands(e) for s in summands)
-    names = merge_variables(*(v.variables for v in values)) + merge_variables(*(s.variables for s in leaves))
-    order = [*dict.fromkeys(v for v in names if v not in own)]
-    if not order:
-        return p, cert.h, cert.r, w
-
-    def witness(f):  # w with f(summands) in place of each leaf's summands
-        def unit(u):
-            return PerturbedUnit(u.m, map_leaves(u.a, f))
-        return IntegralityWitness(map_leaves(w.numerator, f), unit(w.denominator), w.monic and tuple(
-            QuotientCoefficient(map_leaves(c.num, f), unit(c.den)) for c in w.monic))
-
-    def read(group):  # one value, or one leaf's summands, aligned as one value
-        used = set().union(*(v.variables for v in group))
-        if used <= set(own):
-            return group
-        frame = tuple(order[:1 + max(map(order.index, used))]) if used.isdisjoint(own) else merge_variables(used)
-        return [align_to_set(v.with_variables(frame), set_descriptor) for v in group]
-
-    p, h, *r = (read([v])[0] for v in values)
-    return p, h, SOSExpr(r), witness(read)
+    values = [set(v.variables) for v in (p, cert.h, *cert.r.summands)]
+    leaves = [set().union(*(s.variables for s in summands)) for e in trees for summands in leaf_summands(e)]
+    order = [*dict.fromkeys(v for v in merge_variables(*values) + merge_variables(*leaves) if v not in own)]
+    for used in values + leaves:
+        if used.issubset(own):
+            continue
+        mixed = not used.isdisjoint(own)
+        frame = merge_variables(used) if mixed else order[:1 + max(map(order.index, used))]
+        if len(frame) > len(own):
+            raise ValueError(f"expression has {len(frame)} variables but the set has {len(own)}")
+        if mixed:
+            raise ValueError(f"variables {frame} mix the set's names {own} with other names")
+    return {**dict(zip(own, own)), **dict(zip(order, own))}
 
 
 def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
                               set_descriptor: SetDescriptor) -> VerificationResult:
     """Exact check of p*(1+m*h) = sum r_i^2 plus the integrality witness.
 
-    Every name is read through one table before any identity is checked (see
-    _read_names): cert find writes p in its caller's names, h and r in the set's.
+    Every name is read through one table, built before any identity is
+    checked (see _read_names) and read by the rings as they map each value:
+    cert find writes p in its caller's names, h and r in the set's.
 
     Every identity runs in the flat ring of p, m, h and r (see FlatRing), a
     witness or monic identity on a finer grid if a leaf needs one.  Inexact
     data proves no identity: p, m, h or r inexact fails the main identity, an
     inexact leaf the identity it is in.
     """
-    p, h, r, w = _read_names(p, cert, set_descriptor)
+    names, h, r, w = _read_names(p, cert, set_descriptor), cert.h, cert.r, cert.witness
     if not infinitesimal_or_zero(cert.m):
         return VerificationResult(False, "m_not_infinitesimal")
-    ring = FlatRing.over(set_descriptor.variables(), (p, cert.m, h, *r.summands))
+    ring = FlatRing.over(names, (p, cert.m, h, *r.summands))
     if ring is None or ring(p) * (ring(1) + ring(cert.m) * ring(h)) != r.denote(ring):
         return VerificationResult(False, "identity_failed")
     if not verify_ring_membership(w.numerator, set_descriptor):

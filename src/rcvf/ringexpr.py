@@ -34,10 +34,9 @@ class SOSExpr:
     def __setattr__(self, name, value):
         raise AttributeError("SOSExpr is immutable")
 
-    def denote(self, ring=None) -> RationalFunction:
-        """The sum of the squares; with a ring, of the summands' images in it."""
-        summands = self.summands if ring is None else map(ring, self.summands)
-        return _sum(ring, [s * s for s in summands])
+    def denote(self, ring) -> RationalFunction:
+        """The sum of the squares of the summands' images in ring."""
+        return _sum(ring, [s * s for s in map(ring, self.summands)])
 
     def __repr__(self):
         return f"SOSExpr({list(map(str, self.summands))})"
@@ -63,15 +62,15 @@ class ConeExpr:
     def __setattr__(self, name, value):
         raise AttributeError("ConeExpr is immutable")
 
-    def denote(self, strict: Sequence[Polynomial], ring=None) -> RationalFunction:
-        """The cone element; with a ring, built from the images of its parts in it."""
+    def denote(self, strict: Sequence[Polynomial], ring) -> RationalFunction:
+        """The cone element, built from the images of its parts in ring."""
         if not self.entries:
             raise ValueError("empty cone expression")
         terms = []
         for sos, factors in self.entries:
             term = sos.denote(ring)
             for i in factors:
-                term = term * (strict[i] if ring is None else ring(strict[i]))
+                term = term * ring(strict[i])
             terms.append(term)
         return _sum(ring, terms)
 
@@ -166,23 +165,9 @@ def verify_ring_membership(e: RingExpr, set_descriptor: SetDescriptor) -> bool:
     return False
 
 
-def map_leaves(e: RingExpr, f) -> RingExpr:
-    """The tree with f(summands) in place of each leaf's summands, an SOSExpr's
-    or all of a ConeExpr's entries' together, in order."""
-    if isinstance(e, SosInverseExpr):
-        return SosInverseExpr(SOSExpr(f(e.sos.summands)))
-    if isinstance(e, ConeInverseExpr):
-        summands = iter(f([s for sos, _ in e.cone.entries for s in sos.summands]))
-        return ConeInverseExpr(ConeExpr([(SOSExpr([next(summands) for _ in sos.summands]), factors)
-                                         for sos, factors in e.cone.entries]))
-    if isinstance(e, (SumExpr, ProdExpr)):
-        return type(e)([map_leaves(a, f) for a in e.args])
-    return e
-
-
 def leaf_summands(e: RingExpr):
-    """Each leaf's summands, in the groups and order map_leaves hands them to
-    its f, with nothing built."""
+    """Each leaf's summands, left to right with nothing built: an SOSExpr's, or
+    all of a ConeExpr's entries' together, in order."""
     if isinstance(e, SosInverseExpr):
         yield e.sos.summands
     elif isinstance(e, ConeInverseExpr):
@@ -195,14 +180,13 @@ def leaf_summands(e: RingExpr):
 def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None) -> RationalFunction:
     """The rational function denoted by the tree relative to the set's generators.
 
-    Built in ring: a FlatRing over the set's variables, where certificate
+    Built in ring: a FlatRing over the set's coordinates, where certificate
     identities are checked and a leaf without an image raises NotFlat (OffGrid
     for an exponent off its grid), or by default the series ring, whose value
     at a point is the tree's value there (``poly_eval``).  A flat ring denotes
     each node object once (FlatRing.once), so a subtree a decode shared is
-    denoted once.  A leaf's summands embed by name: the verifier reads a
-    certificate's names before it denotes a leaf (see
-    certificates.verify_nonneg_certificate).
+    denoted once.  A leaf's summands are read through the ring's name table,
+    as every value the ring maps is.
     """
     ring = ring or SeriesRing(set_descriptor.variables())
     if isinstance(ring, FlatRing):
@@ -223,8 +207,7 @@ def _denote(e: RingExpr, set_descriptor: SetDescriptor, ring) -> RationalFunctio
         one = ring(1)
         return one / (one + e.cone.denote(set_descriptor.strict_constraints, ring))
     if isinstance(e, SumExpr):
-        args = [ring_expr_to_rational(a, set_descriptor, ring) for a in e.args]
-        return flat_sum(args) if args and isinstance(ring, FlatRing) else sum(args, ring(0))
+        return _sum(ring, [ring_expr_to_rational(a, set_descriptor, ring) for a in e.args] or [ring(0)])
     if isinstance(e, ProdExpr):
         total = ring(1)
         for a in e.args:

@@ -9,7 +9,8 @@ number of values multiplies out only what their denominators do not share,
 and equality cancels the non-zero factors the two sides share before it
 cross-multiplies the rest.  Inexact data has no image there.
 :class:`SeriesRing` denotes ring expressions over the series field, to be
-read at points.
+read at points.  Both read each variable name through one table, name ->
+coordinate, as they map a value.
 """
 
 from __future__ import annotations
@@ -42,19 +43,37 @@ class OffGrid(NotFlat):
 
 class SeriesRing:
     """Rational functions over the series field in one frame: the denotation of
-    ring expressions read at points (see ringexpr.ring_expr_to_rational)."""
+    ring expressions read at points (see ringexpr.ring_expr_to_rational).
+    Names are read through a table as in FlatRing; a value some of whose
+    names are other coordinates' is rebuilt over the coordinates.
+    """
 
-    __slots__ = ("variables",)
+    __slots__ = ("names", "variables")
 
-    def __init__(self, variables: Sequence[str]):
-        self.variables = tuple(variables)
+    def __init__(self, names):
+        self.names, self.variables = _name_table(names)
 
     def __call__(self, q) -> RationalFunction:
         if isinstance(q, RationalFunction):
-            return q
+            num, den = self._read(q.num), self._read(q.den)
+            return q if num is q.num and den is q.den else RationalFunction(num, den)
         if isinstance(q, Polynomial):
-            return RationalFunction(q)
+            return RationalFunction(self._read(q))
         return RationalFunction.constant(q, self.variables)
+
+    def _read(self, p: Polynomial) -> Polynomial:
+        """p with each name read as its coordinate."""
+        frame = tuple(self.names.get(v, v) for v in p.variables)
+        return p if frame == p.variables else Polynomial.from_canonical(frame, p.terms).with_variables(self.variables)
+
+
+def _name_table(names) -> tuple:
+    """(table, frame): names as a table name -> coordinate, and its coordinates
+    in order.  A sequence of names is the table in which each names itself."""
+    if isinstance(names, dict):
+        return names, tuple(dict.fromkeys(names.values()))
+    frame = tuple(names)
+    return dict(zip(frame, frame)), frame
 
 
 class FlatRing:
@@ -65,7 +84,11 @@ class FlatRing:
     ring homomorphism, so an exact identity holds in one ring exactly when it
     holds in the other, and products here build no series.  The t slot is
     Laurent: its exponents may be negative.  Images are factored quotients
-    (:class:`FlatQuotient`) over the frame (FLAT_EPS, *variables).
+    (:class:`FlatQuotient`) over the frame (FLAT_EPS, *coordinates).
+
+    names is a table name -> coordinate, or a sequence of names, each its own
+    coordinate.  The ring reads each name of a value through the table as it
+    maps the value, so no value is copied; a name outside it has no image.
 
     A ring keeps the image of each polynomial and scalar it maps, and of each
     ring expression denoted in it (see once), keyed by the object: p and the h.den
@@ -73,21 +96,22 @@ class FlatRing:
     lives for one identity family on one grid.
     """
 
-    __slots__ = ("variables", "denominator", "_slots", "_images")
+    __slots__ = ("names", "variables", "denominator", "_slots", "_images")
 
-    def __init__(self, variables: Sequence[str], denominator: int):
-        variables = tuple(variables)
-        self.variables = (FLAT_EPS,) + variables
+    def __init__(self, names, denominator: int):
+        self.names, frame = _name_table(names)
+        self.variables = (FLAT_EPS,) + frame
         self.denominator = denominator
-        self._slots = {v: i for i, v in enumerate(variables, 1)}
+        self._slots = {name: frame.index(v) + 1 for name, v in self.names.items()}
         self._images = {}  # id of a value mapped here -> (the value, its image)
 
     @classmethod
-    def over(cls, variables: Sequence[str], values) -> "FlatRing | None":
-        """The flat ring of values (scalars, Polynomials, RationalFunctions), D
-        the lcm of their eps-exponent denominators, however large: no series is
-        built in it.  None if a coefficient is inexact or the frame names eps."""
-        if FLAT_EPS in variables:
+    def over(cls, names, values) -> "FlatRing | None":
+        """The flat ring of values (scalars, Polynomials, RationalFunctions) over
+        names, D the lcm of their eps-exponent denominators, however large: no
+        series is built in it.  None if a coefficient is inexact or the table
+        names eps."""
+        if FLAT_EPS in names:
             return None
         den = 1
         for q in values:
@@ -103,13 +127,13 @@ class FlatRing:
                 for w, _ in c.terms:
                     if den % w.denominator:
                         den = lcm(den, w.denominator)
-        return cls(variables, den)
+        return cls(names, den)
 
     def once(self, value, image):
         """image(value), built the first time and handed out again while this
         ring lives; the ring holds value, so its id names nothing else
-        meanwhile.  An OffGrid rerun builds a fresh ring, so no image crosses
-        grids."""
+        meanwhile.  An OffGrid rerun builds a fresh ring over the same names,
+        so no image crosses grids."""
         hit = self._images.get(id(value))
         if hit is None:
             hit = self._images[id(value)] = (value, image(value))
@@ -147,7 +171,7 @@ class FlatRing:
         return self._factor({(0,) * len(self.variables): q} if q else {})
 
     def __call__(self, q) -> "FlatQuotient":
-        """The image of a scalar, Polynomial or RationalFunction over a sub-frame."""
+        """The image of a scalar, Polynomial or RationalFunction over names of the table."""
         if isinstance(q, RationalFunction):
             (unit, num), (den_unit, den) = self.once(q.num, self._image), self.once(q.den, self._image)
             return FlatQuotient(self.variables, unit / den_unit, num, den)

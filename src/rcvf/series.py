@@ -349,29 +349,7 @@ class FieldElement:
     def invert(self) -> "FieldElement":
         """Multiplicative inverse, truncated at the working order when needed."""
         e0, c0 = self.leading()
-        lead_inv = FieldElement.eps_power(-e0, Fraction(1) / c0)
-        tail = FieldElement(self.terms[1:], self.precision)
-        if tail.is_exact_zero():
-            return lead_inv
-        # u = self/(c0 eps^e0) - 1 has strictly positive valuation; work at
-        # relative order rel so intermediate term counts stay bounded.
-        rel = (self.precision - e0) if self.precision is not None else _TRUNCATION.get()
-        u = _clamp(tail * lead_inv, rel)
-        acc = FieldElement.one()
-        power = FieldElement.one()
-        u_lead = u.valuation_lower_bound()
-        if u_lead.is_top:
-            steps = 0
-        else:
-            steps = int(rel / u_lead.value) + 1
-        for _ in range(steps):
-            power = _clamp(power * (-u), rel)
-            lb = power.valuation_lower_bound()
-            if lb.is_top or lb.value >= rel:
-                break
-            acc = acc + power
-        result = acc * lead_inv
-        return FieldElement(result.terms, _min_precision(result.precision, rel - e0))
+        return self._binomial(FieldElement.eps_power(-e0, Fraction(1) / c0), Fraction(-1))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -393,29 +371,42 @@ class FieldElement:
         root = rational_sqrt(c0)
         if root is None:
             raise NonSquareLeadingCoefficient(f"{c0} has no rational square root")
-        lead_sqrt = FieldElement.eps_power(e0 / 2, root)
+        return self._binomial(FieldElement.eps_power(e0 / 2, root), Fraction(1, 2))
+
+    def _binomial(self, lead: "FieldElement", alpha: Fraction) -> "FieldElement":
+        """lead * (1+u)^alpha, self = c0 eps^e0 (1+u) with a visible leading term.
+
+        u has strictly positive valuation; the binomial series
+        sum binom(alpha, k) u^k runs at relative order rel, so intermediate term
+        counts stay bounded, and the result is known below eps^(shift + rel),
+        shift the exponent of lead.  For alpha = -1 every coefficient is 1 once
+        u is negated.
+        """
+        e0, c0 = self.terms[0]
         tail = FieldElement(self.terms[1:], self.precision)
         if tail.is_exact_zero():
-            return lead_sqrt
+            return lead
         rel = (self.precision - e0) if self.precision is not None else _TRUNCATION.get()
         u = _clamp(tail * FieldElement.eps_power(-e0, 1 / c0), rel)
-        # Binomial series (1+u)^{1/2} = sum binom(1/2,k) u^k up to relative order.
-        acc = FieldElement.one()
-        power = FieldElement.one()
+        inverse = alpha == -1
+        if inverse:
+            u = -u
+        acc = power = FieldElement.one()
         coeff = Fraction(1)
-        k = 0
         u_lead = u.valuation_lower_bound()
         steps = 0 if u_lead.is_top else int(rel / u_lead.value) + 1
-        for _ in range(steps):
-            k += 1
-            coeff = coeff * (Fraction(1, 2) - (k - 1)) / k
+        for k in range(1, steps + 1):
             power = _clamp(power * u, rel)
             lb = power.valuation_lower_bound()
             if lb.is_top or lb.value >= rel:
                 break
-            acc = acc + power * coeff
-        result = acc * lead_sqrt
-        return FieldElement(result.terms, _min_precision(result.precision, e0 / 2 + rel))
+            if inverse:
+                acc = acc + power
+            else:
+                coeff = coeff * (alpha - (k - 1)) / k
+                acc = acc + power * coeff
+        result = acc * lead
+        return FieldElement(result.terms, _min_precision(result.precision, lead.terms[0][0] + rel))
 
     # -- order -------------------------------------------------------------
 

@@ -618,11 +618,16 @@ class TestVerdicts:
                                                              ["eps^(1/6)*x1", "eps^(1/64)*x2"]))
         assert (code, out["verified"]) == (0, True)
 
-    def test_mixed_variable_names_are_refused(self, tmp_path):
+    @pytest.mark.parametrize("p, r, message", [
+        ("x2^2 + x5^4", ["x1", "x2^2"], "variables ('x2', 'x5') mix the set's names ('x1', 'x2') with other names"),
+        ("x1^2 + y^2 + z^2", ["x1", "y", "z"], "expression has 3 variables but the set has 2"),
+        ("x^2 + y^2 + z^2", ["x", "y", "z"], "expression has 3 variables but the set has 2")],
+        ids=["mix", "mix_past_the_set", "past_the_set"])
+    def test_mixed_variable_names_are_refused(self, tmp_path, p, r, message):
         # By position x2 and x5 would be x1 and x2 in p, while r's x2 stays x2.
-        code, out = self.verify(tmp_path, _ball2_certificate("x2^2 + x5^4", ["x1", "x2^2"]))
-        assert code == 2
-        assert out["error"]["type"] == "ValueError" and "mix" in out["error"]["message"]
+        # Three names are one too many for ball:2, which is checked first.
+        code, out = self.verify(tmp_path, _ball2_certificate(p, r))
+        assert (code, out["error"]) == (2, {"message": message, "type": "ValueError"})
 
     @pytest.mark.parametrize("p, r", [("x2^2 + x1^4", ["x2", "x1^2"]), ("x^2 + 2*x*y + y^2", ["x + y"])],
                              ids=["canonical", "other"])
@@ -647,9 +652,15 @@ class TestVerdicts:
         (_Y_ONLY, "y", 0, _VERIFIED),
         (_Y_ONLY, "y + 0*z", 0, _VERIFIED),
         (_Y_ONLY, "y + 0*a", 0, _VERIFIED),
-        (_Y_ONLY, "a", 1, _WITNESS_FAILED)],
+        (_Y_ONLY, "a", 1, _WITNESS_FAILED),
+        (_X_AND_Y, "x + x2", 2, {"error": {
+            "message": "variables ('x', 'x2') mix the set's names ('x1', 'x2') with other names",
+            "type": "ValueError"}}),
+        (_ball2_certificate("x^2 + y^2", ["x", "y"]), "z", 2,
+         {"error": {"message": "expression has 3 variables but the set has 2", "type": "ValueError"}})],
         ids=["agrees", "disagrees", "beyond_the_set",
-             "same_name", "leaf_name_after", "leaf_name_before", "leaf_name_alone"])
+             "same_name", "leaf_name_after", "leaf_name_before", "leaf_name_alone",
+             "leaf_mix", "leaf_name_past_the_set"])
     def test_one_name_is_one_coordinate_in_witness_leaves(self, tmp_path, body, leaf, code, answer, monic):
         # _X_AND_Y: p and r name x, h names y, so y is x2 in h and in the witness
         # leaf 1/(1 + y^2) = h (as the numerator over the unit 1, or in the monic

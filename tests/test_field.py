@@ -15,6 +15,7 @@ from rcvf.errors import (
     NonSquareLeadingCoefficient,
     NotIntegral,
     PrecisionExhausted,
+    RcvfError,
 )
 from rcvf.sampling import SampleConfig, sample_ball
 from rcvf.series import (
@@ -24,13 +25,16 @@ from rcvf.series import (
     TOP,
     FieldElement,
     ValueGroupElement,
+    _clamp,
+    _min_precision,
     compare_order,
     default_truncation,
     field_arith,
+    rational_sqrt,
     working_truncation,
 )
 
-from conftest import random_exact_element, random_truncated_element, exact_elements
+from conftest import random_exact_element, random_truncated_element, exact_elements, fractions_st
 
 F = Fraction
 ONE = FieldElement.one()
@@ -110,6 +114,97 @@ class TestSqrt:
                 continue
             hits += 1
             assert s * s == a
+
+
+def _loop_invert(x: FieldElement) -> FieldElement:
+    """The inverse as its own geometric-series loop, the reference for invert."""
+    e0, c0 = x.leading()
+    lead_inv = FieldElement.eps_power(-e0, Fraction(1) / c0)
+    tail = FieldElement(x.terms[1:], x.precision)
+    if tail.is_exact_zero():
+        return lead_inv
+    rel = (x.precision - e0) if x.precision is not None else default_truncation()
+    u = _clamp(tail * lead_inv, rel)
+    acc = FieldElement.one()
+    power = FieldElement.one()
+    u_lead = u.valuation_lower_bound()
+    steps = 0 if u_lead.is_top else int(rel / u_lead.value) + 1
+    for _ in range(steps):
+        power = _clamp(power * (-u), rel)
+        lb = power.valuation_lower_bound()
+        if lb.is_top or lb.value >= rel:
+            break
+        acc = acc + power
+    result = acc * lead_inv
+    return FieldElement(result.terms, _min_precision(result.precision, rel - e0))
+
+
+def _loop_sqrt(x: FieldElement) -> FieldElement:
+    """The square root as its own binomial-series loop, the reference for sqrt."""
+    if x.is_exact_zero():
+        return FieldElement()
+    if compare_order(x, FieldElement.zero()) == LT:
+        raise NegativeElement("element is negative in the field order")
+    e0, c0 = x.leading()
+    root = rational_sqrt(c0)
+    if root is None:
+        raise NonSquareLeadingCoefficient(f"{c0} has no rational square root")
+    lead_sqrt = FieldElement.eps_power(e0 / 2, root)
+    tail = FieldElement(x.terms[1:], x.precision)
+    if tail.is_exact_zero():
+        return lead_sqrt
+    rel = (x.precision - e0) if x.precision is not None else default_truncation()
+    u = _clamp(tail * FieldElement.eps_power(-e0, 1 / c0), rel)
+    acc = FieldElement.one()
+    power = FieldElement.one()
+    coeff = Fraction(1)
+    k = 0
+    u_lead = u.valuation_lower_bound()
+    steps = 0 if u_lead.is_top else int(rel / u_lead.value) + 1
+    for _ in range(steps):
+        k += 1
+        coeff = coeff * (Fraction(1, 2) - (k - 1)) / k
+        power = _clamp(power * u, rel)
+        lb = power.valuation_lower_bound()
+        if lb.is_top or lb.value >= rel:
+            break
+        acc = acc + power * coeff
+    result = acc * lead_sqrt
+    return FieldElement(result.terms, _min_precision(result.precision, e0 / 2 + rel))
+
+
+@st.composite
+def series_elements(draw):
+    """Exact or truncated elements; half of them lead with a square coefficient,
+    so that sqrt runs its series."""
+    x = draw(exact_elements())
+    if x.terms and draw(st.booleans()):
+        c = draw(fractions_st.filter(bool))
+        x = FieldElement(((x.terms[0][0], c * c), *x.terms[1:]))
+    if draw(st.booleans()):
+        lead = x.terms[0][0] if x.terms else F(0)
+        x = FieldElement(x.terms, lead + draw(st.fractions(min_value=0, max_value=12, max_denominator=3)))
+    return x
+
+
+def _result(f, x):
+    """(terms, precision) of f(x), or the type of the error it raised."""
+    try:
+        y = f(x)
+    except RcvfError as exc:
+        return type(exc)
+    return y.terms, y.precision
+
+
+class TestOneBinomialKernel:
+    # invert and sqrt share one series kernel; each must give the terms,
+    # precision and errors of the loop it had before, at any working order.
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(x=series_elements(), order=st.fractions(min_value=1, max_value=40, max_denominator=4))
+    def test_same_as_the_two_loops(self, x, order):
+        with working_truncation(order):
+            assert _result(FieldElement.invert, x) == _result(_loop_invert, x)
+            assert _result(FieldElement.sqrt, x) == _result(_loop_sqrt, x)
 
 
 class TestOrder:

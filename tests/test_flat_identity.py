@@ -190,6 +190,18 @@ class TestSameVerdicts:
             assert flat == series, name
             assert flat[0] is False, name
 
+    @pytest.mark.parametrize("make", [sos_certificate, unit_certificate], ids=["sos", "unit"])
+    def test_other_names_read_through_the_table(self, monkeypatch, make):
+        # Every x1 written y and every x2 written z: both rings read y as x1
+        # and z as x2 through the verifier's name table.
+        p, cert = make(random.Random(7))
+        for name, mp, mc in [("valid", p, cert), *mutants(p, cert)]:
+            text = json.dumps(certificate_to_json(mp, BALL, mc)).replace("x1", "y").replace("x2", "z")
+            renamed_p, sd, renamed = certificate_from_json(json.loads(text))
+            assert set(renamed_p.variables) <= {"y", "z"}
+            flat, series = flat_and_series(monkeypatch, verify_nonneg_certificate, renamed_p, renamed, sd)
+            assert flat == series == outcome(verify_nonneg_certificate, mp, mc, BALL), name
+
     def test_flat_ring_is_taken(self, monkeypatch):
         rings = record_rings(monkeypatch)
         p, cert = unit_certificate(random.Random(5))
@@ -301,7 +313,7 @@ class TestSameVerdicts:
         for _ in range(8):
             q1, q2 = random_poly(rng), random_poly(rng)
             r = SOSExpr([q1, RationalFunction(q2, Polynomial.constant(FieldElement.eps_power(-1), VS))])
-            target = r.denote()
+            target = r.denote(SeriesRing(VS))
             for tgt, holds in ((target, True), (target + q1 * q1, False), (target.num, False)):
                 assert flat_and_series(monkeypatch, verify_sos_expression, tgt, r) == [holds] * 2
 

@@ -17,6 +17,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import random
 import sys
 from fractions import Fraction
@@ -155,6 +156,10 @@ def test_denotation_reads_no_names():
     for module in ("ringexpr.py", "rings.py"):
         path = Path(rcvf.__file__).resolve().parent / module
         assert functions_calling(path.read_text(), "align_to_set") == [], module
+    # The verifier rebuilds no value in the set's names: the rings read the table.
+    certificates = Path(rcvf.__file__).resolve().parent / "certificates.py"
+    assert functions_calling(certificates.read_text(), "align_to_set") == [
+        "check_general_characterization", "generate_ball_certificate"]
 
 
 def tracing_targets() -> list:
@@ -319,7 +324,7 @@ def test_exact_identities_build_no_series(monkeypatch):
 
 
 def test_canonical_names_are_not_aligned(monkeypatch):
-    # The unit certificate names only x1: verifying it builds no name table, so
+    # The rings read each name through the verifier's name table, so
     # sets.align_polynomial (called for p, h and each r_i while every value was
     # aligned) is not called at all.
     p, sd, cert = jsonio.certificate_from_json(_UNIT_CERTIFICATE)
@@ -357,6 +362,18 @@ def test_each_polynomial_is_mapped_once(monkeypatch):
     images = count_calls(monkeypatch, [(FlatRing, "_terms")])
     assert verify_nonneg_certificate(p, cert, sd).ok
     assert len(images) <= VERIFY_IMAGES
+
+
+def test_each_polynomial_is_mapped_once_in_other_names(monkeypatch):
+    # Every x1 written y: the rings read y as x1 through the name table, so the
+    # check maps the decode's objects, the leaf's two copies as one, as in x1.
+    p, sd, cert = jsonio.certificate_from_json(json.loads(json.dumps(_UNIT_CERTIFICATE).replace("x1", "y")))
+    assert "y" in p.variables
+    images = count_calls(monkeypatch, [(FlatRing, "_terms")])
+    products = count_calls(monkeypatch, [(ResiduePolynomial, "__mul__")])
+    assert verify_nonneg_certificate(p, cert, sd).ok
+    assert len(images) <= VERIFY_IMAGES
+    assert len(products) <= VERIFY_PRODUCTS
 
 
 def test_decoding_parses_each_distinct_text_once_per_call(monkeypatch):
