@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .errors import CoefficientsNotIntegral, NotIntegral, PrecisionExhausted, RcvfError
@@ -46,7 +45,7 @@ from .ringexpr import (
     ring_expr_to_rational,
     verify_ring_membership,
 )
-from .rings import FlatRing, NotFlat, OffGrid
+from .rings import FlatRing, holds
 from .sampling import SampleConfig
 from .series import LT, FieldElement
 from .sets import SetDescriptor, align_to_set
@@ -102,18 +101,6 @@ class VerificationResult:
         return self.ok
 
 
-def _holds(identity, ring: FlatRing) -> bool:
-    """identity(ring), rerun over the same names on the wider grid a leaf off
-    ring's grid needs; False at a leaf with no exact image."""
-    while True:
-        try:
-            return identity(ring)
-        except OffGrid as off:
-            ring = FlatRing(ring.names, lcm(ring.denominator, off.denominator))
-        except NotFlat:
-            return False
-
-
 def _read_names(p: Polynomial, cert: NonnegCertificate, set_descriptor: SetDescriptor) -> dict:
     """The name table of cert: each variable name -> the set coordinate it reads as.
 
@@ -148,16 +135,16 @@ def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
     checked (see _read_names) and read by the rings as they map each value:
     cert find writes p in its caller's names, h and r in the set's.
 
-    Every identity runs in the flat ring of p, m, h and r (see FlatRing), a
-    witness or monic identity on a finer grid if a leaf needs one.  Inexact
-    data proves no identity: p, m, h or r inexact fails the main identity, an
-    inexact leaf the identity it is in.
+    Every identity runs in one flat ring over the table (see FlatRing), which
+    maps each value once for all of them.  Inexact data proves no identity:
+    p, m, h or r inexact fails the main identity, an inexact leaf the
+    identity it is in.
     """
     names, h, r, w = _read_names(p, cert, set_descriptor), cert.h, cert.r, cert.witness
     if not infinitesimal_or_zero(cert.m):
         return VerificationResult(False, "m_not_infinitesimal")
-    ring = FlatRing.over(names, (p, cert.m, h, *r.summands))
-    if ring is None or ring(p) * (ring(1) + ring(cert.m) * ring(h)) != r.denote(ring):
+    ring = FlatRing.over(names)
+    if not holds(lambda: ring(p) * (ring(1) + ring(cert.m) * ring(h)) == r.denote(ring)):
         return VerificationResult(False, "identity_failed")
     if not verify_ring_membership(w.numerator, set_descriptor):
         return VerificationResult(False, "witness_numerator_membership")
@@ -166,11 +153,11 @@ def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
     if not verify_ring_membership(w.denominator.a, set_descriptor):
         return VerificationResult(False, "witness_denominator_membership")
     if w.monic is None:
-        def witness(ring):
+        def witness():
             num = ring_expr_to_rational(w.numerator, set_descriptor, ring)
             return ring(h) * w.denominator.denote(set_descriptor, ring) == num
 
-        if not _holds(witness, ring):
+        if not holds(witness):
             return VerificationResult(False, "witness_identity_failed")
     else:
         d = len(w.monic)
@@ -182,7 +169,7 @@ def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
             if not c.den.is_well_formed() or not verify_ring_membership(c.den.a, set_descriptor):
                 return VerificationResult(False, "witness_monic_denominator")
 
-        def monic(ring):
+        def monic():
             hr = ring(h)
             total = hr**d
             for i, c in enumerate(w.monic):
@@ -190,7 +177,7 @@ def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
                 total = total + ci * hr**i
             return total == ring(0)
 
-        if not _holds(monic, ring):
+        if not holds(monic):
             return VerificationResult(False, "witness_monic_identity_failed")
     return VerificationResult(True)
 
@@ -228,17 +215,19 @@ def verify_dickmann_certificate(p: Polynomial, cert: DickmannCertificate) -> Ver
             return VerificationResult(False, "m_not_infinitesimal")
         if not (_coefficients_integral(t.q1) and _coefficients_integral(t.q2)):
             return VerificationResult(False, "q_not_integral")
-    ring = FlatRing.over(vs, (p, *(x for t in cert.terms for x in (t.m1, t.q1, t.m2, t.q2))))
-    if ring is None:
-        return VerificationResult(False, "identity_failed")
-    total = ring(0)
-    one = ring(1)
-    for t in cert.terms:
-        q1, q2 = ring(t.q1.with_variables(vs)), ring(t.q2.with_variables(vs))
-        num = one + ring(t.m1) * (q1 * q1)
-        den = one + ring(t.m2) * (q2 * q2)
-        total = total + num / den
-    if total != ring(p):
+    ring = FlatRing.over(vs)
+
+    def identity():
+        total = ring(0)
+        one = ring(1)
+        for t in cert.terms:
+            q1, q2 = ring(t.q1.with_variables(vs)), ring(t.q2.with_variables(vs))
+            num = one + ring(t.m1) * (q1 * q1)
+            den = one + ring(t.m2) * (q2 * q2)
+            total = total + num / den
+        return total == ring(p)
+
+    if not holds(identity):
         return VerificationResult(False, "identity_failed")
     return VerificationResult(True)
 

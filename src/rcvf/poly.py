@@ -518,15 +518,16 @@ class RationalFunction:
     def __eq__(self, other) -> bool:
         """Equality of the images in the flat ring when both sides are exact, else
         the cross-multiplication identity."""
-        from .rings import FlatRing  # rings builds on this module
+        from .rings import FlatRing, NotFlat  # rings builds on this module
 
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        ring = FlatRing.over(merge_variables(self.variables, o.variables), (self, o))
-        if ring is not None:
+        ring = FlatRing.over(merge_variables(self.variables, o.variables))
+        try:
             return ring(self) == ring(o)
-        return (_times(self.num, o.den) - _times(o.num, self.den)).is_exactly_zero()
+        except NotFlat:
+            return (_times(self.num, o.den) - _times(o.num, self.den)).is_exactly_zero()
 
     __hash__ = None
 

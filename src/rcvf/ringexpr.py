@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .poly import Polynomial, RationalFunction, merge_variables
-from .rings import FlatRing, SeriesRing, flat_sum
+from .rings import FlatRing, SeriesRing, flat_sum, holds
 from .series import FieldElement
 from .sets import SetDescriptor
 
@@ -46,8 +46,8 @@ def verify_sos_expression(target: Union[RationalFunction, Polynomial], r: SOSExp
     """Exact rational-function identity target == sum of squares, in the flat ring; False for inexact data."""
     tgt = target if isinstance(target, RationalFunction) else RationalFunction(target)
     vs = merge_variables(tgt.variables, *(s.variables for s in r.summands))
-    ring = FlatRing.over(vs, (tgt, *r.summands))
-    return ring is not None and ring(tgt) == r.denote(ring)
+    ring = FlatRing.over(vs)
+    return holds(lambda: ring(tgt) == r.denote(ring))
 
 
 class ConeExpr:
@@ -181,12 +181,12 @@ def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None)
     """The rational function denoted by the tree relative to the set's generators.
 
     Built in ring: a FlatRing over the set's coordinates, where certificate
-    identities are checked and a leaf without an image raises NotFlat (OffGrid
-    for an exponent off its grid), or by default the series ring, whose value
-    at a point is the tree's value there (``poly_eval``).  A flat ring denotes
-    each node object once (FlatRing.once), so a subtree a decode shared is
-    denoted once.  A leaf's summands are read through the ring's name table,
-    as every value the ring maps is.
+    identities are checked and a leaf without an image raises NotFlat, or by
+    default the series ring, whose value at a point is the tree's value there
+    (``poly_eval``).  A flat ring denotes each node object once
+    (FlatRing.once), so a subtree a decode shared is denoted once.  A leaf's
+    summands are read through the ring's name table, as every value the ring
+    maps is.
     """
     ring = ring or SeriesRing(set_descriptor.variables())
     if isinstance(ring, FlatRing):

@@ -1,16 +1,16 @@
 """The rings exact identities are checked and denoted in.
 
 :class:`FlatRing` maps exact rational functions over the series field into
-Q[t, 1/t][x], t = eps^(1/D) on the grid their data needs, where every
-certificate identity and the equality of exact rational functions are
-checked.  A ring maps each distinct value once.  Its values are factored
-quotients (:class:`FlatQuotient`): products concatenate factors, a sum of any
-number of values multiplies out only what their denominators do not share,
-and equality cancels the non-zero factors the two sides share before it
-cross-multiplies the rest.  Inexact data has no image there.
-:class:`SeriesRing` denotes ring expressions over the series field, to be
-read at points.  Both read each variable name through one table, name ->
-coordinate, as they map a value.
+Q[eps^Q][x], the group algebra of the value group Q over the rationals,
+where every certificate identity and the equality of exact rational
+functions are checked.  A ring maps each distinct value once.  Its values
+are factored quotients (:class:`FlatQuotient`): products concatenate
+factors, a sum of any number of values multiplies out only what their
+denominators do not share, and equality cancels the non-zero factors the
+two sides share before it cross-multiplies the rest.  Inexact data has no
+image there.  :class:`SeriesRing` denotes ring expressions over the series
+field, to be read at points.  Both read each variable name through one
+table, name -> coordinate, as they map a value.
 """
 
 from __future__ import annotations
@@ -28,17 +28,16 @@ FLAT_EPS = "eps"
 
 
 class NotFlat(Exception):
-    """A value has no image in a flat ring: an inexact coefficient, a variable
-    outside its frame, or (OffGrid) an eps exponent off its grid."""
+    """A value has no image in a flat ring: an inexact coefficient, or a
+    variable outside its frame."""
 
 
-class OffGrid(NotFlat):
-    """An exact eps exponent off a flat ring's grid; the ring of the lcm of the
-    two denominators holds it."""
-
-    def __init__(self, exponent: Fraction, denominator: int):
-        super().__init__(f"eps exponent {exponent} off the grid 1/{denominator}")
-        self.denominator = exponent.denominator
+def holds(identity) -> bool:
+    """identity(), False where a value it maps has no image in its flat ring."""
+    try:
+        return identity()
+    except NotFlat:
+        return False
 
 
 class SeriesRing:
@@ -77,75 +76,58 @@ def _name_table(names) -> tuple:
 
 
 class FlatRing:
-    """Exact rational functions over the series field as quotients in Q[t, 1/t][x].
+    """Exact rational functions over the series field as quotients in Q[eps^Q][x].
 
-    With t = eps^(1/D), an exact coefficient sum_j a_j eps^(w_j) whose every
-    w_j*D is an integer maps to sum_j a_j t^(w_j*D).  The map is an injective
-    ring homomorphism, so an exact identity holds in one ring exactly when it
-    holds in the other, and products here build no series.  The t slot is
-    Laurent: its exponents may be negative.  Images are factored quotients
-    (:class:`FlatQuotient`) over the frame (FLAT_EPS, *coordinates).
+    An exact coefficient sum_j a_j eps^(w_j) maps to itself, each exponent
+    w_j in the eps slot of an exponent vector: an int when w_j is an
+    integer (ints add faster; an int and an equal Fraction are one key),
+    else the Fraction, so exponent vectors add as the exponents of eps do,
+    and may be negative or of any denominator there.  The map is an
+    injective ring homomorphism, so an exact identity holds in one ring
+    exactly when it holds in the other, and products here build no series.
+    Images are factored quotients (:class:`FlatQuotient`) over the frame
+    (FLAT_EPS, *coordinates).
 
     names is a table name -> coordinate, or a sequence of names, each its own
     coordinate.  The ring reads each name of a value through the table as it
-    maps the value, so no value is copied; a name outside it has no image.
+    maps the value, so no value is copied; a name outside it, or eps, has no
+    image.
 
     A ring keeps the image of each polynomial and scalar it maps, and of each
     ring expression denoted in it (see once), keyed by the object: p and the h.den
     a decode reads from the same text are one object, mapped once.  A ring
-    lives for one identity family on one grid.
+    lives for one verification and serves each of its identities.
     """
 
-    __slots__ = ("names", "variables", "denominator", "_slots", "_images")
+    __slots__ = ("names", "variables", "_slots", "_images")
 
-    def __init__(self, names, denominator: int):
+    def __init__(self, names):
         self.names, frame = _name_table(names)
         self.variables = (FLAT_EPS,) + frame
-        self.denominator = denominator
-        self._slots = {name: frame.index(v) + 1 for name, v in self.names.items()}
+        self._slots = {name: frame.index(v) + 1 for name, v in self.names.items() if name != FLAT_EPS}
         self._images = {}  # id of a value mapped here -> (the value, its image)
 
     @classmethod
-    def over(cls, names, values) -> "FlatRing | None":
-        """The flat ring of values (scalars, Polynomials, RationalFunctions) over
-        names, D the lcm of their eps-exponent denominators, however large: no
-        series is built in it.  None if a coefficient is inexact or the table
-        names eps."""
-        if FLAT_EPS in names:
-            return None
-        den = 1
-        for q in values:
-            if isinstance(q, RationalFunction):
-                coefficients = (*q.num.terms.values(), *q.den.terms.values())
-            elif isinstance(q, Polynomial):
-                coefficients = q.terms.values()
-            else:
-                coefficients = (q,) if isinstance(q, FieldElement) else ()
-            for c in coefficients:
-                if c.precision is not None:
-                    return None
-                for w, _ in c.terms:
-                    if den % w.denominator:
-                        den = lcm(den, w.denominator)
-        return cls(names, den)
+    def over(cls, names) -> "FlatRing":
+        """The flat ring over names: every ring an identity runs in is built here."""
+        return cls(names)
 
     def once(self, value, image):
         """image(value), built the first time and handed out again while this
         ring lives; the ring holds value, so its id names nothing else
-        meanwhile.  An OffGrid rerun builds a fresh ring over the same names,
-        so no image crosses grids."""
+        meanwhile."""
         hit = self._images.get(id(value))
         if hit is None:
             hit = self._images[id(value)] = (value, image(value))
         return hit[1]
 
     def _terms(self, p: Polynomial) -> dict:
-        """(t exponent, *exponent vector) -> rational coefficient."""
+        """(eps exponent, *exponent vector) -> rational coefficient."""
         slots = self._slots
         if any(v not in slots for v in p.variables):
             raise NotFlat(f"variables {p.variables} outside the frame {self.variables[1:]}")
         slots = [slots[v] for v in p.variables]
-        width, den = len(self.variables), self.denominator
+        width = len(self.variables)
         out = {}
         for expv, c in p.terms.items():
             if c.precision is not None:
@@ -154,10 +136,7 @@ class FlatRing:
             for i, e in zip(slots, expv):
                 key[i] = e
             for w, a in c.terms:
-                k, rest = divmod(w.numerator * den, w.denominator)
-                if rest:
-                    raise OffGrid(w, den)
-                key[0] = k
+                key[0] = w.numerator if w.denominator == 1 else w
                 out[tuple(key)] = a
         return out
 
@@ -269,9 +248,9 @@ class FlatQuotient:
     powers concatenate factor tuples; a sum (see flat_sum) multiplies out only
     what the denominators do not share.  Equality cancels the non-zero factors
     the two sides of the cross-multiplication share and multiplies out the
-    rest: Z[t, 1/t][x] is an integral domain, so cancelling a non-zero factor
-    keeps the verdict of the full cross-multiplication.  A quotient multiplies
-    out its own numerator at most once.
+    rest: Z[eps^Q][x] is an integral domain (Q is torsion-free), so cancelling
+    a non-zero factor keeps the verdict of the full cross-multiplication.  A
+    quotient multiplies out its own numerator at most once.
     """
 
     __slots__ = ("variables", "unit", "num", "den", "_num_product")
@@ -284,7 +263,7 @@ class FlatQuotient:
         """other if it is a value of this ring, None if it is no FlatQuotient."""
         if not isinstance(other, FlatQuotient):
             return None
-        if other.variables is not self.variables:  # t may mean another power of eps there
+        if other.variables is not self.variables:  # its slots may hold other names
             raise ValueError("values of two flat rings")
         return other
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
-from math import isqrt
+from math import ceil, isqrt
 from typing import Iterator, Optional, Union
 
 from .errors import (
@@ -393,13 +393,10 @@ class FieldElement:
             u = -u
         acc = power = FieldElement.one()
         coeff = Fraction(1)
-        u_lead = u.valuation_lower_bound()
-        steps = 0 if u_lead.is_top else int(rel / u_lead.value) + 1
-        for k in range(1, steps + 1):
+        # u is clamped, so never exact: v(u^k) = k*v(u) below rel, and u^k is
+        # past rel from the first k with k*v(u) >= rel on.
+        for k in range(1, ceil(rel / u.valuation_lower_bound().value)):
             power = _clamp(power * u, rel)
-            lb = power.valuation_lower_bound()
-            if lb.is_top or lb.value >= rel:
-                break
             if inverse:
                 acc = acc + power
             else:

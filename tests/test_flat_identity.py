@@ -1,10 +1,10 @@
 """Exact identities in the flat ring give the series ring's verdicts.
 
 The flat ring (``rcvf.rings.FlatRing``) maps exact polynomials over the series
-field into Q[t, 1/t][x] with t = eps^(1/D).  Each case in TestSameVerdicts is
-checked twice: as it runs, and with ``FlatRing.over`` handing out the series
-ring (``SeriesRing``), which runs every identity on series coefficients as
-before the flat ring existed.  Both runs must give the same verdict and
+field into Q[eps^Q][x], each eps exponent kept as the rational it is.  Each
+case in TestSameVerdicts is checked twice: as it runs, and with
+``FlatRing.over`` handing out the series ring (``SeriesRing``), which runs
+every identity on series coefficients as before the flat ring existed.  Both runs must give the same verdict and
 reason, or raise the same error.  TestFallback holds the cases a series
 fallback once served: what only the flat ring decides, and what it refuses
 that series arithmetic let through.  TestFactoredEquality checks the flat
@@ -31,7 +31,6 @@ from rcvf.certificates import (
     IntegralityWitness,
     NonnegCertificate,
     QuotientCoefficient,
-    _holds,
     verify_dickmann_certificate,
     verify_nonneg_certificate,
 )
@@ -52,7 +51,7 @@ from rcvf.ringexpr import (
     polynomial_to_ring_expr,
     verify_sos_expression,
 )
-from rcvf.rings import FLAT_EPS, FlatRing, OffGrid, SeriesRing, flat_sum
+from rcvf.rings import FLAT_EPS, FlatRing, SeriesRing, flat_sum
 from rcvf.series import FieldElement
 from rcvf.sets import SetDescriptor
 
@@ -74,9 +73,9 @@ def random_poly(rng, exponents=EXPONENTS, terms=3, degree=2) -> Polynomial:
     return Polynomial(VS, out)
 
 
-def sos_certificate(rng):
+def sos_certificate(rng, exponents=EXPONENTS):
     """p = sum r_i^2, m = 0, the trivial witness."""
-    r = [random_poly(rng) for _ in range(rng.randint(1, 3))]
+    r = [random_poly(rng, exponents) for _ in range(rng.randint(1, 3))]
     p = sum((s * s for s in r[1:]), r[0] * r[0])
     zero = RationalFunction.constant(0, VS)
     return p, NonnegCertificate(SOSExpr(r), FieldElement.zero(), zero, IntegralityWitness.trivial())
@@ -138,7 +137,7 @@ def series_only(monkeypatch):
     of rational functions cross-multiplies their series coefficients."""
     context = monkeypatch.context()
     patch = context.__enter__()
-    patch.setattr(FlatRing, "over", classmethod(lambda cls, variables, values: SeriesRing(variables)))
+    patch.setattr(FlatRing, "over", classmethod(lambda cls, names: SeriesRing(names)))
     patch.setattr(RationalFunction, "__eq__", cross_multiplied)
     return context
 
@@ -155,12 +154,12 @@ def flat_and_series(monkeypatch, check, *args) -> list:
 
 
 def record_rings(monkeypatch) -> list:
-    """The rings FlatRing.over hands out, in order (None where it refuses)."""
+    """The rings FlatRing.over hands out, in order."""
     rings = []
     over = FlatRing.over.__func__
 
-    def recording(cls, variables, values):
-        ring = over(cls, variables, values)
+    def recording(cls, names):
+        ring = over(cls, names)
         rings.append(ring)
         return ring
 
@@ -173,6 +172,18 @@ class TestSameVerdicts:
     def test_sos_certificates_and_mutants(self, monkeypatch, seed):
         rng = random.Random(seed)
         p, cert = sos_certificate(rng)
+        assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, cert, BALL) == [(True, None)] * 2
+        for name, mp, mc in mutants(p, cert):
+            flat, series = flat_and_series(monkeypatch, verify_nonneg_certificate, mp, mc, BALL)
+            assert flat == series, name
+            if name in ("p", "r", "m"):
+                assert flat[0] is False, name
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sos_certificates_over_unrelated_denominators(self, monkeypatch, seed):
+        # Exponents in fifths and sevenths, whose sums no grid of 1/5 or 1/7
+        # holds: the one ring keeps each as the rational it is.
+        p, cert = sos_certificate(random.Random(200 + seed), [F(1, 5), F(-2, 7), F(3, 5), F(4, 7), F(0)])
         assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, cert, BALL) == [(True, None)] * 2
         for name, mp, mc in mutants(p, cert):
             flat, series = flat_and_series(monkeypatch, verify_nonneg_certificate, mp, mc, BALL)
@@ -207,20 +218,15 @@ class TestSameVerdicts:
         p, cert = unit_certificate(random.Random(5))
         assert verify_nonneg_certificate(p, cert, BALL).ok
         assert rings and all(isinstance(ring, FlatRing) for ring in rings)
-        # eps exponents in thirds and halves: the grid is eps^(1/6) or a divisor.
-        assert 6 % rings[0].denominator == 0
 
     def test_grid_past_the_series_cap(self, monkeypatch):
         # r_i^2 = eps^(1/3)*x1^2 and eps^(1/32)*x2^2: each product stays within the
-        # series ring's exponent cap of 64, while the grid of p and r is 1/192.
+        # series ring's exponent cap of 64, while the exponents of p and r
+        # together need the grid 1/192.
         p = parse_expression("eps^(1/3)*x1^2 + eps^(1/32)*x2^2")
         r = SOSExpr([parse_expression("eps^(1/6)*x1"), parse_expression("eps^(1/64)*x2")])
         zero = RationalFunction.constant(0, VS)
         cert = NonnegCertificate(r, FieldElement.zero(), zero, IntegralityWitness.trivial())
-        rings = record_rings(monkeypatch)
-        assert verify_nonneg_certificate(p, cert, BALL).ok
-        assert rings[0].denominator == 192
-        monkeypatch.undo()
         assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, cert, BALL) == [(True, None)] * 2
         for name, mp, mc in mutants(p, cert):
             flat, series = flat_and_series(monkeypatch, verify_nonneg_certificate, mp, mc, BALL)
@@ -339,11 +345,8 @@ class TestFallback:
         p = r * r
         zero = RationalFunction.constant(0, VS)
         cert = NonnegCertificate(SOSExpr([r]), FieldElement.zero(), zero, IntegralityWitness.trivial())
-        rings = record_rings(monkeypatch)
         flat = outcome(verify_nonneg_certificate, p, cert, BALL)
-        assert rings and all(ring is None for ring in rings)
         assert flat == (False, "identity_failed")
-        monkeypatch.undo()
         assert flat == flat_and_series(monkeypatch, verify_nonneg_certificate, p, cert, BALL)[1]
 
     def test_inexact_witness_leaf_is_refused(self, monkeypatch):
@@ -358,13 +361,11 @@ class TestFallback:
             assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, changed, BALL) == \
                 [(False, "witness_identity_failed"), series]
 
-    def test_witness_leaf_off_the_grid_widens_the_ring(self, monkeypatch):
-        # The main identity's eps exponents are in halves and thirds, so its grid
-        # divides 1/6; eps^(1/5) in the witness has no image in that ring, and the
-        # witness identity reruns in the flat ring of the lcm of the two grids.
+    def test_witness_leaf_in_fifths_keeps_one_ring(self, monkeypatch):
+        # The main identity's eps exponents are in halves and thirds; eps^(1/5)
+        # in the witness is mapped by the same ring, which keeps exponents as
+        # the rationals they are.
         p, cert = unit_certificate(random.Random(4))
-        main = FlatRing.over(VS, (p, cert.m, cert.h, *cert.r.summands)).denominator
-        assert 6 % main == 0
         w = cert.witness
         off = ProdExpr([ConstExpr(FieldElement.eps_power(F(1, 5))), ConstExpr(0)])
         built = []
@@ -372,9 +373,9 @@ class TestFallback:
         def recording(cls, name):
             original = cls.__init__
 
-            def init(self, variables, *args):
-                built.append((name, *args))
-                original(self, variables, *args)
+            def init(self, names):
+                built.append(name)
+                original(self, names)
 
             monkeypatch.setattr(cls, "__init__", init)
 
@@ -386,21 +387,17 @@ class TestFallback:
             recording(SeriesRing, "series")
             built.clear()
             assert outcome(verify_nonneg_certificate, p, changed, BALL) == expected
-            assert built == [("flat", main), ("flat", 5 * main)]
+            assert built == ["flat"]
             monkeypatch.undo()
             assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, changed, BALL) == [expected] * 2
 
     def test_grid_past_the_series_cap_is_decided(self, monkeypatch):
         # eps^(1/3) * eps^(1/64) = eps^(67/192): the series ring refuses the
-        # denominator 192 (over its cap of 64); the flat ring of grid 1/192 rejects.
+        # denominator 192 (over its cap of 64); the flat ring, which has no cap, rejects.
         r = Polynomial(VS, {(0, 0): FieldElement.eps_power(F(1, 3)), (1, 0): FieldElement.eps_power(F(1, 64))})
         zero = RationalFunction.constant(0, VS)
         cert = NonnegCertificate(SOSExpr([r]), FieldElement.zero(), zero, IntegralityWitness.trivial())
         p = Polynomial.constant(1, VS)
-        rings = record_rings(monkeypatch)
-        assert outcome(verify_nonneg_certificate, p, cert, BALL) == (False, "identity_failed")
-        assert [ring.denominator for ring in rings] == [192]
-        monkeypatch.undo()
         assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, cert, BALL) == \
             [(False, "identity_failed"), "ExponentBlowup"]
 
@@ -427,10 +424,10 @@ class TestFallback:
 
 # -- factored quotients against full cross-multiplication -------------------------
 
-# eps exponents of the leaves: on the grid 1/6, and eps^(1/5) off it.
+# eps exponents of the leaves: on the grid 1/6, and off it in fifths, sevenths
+# and 128ths (past the series ring's exponent cap of 64).
 ON_GRID = [F(0), F(1), F(1, 2), F(-1, 3), F(2, 3)]
-OFF_GRID = F(1, 5)
-GRID = 6
+OFF_GRID = [F(1, 5), F(-2, 7), F(3, 128)]
 
 
 class Cross:
@@ -459,8 +456,14 @@ class Cross:
         return (self.num * o.den - o.num * self.den).is_exactly_zero()
 
 
+def grid(pool) -> int:
+    """The lcm of the eps-exponent denominators of the leaves in pool."""
+    return lcm(*(w.denominator for p in pool for c in p.terms.values() for w, _ in c.terms))
+
+
 def cross_image(p: Polynomial, den: int) -> Cross:
-    """p with eps^w read as t^(w*den), t Laurent: the flat map, written out."""
+    """p with eps^w read as t^(w*den), t Laurent, den a multiple of every
+    exponent denominator of p: the flat map on an integer grid, written out."""
     vs = (FLAT_EPS,) + VS
     terms = {}
     for expv, c in p.terms.items():
@@ -486,18 +489,28 @@ monomial_terms = st.lists(st.tuples(st.sampled_from(ON_GRID), st.integers(0, 1),
                                     st.integers(-2, 2).filter(bool)), min_size=1, max_size=3)
 
 
-def leaf_polynomial(terms, off_grid=False) -> Polynomial:
+def leaf_polynomial(terms, off_grid=None) -> Polynomial:
+    """The leaf of these monomial terms, plus eps^off_grid if one is given.
+
+    Built from its terms as they are: the series field refuses an exponent
+    denominator past its cap, which the flat ring and cross_image take.
+    """
+    coefficients = {}
+    for w, e1, e2, c in [*terms, *([(off_grid, 0, 0, 1)] if off_grid is not None else [])]:
+        at = coefficients.setdefault((e1, e2), {})
+        at[w] = at.get(w, 0) + c
     out = {}
-    for w, e1, e2, c in terms:
-        out[(e1, e2)] = out.get((e1, e2), FieldElement.zero()) + FieldElement.eps_power(w, c)
-    if off_grid:
-        out[(0, 0)] = out.get((0, 0), FieldElement.zero()) + FieldElement.eps_power(OFF_GRID)
-    return Polynomial(VS, out)
+    for expv, at in coefficients.items():
+        nonzero = tuple((w, F(c)) for w, c in sorted(at.items()) if c)
+        if nonzero:
+            out[expv] = FieldElement.from_canonical(nonzero)
+    return Polynomial.from_canonical(VS, out)
 
 
-# Leaf 0 is zero; the others are drawn, and a tree may use any leaf more than once.
-leaf_pools = st.tuples(monomial_terms, monomial_terms, monomial_terms, st.booleans()).map(
-    lambda d: [Polynomial(VS), leaf_polynomial(d[0]), leaf_polynomial(d[1]), leaf_polynomial(d[2], d[3])])
+# Leaf 0 is zero; the others are drawn, each with an off-grid term or none, and
+# a tree may use any leaf more than once.
+drawn_leaves = st.tuples(monomial_terms, st.sampled_from([None, *OFF_GRID])).map(lambda d: leaf_polynomial(*d))
+leaf_pools = st.tuples(drawn_leaves, drawn_leaves, drawn_leaves).map(lambda leaves: [Polynomial(VS), *leaves])
 trees = st.recursive(
     st.integers(0, 3),
     lambda sub: st.tuples(st.sampled_from(sorted(OPS)), sub, sub) | st.tuples(st.just("**"), sub, st.integers(-2, 2)),
@@ -514,12 +527,10 @@ PAIRS = [lambda a, b: (a, a), lambda a, b: (("/", ("*", a, b), b), a),
 def factored_and_cross(pool, left, right) -> list:
     """[verdict of the factored quotients, verdict of full cross-multiplication],
     "DivisionByZero" where the expression divides by zero.  The factored one
-    starts on the grid 1/6 and reruns on a finer grid an off-grid leaf needs."""
-    def identity(ring):
-        return denote(left, lambda i: ring(pool[i])) == denote(right, lambda i: ring(pool[i]))
-
-    fine = lcm(GRID, OFF_GRID.denominator)
-    return [outcome(_holds, identity, FlatRing(VS, GRID)),
+    keeps each eps exponent as it is; the cross one reads them on the grid of
+    the pool."""
+    ring, fine = FlatRing(VS), grid(pool)
+    return [outcome(lambda: denote(left, lambda i: ring(pool[i])) == denote(right, lambda i: ring(pool[i]))),
             outcome(lambda: denote(left, lambda i: cross_image(pool[i], fine)) ==
                     denote(right, lambda i: cross_image(pool[i], fine)))]
 
@@ -539,8 +550,8 @@ class TestFactoredEquality:
     def test_n_ary_sum_as_full_cross_multiplication(self, pool, parts, other):
         # flat_sum of the parts against their sum written out, added
         # pairwise in reverse, and against an unrelated tree.
-        fine = lcm(GRID, OFF_GRID.denominator)
-        ring = FlatRing(VS, fine)
+        fine = grid(pool)
+        ring = FlatRing(VS)
         reverse = parts[-1]
         for t in parts[-2::-1]:
             reverse = ("+", reverse, t)
@@ -552,7 +563,7 @@ class TestFactoredEquality:
             assert flat == cross
 
     def test_zero_factors_are_never_cancelled(self):
-        ring = FlatRing(VS, GRID)
+        ring = FlatRing(VS)
         zero, x, y = ring(0), ring(Polynomial.variable("x1", VS)), ring(Polynomial.variable("x2", VS))
         cancelled = x + ring(-1) * x
         assert zero * x == zero * y
@@ -565,15 +576,13 @@ class TestFactoredEquality:
         with pytest.raises(DivisionByZero):
             cancelled ** -1
 
-    def test_off_grid_leaf_reruns_on_the_finer_grid(self):
-        pool = [Polynomial(VS), leaf_polynomial([(F(1, 2), 1, 0, 1)]), leaf_polynomial([(F(0), 0, 1, 2)]),
-                leaf_polynomial([(F(-1, 3), 1, 1, -1)], off_grid=True)]
-        ring = FlatRing(VS, GRID)
-        with pytest.raises(OffGrid) as off:
-            ring(pool[3])
-        assert off.value.denominator == OFF_GRID.denominator
-        for left, right, verdict in ((("*", 3, ("/", 1, 3)), 1, True), (("+", 3, 2), ("+", 2, 1), False)):
-            assert factored_and_cross(pool, left, right) == [verdict] * 2
+    def test_leaf_exponents_over_other_denominators(self):
+        for off_grid in OFF_GRID:
+            pool = [Polynomial(VS), leaf_polynomial([(F(1, 2), 1, 0, 1)]), leaf_polynomial([(F(0), 0, 1, 2)]),
+                    leaf_polynomial([(F(-1, 3), 1, 1, -1)], off_grid)]
+            for left, right, verdict in ((("*", 3, ("/", 1, 3)), 1, True), (("+", 3, 2), ("+", 2, 1), False),
+                                         (("*", 3, 3), ("**", 3, 2), True), (("*", 3, 3), ("*", 3, 1), False)):
+                assert factored_and_cross(pool, left, right) == [verdict] * 2, off_grid
 
 
 # -- one image per value ---------------------------------------------------------
@@ -618,27 +627,16 @@ class TestOneImagePerValue:
 
     def test_shared_leaf_off_the_grid_keeps_its_verdict(self, monkeypatch):
         # One leaf object in both the witness numerator and denominator, with
-        # eps^(1/5) off the main grid: the main ring maps the leaf's other parts
-        # before eps^(1/5) stops it, and the rerun on the finer grid maps them
-        # all afresh in its own ring.
+        # eps^(1/5) off the grid of the main identity's exponents: the one ring
+        # of the check maps it with the rest.
         p, cert = unit_certificate(random.Random(4))
-        main = FlatRing.over(VS, (p, cert.m, cert.h, *cert.r.summands)).denominator
         leaf, eps5 = cert.witness.numerator, ConstExpr(FieldElement.eps_power(F(1, 5)))
         for shared, expected in ((SumExpr([leaf, ProdExpr([eps5, ConstExpr(0)])]), (True, None)),
                                  (SumExpr([leaf, eps5]), (False, "witness_identity_failed"))):
             changed = NonnegCertificate(cert.r, cert.m, cert.h,
                                         IntegralityWitness(shared, PerturbedUnit(-cert.m, shared)))
             rings = record_rings(monkeypatch)
-            grids = []
-            holds = FlatRing.once
-
-            def once(ring, value, image):
-                grids.append(ring.denominator)
-                return holds(ring, value, image)
-
-            monkeypatch.setattr(FlatRing, "once", once)
             assert outcome(verify_nonneg_certificate, p, changed, BALL) == expected
-            assert [ring.denominator for ring in rings] == [main]
-            assert sorted(set(grids)) == [main, 5 * main]
+            assert len(rings) == 1
             monkeypatch.undo()
             assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, changed, BALL) == [expected] * 2

@@ -310,7 +310,7 @@ _UNIT_CERTIFICATE = {"p": "1 + 2*x1^2 + x1^4 - eps*x1", "set": {"kind": "ball", 
 
 def test_exact_identities_build_no_series(monkeypatch):
     # The unit certificate of test_flat_identity whose witness numerator gains
-    # eps^(1/5) * 0: its grid divides 1/6, so the witness needs the grid 1/30.
+    # eps^(1/5) * 0: its other exponents are in halves and thirds.
     p, unit = unit_certificate(random.Random(4))
     w = unit.witness
     off = ProdExpr([ConstExpr(FieldElement.eps_power(Fraction(1, 5))), ConstExpr(0)])
@@ -358,10 +358,24 @@ def test_identities_cancel_shared_factors(monkeypatch):
 
 
 def test_each_polynomial_is_mapped_once(monkeypatch):
+    # Also with eps^(1/5) * 0 added to the witness numerator, an exponent off
+    # the grid of every other value: the check's one ring maps it as it maps the
+    # rest, so its two constants are the only new images.  2 rings, 21 images
+    # and 9 products while such a leaf reran the witness identity on a finer
+    # grid in a second ring, which mapped p and h afresh.
     p, sd, cert = jsonio.certificate_from_json(_UNIT_CERTIFICATE)
-    images = count_calls(monkeypatch, [(FlatRing, "_terms")])
-    assert verify_nonneg_certificate(p, cert, sd).ok
-    assert len(images) <= VERIFY_IMAGES
+    w = cert.witness
+    off = ProdExpr([ConstExpr(FieldElement.eps_power(Fraction(1, 5))), ConstExpr(0)])
+    fifths = NonnegCertificate(cert.r, cert.m, cert.h, IntegralityWitness(SumExpr([w.numerator, off]), w.denominator))
+    for checked, new_images in ((cert, 0), (fifths, 2)):
+        rings = count_calls(monkeypatch, [(FlatRing, "__init__")])
+        images = count_calls(monkeypatch, [(FlatRing, "_terms")])
+        products = count_calls(monkeypatch, [(ResiduePolynomial, "__mul__")])
+        assert verify_nonneg_certificate(p, checked, sd).ok
+        assert len(rings) == 1
+        assert len(images) <= VERIFY_IMAGES + new_images
+        assert len(products) <= VERIFY_PRODUCTS
+        monkeypatch.undo()
 
 
 def test_each_polynomial_is_mapped_once_in_other_names(monkeypatch):
