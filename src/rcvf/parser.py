@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .errors import DivisionByZero, ParseError
@@ -44,16 +45,45 @@ _JOIN = r"(?:\*|(?<![0-9a-zA-Z)]))"
 _DENOMINATOR = r"(0*[1-9][0-9]*)"  # a zero one is left to the general path, which raises
 
 
+@lru_cache(maxsize=128)
 def _term_regex(frame: tuple[str, ...]):
     """A monomial term c*eps^w*x1^a*... (factors optional, variables in frame
     order) and the '+' or '-' after it, or its end at ')' or the end of text.
     Groups: '-' and numerator and denominator of c; eps, its integer exponent or
-    numerator and denominator; per variable '' or '^a'; the '+' or '-'."""
+    numerator and denominator; per variable '' or '^a'; the '+' or '-'.
+    Compiled once per frame: the pattern is the only thing kept between parses."""
     return re.compile(
         r"\s*(?:(-)(?=[0-9])|(?=[0-9a-zA-Z]))(?:([0-9]+)(?:/" + _DENOMINATOR + r")?)?"
         r"(?:" + _JOIN + r"(eps)(?:\^(?:(-?[0-9]+)|\((-?[0-9]+)(?:/" + _DENOMINATOR + r")?\)))?)?"
         + "".join(r"(?:" + _JOIN + name + r"(\^[0-9]+|))?" for name in frame)
         + r"\s*(?:([+-])|(?=\)|\Z))")
+
+
+class _Exact(dict):
+    """Small ints -> their Fractions, built once; any other int as a new
+    Fraction, and a Fraction as itself."""
+
+    def __missing__(self, q):
+        return q if isinstance(q, Fraction) else Fraction(q)
+
+
+class _Powers(dict):
+    """A variable's group of the term regex -> its exponent: None (absent) 0,
+    '' 1, '^k' k; small powers built once."""
+
+    def __missing__(self, power):
+        return int(power[1:])
+
+
+_FRACTIONS = _Exact((k, Fraction(k)) for k in range(-64, 65))
+_POWERS = _Powers({None: 0, "": 1, **{f"^{k}": k for k in range(65)}})
+
+
+def _eps_fraction(num: str, den: str):
+    """The eps exponent num/den, None past the exponent-denominator cap (the
+    general path decides whether that raises ExponentBlowup)."""
+    w = Fraction(int(num), int(den))
+    return None if w.denominator > _EXPONENT_DENOMINATOR_CAP else w
 
 
 # Parsed values are carried in one of three domains and promoted on demand.
@@ -85,7 +115,7 @@ def _promote_pair(a: Value, b: Value):
     return up(a), up(b)
 
 
-_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class _Parser:
@@ -94,7 +124,6 @@ class _Parser:
     def __init__(self, text: str, frame: tuple[str, ...]):
         self.text = text
         self.frame = frame
-        self.term_re = _term_regex(frame)
         self.pos = 0  # where the next token is lexed
         self.tok, self.after = None, 0  # the lexed next token, if any, and the offset after it
         self.depth = 0  # parentheses open
@@ -138,22 +167,35 @@ class _Parser:
     def expr(self) -> Value:
         """The sum of the terms, signs applied to each.
 
-        Monomial terms go into one table in a single pass; the other terms are
-        added to its total.  That regrouping keeps every value, since exact
-        sums do not depend on grouping and a truncated sum keeps the least
-        precision whatever the order.  Quotients are kept unreduced, so from
-        the first quotient term on the sum proceeds pairwise, as written.
+        Monomial terms go into one table in a single pass: one match of the
+        frame's term regex each, its ints, one Fraction and one insert.  An
+        eps exponent is kept as read, an int or (off the integers) a Fraction.
+        Every other term, and an eps exponent whose denominator exceeds the
+        cap, goes to the general path from the term's first token; its value
+        is added to the table's total.  That regrouping keeps every value,
+        since exact sums do not depend on grouping and a truncated sum keeps
+        the least precision whatever the order.  Quotients are kept
+        unreduced, so from the first quotient term on the sum proceeds
+        pairwise, as written.
         """
         negative = self.at_op("-")
         if negative:
             self.next()
-        table = {}  # exponent vector -> {eps exponent (an int if integral, to hash fast): coefficient}
+        self.tok = None  # the table's pass reads from self.pos; the general path lexes afresh
+        table = {}  # exponent vector -> {eps exponent as read: coefficient}
         others = []  # the other terms, as FieldElements and Polynomials
         polynomial = False  # whether a term has a variable
         first = True
+        match, text, absent = _term_regex(self.frame).match, self.text, (None,) * len(self.frame)
+        power = _POWERS.__getitem__
         while True:
-            mono = self._monomial(negative)
-            if mono is None:
+            m = match(text, self.pos)
+            if m is not None:
+                g = m.groups()  # see _term_regex
+                w = 0 if g[3] is None else int(g[4] or g[5] or 1) if g[6] is None else _eps_fraction(g[5], g[6])
+                if w is None:
+                    m = None
+            if m is None:
                 v = self.term()
                 if negative:
                     v = -v
@@ -166,12 +208,22 @@ class _Parser:
                 polynomial = polynomial or isinstance(v, Polynomial)
                 sign = self.next()[1] if self.at_op("+", "-") else None
             else:
-                expv, w, c, variables, sign = mono
-                polynomial = polynomial or variables
-                if c:
-                    coefficients = table.setdefault(expv, {})
-                    old = coefficients.get(w)
-                    coefficients[w] = c if old is None else old + c
+                n = int(g[1]) if g[1] else 1
+                # A '-' before the literal flips the term's sign; '-' binds to the
+                # literal only: -x^2 is (-x)^2, so the regex takes no '-' before a letter.
+                if negative != (g[0] is not None):
+                    n = -n
+                c = Fraction(n, int(g[2])) if g[2] else _FRACTIONS[n]
+                powers = g[7:-1]
+                expv = tuple(map(power, powers))
+                polynomial = polynomial or powers != absent
+                at = table.get(expv)
+                if at is None:
+                    table[expv] = {w: c}
+                else:
+                    at[w] = at[w] + c if w in at else c
+                self.pos = m.end()
+                sign = g[-1]
             if sign is None:
                 return self._total(table, others, polynomial)
             negative = sign == "-"
@@ -187,11 +239,18 @@ class _Parser:
         return v
 
     def _total(self, table: dict, others: list, polynomial: bool) -> Value:
+        """The table's sum plus the other terms.  Each eps exponent turns into
+        its Fraction once, the exponents of a coefficient sorted as read."""
         terms = {}
-        for expv, coefficients in table.items():
-            known = tuple(sorted((Fraction(w), c) for w, c in coefficients.items() if c))
-            if known:
-                terms[expv] = FieldElement.from_canonical(known)
+        for expv, at in table.items():
+            if len(at) == 1:
+                [(w, c)] = at.items()
+                if c:
+                    terms[expv] = FieldElement.from_canonical(((_FRACTIONS[w], c),))
+            else:
+                known = tuple([(_FRACTIONS[w], c) for w, c in sorted(at.items()) if c])
+                if known:
+                    terms[expv] = FieldElement.from_canonical(known)
         if polynomial:
             total = Polynomial.from_canonical(self.frame, terms)
         else:  # no term has a variable, so the one key is the zero vector
@@ -200,39 +259,6 @@ class _Parser:
             a, b = _promote_pair(total, v)
             total = a + b
         return total
-
-    def _monomial(self, negative: bool):
-        """(exponent vector, eps exponent, coefficient with the term's sign, has
-        a variable, the sign after the term or None) for a term that one match
-        of the term regex reads, with the term and that sign consumed;
-        otherwise None, with nothing consumed.
-
-        Anything else, and an eps exponent whose denominator exceeds the cap
-        (the general path decides whether that raises ExponentBlowup), goes to
-        the general path from the term's first token.
-        """
-        m = self.term_re.match(self.text, self.pos)
-        if m is None:
-            return None
-        minus, num, den, eps, e, e_num, e_den, *powers, sign = m.groups()
-        if minus:  # '-' binds to the literal only: -x^2 is (-x)^2, so the regex takes no '-' before a letter
-            negative = not negative
-        if eps is None:
-            w = 0
-        elif e_den is None:
-            w = int(e or e_num or 1)
-        else:
-            w = Fraction(int(e_num), int(e_den))
-            if w.denominator > _EXPONENT_DENOMINATOR_CAP:
-                return None
-        if num is None:
-            c = _MINUS_ONE if negative else _ONE
-        else:
-            n = -int(num) if negative else int(num)
-            c = Fraction(n, int(den)) if den else Fraction(n)
-        expv = tuple([0 if p is None else int(p[1:]) if p else 1 for p in powers])
-        self.pos, self.tok = m.end(), None
-        return expv, w, c, powers.count(None) < len(powers), sign
 
     def term(self) -> Value:
         v = self.factor()

@@ -431,6 +431,10 @@ def _times(a: _SparsePolynomial, b: _SparsePolynomial) -> _SparsePolynomial:
     return a * b
 
 
+# The coefficient of every default denominator, built once by the trusted constructor.
+_EXACT_ONE = FieldElement.from_canonical(((Fraction(0), Fraction(1)),))
+
+
 class RationalFunction:
     """Unreduced quotient of polynomials; denominator not the zero polynomial."""
 
@@ -438,7 +442,7 @@ class RationalFunction:
 
     def __init__(self, num: Polynomial, den: Polynomial | None = None):
         if den is None:
-            den = Polynomial.constant(1, num.variables)
+            den = Polynomial.from_canonical(num.variables, {(0,) * len(num.variables): _EXACT_ONE})
         if den.is_exactly_zero():
             raise DivisionByZero("zero denominator polynomial")
         if num.variables != den.variables:

@@ -35,8 +35,18 @@ class SOSExpr:
         raise AttributeError("SOSExpr is immutable")
 
     def denote(self, ring) -> RationalFunction:
-        """The sum of the squares of the summands' images in ring."""
-        return _sum(ring, [s * s for s in map(ring, self.summands)])
+        """The sum of the squares of the summands' images in ring.  Each distinct
+        summand object is squared once, its square weighted by how often it
+        occurs: a decode reads a repeated summand text as one object."""
+        squares = {}  # id of a summand -> [its square, its count]
+        for s in self.summands:
+            seen = squares.get(id(s))
+            if seen is None:
+                v = ring(s)
+                squares[id(s)] = [v * v, 1]
+            else:
+                seen[1] += 1
+        return _sum(ring, [square if k == 1 else ring(k) * square for square, k in squares.values()])
 
     def __repr__(self):
         return f"SOSExpr({list(map(str, self.summands))})"

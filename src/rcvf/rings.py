@@ -121,33 +121,54 @@ class FlatRing:
             hit = self._images[id(value)] = (value, image(value))
         return hit[1]
 
-    def _terms(self, p: Polynomial) -> dict:
-        """(eps exponent, *exponent vector) -> rational coefficient."""
+    def _terms(self, p: Polynomial) -> tuple:
+        """(unit, factors) of the image of p (see _content), its terms read in
+        one pass.
+
+        Each term goes to the key (eps exponent, *exponent vector), the
+        exponent vector's entries in the slots the name table gives p's names.
+        Where those are the first slots in order, the vector is the key's
+        tail as it stands.  The lcm of the coefficients' denominators is taken
+        as the pass goes, so the image's integer coefficients are read off
+        once.
+        """
         slots = self._slots
         if any(v not in slots for v in p.variables):
             raise NotFlat(f"variables {p.variables} outside the frame {self.variables[1:]}")
         slots = [slots[v] for v in p.variables]
-        width = len(self.variables)
+        width = len(self.variables) - 1
+        pad = (0,) * (width - len(slots)) if slots == list(range(1, len(slots) + 1)) else None
         out = {}
+        lift = 1
         for expv, c in p.terms.items():
             if c.precision is not None:
                 raise NotFlat("inexact coefficient")
-            key = [0] * width
-            for i, e in zip(slots, expv):
-                key[i] = e
+            if pad is None:
+                key = [0] * width
+                for i, e in zip(slots, expv):
+                    key[i - 1] = e
+                expv = tuple(key)
+            else:
+                expv += pad
             for w, a in c.terms:
-                key[0] = w.numerator if w.denominator == 1 else w
-                out[tuple(key)] = a
-        return out
+                d = a.denominator
+                if d != 1 and lift % d:
+                    lift = lcm(lift, d)
+                out[(w.numerator if w.denominator == 1 else w,) + expv] = a
+        unit, factors = _content(self.variables, {e: a.numerator * (lift // a.denominator) for e, a in out.items()})
+        return Fraction(unit, lift), factors
 
     def _image(self, q) -> tuple:
-        """(unit, factors) of the image of a Polynomial or scalar (see _factor)."""
+        """(unit, factors) of the image of a Polynomial or scalar (see _content)."""
         if isinstance(q, Polynomial):
-            return self._factor(self._terms(q))
+            return self._terms(q)
         if isinstance(q, FieldElement):
-            return self._factor(self._terms(Polynomial.constant(q)))
+            return self._terms(Polynomial.constant(q))
         q = Fraction(q)
-        return self._factor({(0,) * len(self.variables): q} if q else {})
+        if q:
+            return q, ()
+        unit, zero = _content(self.variables, {})
+        return Fraction(unit), zero
 
     def __call__(self, q) -> "FlatQuotient":
         """The image of a scalar, Polynomial or RationalFunction over names of the table."""
@@ -157,18 +178,12 @@ class FlatRing:
         unit, num = self.once(q, self._image)
         return FlatQuotient(self.variables, unit, num, ())
 
-    def _factor(self, terms: dict) -> tuple:
-        """(c, factors) with c times the product of factors the polynomial of
-        these rational coefficients (see _content)."""
-        lift = lcm(*(c.denominator for c in terms.values()))
-        unit, factors = _content(self.variables, {e: c.numerator * (lift // c.denominator) for e, c in terms.items()})
-        return Fraction(unit, lift), factors
-
 
 def _content(variables: tuple, terms: dict) -> tuple:
     """(c, factors) with c times the product of factors the polynomial of these
-    integer coefficients: one primitive factor whose first coefficient is
-    positive, none for a constant, and the zero polynomial (c = 1) for zero."""
+    integer coefficients over variables: one primitive factor whose first
+    coefficient is positive, none for a constant, and the zero polynomial
+    (c = 1) for zero."""
     if not terms:
         return 1, (ResiduePolynomial.from_canonical(variables, {}),)
     c = gcd(*terms.values())

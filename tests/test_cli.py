@@ -4,13 +4,14 @@ import contextlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from rcvf import certificates
+from rcvf import certificates, parser
 from rcvf.cli import _parser, build_parser, run
 from rcvf.errors import NumberTooLong, ParseError, RcvfError
 from rcvf.jsonio import (
@@ -23,7 +24,7 @@ from rcvf.jsonio import (
     set_from_json,
     set_to_json,
 )
-from rcvf.parser import _Parser, parse_expression
+from rcvf.parser import parse_expression
 from rcvf.poly import Polynomial, RationalFunction
 from rcvf.series import FieldElement
 from rcvf.sets import AffineModuleMap, SetDescriptor
@@ -79,10 +80,12 @@ class TestParser:
 
 
     def test_monomial_path_matches_general_path(self, monkeypatch):
-        # Monomial terms are read by one match of the term regex straight into
-        # the sum; the general path (every term through term(), the sum folded
-        # as it goes) must give the same value, term for term and precision
-        # for precision, or the same error at the same offset.
+        # Monomial terms are read by one match of the frame's term regex straight
+        # into the sum; the general path (every term through term(), the sum
+        # folded as it goes) must give the same value, term for term and
+        # precision for precision, or the same error at the same offset.  The
+        # pattern is the seam: recorded on the first run, and on the second one
+        # that matches nothing, so every term takes the general path.
         rng = random.Random(654)
         texts = [_random_text(rng) for _ in range(400)]
         texts += ["0*x", "0*eps^(1/3)*eps^(1/64)", "eps^(1/3)*eps^(1/64)*x", "x*eps^(1/65)", "2^3*x",
@@ -94,18 +97,32 @@ class TestParser:
             assert any(piece in t for t in formatted), piece
         texts += formatted + ["x12 + x1", "x1x2", "epsx", "eps1*x", "2eps", "3/00*x", "x^23x", "1 + -x^2",
                               "1 + -2^2*x", "--2*x", "x2*x1 - x1*x2", "1 - - 2*x", "1+-2/3*x-4", "(x) y"]
+        shaped = _verify_shaped_texts(random.Random(658), 40)
+        assert all(t.count("*x") >= 30 for t in shaped)  # 60-term sums
+        for piece in ("eps^(1/64)", "eps^(1/65)", "eps^4*x1^2*x2^3 - 5/2*eps^4*x1^2*x2^3"):
+            assert any(piece in t for t in shaped), piece
+        texts += shaped
         reads = []
-        monomial = _Parser._monomial
+        term_regex = parser._term_regex
 
-        def counted(parser, negative):
-            mono = monomial(parser, negative)
-            reads.append(mono is not None)
-            return mono
+        class Recorded:
+            def __init__(self, frame):
+                self.pattern = term_regex(frame)
 
-        monkeypatch.setattr(_Parser, "_monomial", counted)
+            def match(self, text, pos):
+                m = self.pattern.match(text, pos)
+                reads.append(m is not None)
+                return m
+
+        monkeypatch.setattr(parser, "_term_regex", Recorded)
         ran = [_parsed(t) for t in texts]
         assert reads.count(True) > 1000 and reads.count(False) > 1000  # both paths read many terms
-        monkeypatch.setattr(_Parser, "_monomial", lambda parser, negative: None)
+        assert reads.count(True) > 2000 + len(shaped) * 40  # the shaped sums take the monomial pass
+        values = [parse_expression(t) for t in shaped if "eps^(1/65)" not in t]
+        assert len(values) >= 30 and all(isinstance(v, Polynomial) for v in values)
+        one_key = [len(c.terms) == 1 for v in values for c in v.terms.values()]
+        assert one_key.count(True) > 100 and one_key.count(False) > 100  # one-key and multi-key eps tables
+        monkeypatch.setattr(parser, "_term_regex", lambda frame: re.compile(r"(?!)"))
         assert [_parsed(t) for t in texts] == ran
         assert len({r[0] for r in ran}) == 6  # scalars, polynomials, quotients and three kinds of error
 
@@ -192,6 +209,37 @@ def _formatted_texts(rng, count) -> list:
                   rng.choice([F(1), F(-1), F(2, 3), F(-5, 2), F(7)])) for _ in range(rng.choice((1, 1, 1, 2)))])
         texts.append(str(Polynomial(frame, terms)))
     return texts + [t.replace("eps^(1/64)", "eps^(1/65)") for t in texts if "eps^(1/64)" in t]
+
+
+def _verify_shaped_texts(rng, count) -> list:
+    """60-term sums written as certificate texts are: one term per monomial and
+    eps power, so several terms share a monomial under distinct eps powers, and
+    repeated monomials add up or cancel (each text repeats some of its terms
+    with the opposite sign, and one with a changed coefficient); odd texts
+    spread their terms over 64 monomials, so most have one eps power.  In every
+    fourth text the last eps^(1/64) is made eps^(1/65), beyond the cap."""
+    few = ["", "x1", "x2", "x1*x2", "x2^6", "x1^2*x2^3", "x1^3*x2", "x1^4*x2^2"]  # multi-key eps tables
+    many = ["*".join(f for f in (f"x1^{i}" if i else "", f"x2^{j}" if j else "") if f)
+            for i in range(8) for j in range(8)]  # mostly one key each
+    powers = ["", "eps", "eps^2", "eps^4", "eps^-1", "eps^(1/2)", "eps^(2/3)", "eps^(1/64)"]
+    texts = []
+    for i in range(count):
+        monomials = many if i % 2 else few
+        terms = []
+        for _ in range(51):
+            c = rng.choice(["1", "2", "17", "1/3", "4/9", "25/4", "745/36"])
+            terms.append((rng.choice(" -"), "*".join(f for f in (c, rng.choice(powers), rng.choice(monomials)) if f)))
+        for sign, term in rng.sample(terms, 7):
+            terms.append(("-" if sign == " " else " ", term))
+        terms.append((" ", "eps^4*x1^2*x2^3"))
+        terms.append(("-", "5/2*eps^4*x1^2*x2^3"))
+        text = "".join((" - " if sign == "-" else " + ") + term for sign, term in terms)
+        text = text[3:] if text.startswith(" + ") else "-" + text[3:]
+        if i % 4 == 3 and "eps^(1/64)" in text:
+            at = text.rindex("eps^(1/64)")
+            text = text[:at] + "eps^(1/65)" + text[at + 10:]
+        texts.append(text)
+    return texts
 
 
 def _canonical(v):

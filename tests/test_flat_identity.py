@@ -10,7 +10,8 @@ fallback once served: what only the flat ring decides, and what it refuses
 that series arithmetic let through.  TestFactoredEquality checks the flat
 ring's factored quotients (``rcvf.rings.FlatQuotient``), which cancel shared
 factors before multiplying out, against quotients of expanded polynomials
-compared by full cross-multiplication.  TestOneImagePerValue checks that a
+compared by full cross-multiplication, and each leaf's image against the
+same written-out map.  TestOneImagePerValue checks that a
 ring mapping each distinct value once, and a decode reading identical
 subtrees as one object, keep the verdicts.
 """
@@ -535,7 +536,28 @@ def factored_and_cross(pool, left, right) -> list:
                     denote(right, lambda i: cross_image(pool[i], fine)))]
 
 
+def flat_terms(q, den: int, order=(0, 1, 2)) -> dict:
+    """The terms of the flat image q of a polynomial, multiplied out, with eps^w
+    read as t^(w*den) as cross_image reads it, and each key's entries taken in
+    order (the ring's slot of eps, x1, x2)."""
+    assert q.den == ()
+    return {(int(e[order[0]] * den), e[order[1]], e[order[2]]): q.unit * c for e, c in q.numerator().terms.items()}
+
+
 class TestFactoredEquality:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pool=leaf_pools)
+    def test_each_leaf_image_is_its_cross_image(self, pool):
+        # The identities of the tests below hold for any values of the leaves,
+        # so only this one sees a leaf mapped to a wrong image: each leaf's image
+        # against cross_image on the pool's grid, exponents in sixths, fifths,
+        # sevenths and 128ths, in a ring whose slots take x1 and x2 in order and
+        # in one that takes them the other way round.
+        fine = grid(pool)
+        for ring, order in ((FlatRing(VS), (0, 1, 2)), (FlatRing(VS[::-1]), (0, 2, 1))):
+            for p in pool:
+                assert flat_terms(ring(p), fine, order) == cross_image(p, fine).num.terms
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(pool=leaf_pools, a=trees, b=trees, pair=st.sampled_from(PAIRS), added=st.integers(0, 3) | st.none())
     def test_same_verdict_as_full_cross_multiplication(self, pool, a, b, pair, added):

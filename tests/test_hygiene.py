@@ -323,6 +323,19 @@ def test_exact_identities_build_no_series(monkeypatch):
         monkeypatch.undo()
 
 
+# FieldElement.__init__ calls of decoding _UNIT_CERTIFICATE: 1 while the default
+# denominator of a RationalFunction built its constant 1 through the validating
+# constructor.
+DECODE_INITS = 0
+
+
+def test_decoding_builds_no_series(monkeypatch):
+    inits = count_calls(monkeypatch, [(FieldElement, "__init__")])
+    p, sd, cert = jsonio.certificate_from_json(_UNIT_CERTIFICATE)
+    assert cert.r.summands[0].den.is_one()  # r = [1 + x1^2] takes the default denominator
+    assert len(inits) <= DECODE_INITS
+
+
 def test_canonical_names_are_not_aligned(monkeypatch):
     # The rings read each name through the verifier's name table, so
     # sets.align_polynomial (called for p, h and each r_i while every value was
@@ -335,11 +348,12 @@ def test_canonical_names_are_not_aligned(monkeypatch):
 
 # ResiduePolynomial.__mul__ calls of the check below: 19 while every image was
 # one expanded quotient and each sum and equality multiplied out every
-# denominator, and 9 while the witness leaf was denoted once per copy.  Kept
+# denominator, 9 while the witness leaf was denoted once per copy, and 6 while
+# the summand x1, written twice in S, was squared once per occurrence.  Kept
 # factored, the main identity multiplies out c*c and m*q, and the witness
-# identity only 1 + S (three squares, its one copy) and m*x1, cancelling x1
-# and 1 + S.
-VERIFY_PRODUCTS = 6
+# identity only 1 + S (the squares x1*x1 and x1^2*x1^2) and m*x1, cancelling
+# x1 and 1 + S.
+VERIFY_PRODUCTS = 5
 
 # FlatRing._terms calls (polynomial images built) of the same check: 25 while
 # every mapping built its image afresh, p three times over (as p, as h.den and
