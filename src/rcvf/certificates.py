@@ -101,46 +101,27 @@ class VerificationResult:
         return self.ok
 
 
-def _read_names(p: Polynomial, cert: NonnegCertificate, set_descriptor: SetDescriptor) -> dict:
-    """The name table of cert: each variable name -> the set coordinate it reads as.
-
-    The set's names x1..xn name themselves; the other names of p, h and r take
-    x1, x2, ... in natural order, then the names only witness leaves use take
-    the next ones, so the main identity reads the same whatever the witness
-    says.  A value, or a leaf's summands together, that mixes the set's names
-    with other names is refused, as is a coordinate past the set's.
-    """
-    own, w = set_descriptor.variables(), cert.witness
-    trees = (w.numerator, w.denominator.a, *(e for c in w.monic or () for e in (c.num, c.den.a)))
-    values = [set(v.variables) for v in (p, cert.h, *cert.r.summands)]
-    leaves = [set().union(*(s.variables for s in summands)) for e in trees for summands in leaf_summands(e)]
-    order = [*dict.fromkeys(v for v in merge_variables(*values) + merge_variables(*leaves) if v not in own)]
-    for used in values + leaves:
-        if used.issubset(own):
-            continue
-        mixed = not used.isdisjoint(own)
-        frame = merge_variables(used) if mixed else order[:1 + max(map(order.index, used))]
-        if len(frame) > len(own):
-            raise ValueError(f"expression has {len(frame)} variables but the set has {len(own)}")
-        if mixed:
-            raise ValueError(f"variables {frame} mix the set's names {own} with other names")
-    return {**dict(zip(own, own)), **dict(zip(order, own))}
-
-
 def verify_nonneg_certificate(p: Polynomial, cert: NonnegCertificate,
                               set_descriptor: SetDescriptor) -> VerificationResult:
     """Exact check of p*(1+m*h) = sum r_i^2 plus the integrality witness.
 
     Every name is read through one table, built before any identity is
-    checked (see _read_names) and read by the rings as they map each value:
-    cert find writes p in its caller's names, h and r in the set's.
+    checked and read by the rings as they map each value: the set's table
+    (see sets.name_table) extended by the names of p, h and r, then by the
+    names only witness leaves use (a leaf's summands together), so the main
+    identity reads the same whatever the witness says.  cert find writes p in
+    its caller's names, h and r in the set's.
 
     Every identity runs in one flat ring over the table (see FlatRing), which
     maps each value once for all of them.  Inexact data proves no identity:
     p, m, h or r inexact fails the main identity, an inexact leaf the
     identity it is in.
     """
-    names, h, r, w = _read_names(p, cert, set_descriptor), cert.h, cert.r, cert.witness
+    h, r, w = cert.h, cert.r, cert.witness
+    trees = (w.numerator, w.denominator.a, *(e for c in w.monic or () for e in (c.num, c.den.a)))
+    names = set_descriptor.read_names(
+        [set(v.variables) for v in (p, h, *r.summands)],
+        [set().union(*(s.variables for s in summands)) for e in trees for summands in leaf_summands(e)])
     if not infinitesimal_or_zero(cert.m):
         return VerificationResult(False, "m_not_infinitesimal")
     ring = FlatRing.over(names)
@@ -209,19 +190,18 @@ def verify_dickmann_certificate(p: Polynomial, cert: DickmannCertificate) -> Ver
     """p = sum (1 + m1*q1^2)/(1 + m2*q2^2) with integral q's and infinitesimal m's."""
     if not _coefficients_integral(p):
         raise CoefficientsNotIntegral("certificate form requires coefficients in the valuation ring")
-    vs = p.variables
     for t in cert.terms:
         if not (infinitesimal_or_zero(t.m1) and infinitesimal_or_zero(t.m2)):
             return VerificationResult(False, "m_not_infinitesimal")
         if not (_coefficients_integral(t.q1) and _coefficients_integral(t.q2)):
             return VerificationResult(False, "q_not_integral")
-    ring = FlatRing.over(vs)
+    ring = FlatRing.over(merge_variables(p.variables, *(q.variables for t in cert.terms for q in (t.q1, t.q2))))
 
     def identity():
         total = ring(0)
         one = ring(1)
         for t in cert.terms:
-            q1, q2 = ring(t.q1.with_variables(vs)), ring(t.q2.with_variables(vs))
+            q1, q2 = ring(t.q1), ring(t.q2)
             num = one + ring(t.m1) * (q1 * q1)
             den = one + ring(t.m2) * (q2 * q2)
             total = total + num / den

@@ -29,7 +29,7 @@ from .certificates import (
 from .errors import ParseError, RcvfError
 from .integrality import gauss_gap, pointwise_integral_oracle
 from .parser import parse_expression
-from .poly import Polynomial, RationalFunction, gauss_valuation
+from .poly import Polynomial, gauss_valuation
 from .sampling import SampleConfig
 from .series import FieldElement, compare_order, default_truncation, format_rational, working_truncation
 from .sets import SetDescriptor, align_to_set
@@ -64,14 +64,6 @@ def _element_list(point) -> list:
 
 def _config(args, default_samples=500) -> SampleConfig:
     return SampleConfig(seed=args.seed, samples=args.samples or default_samples)
-
-
-def _as_poly(v) -> Polynomial:
-    if isinstance(v, FieldElement):
-        return Polynomial.constant(v)
-    if isinstance(v, RationalFunction):
-        raise ValueError("expected a polynomial, got a quotient")
-    return v
 
 
 # -- subcommand bodies: each returns (payload, exit code) ---------------------
@@ -186,7 +178,7 @@ def _psd_probe(p, sd, config):
 
 
 def _cmd_psd(args):
-    p = _as_poly(parse_expression(args.p))
+    p = jsonio.as_polynomial(parse_expression(args.p), args.p, "--p")
     sd = _load_set(args.set)
     if args.falsify:
         return _psd_falsify(p, sd, _config(args))
@@ -206,7 +198,7 @@ def _cmd_cert_verify(args):
 
 
 def _cmd_cert_find(args):
-    p = _as_poly(parse_expression(args.p))
+    p = jsonio.as_polynomial(parse_expression(args.p), args.p, "--p")
     sd = _load_set(args.set)
     body, code = _generate(p, sd, args)
     if args.out and "certificate" in body:

@@ -98,8 +98,8 @@ def set_to_json(s: SetDescriptor) -> dict:
             "centers": [element_to_text(c) for c in s.module_map.centers],
             "scales": [element_to_text(c) for c in s.module_map.scales],
         }
-    if s.strict_constraints:
-        out["strict"] = [poly_to_text(p) for p in s.strict_constraints]
+    if s.given_constraints:
+        out["strict"] = [poly_to_text(p) for p in s.given_constraints]
     return out
 
 
@@ -181,11 +181,27 @@ def _field(obj: dict, key: str, path: str = "") -> tuple:
 
 
 def _truncated(v) -> bool:
+    """Whether a parsed value has a truncated coefficient."""
     if isinstance(v, FieldElement):
         return v.precision is not None
+    parts = (v.num, v.den) if isinstance(v, RationalFunction) else (v,)
+    return any(c.precision is not None for part in parts for c in part.terms.values())
+
+
+def as_polynomial(v, text: str, where: str) -> Polynomial:
+    """The polynomial that v, parsed from text at where (a JSON path or a CLI
+    option), denotes: a scalar is a constant, and a quotient by an exact
+    constant monomial is scaled; any other quotient is an EncodingError."""
+    if isinstance(v, FieldElement):
+        return Polynomial.constant(v)
     if isinstance(v, RationalFunction):
-        return _truncated(v.num) or _truncated(v.den)
-    return any(c.precision is not None for c in v.terms.values())
+        if not v.den.is_constant():
+            raise EncodingError(f"{where}: expected a polynomial, got a quotient: {text!r}")
+        c = v.den.constant_value()
+        if len(c.terms) != 1:
+            raise EncodingError(f"{where}: non-monomial constant denominator in {text!r}")
+        return v.num.scale(c.invert())
+    return v
 
 
 def _items(obj, path: str, kind: type | None = None) -> list:
@@ -215,7 +231,8 @@ class _Reader:
     """
 
     def __init__(self):
-        self.parsed = {}  # text -> [parsed value, its polynomial once poly() has read it]
+        # text -> [parsed value, whether it is truncated, its polynomial once poly() has read it]
+        self.parsed = {}
         self.nodes = {}  # key -> the one summand, sum of squares or ring expression decoded under it
 
     def _parse(self, text, path: str, exact: bool):
@@ -225,12 +242,14 @@ class _Reader:
         return self._entry(text, path, exact)[0]
 
     def _entry(self, text, path: str, exact: bool) -> list:
-        """The memo entry of text, [parsed value, polynomial or None]; see _parse."""
+        """The memo entry of text, [parsed value, truncated, polynomial or None],
+        each distinct text scanned for truncation once; see _parse."""
         text = _expect(text, path, str)
         entry = self.parsed.get(text)
         if entry is None:
-            entry = self.parsed[text] = [parse_expression(text), None]
-        if exact and _truncated(entry[0]):
+            v = parse_expression(text)
+            entry = self.parsed[text] = [v, _truncated(v), None]
+        if exact and entry[1]:
             raise EncodingError(f"inexact coefficient in {path} {text!r}: a certificate holds exact values only")
         return entry
 
@@ -249,20 +268,9 @@ class _Reader:
 
     def poly(self, text, path: str, exact: bool = True) -> Polynomial:
         entry = self._entry(text, path, exact)
-        if entry[1] is not None:
-            return entry[1]
-        v = entry[0]
-        if isinstance(v, FieldElement):
-            v = Polynomial.constant(v)
-        elif isinstance(v, RationalFunction):
-            if not v.den.is_constant():
-                raise EncodingError(f"{path}: expected a polynomial, got a quotient: {text!r}")
-            c = v.den.constant_value()
-            if len(c.terms) != 1:
-                raise EncodingError(f"{path}: non-monomial constant denominator in {text!r}")
-            v = v.num.scale(c.invert())
-        entry[1] = v
-        return v
+        if entry[2] is None:
+            entry[2] = as_polynomial(entry[0], text, path)
+        return entry[2]
 
     def rational(self, text, path: str) -> RationalFunction:
         v = self._parse(text, path, True)

@@ -121,14 +121,17 @@ class _SparsePolynomial:
             raise ValueError(f"{name} not among {vs}")
         return cls.from_canonical(vs, {tuple(1 if v == name else 0 for v in vs): cls._coeff(1)})
 
-    def with_variables(self, variables: Sequence[str]):
-        """Re-embed into a larger variable frame (must contain the current one);
-        the polynomial itself in its own frame."""
+    def with_variables(self, variables: Sequence[str], names: Mapping[str, str] | None = None):
+        """Re-embed into a larger variable frame (must contain the current one),
+        each variable read through the name table names (name -> the name it
+        reads as; see sets.name_table) first, if one is given; the polynomial
+        itself where that changes nothing."""
         variables = tuple(variables)
-        if variables == self.variables:
-            return self
+        read = self.variables if names is None else tuple(names.get(v, v) for v in self.variables)
+        if variables == read:
+            return self if read == self.variables else self.from_canonical(variables, self.terms)
         idx = []
-        for v in self.variables:
+        for v in read:
             if v not in variables:
                 raise ValueError(f"variable {v} missing from target frame {variables}")
             idx.append(variables.index(v))
@@ -301,9 +304,6 @@ class Polynomial(_SparsePolynomial):
     __mul__ = __rmul__ = _SparsePolynomial.__mul__
     evaluate = _SparsePolynomial.evaluate
 
-    def coefficient(self, expv: tuple[int, ...]) -> FieldElement:
-        return self.terms.get(tuple(expv), FieldElement.zero())
-
     def scale(self, c: Scalar) -> "Polynomial":
         c = _as_coeff(c)
         return Polynomial(self.variables, {e: co * c for e, co in self.terms.items()})
@@ -462,8 +462,11 @@ class RationalFunction:
     def variables(self) -> tuple[str, ...]:
         return self.num.variables
 
-    def with_variables(self, variables: Sequence[str]) -> "RationalFunction":
-        return RationalFunction(self.num.with_variables(variables), self.den.with_variables(variables))
+    def with_variables(self, variables: Sequence[str], names: Mapping[str, str] | None = None) -> "RationalFunction":
+        """Numerator and denominator re-embedded (see Polynomial.with_variables);
+        self where that changes neither."""
+        num, den = self.num.with_variables(variables, names), self.den.with_variables(variables, names)
+        return self if num is self.num and den is self.den else RationalFunction(num, den)
 
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):

@@ -43,8 +43,9 @@ def holds(identity) -> bool:
 class SeriesRing:
     """Rational functions over the series field in one frame: the denotation of
     ring expressions read at points (see ringexpr.ring_expr_to_rational).
-    Names are read through a table as in FlatRing; a value some of whose
-    names are other coordinates' is rebuilt over the coordinates.
+    Names are read through a table as in FlatRing: each value is re-embedded
+    over the coordinates, its names read through the table (see
+    Polynomial.with_variables).
     """
 
     __slots__ = ("names", "variables")
@@ -54,16 +55,10 @@ class SeriesRing:
 
     def __call__(self, q) -> RationalFunction:
         if isinstance(q, RationalFunction):
-            num, den = self._read(q.num), self._read(q.den)
-            return q if num is q.num and den is q.den else RationalFunction(num, den)
+            return q.with_variables(self.variables, self.names)
         if isinstance(q, Polynomial):
-            return RationalFunction(self._read(q))
+            return RationalFunction(q.with_variables(self.variables, self.names))
         return RationalFunction.constant(q, self.variables)
-
-    def _read(self, p: Polynomial) -> Polynomial:
-        """p with each name read as its coordinate."""
-        frame = tuple(self.names.get(v, v) for v in p.variables)
-        return p if frame == p.variables else Polynomial.from_canonical(frame, p.terms).with_variables(self.variables)
 
 
 def _name_table(names) -> tuple:

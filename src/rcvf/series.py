@@ -271,16 +271,6 @@ class FieldElement:
                 break
         return Fraction(0)
 
-    def coefficient(self, exponent: Rational) -> Fraction:
-        """Known coefficient at an exponent; raises if the exponent is beyond precision."""
-        e = Fraction(exponent)
-        if self.precision is not None and e >= self.precision:
-            raise PrecisionExhausted(f"coefficient at {e} is beyond precision {self.precision}")
-        for te, tc in self.terms:
-            if te == e:
-                return tc
-        return Fraction(0)
-
     # -- arithmetic --------------------------------------------------------
 
     def _coerce(self, other) -> "FieldElement":

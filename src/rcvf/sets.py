@@ -13,7 +13,7 @@ from itertools import chain, islice
 from typing import Iterator, Optional, Sequence
 
 from .errors import PrecisionExhausted
-from .poly import Polynomial, RationalFunction, leading_sign, point_form
+from .poly import Polynomial, RationalFunction, leading_sign, merge_variables, point_form
 from .sampling import SampleConfig, _rng, generic_residue_point, random_element
 from .series import GT, FieldElement
 
@@ -51,11 +51,38 @@ def canonical_variables(n: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(n))
 
 
+def name_table(own: tuple, *layers) -> dict:
+    """The name table of values read on a set whose names are own (x1..xn):
+    each variable name -> the set coordinate it reads as.
+
+    The set's names name themselves.  Each layer is a list of the name sets of
+    its values; the other names a layer brings take the next coordinates, in
+    natural order, after the names of earlier layers.  A value that mixes the
+    set's names with other names is refused, as x2 could then mean x1 in one
+    value and x2 in another; so is a name whose coordinate the set has no
+    room for.
+    """
+    order = [*dict.fromkeys(v for layer in layers for v in merge_variables(*layer) if v not in own)]
+    for used in chain.from_iterable(layers):
+        if used.issubset(own):
+            continue
+        mixed = not used.isdisjoint(own)
+        frame = merge_variables(used) if mixed else order[:1 + max(map(order.index, used))]
+        if len(frame) > len(own):
+            raise ValueError(f"expression has {len(frame)} variables but the set has {len(own)}")
+        if mixed:
+            raise ValueError(f"variables {frame} mix the set's names {own} with other names")
+    return {**dict(zip(own, own)), **dict(zip(order, own))}
+
+
 class SetDescriptor:
     """A polydisc or affine-module set, with optional strict constraints."""
 
+    # given_constraints: the strict constraints in their own names, which are read
+    # together as the first layer of the set's name table (see name_table), before
+    # any other value, and written out by jsonio so that the table survives a round trip.
     # _generators: the generator functions, built by the first generators() call.
-    __slots__ = ("kind", "n", "module_map", "strict_constraints", "_generators")
+    __slots__ = ("kind", "n", "module_map", "strict_constraints", "given_constraints", "_generators")
 
     def __init__(self, kind: str, n: int | None = None, module_map: AffineModuleMap | None = None,
                  strict_constraints: Optional[Sequence[Polynomial]] = None):
@@ -70,8 +97,8 @@ class SetDescriptor:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "module_map", module_map)
-        normalized = tuple(align_polynomial(p, n) for p in strict_constraints) if strict_constraints else ()
-        object.__setattr__(self, "strict_constraints", normalized)
+        object.__setattr__(self, "given_constraints", tuple(strict_constraints or ()))
+        object.__setattr__(self, "strict_constraints", tuple(align_to_set(p, self) for p in self.given_constraints))
 
     def __setattr__(self, name, value):
         raise AttributeError("SetDescriptor is immutable")
@@ -90,6 +117,10 @@ class SetDescriptor:
 
     def variables(self) -> tuple[str, ...]:
         return canonical_variables(self.n)
+
+    def read_names(self, *layers) -> dict:
+        """The set's name table extended by layers (see name_table)."""
+        return name_table(self.variables(), [set(p.variables) for p in self.given_constraints], *layers)
 
     def generators(self) -> tuple[RationalFunction, ...]:
         """The functions whose integrality defines the set."""
@@ -281,27 +312,10 @@ class SetDescriptor:
         return f"SetDescriptor({self.kind}, n={self.n}{extra})"
 
 
-def align_polynomial(p: Polynomial, n: int) -> Polynomial:
-    """Express a polynomial in the canonical x1..xn frame of an n-dimensional set.
-
-    Canonical names embed by name, other names by position in their natural
-    order; a mix is refused, as x2 could then mean x1 here and x2 elsewhere.
-    """
-    vs = canonical_variables(n)
-    if p.variables == vs:
-        return p
-    if len(p.variables) > n:
-        raise ValueError(f"expression has {len(p.variables)} variables but the set has {n}")
-    if set(p.variables) <= set(vs):
-        return p.with_variables(vs)
-    if not set(p.variables).isdisjoint(vs):
-        raise ValueError(f"variables {p.variables} mix the set's names {vs} with other names")
-    return Polynomial(vs, {tuple(expv) + (0,) * (n - len(expv)): c for expv, c in p.terms.items()})
-
-
 def align_to_set(q, set_descriptor: "SetDescriptor"):
-    """Align a Polynomial or RationalFunction to a set's canonical variables."""
-    n = set_descriptor.n
-    if isinstance(q, RationalFunction):
-        return RationalFunction(align_polynomial(q.num, n), align_polynomial(q.den, n))
-    return align_polynomial(q, n)
+    """A Polynomial or RationalFunction in the set's names x1..xn, each of its
+    names read through the set's name table; q itself when it is in them."""
+    own = set_descriptor.variables()
+    if q.variables == own:
+        return q
+    return q.with_variables(own, set_descriptor.read_names([set(q.variables)]))

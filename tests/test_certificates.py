@@ -465,6 +465,17 @@ class TestDickmann:
         ))
         assert verify_dickmann_certificate(p2, cert2).ok
 
+    def test_terms_in_names_p_lacks(self):
+        # 1 = (1 + 0*y^2)/(1 + 0*0^2): q1 names y, which p over x does not.
+        p = Polynomial.constant(1, ("x",))
+        cert = DickmannCertificate((DickmannTerm(FieldElement.zero(), Polynomial.variable("y"),
+                                                 FieldElement.zero(), Polynomial.constant(0)),))
+        assert verify_dickmann_certificate(p, cert).ok
+        wrong = DickmannCertificate((DickmannTerm(EPS, Polynomial.variable("y"),
+                                                  FieldElement.zero(), Polynomial.constant(0)),))
+        result = verify_dickmann_certificate(p, wrong)
+        assert (result.ok, result.reason) == (False, "identity_failed")
+
     def test_non_integral_p_rejected(self):
         p = Polynomial.constant(FieldElement.eps_power(-1), ("x1",)) + X1 * X1
         cert = DickmannCertificate(())

@@ -729,6 +729,16 @@ class TestVerdicts:
         assert got == code
         assert {k: out[k] for k in answer} == answer
 
+    def test_strict_constraint_names_survive_a_round_trip(self, tmp_path):
+        # The constraint y is x1, so h's z is x2, the generator gen(1).  The set
+        # is written back in its own names: as x1, z would become x1 too.
+        blob = {"p": "1 + z^2", "set": {"kind": "ball", "n": 2, "strict": ["y"]}, "r": ["1", "z"], "m": "0",
+                "h": {"num": "z", "den": "1"}, "witness": dict(_TRIVIAL_WITNESS, num={"op": "gen", "index": 1})}
+        again = certificate_to_json(*certificate_from_json(blob))
+        assert again["set"] == blob["set"]
+        for body in (blob, again):
+            assert self.verify(tmp_path, body) == (0, _VERIFIED | {"command": "cert", "mode": "verify"})
+
 
 class TestDeterminism:
     COMMANDS = [
@@ -787,6 +797,22 @@ class TestGenerationOutcomePath:
         assert budgets == [(20, 0)] * 3
 
 
+class TestPolynomialInputs:
+    """--p is read as a certificate file's p is: one rule for both."""
+
+    def test_quotient_by_a_constant_is_scaled(self):
+        code, out = run_cli("psd", "--p", "(x1^2 + 1)/(x1 - x1 + 2)", "--set", "ball:1", "--generate",
+                            "--seed", "1")
+        assert (code, json.loads(out)["certificate"]["p"]) == (0, "1/2*x1^2 + 1/2")
+
+    @pytest.mark.parametrize("text, message", [
+        ("(x1^2 + 1)/x1", "--p: expected a polynomial, got a quotient: '(x1^2 + 1)/x1'"),
+        ("x1/(1 + eps)", "--p: non-monomial constant denominator in 'x1/(1 + eps)'")])
+    def test_other_quotients_are_refused(self, text, message):
+        code, out = run_cli("psd", "--p", text, "--set", "ball:1", "--falsify", "--seed", "1")
+        assert (code, json.loads(out)["error"]) == (2, {"message": message, "type": "EncodingError"})
+
+
 class TestAffineSetLoading:
     def test_affine_set_file(self, tmp_path):
         spec = {"kind": "affine", "centers": ["1"], "scales": ["eps"]}
@@ -804,6 +830,17 @@ class TestAffineSetLoading:
                             "--samples", "150")
         # x1 > 0 on the set, so no witness
         assert code == 0
+
+    @pytest.mark.parametrize("strict, p", [(["y", "z"], "z + 0*y"), (["y"], "y + 0*x")],
+                             ids=["two_names", "a_name_after_the_set"])
+    def test_strict_constraints_are_the_first_names(self, tmp_path, strict, p):
+        # The constraints are read together and first: y is x1 and z is x2, so
+        # both are positive on the set; a name p brings besides takes the next
+        # coordinate.  By position, y and z were both x1, and p's y was x2.
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"kind": "ball", "n": 2, "strict": strict}))
+        code, out = run_cli("psd", "--p", p, "--set", str(path), "--falsify", "--seed", "1")
+        assert (code, json.loads(out)["witness"]) == (0, None)
 
     # An affine set with no coordinates was accepted: integral exited 0, a
     # falsifier reported the empty point, and a certificate on it verified.

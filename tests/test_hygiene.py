@@ -2,9 +2,10 @@
 
 An ``ast`` scan of each module except ``__init__.py`` (whose imports are the
 public re-exports): a name bound by ``import``/``from ... import`` must occur
-as a name somewhere else in the module.  A second scan requires every field
-of a dataclass in the package to be read as an attribute (``.name``)
-somewhere in ``src/``, ``tests/`` or ``perfbench/``, and every target of the
+as a name somewhere else in the module.  Two more scans require every field
+of a dataclass in the package, and every method of a class there that is not
+a dunder, to be read as an attribute (``.name``) somewhere in ``src/``,
+``tests/`` or ``perfbench/``; another requires every target of the
 benchmark's tracer to be defined where the tracer wraps it.  Three more scans
 keep ``rcvf.cli`` printing only from ``run``, the package free of ``global``
 statements, and name alignment out of ``rcvf.ringexpr`` and ``rcvf.rings``.
@@ -113,6 +114,43 @@ def test_no_unread_dataclass_fields():
     fields = [f for p in MODULES for f in dataclass_fields(p.read_text())]
     assert fields, "the scan found no dataclass fields"
     assert unread_fields(fields, reads) == []
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def class_methods(source: str) -> list[str]:
+    """``Class.method`` for every method of every class that is not a dunder."""
+    return [f"{node.name}.{f.name}" for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)
+            for f in node.body
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(f.name)]
+
+
+def method_reads(source: str) -> set[str]:
+    """Attribute reads (``.name``), and the names a class body reads in its
+    own assignments, such as the aliases ``__radd__ = __add__``."""
+    aliases = {node.id for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+               for stmt in cls.body if isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value
+               for node in ast.walk(stmt.value) if isinstance(node, ast.Name)}
+    return attribute_reads(source) | aliases
+
+
+def test_method_scan_sees_unread_methods():
+    source = ("class A:\n    def __init__(self): self.used()\n    def used(self): pass\n"
+              "    def dropped(self): pass\n    def aliased(self): pass\n    other = aliased\n"
+              "    @property\n    def shown(self): pass\n"
+              "def dropped_function(): pass\nprint(A().shown)\n")
+    methods = class_methods(source)
+    assert methods == ["A.used", "A.dropped", "A.aliased", "A.shown"]
+    assert unread_fields(methods, method_reads(source)) == ["A.dropped"]
+
+
+def test_no_unread_methods():
+    reads = set().union(*(method_reads(p.read_text()) for p in READERS))
+    methods = [m for p in MODULES for m in class_methods(p.read_text())]
+    assert methods, "the scan found no methods"
+    assert unread_fields(methods, reads) == []
 
 
 def functions_calling(source: str, callee: str) -> list[str]:
@@ -337,13 +375,27 @@ def test_decoding_builds_no_series(monkeypatch):
 
 
 def test_canonical_names_are_not_aligned(monkeypatch):
-    # The rings read each name through the verifier's name table, so
-    # sets.align_polynomial (called for p, h and each r_i while every value was
-    # aligned) is not called at all.
-    p, sd, cert = jsonio.certificate_from_json(_UNIT_CERTIFICATE)
-    alignments = count_calls(monkeypatch, [(sets, "align_polynomial")])
-    assert verify_nonneg_certificate(p, cert, sd).ok
-    assert alignments == []
+    # The rings read each name through the verifier's name table, so no value
+    # is re-embedded in the set's names (as p, h and each r_i were while every
+    # value was aligned), whatever names the certificate uses.
+    for name in ("x1", "y"):
+        p, sd, cert = jsonio.certificate_from_json(json.loads(json.dumps(_UNIT_CERTIFICATE).replace("x1", name)))
+        alignments = count_calls(monkeypatch, [(_SparsePolynomial, "with_variables"),
+                                               (RationalFunction, "with_variables")])
+        assert verify_nonneg_certificate(p, cert, sd).ok
+        assert alignments == [], name
+        monkeypatch.undo()
+
+
+# _truncated calls of decoding _UNIT_CERTIFICATE: 18 while every read of a text,
+# memo hits included, scanned its value again; one per distinct text.
+DECODE_SCANS = 7
+
+
+def test_decoding_scans_each_distinct_text_once(monkeypatch):
+    scans = count_calls(monkeypatch, [(jsonio, "_truncated")])
+    jsonio.certificate_from_json(_UNIT_CERTIFICATE)
+    assert len(scans) == DECODE_SCANS
 
 
 # ResiduePolynomial.__mul__ calls of the check below: 19 while every image was

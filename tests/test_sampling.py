@@ -16,7 +16,7 @@ import pytest
 from rcvf.parser import parse_expression
 from rcvf.sampling import SampleConfig, _rng, random_element
 from rcvf.series import FieldElement
-from rcvf.sets import AffineModuleMap, SetDescriptor, align_polynomial
+from rcvf.sets import AffineModuleMap, SetDescriptor
 
 F = Fraction
 EPS = FieldElement.eps_power(1)
@@ -92,11 +92,9 @@ AFFINE = SetDescriptor.affine_module(AffineModuleMap(
     (FieldElement.from_rational(F(1, 2)) + EPS, FieldElement.from_rational(-3)),
     (FieldElement.eps_power(1, 2), FieldElement.eps_power(F(1, 2), -1))))
 # Rejects some corners, grid points and random draws; its sign tests refuse none.
-STRICT = SetDescriptor.unit_polydisc(2, strict_constraints=[
-    align_polynomial(parse_expression("x1 - x2^2 + 1/4"), 2)])
+STRICT = SetDescriptor.unit_polydisc(2, strict_constraints=[parse_expression("x1 - x2^2 + 1/4")])
 # Rejects the images whose second coordinate is at most -3, about half of them.
-STRICT_AFFINE = SetDescriptor.affine_module(AFFINE.module_map, strict_constraints=[
-    align_polynomial(parse_expression("x2 + 3"), 2)])
+STRICT_AFFINE = SetDescriptor.affine_module(AFFINE.module_map, strict_constraints=[parse_expression("x2 + 3")])
 SETS = {"ball:1": SetDescriptor.unit_polydisc(1), "ball:2": SetDescriptor.unit_polydisc(2),
         "ball:3": SetDescriptor.unit_polydisc(3), "affine": AFFINE, "strict": STRICT,
         "strict_affine": STRICT_AFFINE}
