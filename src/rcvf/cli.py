@@ -111,19 +111,19 @@ def _cmd_integral(args):
         h = Polynomial.constant(h)
     sd = _load_set(args.set)
     config = _config(args, default_samples=2000)
-    gap = gauss_gap(h, sd)
-    gauss_ok = gap >= 0
+    # The Gauss criterion does not apply on a set with strict constraints; the oracle samples it.
+    gap = None if sd.has_strict_constraints else gauss_gap(h, sd)
     verdict = pointwise_integral_oracle(h, sd, config)
     payload = {
         "command": "integral",
-        "gauss": {"integral": gauss_ok, "gap": str(gap)},
+        "gauss": None if gap is None else {"integral": gap >= 0, "gap": str(gap)},
         "pointwise": {"verdict": verdict.kind, "samples": verdict.samples,
                       "skipped": verdict.skipped},
     }
     if verdict.found_counterexample:
         payload["pointwise"]["point"] = _element_list(verdict.point)
         payload["pointwise"]["value_valuation"] = str(verdict.value_valuation)
-    return payload, 1 if (not gauss_ok or verdict.found_counterexample) else 0
+    return payload, 1 if ((gap is not None and gap < 0) or verdict.found_counterexample) else 0
 
 
 def _psd_falsify(p, sd, config):

@@ -11,11 +11,12 @@ only as a lower bound of its values).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 from typing import Optional, Union
 
 from .errors import DivisionByZero, NotInfinitesimalDefinite, PrecisionExhausted
-from .poly import Polynomial, RationalFunction, gauss_valuation, point_form, valuation_at
+from .poly import Polynomial, RationalFunction, _initial_term, gauss_valuation, point_form, valuation_at
 from .sampling import SampleConfig, _rng
 from .series import _EXPONENT_DENOMINATOR_CAP, FieldElement, ValueGroupElement
 from .sets import BALL, AffineModuleMap, SetDescriptor, align_to_set
@@ -74,10 +75,12 @@ def pointwise_integral_oracle(h: Union[Polynomial, RationalFunction], set_descri
     """
     h = align_to_set(_as_rational_function(h), set_descriptor)
     h, module_map = polydisc_frame(h, set_descriptor)
-    bound = None  # (gauss(num), D): D the lcm of the numerator's eps-exponent denominators
+    bound = None  # (g, D): g = gauss(num), None if num is 0; D the lcm of num's eps-exponent denominators
     if (set_descriptor.kind == BALL or module_map is not None) and \
             all(c.precision is None for part in (h.num, h.den) for c in part.terms.values()):
-        bound = h.num.gauss_valuation(), lcm(*(w.denominator for c in h.num.terms.values() for w, _ in c.terms))
+        g = h.num.gauss_valuation()
+        exponents = lcm(*(w.denominator for c in h.num.terms.values() for w, _ in c.terms))
+        bound = (None if g.is_top else g.value), exponents
     tested = 0
     skipped = 0
     for b, form in _oracle_points(set_descriptor, config, module_map is not None):
@@ -97,20 +100,31 @@ def pointwise_integral_oracle(h: Union[Polynomial, RationalFunction], set_descri
 def _oracle_valuation(h: RationalFunction, b, form, bound) -> Optional[ValueGroupElement]:
     """valuation_at(h, b, form), or None where the Gauss bound shows it is not negative.
 
-    On the closed unit polydisc an exact numerator has v(num(b)) >= gauss(num),
-    so where v(den(b)) <= gauss(num) the numerator is not evaluated.  The
-    denominator goes first only where the numerator's evaluation cannot raise
-    ExponentBlowup: every exponent of its values lies over lcm(D, the form's
-    denominator) (an oracle point's all lie over its form's), within the cap.
+    On the closed unit polydisc an exact numerator has v(num(b)) >= g = gauss(num),
+    so where v(den(b)) <= g the numerator is not evaluated, and a zero numerator
+    is never negative.  v(den(b)) is read as an integer over a denominator
+    from the denominator's initial term (``poly._initial_term``), where that
+    decides, so the test builds no rational.  The denominator goes first only
+    where the numerator's evaluation cannot raise ExponentBlowup: every
+    exponent of its values lies over lcm(D, the form's denominator) (an oracle
+    point's all lie over its form's), within the cap.
     """
     if form is None:
         form = point_form(b)
     if bound is None or form is None or lcm(bound[1], form[0]) > _EXPONENT_DENOMINATOR_CAP:
         return valuation_at(h, b, form)
-    den = valuation_at(h.den, b, form)
-    if den.is_top:
-        raise DivisionByZero("denominator vanishes at the point")
-    return None if den <= bound[0] else valuation_at(h.num, b, form) - den
+    lead = _initial_term(h.den, b, form)
+    if lead is None:  # the initial form does not decide: the exact value does
+        v = valuation_at(h.den, b, form)
+        if v.is_top:
+            raise DivisionByZero("denominator vanishes at the point")
+        m, den = v.value.numerator, v.value.denominator
+    else:
+        m, _, _, den = lead
+    g = bound[0]
+    if g is None or m * g.denominator <= g.numerator * den:
+        return None
+    return valuation_at(h.num, b, form) - ValueGroupElement(Fraction(m, den))
 
 
 def _oracle_points(set_descriptor: SetDescriptor, config: SampleConfig, on_polydisc: bool):

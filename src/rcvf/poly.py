@@ -15,7 +15,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping, Sequence, Union
 
 from .errors import DivisionByZero, UndefinedGauss
@@ -23,6 +23,7 @@ from .series import (
     GT,
     LT,
     TOP,
+    _EXPONENT_DENOMINATOR_CAP,
     FieldElement,
     ValueGroupElement,
     _check_exponent,
@@ -637,6 +638,17 @@ def point_form(point: Sequence):
 def _leading_term(p: Polynomial, point: Sequence, form=None):
     """(m, s, P) with p(point) = (s/d) eps^m + O(eps^P) for some d > 0, s != 0 and
     m < P (P None if nothing else is there); None if the initial form does not decide.
+    It is ``_initial_term`` with its exponents as Fractions."""
+    lead = _initial_term(p, point, form)
+    if lead is None:
+        return None
+    m, s, bound, den = lead
+    return Fraction(m, den), s, None if bound is None else Fraction(bound, den)
+
+
+def _initial_term(p: Polynomial, point: Sequence, form=None):
+    """(m, s, P, D): ``_leading_term``'s m and P as integers over D, m*D and P*D,
+    with the same s; None if the initial form does not decide.
 
     With b_i = a_i eps^v_i + (terms from v_i + g_i on) and each coefficient
     c_t = c eps^w_t + (from w_t + g_t on), every monomial is
@@ -659,7 +671,8 @@ def _leading_term(p: Polynomial, point: Sequence, form=None):
     S = s/d for s = sum_t (c_t*L) * prod_i n_i^e_i * q_i^(T_i-e_i) and
     d = L * prod_i q_i^T_i, so s carries the sign of S and d is never formed.
     As building S eps^m would, an m over the exponent-denominator cap raises
-    ExponentBlowup.  Terms above the leading one are never formed.
+    ExponentBlowup; that is tested in integers too.  Terms above the leading
+    one are never formed.
     """
     if len(point) != len(p.variables):
         raise ValueError(f"point arity {len(point)} != {len(p.variables)}")
@@ -726,15 +739,15 @@ def _leading_term(p: Polynomial, point: Sequence, form=None):
         s += c
     if not s:
         return None
-    m = Fraction(m, den)
-    _check_exponent(m)
-    return m, s, None if bound is None else Fraction(bound, den)
+    if den // gcd(m, den) > _EXPONENT_DENOMINATOR_CAP:
+        _check_exponent(Fraction(m, den))  # raises ExponentBlowup
+    return m, s, bound, den
 
 
 def leading_sign(p: Polynomial, point: Sequence, form=None) -> str:
     """``compare_order(p.evaluate(point), 0)``, read off the initial form when it
     decides; form is the point's ``point_form``, if the caller has it."""
-    lead = _leading_term(p, point, form)
+    lead = _initial_term(p, point, form)
     if lead is None:
         return compare_order(p.evaluate(point), FieldElement.zero())
     return GT if lead[1] > 0 else LT

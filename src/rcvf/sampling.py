@@ -1,7 +1,10 @@
 """Deterministic, seed-indexed random generation of series and sample points.
 
 Every draw is a pure function of ``(seed, index)``, so parallel consumers can
-partition index ranges and still reproduce a run bit-for-bit.
+partition index ranges and still reproduce a run bit-for-bit.  A generator
+depends on nothing but the state it is seeded with (``_state``): a new one
+(``_rng``) and one reseeded for each index in turn (``reseeded``) give the
+same draws.
 """
 
 from __future__ import annotations
@@ -9,7 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
+
+from _random import Random as _BaseRandom
 
 from .series import FieldElement, ValueGroupElement
 
@@ -21,8 +26,27 @@ _COEFFICIENT_BOUND = 12
 _EXPONENT_BOUND = 4
 
 
+def _state(seed: int, index: int) -> int:
+    """The 64-bit seed of the generator of (seed, index)."""
+    return ((seed * _MIX) ^ (index * 0xBF58476D1CE4E5B9)) & 0xFFFFFFFFFFFFFFFF
+
+
 def _rng(seed: int, index: int) -> random.Random:
-    return random.Random(((seed * _MIX) ^ (index * 0xBF58476D1CE4E5B9)) & 0xFFFFFFFFFFFFFFFF)
+    return random.Random(_state(seed, index))
+
+
+def reseeded(seed: int, count: int) -> Iterator[random.Random]:
+    """One generator, in the state of ``_rng(seed, index)`` for index 0..count-1 in turn.
+
+    ``random.Random(x)`` for an int x is the base class's ``seed(x)`` plus
+    ``gauss_next = None``, which only ``gauss`` reads; so reseeding through the
+    base class gives the draws of a new generator without building one.
+    """
+    rng = random.Random()
+    seed_state = _BaseRandom.seed
+    for index in range(count):
+        seed_state(rng, _state(seed, index))
+        yield rng
 
 
 @dataclass(frozen=True)
@@ -106,7 +130,7 @@ def _random_terms(rng: random.Random) -> list[tuple[int, Fraction]]:
     return [(h, c) for h, c in sorted(merged.items()) if c]
 
 
-def random_element(rng: random.Random, min_valuation: Fraction = Fraction(0), form: bool = False):
+def random_element(rng: random.Random, min_valuation: Rational = 0, form: bool = False):
     """One exact series with valuation >= min_valuation (or exact zero).
 
     The kind mix guarantees units with random rational residues, elements of

@@ -14,7 +14,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import PrecisionExhausted
 from .poly import Polynomial, RationalFunction, leading_sign, merge_variables, point_form
-from .sampling import SampleConfig, _rng, generic_residue_point, random_element
+from .sampling import SampleConfig, generic_residue_point, random_element, reseeded
 from .series import GT, FieldElement
 
 BALL = "ball"
@@ -189,7 +189,7 @@ class SetDescriptor:
                      on_polydisc: bool = False) -> Iterator[tuple[list[FieldElement], Optional[tuple]]]:
         """(point, form) per point of ``stream_points``, form being the point's
         integer initial form (``poly.point_form``): a random point's comes
-        straight from its draws, a structured point's is derived.
+        straight from its draws, a structured point's from the probe table.
 
         With on_polydisc, the point is the polydisc point whose image under the
         module map is the set's point (the point itself on a polydisc).
@@ -204,70 +204,38 @@ class SetDescriptor:
                 yield y, form
 
     def _stream(self, config: SampleConfig, count: int | None, images: bool):
-        """(polydisc point, form, image) per sampled point.  Each point is mapped
-        at most once: when images are asked for or strict constraints test
-        them, else the image is None.  A drawn point comes with its form; a
-        structured point's is derived only when images are not asked for, else
-        it is None."""
+        """(polydisc point, its form, image) per sampled point.  Each point is
+        mapped at most once: when images are asked for or strict constraints
+        test them, else the image is None."""
         want = config.samples if count is None else count
         if want <= 0:
             return
         strict = self.has_strict_constraints
         # At most a quarter of the count is structured, so only drawn points can complete it.
-        structured = islice(self._structured_ball_points(), int(want * _STRUCTURED_FRACTION))
-        candidates = chain(((y, None) for y in structured), self._drawn(config.seed, 20 * want + 100))
+        structured = islice(_probes(self.n), int(want * _STRUCTURED_FRACTION))
+        candidates = chain(((list(y), form) for y, form in structured), self._drawn(config.seed, 20 * want + 100))
         taken = 0
         for y, form in candidates:
             x = self._from_ball(y) if images or strict else None
             if strict and not self._admissible(x):
                 continue
-            if form is None and not images:
-                form = point_form(y)
             yield y, form, x
             taken += 1
             if taken == want:
                 return
 
     def _drawn(self, seed: int, count: int) -> Iterator[tuple[list[FieldElement], tuple]]:
-        """The random polydisc points of indices 0..count-1, each with its form."""
-        for index in range(count):
-            rng = _rng(seed, index)
-            draws = [random_element(rng, form=True) for _ in range(self.n)]
+        """The random polydisc points of indices 0..count-1, each with its form,
+        drawn by one generator reseeded per index."""
+        n = self.n
+        for rng in reseeded(seed, count):
+            draws = [random_element(rng, form=True) for _ in range(n)]
             yield [x for x, _ in draws], (2, [f for _, f in draws])
 
     def structured_points(self) -> Iterator[list[FieldElement]]:
         """Corners, eps-power coordinates, and a small rational grid."""
-        for y in self._structured_ball_points():
-            yield self._from_ball(y)
-
-    def _structured_ball_points(self) -> Iterator[list[FieldElement]]:
-        n = self.n
-        one, zero = FieldElement.one(), FieldElement.zero()
-        minus_one = -one
-        eps_pows = [FieldElement.eps_power(k) for k in range(1, 5)]
-        rationals = [FieldElement.from_rational(Fraction(a, b))
-                     for a, b in ((0, 1), (1, 2), (-1, 2), (2, 1), (-2, 1), (1, 3), (3, 2))]
-        for mask in range(2**n):
-            yield [one if (mask >> i) & 1 == 0 else minus_one for i in range(n)]
-        for v in eps_pows:
-            for i in range(n):
-                base = [zero] * n
-                base[i] = v
-                yield base
-            yield [v] * n
-        for r in rationals:
-            yield [r] * n
-            for i in range(n):
-                base = [one] * n
-                base[i] = r
-                yield base
-        # mixed: eps-power in one slot, rational elsewhere
-        for v in eps_pows[:2]:
-            for r in rationals[:3]:
-                for i in range(n):
-                    base = [r] * n
-                    base[i] = v
-                    yield base
+        for y, _ in _probes(self.n):
+            yield self._from_ball(list(y))
 
     def generic_residue_points(self, rng, count: int, pool_size: int,
                                on_polydisc: bool = False) -> list[list[FieldElement]]:
@@ -303,13 +271,66 @@ class SetDescriptor:
                             other.module_map.centers + other.module_map.scales):
                 if not (a - b).is_exact_zero():
                     return False
-        return all(p == q for p, q in zip(self.strict_constraints, other.strict_constraints))
+        # The constraints must agree, and so must the names the set reads other values through.
+        return all(p == q for p, q in zip(self.strict_constraints, other.strict_constraints)) and \
+            self.read_names() == other.read_names()
 
     __hash__ = None
 
     def __repr__(self):
         extra = f", strict={len(self.strict_constraints)}" if self.strict_constraints else ""
         return f"SetDescriptor({self.kind}, n={self.n}{extra})"
+
+
+# The structured probes of each dimension as (point, form) rows, form being the
+# point's point_form: a pure function of n, so each row is built once and kept.
+# A table grows only as far as a stream has read it (the corners alone are 2^n).
+_PROBES: dict[int, tuple[list, Iterator[list[FieldElement]]]] = {}
+
+
+def _probes(n: int) -> Iterator[tuple[tuple[FieldElement, ...], tuple]]:
+    """The rows of the probe table of dimension n, in order."""
+    rows, source = _PROBES.get(n) or _PROBES.setdefault(n, ([], _structured_ball_points(n)))
+    index = 0
+    while True:
+        if index == len(rows):
+            y = next(source, None)
+            if y is None:
+                return
+            den, coords = point_form(y)
+            rows.append((tuple(y), (den, tuple(coords))))
+        yield rows[index]
+        index += 1
+
+
+def _structured_ball_points(n: int) -> Iterator[list[FieldElement]]:
+    """The structured probes of the unit polydisc in n dimensions, in order."""
+    one, zero = FieldElement.one(), FieldElement.zero()
+    minus_one = -one
+    eps_pows = [FieldElement.eps_power(k) for k in range(1, 5)]
+    rationals = [FieldElement.from_rational(Fraction(a, b))
+                 for a, b in ((0, 1), (1, 2), (-1, 2), (2, 1), (-2, 1), (1, 3), (3, 2))]
+    for mask in range(2**n):
+        yield [one if (mask >> i) & 1 == 0 else minus_one for i in range(n)]
+    for v in eps_pows:
+        for i in range(n):
+            base = [zero] * n
+            base[i] = v
+            yield base
+        yield [v] * n
+    for r in rationals:
+        yield [r] * n
+        for i in range(n):
+            base = [one] * n
+            base[i] = r
+            yield base
+    # mixed: eps-power in one slot, rational elsewhere
+    for v in eps_pows[:2]:
+        for r in rationals[:3]:
+            for i in range(n):
+                base = [r] * n
+                base[i] = v
+                yield base
 
 
 def align_to_set(q, set_descriptor: "SetDescriptor"):

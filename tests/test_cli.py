@@ -822,6 +822,22 @@ class TestAffineSetLoading:
                             "--samples", "100")
         assert code == 0
 
+    def test_integral_on_a_strict_set_runs_the_oracle(self, tmp_path):
+        # The Gauss criterion does not apply on a set with strict constraints:
+        # "gauss" is null and the oracle alone gives the exit code.  y > 0 and
+        # z > 0 read as x1 > 0 and x2 > 0, so 1/y is not integral there and y is.
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"kind": "ball", "n": 2, "strict": ["y", "z"]}))
+        code, out = run_cli("integral", "--h", "1/y", "--set", str(path), "--seed", "1", "--samples", "50")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["gauss"] is None and payload["pointwise"]["verdict"] == "counterexample_found"
+        assert all(parse_expression(x) > 0 for x in payload["pointwise"]["point"])
+        code, out = run_cli("integral", "--h", "y", "--set", str(path), "--seed", "1", "--samples", "50")
+        assert code == 0
+        assert json.loads(out) == {"command": "integral", "gauss": None, "pointwise": {
+            "samples": 54, "skipped": 0, "verdict": "no_counterexample_found"}}
+
     def test_strict_constraint_file(self, tmp_path):
         spec = {"kind": "ball", "n": 1, "strict": ["x1"]}
         path = tmp_path / "set.json"

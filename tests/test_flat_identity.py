@@ -264,6 +264,24 @@ class TestSameVerdicts:
 
         assert flat_and_series(monkeypatch, refused) == ["refused"] * 2
 
+    def test_sets_that_read_other_names_differently_differ(self, monkeypatch):
+        # On ball:2 both sets say x1 > 0, but {"strict": ["y"]} reads y as x1,
+        # so a certificate's z is x2, where {"strict": ["x1"]} reads z as x1.
+        # p = 1 + z^2 = 1^2 + z^2 with h = z and the witness gen(1) = x2 is
+        # valid on the first only, so the two sets are not equal.
+        on_y = SetDescriptor.unit_polydisc(2, [Polynomial.variable("y")])
+        on_x1 = SetDescriptor.unit_polydisc(2, [Polynomial.variable("x1", VS)])
+        z = Polynomial.variable("z")
+        one = Polynomial.constant(1, ("z",))
+        cert = NonnegCertificate(SOSExpr([one, z]), FieldElement.zero(), RationalFunction(z),
+                                 IntegralityWitness(GenExpr(1), PerturbedUnit.trivial()))
+        assert flat_and_series(monkeypatch, verify_nonneg_certificate, one + z * z, cert, on_y) == \
+            [(True, None)] * 2
+        assert flat_and_series(monkeypatch, verify_nonneg_certificate, one + z * z, cert, on_x1) == \
+            [(False, "witness_identity_failed")] * 2
+        assert on_y != on_x1 and on_y.strict_constraints == on_x1.strict_constraints
+        assert on_y == SetDescriptor.unit_polydisc(2, [Polynomial.variable("y")])
+
     def test_cone_leaf_with_factors_over_other_names(self, monkeypatch):
         # The entry y^2 * x1 has a strict factor in the set's names and a summand
         # in another name; the summand alone is read through the table, where y

@@ -123,6 +123,23 @@ GOLDEN = [
     # Strict constraints are enforced on samples by rejection.
     ("psd --p 'x^2 + 1' --set {strict} --falsify --seed 1", 0,
      '{"command":"psd","mode":"falsify","samples":500,"witness":null}'),
+    # Answers from late random draws.  The first integral counterexample is the
+    # 85th random point, past the 37 structured ones; the falsifier's witness is
+    # the draw of index 72, after 59 draws its strict constraints rejected.
+    ("integral --h 'eps/(x1 + x2 - 7/6)' --set ball:2 --seed 2 --samples 150", 1,
+     '{"command":"integral","gauss":{"gap":"1","integral":true},"pointwise":{"point":["-4/5*e'
+     'ps^(5/2) - 2/3*eps^3","7/6"],"samples":122,"skipped":0,"value_valuation":"-3/2","verdi'
+     'ct":"counterexample_found"}}'),
+    ("psd --p 'x1 - x2^2 + 1/5' --set {cone} --falsify --seed 1 --samples 150", 1,
+     '{"command":"psd","mode":"falsify","witness":{"point":["12","-11 + 10/3*eps^(5/2) + 10/'
+     '9*eps^3"],"value":"-544/5 + 220/3*eps^(5/2) + 220/9*eps^3 - 100/9*eps^5 - 200/27*eps^('
+     '11/2) - 100/81*eps^6"}}'),
+    # On a set with strict constraints the Gauss criterion does not apply, and the
+    # oracle alone decides; its counterexample is the 144th point the cone admits.
+    # The pointwise part is the parent library oracle's answer on the same set.
+    ("integral --h 'eps/(x1 - 1/3)' --set {cone} --seed 1 --samples 150", 1,
+     '{"command":"integral","gauss":null,"pointwise":{"point":["1/3 + 12*eps^4","1/4"],"samples":144'
+     ',"skipped":1,"value_valuation":"-3","verdict":"counterexample_found"}}'),
     # cert verify on a unit certificate, on the same with m doubled and with an
     # unclosed parenthesis in h.den (see the certificates fixture).
     ("cert verify {valid}", 0, '{"command":"cert","mode":"verify","reason":null,"verified":true}'),
@@ -157,6 +174,13 @@ def strict_file(tmp_path):
 
 
 @pytest.fixture
+def cone_file(tmp_path):
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"kind": "ball", "n": 2, "strict": ["x1 + x2", "x1 - x2"]}))
+    return path
+
+
+@pytest.fixture
 def certificate_files(tmp_path):
     files = {}
     for name, cert in CERTIFICATES.items():
@@ -166,8 +190,9 @@ def certificate_files(tmp_path):
 
 
 @pytest.mark.parametrize("command, code, stdout", GOLDEN, ids=[c for c, _, _ in GOLDEN])
-def test_golden_output(module_file, strict_file, certificate_files, command, code, stdout):
-    argv = [arg.format(module=module_file, strict=strict_file, **certificate_files) for arg in shlex.split(command)]
+def test_golden_output(module_file, strict_file, cone_file, certificate_files, command, code, stdout):
+    argv = [arg.format(module=module_file, strict=strict_file, cone=cone_file, **certificate_files)
+            for arg in shlex.split(command)]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         got = run(argv)

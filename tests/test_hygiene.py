@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 import rcvf
-from rcvf import certificates, jsonio, poly, series, sets, sos
+from rcvf import certificates, integrality, jsonio, poly, series, sets, sos
 from rcvf.certificates import (
     CERTIFICATE,
     IntegralityWitness,
@@ -270,9 +270,9 @@ def test_falsifier_stops_drawing_at_a_negative_corner(monkeypatch):
 
 # FieldElement.__init__ calls of the run below: 703 when every sign test built
 # its value and every random coordinate went through the general constructor,
-# and 29 while the structured points built a zero and a -1 coordinate each
-# time one was needed.
-FALSIFY_INITS = 19
+# 29 while the structured points built a zero and a -1 coordinate each time
+# one was needed, and 19 while every stream built its structured points.
+FALSIFY_INITS = 0
 
 
 def test_falsifier_sign_tests_build_no_series(monkeypatch):
@@ -282,11 +282,13 @@ def test_falsifier_sign_tests_build_no_series(monkeypatch):
     binders = [(module, "compare_order") for name, module in sorted(sys.modules.items())
                if name.startswith("rcvf") and getattr(module, "compare_order", None) is series.compare_order]
     assert (series, "compare_order") in binders
+    p = parse_expression("1 + x1^2 + x2^2 + eps*x1*x2")
+    ball = SetDescriptor.unit_polydisc(2)
+    list(ball.structured_points())  # the probe table of ball:2, built once per process
     comparisons = count_calls(monkeypatch, binders)
     inits = count_calls(monkeypatch, [(FieldElement, "__init__")])
     draws = count_calls(monkeypatch, [(sets, "random_element")])
-    point = falsify_nonnegativity(parse_expression("1 + x1^2 + x2^2 + eps*x1*x2"), SetDescriptor.unit_polydisc(2),
-                                  SampleConfig(seed=1, samples=120))
+    point = falsify_nonnegativity(p, ball, SampleConfig(seed=1, samples=120))
     assert point is None
     assert len(draws) == 2 * 90  # 30 structured points, 90 random ones of two coordinates
     assert comparisons == []
@@ -312,8 +314,9 @@ def test_generation_shifts_and_peels_build_no_series(monkeypatch):
     assert len(inits) <= GENERATE_INITS
 
 
-# _leading_term calls of the run below: 248 when the oracle read the numerator
-# and the denominator at each of its 124 points.
+# Initial-form kernel calls of the run below, through poly's binding and the
+# oracle's: 248 when the oracle read the numerator and the denominator at each
+# of its 124 points.
 ORACLE_LEADING_TERMS = 124
 
 
@@ -323,7 +326,7 @@ def test_oracle_reads_no_numerator_the_gauss_bound_decides(monkeypatch):
     # is the numerator's Gauss valuation at every point.
     argv = ["integral", "--h", "(eps + eps*x2^2 + 1/2*eps^(3/2)*x1 + 1/2*eps^2*x1*x2 - eps^(3/2)*x1^2*x2)"
             "/(4*eps + 8*eps*x2^2 + 4*eps*x1^2)", "--set", "ball:2", "--seed", "0", "--samples", "120"]
-    leads = count_calls(monkeypatch, [(poly, "_leading_term")])
+    leads = count_calls(monkeypatch, [(poly, "_initial_term"), (integrality, "_initial_term")])
     with contextlib.redirect_stdout(io.StringIO()) as out:
         assert run(argv) == 0
     assert '"samples":124' in out.getvalue() and '"no_counterexample_found"' in out.getvalue()

@@ -1,5 +1,6 @@
 """Gauss criterion vs pointwise oracle, module pullback, infinitesimal split."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -359,14 +360,57 @@ class TestGaussBoundSkip:
     def test_numerator_is_read_only_where_the_bound_does_not_decide(self, monkeypatch):
         # 1/(1 + x1^2) on ball:1: the numerator's Gauss valuation 0 bounds
         # v(den(b)) = 0 at every point but x1 = i, which is no sampled point.
+        # The denominator's initial term decides at each, so the oracle calls
+        # the kernel once per sample, on the denominator, and evaluates nothing.
         h = parse_expression("1/(1 + x1^2)")
         config = SampleConfig(seed=5, samples=200)
-        calls = []
-        valuation = integrality.valuation_at
-        monkeypatch.setattr(integrality, "valuation_at", lambda q, *a: calls.append(q) or valuation(q, *a))
+        calls, valuations = [], []
+        initial_term, valuation = integrality._initial_term, integrality.valuation_at
+        monkeypatch.setattr(integrality, "_initial_term", lambda q, *a: calls.append(q) or initial_term(q, *a))
+        monkeypatch.setattr(integrality, "valuation_at", lambda q, *a: valuations.append(q) or valuation(q, *a))
         verdict = pointwise_integral_oracle(h, BALL1, config)
         assert verdict.kind == NO_COUNTEREXAMPLE_FOUND and verdict.samples > 0
-        assert len(calls) == verdict.samples and all(q is not h.num for q in calls)
+        assert len(calls) == verdict.samples and all(q is h.den for q in calls)
+        assert valuations == []
+
+    def test_integer_test_agrees_with_valuation_at(self):
+        # At every sampled point the oracle's test is valuation_at's valuation,
+        # or None where that is not negative, and it raises
+        # what valuation_at raises: exact quotients on ball:1 and ball:2, a zero
+        # numerator, a denominator zero at the corner 1 and one whose
+        # eps^(1/33) meets the draws' halves beyond the cap.
+        rng = random.Random(3030)
+        outcomes = set()
+        for n in (1, 2):
+            sd = SetDescriptor.unit_polydisc(n)
+            vs = sd.variables()
+            x1, one = Polynomial.variable("x1", vs), Polynomial.constant(1, vs)
+
+            def poly(count):
+                return Polynomial(vs, {tuple(rng.randint(0, 2) for _ in vs): random_exact_element(rng, 2)
+                                       for _ in range(count)})
+
+            cases = [RationalFunction(poly(3), den) for den in (poly(2) for _ in range(12))
+                     if not den.is_exactly_zero()]
+            cases += [RationalFunction(Polynomial(vs), one + x1 * x1), RationalFunction(one, x1 - one),
+                      RationalFunction(one, x1.scale(FieldElement.eps_power(F(1, 33))))]
+            for h in cases:
+                g = h.num.gauss_valuation()
+                bound = (None if g.is_top else g.value), math.lcm(*(w.denominator for c in h.num.terms.values()
+                                                                    for w, _ in c.terms))
+                for b, form in sd.stream_forms(SampleConfig(seed=n, samples=40)):
+                    want = _outcome(lambda: valuation_at(h, b, form))
+                    got = _outcome(lambda: integrality._oracle_valuation(h, b, form, bound))
+                    if isinstance(want, tuple):
+                        assert got == want
+                        outcomes.add(want[0])
+                    elif got is None:
+                        assert want.is_top or want.value >= 0
+                        outcomes.add("top" if want.is_top else "bounded")
+                    else:
+                        assert got == want
+                        outcomes.add("evaluated" if want.is_top or want.value >= 0 else "negative")
+        assert outcomes == {"DivisionByZero", "ExponentBlowup", "top", "bounded", "evaluated", "negative"}
 
 
 class TestInfinitesimalDecompose:

@@ -14,9 +14,10 @@ from itertools import islice
 import pytest
 
 from rcvf.parser import parse_expression
-from rcvf.sampling import SampleConfig, _rng, random_element
+from rcvf.poly import point_form
+from rcvf.sampling import SampleConfig, _rng, random_element, reseeded
 from rcvf.series import FieldElement
-from rcvf.sets import AffineModuleMap, SetDescriptor
+from rcvf.sets import AffineModuleMap, SetDescriptor, _probes
 
 F = Fraction
 EPS = FieldElement.eps_power(1)
@@ -133,6 +134,9 @@ def test_each_candidate_is_mapped_once(monkeypatch):
     def refuse(_):
         raise AssertionError("a form built for a mapped point")
 
+    # The probe table derives each structured point's form once per dimension;
+    # it is read in full first, so that only forms a stream builds are refused.
+    list(_probes(2))
     monkeypatch.setattr("rcvf.sets.point_form", refuse)
     config = SampleConfig(seed=1, samples=60)
     # Without strict constraints only yielded points are mapped, and mapped points need no form.
@@ -166,3 +170,100 @@ def test_random_element_draws_as_the_general_constructor(min_valuation):
         kinds.add((len(x.terms), x.terms[0][0] if x.terms else None))
     # Exact zeros, constants, units and positive valuations all occur.
     assert (0, None) in kinds and len(kinds) > 20
+
+
+def reference_structured_points(n):
+    """The structured probes as the sampler built them for every stream."""
+    one, zero = FieldElement.one(), FieldElement.zero()
+    eps_pows = [FieldElement.eps_power(k) for k in range(1, 5)]
+    rationals = [FieldElement.from_rational(F(a, b))
+                 for a, b in ((0, 1), (1, 2), (-1, 2), (2, 1), (-2, 1), (1, 3), (3, 2))]
+    for mask in range(2**n):
+        yield [one if (mask >> i) & 1 == 0 else -one for i in range(n)]
+    for v in eps_pows:
+        for i in range(n):
+            yield [v if j == i else zero for j in range(n)]
+        yield [v] * n
+    for r in rationals:
+        yield [r] * n
+        for i in range(n):
+            yield [r if j == i else one for j in range(n)]
+    for v in eps_pows[:2]:
+        for r in rationals[:3]:
+            for i in range(n):
+                yield [v if j == i else r for j in range(n)]
+
+
+def reference_stream_forms(sd, config):
+    """(polydisc point, form) per sampled point as the sampler gave them with a
+    new generator per index and a form derived for each structured point."""
+    want = config.samples
+    out = []
+    for y in islice(reference_structured_points(sd.n), int(want * F(1, 4))):
+        if sd._admissible(sd._from_ball(y)):
+            out.append((y, point_form(y)))
+    for index in range(20 * want + 100):
+        if len(out) == want:
+            break
+        rng = _rng(config.seed, index)
+        draws = [random_element(rng, form=True) for _ in range(sd.n)]
+        y = [x for x, _ in draws]
+        if sd._admissible(sd._from_ball(y)):
+            out.append((y, (2, [f for _, f in draws])))
+    return out
+
+
+def same_form(a, b):
+    return a[0] == b[0] and list(a[1]) == list(b[1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_probe_table_is_the_structured_generator(n):
+    rows = list(_probes(n))
+    want = list(reference_structured_points(n))
+    assert_same_points([list(y) for y, _ in rows], want)
+    assert all(same_form(form, point_form(y)) for (_, form), y in zip(rows, want))
+    # Rows are kept: a second reading hands out the same objects.
+    assert all(a is b for a, b in zip(rows, _probes(n)))
+
+
+def test_streams_hand_out_copies_of_the_table():
+    config = SampleConfig(seed=1, samples=8)
+    first = SETS["ball:2"].sample_points(config)
+    first[0][0] = None
+    assert_same_points(SETS["ball:2"].sample_points(config), reference_sample_points(SETS["ball:2"], config))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 9001])
+def test_reseeded_generator_draws_as_a_new_one(seed):
+    count = 20 * 10 + 100
+    for index, rng in enumerate(reseeded(seed, count)):
+        assert rng.getstate() == _rng(seed, index).getstate()
+    for index, (point, form) in enumerate(SETS["ball:3"]._drawn(seed, count)):
+        ref = _rng(seed, index)
+        want = [random_element(ref, form=True) for _ in range(3)]
+        assert_same_points([point], [[x for x, _ in want]])
+        assert form == (2, [f for _, f in want])
+
+
+@pytest.mark.parametrize("name", ["strict", "strict_affine", "ball:2"])
+@pytest.mark.parametrize("seed", [1, 7, 9001])
+def test_stream_forms_match_new_generators_per_index(name, seed):
+    sd = SETS[name]
+    config = SampleConfig(seed=seed, samples=30)
+    got = list(sd.stream_forms(config, on_polydisc=True))
+    want = reference_stream_forms(sd, config)
+    assert_same_points([y for y, _ in got], [y for y, _ in want])
+    assert all(same_form(a, b) for (_, a), (_, b) in zip(got, want))
+
+
+def test_rejected_draws_use_up_every_index(monkeypatch):
+    # No point satisfies -1 - x1^2 > 0: the stream is empty after drawing the
+    # points of all 20 * samples + 100 indices, each index once.
+    sd = SetDescriptor.unit_polydisc(2, strict_constraints=[parse_expression("-1 - x1^2")])
+    draws = []
+    monkeypatch.setattr("rcvf.sets.random_element", lambda rng, **kw: draws.append(rng.getstate()) or
+                        random_element(rng, **kw))
+    assert list(sd.stream_forms(SampleConfig(seed=3, samples=5), on_polydisc=True)) == []
+    assert len(draws) == 2 * (20 * 5 + 100)
+    assert draws[::2] == [_rng(3, index).getstate() for index in range(20 * 5 + 100)]
