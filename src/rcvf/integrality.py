@@ -104,7 +104,8 @@ def _oracle_valuation(h: RationalFunction, b, form, bound) -> Optional[ValueGrou
     so where v(den(b)) <= g the numerator is not evaluated, and a zero numerator
     is never negative.  v(den(b)) is read as an integer over a denominator
     from the denominator's initial term (``poly._initial_term``), where that
-    decides, so the test builds no rational.  The denominator goes first only
+    decides, so the test builds no rational; elsewhere from its exact value,
+    without running the kernel again.  The denominator goes first only
     where the numerator's evaluation cannot raise ExponentBlowup: every
     exponent of its values lies over lcm(D, the form's denominator) (an oracle
     point's all lie over its form's), within the cap.
@@ -115,10 +116,11 @@ def _oracle_valuation(h: RationalFunction, b, form, bound) -> Optional[ValueGrou
         return valuation_at(h, b, form)
     lead = _initial_term(h.den, b, form)
     if lead is None:  # the initial form does not decide: the exact value does
-        v = valuation_at(h.den, b, form)
-        if v.is_top:
+        value = h.den.evaluate(b)
+        if value.is_exact_zero():
             raise DivisionByZero("denominator vanishes at the point")
-        m, den = v.value.numerator, v.value.denominator
+        v = value.valuation().value
+        m, den = v.numerator, v.denominator
     else:
         m, _, _, den = lead
     g = bound[0]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .poly import Polynomial, RationalFunction, merge_variables
-from .rings import FlatRing, SeriesRing, flat_sum, holds
+from .rings import FlatRing, holds
 from .series import FieldElement
 from .sets import SetDescriptor
 
@@ -34,7 +34,7 @@ class SOSExpr:
     def __setattr__(self, name, value):
         raise AttributeError("SOSExpr is immutable")
 
-    def denote(self, ring) -> RationalFunction:
+    def denote(self, ring):
         """The sum of the squares of the summands' images in ring.  Each distinct
         summand object is squared once, its square weighted by how often it
         occurs: a decode reads a repeated summand text as one object."""
@@ -46,7 +46,7 @@ class SOSExpr:
                 squares[id(s)] = [v * v, 1]
             else:
                 seen[1] += 1
-        return _sum(ring, [square if k == 1 else ring(k) * square for square, k in squares.values()])
+        return ring.sum([square if k == 1 else ring(k) * square for square, k in squares.values()])
 
     def __repr__(self):
         return f"SOSExpr({list(map(str, self.summands))})"
@@ -72,7 +72,7 @@ class ConeExpr:
     def __setattr__(self, name, value):
         raise AttributeError("ConeExpr is immutable")
 
-    def denote(self, strict: Sequence[Polynomial], ring) -> RationalFunction:
+    def denote(self, strict: Sequence[Polynomial], ring):
         """The cone element, built from the images of its parts in ring."""
         if not self.entries:
             raise ValueError("empty cone expression")
@@ -82,18 +82,13 @@ class ConeExpr:
             for i in factors:
                 term = term * ring(strict[i])
             terms.append(term)
-        return _sum(ring, terms)
+        return ring.sum(terms)
 
     def factor_degree(self, strict: Sequence[Polynomial]) -> int:
         return max((sum(strict[i].total_degree() for i in factors) for _, factors in self.entries), default=0)
 
     def __repr__(self):
         return f"ConeExpr({len(self.entries)} terms)"
-
-
-def _sum(ring, values: list):
-    """The sum of values (at least one): n-ary in a flat ring, else left to right."""
-    return flat_sum(values) if isinstance(ring, FlatRing) else sum(values[1:], values[0])
 
 
 # -- expression tree ----------------------------------------------------------
@@ -187,24 +182,19 @@ def leaf_summands(e: RingExpr):
             yield from leaf_summands(a)
 
 
-def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring=None) -> RationalFunction:
-    """The rational function denoted by the tree relative to the set's generators.
+def ring_expr_to_rational(e: RingExpr, set_descriptor: SetDescriptor, ring):
+    """The value the tree denotes in ring, relative to the set's generators.
 
-    Built in ring: a FlatRing over the set's coordinates, where certificate
-    identities are checked and a leaf without an image raises NotFlat, or by
-    default the series ring, whose value at a point is the tree's value there
-    (``poly_eval``).  A flat ring denotes each node object once
-    (FlatRing.once), so a subtree a decode shared is denoted once.  A leaf's
-    summands are read through the ring's name table, as every value the ring
-    maps is.
+    ring is a FlatRing over the set's coordinates, where certificate
+    identities are checked and a leaf without an image raises NotFlat.  The
+    ring denotes each node object once (FlatRing.once), so a subtree a decode
+    shared is denoted once.  A leaf's summands are read through the ring's
+    name table, as every value the ring maps is.
     """
-    ring = ring or SeriesRing(set_descriptor.variables())
-    if isinstance(ring, FlatRing):
-        return ring.once(e, lambda e: _denote(e, set_descriptor, ring))
-    return _denote(e, set_descriptor, ring)
+    return ring.once(e, lambda e: _denote(e, set_descriptor, ring))
 
 
-def _denote(e: RingExpr, set_descriptor: SetDescriptor, ring) -> RationalFunction:
+def _denote(e: RingExpr, set_descriptor: SetDescriptor, ring):
     """The value of e in ring, each subtree through ring_expr_to_rational."""
     if isinstance(e, ConstExpr):
         return ring(e.value)
@@ -217,7 +207,7 @@ def _denote(e: RingExpr, set_descriptor: SetDescriptor, ring) -> RationalFunctio
         one = ring(1)
         return one / (one + e.cone.denote(set_descriptor.strict_constraints, ring))
     if isinstance(e, SumExpr):
-        return _sum(ring, [ring_expr_to_rational(a, set_descriptor, ring) for a in e.args] or [ring(0)])
+        return ring.sum([ring_expr_to_rational(a, set_descriptor, ring) for a in e.args] or [ring(0)])
     if isinstance(e, ProdExpr):
         total = ring(1)
         for a in e.args:
@@ -248,9 +238,8 @@ class PerturbedUnit:
     def is_well_formed(self) -> bool:
         return infinitesimal_or_zero(self.m)
 
-    def denote(self, set_descriptor: SetDescriptor, ring=None) -> RationalFunction:
-        """1 + m*a in ring, by default the series ring (see ring_expr_to_rational)."""
-        ring = ring or SeriesRing(set_descriptor.variables())
+    def denote(self, set_descriptor: SetDescriptor, ring):
+        """1 + m*a in ring (see ring_expr_to_rational)."""
         return ring(1) + ring(self.m) * ring_expr_to_rational(self.a, set_descriptor, ring)
 
     @staticmethod

@@ -1,16 +1,18 @@
-"""The rings exact identities are checked and denoted in.
+"""The ring exact identities are checked and denoted in.
 
 :class:`FlatRing` maps exact rational functions over the series field into
 Q[eps^Q][x], the group algebra of the value group Q over the rationals,
 where every certificate identity and the equality of exact rational
-functions are checked.  A ring maps each distinct value once.  Its values
-are factored quotients (:class:`FlatQuotient`): products concatenate
-factors, a sum of any number of values multiplies out only what their
-denominators do not share, and equality cancels the non-zero factors the
-two sides share before it cross-multiplies the rest.  Inexact data has no
-image there.  :class:`SeriesRing` denotes ring expressions over the series
-field, to be read at points.  Both read each variable name through one
-table, name -> coordinate, as they map a value.
+functions are checked.  A ring is what its three operations give: the image
+of a value (``__call__``), an image built once and handed out again
+(``once``), and the sum of images (``sum``); everything denoted in it is
+built from these and the images' own ``+ * / **`` and ``==``.  A ring maps
+each distinct value once and reads each variable name through one table,
+name -> coordinate, as it maps the value.  Its values are factored quotients
+(:class:`FlatQuotient`): products concatenate factors, a sum of any number
+of values multiplies out only what their denominators do not share, and
+equality cancels the non-zero factors the two sides share before it
+cross-multiplies the rest.  Inexact data has no image there.
 """
 
 from __future__ import annotations
@@ -40,36 +42,6 @@ def holds(identity) -> bool:
         return False
 
 
-class SeriesRing:
-    """Rational functions over the series field in one frame: the denotation of
-    ring expressions read at points (see ringexpr.ring_expr_to_rational).
-    Names are read through a table as in FlatRing: each value is re-embedded
-    over the coordinates, its names read through the table (see
-    Polynomial.with_variables).
-    """
-
-    __slots__ = ("names", "variables")
-
-    def __init__(self, names):
-        self.names, self.variables = _name_table(names)
-
-    def __call__(self, q) -> RationalFunction:
-        if isinstance(q, RationalFunction):
-            return q.with_variables(self.variables, self.names)
-        if isinstance(q, Polynomial):
-            return RationalFunction(q.with_variables(self.variables, self.names))
-        return RationalFunction.constant(q, self.variables)
-
-
-def _name_table(names) -> tuple:
-    """(table, frame): names as a table name -> coordinate, and its coordinates
-    in order.  A sequence of names is the table in which each names itself."""
-    if isinstance(names, dict):
-        return names, tuple(dict.fromkeys(names.values()))
-    frame = tuple(names)
-    return dict(zip(frame, frame)), frame
-
-
 class FlatRing:
     """Exact rational functions over the series field as quotients in Q[eps^Q][x].
 
@@ -94,18 +66,27 @@ class FlatRing:
     lives for one verification and serves each of its identities.
     """
 
-    __slots__ = ("names", "variables", "_slots", "_images")
+    __slots__ = ("variables", "_slots", "_images")
 
     def __init__(self, names):
-        self.names, frame = _name_table(names)
+        if isinstance(names, dict):
+            frame = tuple(dict.fromkeys(names.values()))
+        else:
+            frame = tuple(names)
+            names = dict(zip(frame, frame))
         self.variables = (FLAT_EPS,) + frame
-        self._slots = {name: frame.index(v) + 1 for name, v in self.names.items() if name != FLAT_EPS}
+        self._slots = {name: frame.index(v) + 1 for name, v in names.items() if name != FLAT_EPS}
         self._images = {}  # id of a value mapped here -> (the value, its image)
 
     @classmethod
     def over(cls, names) -> "FlatRing":
-        """The flat ring over names: every ring an identity runs in is built here."""
+        """The flat ring over names.  Every ring an identity runs in is built
+        here, so a test can hand out a reference ring in its place."""
         return cls(names)
+
+    def sum(self, values: Sequence["FlatQuotient"]) -> "FlatQuotient":
+        """The sum of values of this ring (at least one); see flat_sum."""
+        return flat_sum(values)
 
     def once(self, value, image):
         """image(value), built the first time and handed out again while this

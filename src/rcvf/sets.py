@@ -171,25 +171,20 @@ class SetDescriptor:
     # -- sampling ---------------------------------------------------------------
 
     def sample_points(self, config: SampleConfig, count: int | None = None) -> list[list[FieldElement]]:
-        """The points of ``stream_points``, as a list."""
-        return list(self.stream_points(config, count))
+        """The points of ``stream_forms``, as a list."""
+        return [x for x, _ in self.stream_forms(config, count)]
 
-    def stream_points(self, config: SampleConfig, count: int | None = None) -> Iterator[list[FieldElement]]:
-        """Deterministic on-set points, built as they are taken: structured probes
-        first (at most a quarter of the count), then random ones.
+    def stream_forms(self, config: SampleConfig, count: int | None = None,
+                     on_polydisc: bool = False) -> Iterator[tuple[list[FieldElement], Optional[tuple]]]:
+        """Deterministic on-set points, each with its integer initial form
+        (``poly.point_form``), built as they are taken: structured probes first
+        (at most a quarter of the count), then random ones.  A random point's
+        form comes straight from its draws, a structured point's from the
+        probe table.
 
         Strict constraints are enforced by rejection (skipped draws still
         consume indices, preserving determinism).  A consumer that stops early
         draws nothing past the last point it took.
-        """
-        for _, _, x in self._stream(config, count, images=True):
-            yield x
-
-    def stream_forms(self, config: SampleConfig, count: int | None = None,
-                     on_polydisc: bool = False) -> Iterator[tuple[list[FieldElement], Optional[tuple]]]:
-        """(point, form) per point of ``stream_points``, form being the point's
-        integer initial form (``poly.point_form``): a random point's comes
-        straight from its draws, a structured point's from the probe table.
 
         With on_polydisc, the point is the polydisc point whose image under the
         module map is the set's point (the point itself on a polydisc).

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 import rcvf
+from rcvf.poly import Polynomial, RationalFunction
 from rcvf.series import FieldElement
 
 
@@ -45,6 +46,39 @@ def random_truncated_element(rng: random.Random) -> FieldElement:
     lead = x.terms[0][0] if x.terms else Fraction(0)
     prec = lead + Fraction(rng.randint(1, 12), rng.choice((1, 2)))
     return FieldElement(x.terms, prec)
+
+
+class SeriesRing:
+    """Rational functions over the series field in one frame: the reference
+    the flat ring (``rcvf.rings.FlatRing``) is checked against, and the
+    denotation of ring expressions read at points (``poly_eval``).
+
+    Names are read through a table as in FlatRing (name -> coordinate, or a
+    sequence of names, each its own coordinate): each value is re-embedded
+    over the coordinates, its names read through the table (see
+    Polynomial.with_variables).  once builds each image anew and sum adds
+    left to right, so nothing is shared or cancelled.
+    """
+
+    def __init__(self, names):
+        if isinstance(names, dict):
+            self.names, self.variables = names, tuple(dict.fromkeys(names.values()))
+        else:
+            self.variables = tuple(names)
+            self.names = dict(zip(self.variables, self.variables))
+
+    def __call__(self, q) -> RationalFunction:
+        if isinstance(q, RationalFunction):
+            return q.with_variables(self.variables, self.names)
+        if isinstance(q, Polynomial):
+            return RationalFunction(q.with_variables(self.variables, self.names))
+        return RationalFunction.constant(q, self.variables)
+
+    def once(self, value, image):
+        return image(value)
+
+    def sum(self, values):
+        return sum(values[1:], values[0])
 
 
 # Hypothesis strategies ---------------------------------------------------------

@@ -3,24 +3,26 @@
 The flat ring (``rcvf.rings.FlatRing``) maps exact polynomials over the series
 field into Q[eps^Q][x], each eps exponent kept as the rational it is.  Each
 case in TestSameVerdicts is checked twice: as it runs, and with
-``FlatRing.over`` handing out the series ring (``SeriesRing``), which runs
-every identity on series coefficients as before the flat ring existed.  Both runs must give the same verdict and
-reason, or raise the same error.  TestFallback holds the cases a series
-fallback once served: what only the flat ring decides, and what it refuses
-that series arithmetic let through.  TestFactoredEquality checks the flat
-ring's factored quotients (``rcvf.rings.FlatQuotient``), which cancel shared
-factors before multiplying out, against quotients of expanded polynomials
-compared by full cross-multiplication, and each leaf's image against the
-same written-out map.  TestOneImagePerValue checks that a
-ring mapping each distinct value once, and a decode reading identical
-subtrees as one object, keep the verdicts.
+``FlatRing.over`` handing out the series ring (``conftest.SeriesRing``), which
+runs every identity on series coefficients as before the flat ring existed.
+Both runs must give the same verdict and reason, or raise the same error.
+TestFallback holds the cases a series fallback once served: what only the
+flat ring decides, and what it refuses that series arithmetic let through.
+TestReferee checks the verifier's verdicts against a referee that specialises
+eps and the coordinates at random rationals.  TestFactoredEquality checks the
+flat ring's factored quotients (``rcvf.rings.FlatQuotient``), which cancel
+shared factors before multiplying out, against quotients of expanded
+polynomials compared by full cross-multiplication, and each leaf's image
+against the same written-out map.  TestOneImagePerValue checks that a ring
+mapping each distinct value once, and a decode reading identical subtrees as
+one object, keep the verdicts.
 """
 
 import json
 import operator
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -49,20 +51,23 @@ from rcvf.ringexpr import (
     SOSExpr,
     SosInverseExpr,
     SumExpr,
+    infinitesimal_or_zero,
     polynomial_to_ring_expr,
     verify_sos_expression,
 )
-from rcvf.rings import FLAT_EPS, FlatRing, SeriesRing, flat_sum
+from rcvf.rings import FLAT_EPS, FlatRing, flat_sum
 from rcvf.series import FieldElement
 from rcvf.sets import SetDescriptor
 
-from conftest import small_fraction
+from conftest import SeriesRing, small_fraction
 
 F = Fraction
 VS = ("x1", "x2")
 BALL = SetDescriptor.unit_polydisc(2)
 # eps exponents of the random coefficients: negative, zero, fractional (D = 6).
 EXPONENTS = [F(-1), F(0), F(0), F(1), F(1, 2), F(2, 3), F(-1, 3)]
+# eps exponents in fifths and sevenths.
+FIFTHS_SEVENTHS = [F(1, 5), F(-2, 7), F(3, 5), F(4, 7), F(0)]
 
 
 def random_poly(rng, exponents=EXPONENTS, terms=3, degree=2) -> Polynomial:
@@ -184,7 +189,7 @@ class TestSameVerdicts:
     def test_sos_certificates_over_unrelated_denominators(self, monkeypatch, seed):
         # Exponents in fifths and sevenths, whose sums no grid of 1/5 or 1/7
         # holds: the one ring keeps each as the rational it is.
-        p, cert = sos_certificate(random.Random(200 + seed), [F(1, 5), F(-2, 7), F(3, 5), F(4, 7), F(0)])
+        p, cert = sos_certificate(random.Random(200 + seed), FIFTHS_SEVENTHS)
         assert flat_and_series(monkeypatch, verify_nonneg_certificate, p, cert, BALL) == [(True, None)] * 2
         for name, mp, mc in mutants(p, cert):
             flat, series = flat_and_series(monkeypatch, verify_nonneg_certificate, mp, mc, BALL)
@@ -439,6 +444,196 @@ class TestFallback:
             assert verify_nonneg_certificate(p2, cert2, sd).ok
             assert all(isinstance(ring, FlatRing) for ring in rings)
             monkeypatch.undo()
+
+
+# -- an independent referee -------------------------------------------------------
+#
+# The referee decides an identity by specialising it: eps = s^L, with L the lcm
+# of the data's eps-exponent denominators so that every eps power is a power of
+# s, at random rational s > 0 and x.  Both sides are then plain Fractions.
+# Unequal values refute the identity; a false identity is equal at a random
+# point only with small probability (Schwartz, JACM 1980), and the referee asks
+# for REFEREE_POINTS of them.  It walks the trees itself and builds no ring
+# value: it calls neither FlatRing, nor ringexpr's denotation, nor the
+# arithmetic of Polynomial and RationalFunction.
+
+REFEREE_POINTS = 3
+
+
+class Inexact(Exception):
+    """A truncated coefficient, which has no value at any point."""
+
+
+class Vanishes(Exception):
+    """A denominator is zero at the drawn point."""
+
+
+def scalars(v):
+    """Every coefficient in v: a field element, polynomial, rational function,
+    sum of squares, ring-expression tree or perturbed unit."""
+    if isinstance(v, FieldElement):
+        yield v
+        return
+    if isinstance(v, Polynomial):
+        parts = v.terms.values()
+    elif isinstance(v, RationalFunction):
+        parts = (v.num, v.den)
+    elif isinstance(v, SOSExpr):
+        parts = v.summands
+    elif isinstance(v, ConstExpr):
+        parts = (v.value,)
+    elif isinstance(v, PerturbedUnit):
+        parts = (v.m, v.a)
+    elif isinstance(v, SosInverseExpr):
+        parts = (v.sos,)
+    elif isinstance(v, ConeInverseExpr):
+        parts = [sos for sos, _ in v.cone.entries]
+    elif isinstance(v, (SumExpr, ProdExpr)):
+        parts = v.args
+    else:  # a generator, whose coefficients are the set's
+        assert isinstance(v, GenExpr)
+        parts = ()
+    for part in parts:
+        yield from scalars(part)
+
+
+def divide(a: Fraction, b: Fraction) -> Fraction:
+    if not b:
+        raise Vanishes
+    return a / b
+
+
+class Specialisation:
+    """eps = s^L and each of names a rational, drawn from rng."""
+
+    def __init__(self, rng, names, lift: int):
+        self.s, self.lift = F(rng.randint(1, 50), rng.randint(1, 50)), lift
+        self.x = {v: F(rng.randint(-50, 50), rng.randint(1, 50)) for v in names}
+
+    def __call__(self, v) -> Fraction:
+        """The value of a field element, polynomial or rational function."""
+        if isinstance(v, RationalFunction):
+            return divide(self(v.num), self(v.den))
+        if isinstance(v, Polynomial):
+            return sum((self(c) * prod(self.x[name] ** e for name, e in zip(v.variables, expv))
+                        for expv, c in v.terms.items()), F(0))
+        if v.precision is not None:
+            raise Inexact
+        out = F(0)
+        for w, a in v.terms:
+            k = w * self.lift  # eps^w = s^(w*L)
+            assert k.denominator == 1
+            out += a * self.s**k.numerator
+        return out
+
+    def sos(self, r: SOSExpr) -> Fraction:
+        return sum((self(s) ** 2 for s in r.summands), F(0))
+
+    def tree(self, e, sd: SetDescriptor) -> Fraction:
+        """The value of a ring-expression tree over the set's generators."""
+        if isinstance(e, ConstExpr):
+            return self(e.value)
+        if isinstance(e, GenExpr):
+            return self(sd.generators()[e.index])
+        if isinstance(e, SosInverseExpr):
+            return divide(F(1), 1 + self.sos(e.sos))
+        if isinstance(e, ConeInverseExpr):
+            strict = sd.strict_constraints
+            return divide(F(1), 1 + sum(self.sos(sos) * prod(self(strict[i]) for i in factors)
+                                        for sos, factors in e.cone.entries))
+        values = [self.tree(a, sd) for a in e.args]
+        return sum(values, F(0)) if isinstance(e, SumExpr) else prod(values, start=F(1))
+
+
+def refereed(identity, names, lift: int, rng) -> bool:
+    """identity(point) at REFEREE_POINTS specialisations, a point where a
+    denominator vanishes redrawn; False at the first unequal one, and for
+    inexact data."""
+    held = 0
+    for _ in range(100 * REFEREE_POINTS):
+        try:
+            if not identity(Specialisation(rng, names, lift)):
+                return False
+        except Inexact:
+            return False
+        except Vanishes:
+            continue
+        held += 1
+        if held == REFEREE_POINTS:
+            return True
+    raise AssertionError("a denominator vanishes at every drawn point")
+
+
+def referee_verdict(p, cert, sd) -> tuple:
+    """(ok, reason) as verify_nonneg_certificate gives it for a certificate
+    over the set's names with no monic witness, each identity decided by the
+    referee and m's infinitesimality read by rcvf."""
+    w = cert.witness
+    assert w.monic is None
+    data = (p, cert.m, cert.h, cert.r, w.numerator, w.denominator, *sd.generators(), *sd.strict_constraints)
+    lift = lcm(*(t.denominator for v in data for c in scalars(v) for t, _ in c.terms))
+    rng, names = random.Random(0), sd.variables()
+    if not infinitesimal_or_zero(cert.m):
+        return False, "m_not_infinitesimal"
+    if not refereed(lambda at: at(p) * (1 + at(cert.m) * at(cert.h)) == at.sos(cert.r), names, lift, rng):
+        return False, "identity_failed"
+    unit = w.denominator
+    if not refereed(lambda at: at(cert.h) * (1 + at(unit.m) * at.tree(unit.a, sd)) == at.tree(w.numerator, sd),
+                    names, lift, rng):
+        return False, "witness_identity_failed"
+    return True, None
+
+
+def inexact_certificates():
+    """The certificates of TestFallback with a truncated r or witness leaf."""
+    r = parse_expression("1/(1+eps) + x1").with_variables(VS)
+    zero = RationalFunction.constant(0, VS)
+    yield r * r, NonnegCertificate(SOSExpr([r]), FieldElement.zero(), zero, IntegralityWitness.trivial())
+    p, cert = unit_certificate(random.Random(3))
+    w = cert.witness
+    inexact = ConstExpr(FieldElement([(0, 1)], precision=5))
+    for num in (SumExpr([w.numerator, ProdExpr([inexact, ConstExpr(0)])]), SumExpr([w.numerator, inexact])):
+        yield p, NonnegCertificate(cert.r, cert.m, cert.h, IntegralityWitness(num, w.denominator))
+
+
+def referee_case(kind: str, seed: int):
+    """A certificate of TestSameVerdicts: (p, certificate)."""
+    if kind == "sos":
+        return sos_certificate(random.Random(seed))
+    if kind == "fifths_sevenths":
+        return sos_certificate(random.Random(200 + seed), FIFTHS_SEVENTHS)
+    return unit_certificate(random.Random(100 + seed))
+
+
+class TestReferee:
+    """The flat ring's verdicts on TestSameVerdicts' certificates and mutants
+    are the referee's."""
+
+    @pytest.mark.parametrize("kind, seed", [*(("sos", s) for s in range(6)),
+                                            *(("fifths_sevenths", s) for s in range(3)),
+                                            *(("unit", s) for s in range(6))])
+    def test_certificates_and_mutants(self, kind, seed):
+        p, cert = referee_case(kind, seed)
+        verdicts = set()
+        for name, mp, mc in [("valid", p, cert), *mutants(p, cert)]:
+            verdict = outcome(verify_nonneg_certificate, mp, mc, BALL)
+            assert verdict == referee_verdict(mp, mc, BALL), name
+            verdicts.add(verdict)
+        assert (True, None) in verdicts and len(verdicts) > 1
+
+    def test_inexact_data_fails_its_identity(self):
+        verdicts = [outcome(verify_nonneg_certificate, p, cert, BALL) for p, cert in inexact_certificates()]
+        assert verdicts == [(False, "identity_failed"), (False, "witness_identity_failed"),
+                            (False, "witness_identity_failed")]
+        assert verdicts == [referee_verdict(p, cert, BALL) for p, cert in inexact_certificates()]
+
+    def test_refutes_and_redraws(self):
+        # With L = 5, eps^(1/5) is s, which no drawn s > 0 makes zero; x1 is 0
+        # at some drawn points, where 1/x1 is redrawn.
+        x = Polynomial.variable("x1", VS)
+        e = Polynomial.constant(FieldElement.eps_power(F(1, 5)), VS)
+        assert not refereed(lambda at: at(x * x + e) == at(x * x), VS, 5, random.Random(1))
+        assert refereed(lambda at: at(RationalFunction(e, x)) * at(x) == at(e), VS, 5, random.Random(1))
 
 
 # -- factored quotients against full cross-multiplication -------------------------

@@ -8,7 +8,9 @@ a dunder, to be read as an attribute (``.name``) somewhere in ``src/``,
 ``tests/`` or ``perfbench/``; another requires every target of the
 benchmark's tracer to be defined where the tracer wraps it.  Three more scans
 keep ``rcvf.cli`` printing only from ``run``, the package free of ``global``
-statements, and name alignment out of ``rcvf.ringexpr`` and ``rcvf.rings``.
+statements, and name alignment out of ``rcvf.ringexpr`` and ``rcvf.rings``;
+one more keeps ``FlatRing`` the only ring class and no function branching on
+a ring's type.
 Structural guards count calls of hot functions on fixed inputs, so work that
 comes back shows up as a count, not as a timing.
 """
@@ -27,7 +29,7 @@ from pathlib import Path
 import pytest
 
 import rcvf
-from rcvf import certificates, integrality, jsonio, poly, series, sets, sos
+from rcvf import certificates, integrality, jsonio, poly, rings, series, sets, sos
 from rcvf.certificates import (
     CERTIFICATE,
     IntegralityWitness,
@@ -198,6 +200,32 @@ def test_denotation_reads_no_names():
     certificates = Path(rcvf.__file__).resolve().parent / "certificates.py"
     assert functions_calling(certificates.read_text(), "align_to_set") == [
         "check_general_characterization", "generate_ball_certificate"]
+
+
+def ring_type_branches(source: str) -> list[str]:
+    """Names of the functions that test a ring's type: an isinstance, issubclass
+    or type call on a name ``ring``, or one naming ``FlatRing``."""
+    return sorted({fn.name for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("isinstance", "issubclass", "type")
+                   and {"ring", "FlatRing"} & {n.id for a in node.args for n in ast.walk(a) if isinstance(n, ast.Name)}})
+
+
+def test_ring_branch_scan_sees_type_tests():
+    source = ("def a(ring, values):\n    return f(values) if isinstance(ring, FlatRing) else g(values)\n"
+              "def b(e, ring=None):\n    if type(ring) is R:\n        pass\n"
+              "def c(q, ring):\n    return isinstance(q, Polynomial) and ring(q)\n")
+    assert ring_type_branches(source) == ["a", "b"]
+
+
+def test_one_ring_and_no_branch_on_its_type():
+    # Everything denoted in a ring goes through its __call__, once and sum, so
+    # the code reads the same whichever ring a test substitutes (FlatRing.over).
+    assert [p.name for p in MODULES if ring_type_branches(p.read_text())] == []
+    rings_with_images = [name for name, obj in vars(rings).items()
+                         if isinstance(obj, type) and obj.__module__ == rings.__name__ and "__call__" in vars(obj)]
+    assert rings_with_images == ["FlatRing"]
 
 
 def tracing_targets() -> list:

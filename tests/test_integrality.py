@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from rcvf import integrality
+from rcvf import integrality, poly
 from rcvf.errors import DivisionByZero, NotInfinitesimalDefinite, PrecisionExhausted, RcvfError
 from rcvf.integrality import (
     COUNTEREXAMPLE_FOUND,
@@ -372,6 +372,21 @@ class TestGaussBoundSkip:
         assert verdict.kind == NO_COUNTEREXAMPLE_FOUND and verdict.samples > 0
         assert len(calls) == verdict.samples and all(q is h.den for q in calls)
         assert valuations == []
+
+    @pytest.mark.parametrize("text, n", [("1/(x1 - 1)", 1), ("x1/(x1^2 - 1)", 1), ("1/(x1 + x2 - 1)", 2)])
+    def test_kernel_runs_once_per_point_on_the_denominator(self, monkeypatch, text, n):
+        # Each denominator's initial form cancels at some sampled points (x1 = 1
+        # among them, where it vanishes); there its exact value decides, and
+        # the kernel is not run on it again.  Calls are counted through both
+        # bindings, so a second run inside valuation_at would show.
+        h = parse_expression(text)
+        calls = []
+        for module in (poly, integrality):
+            monkeypatch.setattr(module, "_initial_term",
+                                lambda q, *a, _kernel=module._initial_term: calls.append(q) or _kernel(q, *a))
+        verdict = pointwise_integral_oracle(h, SetDescriptor.unit_polydisc(n), SampleConfig(seed=1, samples=200))
+        assert verdict.skipped > 0
+        assert sum(q is h.den for q in calls) == verdict.samples + verdict.skipped
 
     def test_integer_test_agrees_with_valuation_at(self):
         # At every sampled point the oracle's test is valuation_at's valuation,
