@@ -1,9 +1,10 @@
 """Exact sum-of-squares search and PSD falsification over the rationals.
 
 Accepted answers are always exact: decompositions are built from rational
-Gram matrices checked positive semidefinite by exact LDL^T with symmetric
-pivoting, and every returned decomposition is re-verified symbolically.
-Failures are reported as "not in budget", never guessed.
+Gram matrices checked positive semidefinite by a fraction-free LDL^T with
+symmetric pivoting (Bareiss), run on integers, and every returned
+decomposition is re-verified exactly, in integers when it has no
+multipliers.  Failures are reported as "not in budget", never guessed.
 
 Degree <= 2 polynomials are decided completely (the Gram matrix in the
 affine monomial basis is unique).  For higher degrees the Gram family is
@@ -21,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import copysign, hypot, inf, isqrt, lcm, log, sqrt
-from operator import mul
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .poly import ResiduePolynomial
@@ -59,62 +60,85 @@ class SosSearchResult:
 
 # -- exact linear algebra -----------------------------------------------------
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
 
 def ldl_psd(G: list[list[Fraction]]):
-    """Exact PSD test by outer-product elimination with diagonal pivoting.
+    """Exact PSD test by fraction-free outer-product elimination with diagonal pivoting.
+
+    G is scaled once to the integer matrix A = D*G, D the lcm of its entries'
+    denominators, and eliminated as Bareiss does (Math. Comp. 1968): each
+    update of the active block is divided exactly by the previous pivot, so
+    after a pivot a > 0 the Schur complement of G is the active block of A
+    over D*a.  The pivot (largest |diagonal|, the first in index order on a
+    tie) and every sign test are therefore read off integers, and they are
+    those of the elimination in rationals.  Fractions are built only for what
+    is returned.
 
     Returns ("psd", [(pivot, vector)...]) with G = sum pivot * v v^T, or
-    ("indefinite", direction) with direction^T G direction < 0.  Each
-    elimination is recorded as (pivot, [(i, l_i)...]); the basis that the
-    eliminations transform, whose rows give the direction, is built from that
-    record only when a direction is returned.
+    ("indefinite", direction) with direction^T G direction < 0.  The pivots
+    are recorded in order; the basis that the eliminations transform, whose
+    rows give the direction, is built from them only when a direction is
+    returned.
     """
     n = len(G)
-    M = [list(row) for row in G]
+    scale = lcm(*(x.denominator for row in G for x in row))
+    A = [[x.numerator * (scale // x.denominator) for x in row] for row in G]
     active = list(range(n))
-    squares, eliminations = [], []
+    squares, pivots = [], []
+    prev = 1
     while active:
-        p = None
-        best = None
+        p, best = None, 0
         for i in active:
-            if M[i][i] != 0:
-                mag = abs(M[i][i])
-                if best is None or mag > best:
-                    best, p = mag, i
+            mag = abs(A[i][i])
+            if mag > best:
+                best, p = mag, i
         if p is None:
             for i, j in itertools.combinations(active, 2):
-                if M[i][j] != 0:
-                    sgn = 1 if M[i][j] > 0 else -1
-                    basis = _eliminated_basis(n, eliminations)
-                    return "indefinite", [a - sgn * b for a, b in zip(basis[i], basis[j])]
+                if A[i][j]:
+                    sgn = 1 if A[i][j] > 0 else -1
+                    W, w = _eliminated_basis(A, pivots)
+                    return "indefinite", [Fraction(x - sgn * y, w) for x, y in zip(W[i], W[j])]
             break
-        d = M[p][p]
-        if d < 0:
-            return "indefinite", _eliminated_basis(n, eliminations)[p]
-        v = [M[p][j] / d for j in range(n)]
-        squares.append((d, v))
-        support = [(j, x) for j, x in enumerate(v) if x]  # subtracting a zero changes no entry
-        factors = []
-        for i in range(n):
-            if M[i][p] != 0 or M[p][i] != 0:
-                row, f = M[i], M[i][p]
-                for j, x in support:
-                    row[j] -= f * x
-                if i != p:
-                    factors.append((i, f / d))
-        eliminations.append((p, factors))
+        a, row = A[p][p], A[p]
+        if a < 0:
+            W, w = _eliminated_basis(A, pivots)
+            return "indefinite", [Fraction(x, w) for x in W[p]]
         active.remove(p)
+        pivots.append(p)
+        v = [_ZERO] * n
+        v[p] = _ONE
+        for j in active:
+            if row[j]:
+                v[j] = Fraction(row[j], a)
+        squares.append((Fraction(a, scale * prev), v))
+        for k, i in enumerate(active):  # the symmetric Bareiss step on the active block
+            Ai, f = A[i], row[i]
+            for j in active[k:]:
+                A[j][i] = Ai[j] = (a * Ai[j] - f * row[j]) // prev
+        prev = a
     return "psd", squares
 
 
-def _eliminated_basis(n: int, eliminations) -> list[list[Fraction]]:
-    """The identity basis with every recorded elimination applied, in order:
-    row i loses l_i times the pivot's row."""
-    basis = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for p, factors in eliminations:
-        for i, li in factors:
-            basis[i] = [a - li * b for a, b in zip(basis[i], basis[p])]
-    return basis
+def _eliminated_basis(A, pivots) -> tuple[list[list[int]], int]:
+    """(W, w): the identity basis with the eliminations at pivots applied in
+    order, row i losing A[i][p]/A[p][p] times row p, is W/w.
+
+    ldl_psd leaves a pivot's row of A as it was when the pivot was taken, and
+    this replays its Bareiss step on the rows of the identity, so W holds
+    integers and w is the last pivot.
+    """
+    n = len(A)
+    W = [[int(i == j) for j in range(n)] for i in range(n)]
+    active, w = list(range(n)), 1
+    for p in pivots:
+        active.remove(p)
+        row, a, Wp = A[p], A[p][p], W[p]
+        for i in active:
+            f = row[i]
+            W[i] = [(a * x - f * y) // w for x, y in zip(W[i], Wp)]
+        w = a
+    return W, w
 
 
 # -- four squares without factoring (Rabin & Shallit) ---------------------------
@@ -671,12 +695,13 @@ def _psd_candidates(G0, directions, radius: float):
 
 
 def _extract_squares(squares, basis, variables) -> list[ResiduePolynomial]:
-    """Turn LDL pivots/vectors into polynomials t with sum t^2 = Gram form."""
+    """Turn LDL pivots/vectors into polynomials t with sum t^2 = Gram form: a
+    pivot d = sum s^2 over v gives the squares s * sum_j v_j basis_j."""
     out = []
     for d, v in squares:
-        row = ResiduePolynomial(variables, {basis[j]: v[j] for j in range(len(basis)) if v[j] != 0})
+        row = [(basis[j], x) for j, x in enumerate(v) if x]
         for s in rational_square_terms(d):
-            out.append(row * s)
+            out.append(ResiduePolynomial.from_canonical(variables, {m: x * s for m, x in row}))
     return out
 
 
@@ -737,9 +762,8 @@ def residue_sos_decomposition(q: ResiduePolynomial,
     if q.total_degree() % 2 == 1:
         return SosSearchResult(NOT_SOS_IN_BUDGET)
     square_sum = ResiduePolynomial.coordinate_square_sum(vs)
-    one = ResiduePolynomial.constant(1, vs)
     for k in range(budget.denominator_cap + 1):
-        target = q * (square_sum**k if k else one)
+        target = q * square_sum**k if k else q
         basis = _half_basis(target)
         if len(basis) > budget.max_basis:
             break
@@ -769,19 +793,45 @@ def residue_sos_decomposition(q: ResiduePolynomial,
 
 
 def verify_residue_sos(q: ResiduePolynomial, decomposition: Sequence[ResidueQuotient]) -> bool:
-    """Exact identity q == sum (num/den)^2, cross-multiplied.
+    """Exact identity q == sum (num/den)^2.
 
-    A denominator 1 (every one of a search without multipliers) costs no
-    product: its summand is num^2 over the denominators so far.
+    Without multipliers (every den 1, as in each search at k = 0) it is
+    decided in integers: each numerator t is scaled by the lcm c of its
+    coefficient denominators to N = c*t, and with L the lcm of the c^2,
+    L*q == sum (L/c^2) * N^2 is compared term by term.  Otherwise it is
+    cross-multiplied over the denominators.
     """
+    if all(quot.den.is_one() and quot.num.variables == q.variables for quot in decomposition):
+        return _is_square_sum(q, [quot.num for quot in decomposition])
     num_acc = ResiduePolynomial.constant(0, q.variables)
     den_acc = ResiduePolynomial.constant(1, q.variables)
     for quot in decomposition:
-        n2 = quot.num * quot.num
-        if quot.den.is_one():
-            num_acc = num_acc + (n2 if den_acc.is_one() else n2 * den_acc)
-            continue
         d2 = quot.den * quot.den
-        num_acc = num_acc * d2 + n2 * den_acc
+        num_acc = num_acc * d2 + quot.num * quot.num * den_acc
         den_acc = den_acc * d2
-    return (q if den_acc.is_one() else q * den_acc) == num_acc
+    return q * den_acc == num_acc
+
+
+def _is_square_sum(q: ResiduePolynomial, nums: Sequence[ResiduePolynomial]) -> bool:
+    """q == sum t^2 over nums (all in q's frame), summed over ints as
+    verify_residue_sos describes."""
+    scaled = []
+    for t in nums:
+        c = lcm(*(x.denominator for x in t.terms.values()))
+        scaled.append((c * c, [(e, x.numerator * (c // x.denominator)) for e, x in t.terms.items()]))
+    L = lcm(*(cc for cc, _ in scaled))
+    total = {}
+    get = total.get
+    for cc, N in scaled:
+        w = L // cc
+        for k, (e1, x1) in enumerate(N):
+            e = tuple(map(add, e1, e1))
+            total[e] = get(e, 0) + w * x1 * x1
+            w2 = 2 * w * x1
+            for e2, x2 in N[k + 1:]:
+                e = tuple(map(add, e1, e2))
+                total[e] = get(e, 0) + w2 * x2
+    for e, c in q.terms.items():
+        if c.numerator * L != total.pop(e, 0) * c.denominator:
+            return False
+    return not any(total.values())

@@ -4,17 +4,22 @@ The determinism tests compare two runs of one build; these pin the text
 itself, so a change in any layer that alters an output (an evaluation
 shortcut, a sampling order, a rendering) fails here.  The expected strings
 were recorded from the CLI and are to be changed only with an intended,
-documented output change.
+documented output change.  Two pins on the exact SOS stage follow the table:
+the route of one falsifier witness, and the quotients that a search with a
+multiplier returns through the library.
 """
 
 import contextlib
 import io
 import json
 import shlex
+from fractions import Fraction
 
 import pytest
 
+from rcvf import sos
 from rcvf.cli import run
+from rcvf.sos import ResiduePolynomial
 
 GOLDEN = [
     ("integral --h '(x+eps)/x' --set ball:1 --seed 9 --samples 150", 1,
@@ -85,6 +90,40 @@ GOLDEN = [
      'set":{"kind":"ball","n":2},"witness":{"den":{"a":{"op":"const","value":"0"},"m":"0"},"'
      'monic":null,"num":{"op":"const","value":"0"}}},"command":"cert","gauss":"0","layers":2'
      ',"mode":"find","outcome":"certificate"}'),
+    # The same input at its --max-basis edge: its first layer's half basis has
+    # five monomials, so 5 admits the Gram search and 4 does not.
+    ("cert find --p '6 + eps + 4*x2 - 2*eps*x2 + 6*x2^2 + eps*x2^2 + 4*x1 - 2*eps*x1"
+     " + 2*eps*x1*x2 + 2*x1^2 + eps*x1^2 + 4*x1^2*x2 + 2*x1^2*x2^2 + 2*x1^4'"
+     " --set ball:2 --seed 9 --samples 150 --max-basis 5", 0,
+     '{"certificate":{"h":{"den":"1","num":"0"},"m":"0","p":"2*x1^4 + 2*x1^2*x2^2 + 4*x1^2*x'
+     '2 + (2 + eps)*x1^2 + 2*eps*x1*x2 + (6 + eps)*x2^2 + (4 - 2*eps)*x1 + (4 - 2*eps)*x2 + '
+     '(6 + eps)","r":["-1/3*x1^2 + 2/3*x1*x2 + 2/3*x1 + 2/3*x2 + 2","-1/6*x1^2 + 1/3*x1*x2 +'
+     ' 1/3*x1 + 1/3*x2 + 1","-1/6*x1^2 + 1/3*x1*x2 + 1/3*x1 + 1/3*x2 + 1","1/12*x1^2 + -1/6*'
+     'x1*x2 + -2/3*x1 + 4/3*x2","1/12*x1^2 + -1/6*x1*x2 + -2/3*x1 + 4/3*x2","1/12*x1^2 + -1/'
+     '6*x1*x2 + -2/3*x1 + 4/3*x2","1/4*x1^2 + 1/2*x1*x2 + x1","1/4*x1^2 + 1/2*x1*x2 + x1","5'
+     '/4*x1^2 + 5/54*x1*x2","1/4*x1^2 + 1/54*x1*x2","1/4*x1^2 + 1/54*x1*x2","2/27*x1*x2","22'
+     '/27*x1*x2","2/9*x1*x2","4/27*x1*x2","-1*eps^(1/2)*x1 + -1*eps^(1/2)*x2 + eps^(1/2)"],"'
+     'set":{"kind":"ball","n":2},"witness":{"den":{"a":{"op":"const","value":"0"},"m":"0"},"'
+     'monic":null,"num":{"op":"const","value":"0"}}},"command":"cert","gauss":"0","layers":2'
+     ',"mode":"find","outcome":"certificate"}'),
+    ("cert find --p '6 + eps + 4*x2 - 2*eps*x2 + 6*x2^2 + eps*x2^2 + 4*x1 - 2*eps*x1"
+     " + 2*eps*x1*x2 + 2*x1^2 + eps*x1^2 + 4*x1^2*x2 + 2*x1^2*x2^2 + 2*x1^4'"
+     " --set ball:2 --seed 9 --samples 150 --max-basis 4", 0,
+     '{"command":"cert","gauss":"0","layers":0,"mode":"find","outcome":"unknown"}'),
+    # Rational coefficients: the Gram family of (1 - x + x^2 - x^3 + x^4)/7 has
+    # one free entry, and its squares carry sevenths.
+    ("cert find --p '1/7 - 1/7*x + 1/7*x^2 - 1/7*x^3 + 1/7*x^4' --set ball:1 --seed 9 --samples 150", 0,
+     '{"certificate":{"h":{"den":"1","num":"0"},"m":"0","p":"1/7*x^4 + -1/7*x^3 + 1/7*x^2 + -'
+     '1/7*x + 1/7","r":["-1/14*x1^2 + 1/3*x1 + -1/14","-1/14*x1^2 + 1/3*x1 + -1/14","-1/14*x'
+     '1^2 + 1/3*x1 + -1/14","-13/42*x1^2 + 5/14","11/63*x1^2","2/63*x1^2","1/63*x1^2"],"set"'
+     ':{"kind":"ball","n":1},"witness":{"den":{"a":{"op":"const","value":"0"},"m":"0"},"moni'
+     'c":null,"num":{"op":"const","value":"0"}}},"command":"cert","gauss":"0","layers":1,"mo'
+     'de":"find","outcome":"certificate"}'),
+    # (100x - 71)^2 - 1/1000 is negative only on (0.70999, 0.71001), which no
+    # sample or grid point meets: the witness is read off the exact LDL's
+    # indefinite direction (see test_falsify_witness_is_the_ldl_direction).
+    ("psd --p '10000*x^2 - 14200*x + 5040999/1000' --set ball:1 --falsify --seed 9 --samples 150", 1,
+     '{"command":"psd","mode":"falsify","witness":{"point":["71/100"],"value":"-1/1000"}}'),
     ('selftest --seed 9', 0,
      '{"checks":[{"name":"order_valuation_axiom","ok":true},{"name":"sos_unit_integral","ok"'
      ':true},{"name":"gauss_lower_bound","ok":true},{"name":"divergence_counterexample","ok"'
@@ -197,3 +236,39 @@ def test_golden_output(module_file, strict_file, cone_file, certificate_files, c
     with contextlib.redirect_stdout(buf):
         got = run(argv)
     assert (got, buf.getvalue()) == (code, stdout + "\n")
+
+
+def test_falsify_witness_is_the_ldl_direction(monkeypatch):
+    points = []
+    original = sos._point_from_quadratic_direction
+
+    def recorded(q, direction):
+        points.append(original(q, direction))
+        return points[-1]
+
+    monkeypatch.setattr(sos, "_point_from_quadratic_direction", recorded)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run(shlex.split("psd --p '10000*x^2 - 14200*x + 5040999/1000' --set ball:1 --falsify"
+                               " --seed 9 --samples 150")) == 1
+    assert points == [[Fraction(71, 100)]]
+
+
+# The Motzkin polynomial has no SOS, but (x^2 + y^2) times it has: the search
+# reaches it at multiplier power k = 1 and lifts each square t to t*x and t*y.
+MOTZKIN_QUOTIENTS = [
+    ("ResiduePolynomial(2*x^2*y^1 + -1*x^2*y^3 + -1*x^4*y^1)", "ResiduePolynomial(1*y^2 + 1*x^2)"),
+    ("ResiduePolynomial(2*x^1*y^2 + -1*x^1*y^4 + -1*x^3*y^2)", "ResiduePolynomial(1*y^2 + 1*x^2)"),
+    ("ResiduePolynomial(1*x^1*y^1 + -1*x^3*y^1)", "ResiduePolynomial(1*y^2 + 1*x^2)"),
+    ("ResiduePolynomial(1*y^2 + -1*x^2*y^2)", "ResiduePolynomial(1*y^2 + 1*x^2)"),
+    ("ResiduePolynomial(1*x^2 + -1*x^2*y^2)", "ResiduePolynomial(1*y^2 + 1*x^2)"),
+    ("ResiduePolynomial(1*x^1*y^1 + -1*x^1*y^3)", "ResiduePolynomial(1*y^2 + 1*x^2)"),
+]
+
+
+def test_motzkin_quotients_with_a_multiplier():
+    vs = ("x", "y")
+    x, y = ResiduePolynomial.variable("x", vs), ResiduePolynomial.variable("y", vs)
+    M = x**4 * y**2 + x**2 * y**4 - 3 * x**2 * y**2 + ResiduePolynomial.constant(1, vs)
+    result = sos.residue_sos_decomposition(M, sos.SosBudget(max_basis=40, denominator_cap=1))
+    assert result.kind == sos.SOS
+    assert [(repr(t.num), repr(t.den)) for t in result.quotients] == MOTZKIN_QUOTIENTS

@@ -545,8 +545,8 @@ def test_traced_polynomial_methods_stay_in_polynomial():
 
 def test_products_by_one_are_skipped(monkeypatch):
     # Denominators 1 cost no product in quotient arithmetic, nor in the SOS
-    # identity check; only num * num products are left.  Equality of exact
-    # quotients runs on flat images, whose denominator 1 is no factor at all.
+    # identity check, which then sums the squares over integers.  Equality of
+    # exact quotients runs on flat images, whose denominator 1 is no factor at all.
     a = RationalFunction(parse_expression("1 + eps*x1 - x2^2"))
     b = RationalFunction(parse_expression("x1 - 3*eps^(1/2)*x2"))  # integers: flat denominators are 1 too
     c = RationalFunction(a.num, b.num)
@@ -566,4 +566,33 @@ def test_products_by_one_are_skipped(monkeypatch):
     q, squares = x * x + 2 * y * y, [ResidueQuotient.of(x), ResidueQuotient.of(y), ResidueQuotient.of(y)]
     del products[:]
     assert verify_residue_sos(q, squares)
-    assert len(products) == 3
+    assert products == []
+
+
+# Fraction constructions, arithmetic results included, of the two calls below:
+# 115 and 319 while ldl_psd eliminated in Fractions and verify_residue_sos
+# expanded sum t^2 over Fraction coefficients.  ldl_psd now builds only its
+# pivots and the non-zero entries of its vectors.
+LDL_FRACTIONS = 12
+VERIFY_FRACTIONS = 0
+
+
+def test_residue_sos_stage_eliminates_and_verifies_in_integers(monkeypatch):
+    # A PSD Gram matrix that certify meets on the benchmark's nonneg_sos
+    # inputs, and the 15 squares found for a residue of that shape, whose half
+    # basis has five monomials.
+    F = Fraction
+    G = [[F(4), F(1), F(2), F(0), F(5, 4)], [F(1), F(7), F(3), F(0), F(1, 2)],
+         [F(2), F(3), F(7, 2), F(3, 2), F(0)], [F(0), F(0), F(3, 2), F(3), F(0)],
+         [F(5, 4), F(1, 2), F(0), F(0), F(3)]]
+    vs = ("x1", "x2")
+    x1, x2 = ResiduePolynomial.variable("x1", vs), ResiduePolynomial.variable("x2", vs)
+    q = 2 * x1**4 + 2 * x1**2 * x2**2 + 4 * x1**2 * x2 + 2 * x1**2 + 6 * x2**2 + 4 * x1 + 4 * x2 + 6
+    quotients = sos.residue_sos_decomposition(q, sos.SosBudget(denominator_cap=0)).quotients
+    assert len(sos._half_basis(q)) == 5 and len(quotients) == 15
+    made = count_calls(monkeypatch, [(Fraction, "__new__")])
+    assert sos.ldl_psd(G)[0] == "psd"
+    assert len(made) <= LDL_FRACTIONS
+    del made[:]
+    assert verify_residue_sos(q, quotients)
+    assert len(made) <= VERIFY_FRACTIONS

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcvf import sos
 from rcvf.sampling import SampleConfig, _rng
@@ -157,6 +159,22 @@ class TestVerify:
         assert not verify_residue_sos(q2, (ResidueQuotient.of(x_of(("x",), "x")),))
         assert verify_residue_sos(ResiduePolynomial(("x",)), ())
 
+    def test_integer_guard_is_the_polynomial_identity(self, rng):
+        # Without multipliers the identity is summed over ints; it must agree
+        # with q == sum t^2 in ResiduePolynomial arithmetic, also where the
+        # squares leave a term that q lacks or their cross terms cancel.
+        vs = ("x", "y")
+        x, y = x_of(vs, "x"), x_of(vs, "y")
+        assert not verify_residue_sos(x * x, (ResidueQuotient.of(x), ResidueQuotient.of(y)))
+        assert verify_residue_sos(2 * (x * x) + 2 * (y * y), (ResidueQuotient.of(x + y), ResidueQuotient.of(x - y)))
+        for _ in range(60):
+            ts = [_random_poly(rng, 2, 2, 3) for _ in range(rng.randint(1, 4))]
+            q = sum((t * t for t in ts), rp(_frame(2), {}))
+            if rng.random() < 0.5:
+                q = q + _random_poly(rng, 2, 4, 1, den_bound=3)
+            dec = tuple(ResidueQuotient.of(t) for t in ts)
+            assert verify_residue_sos(q, dec) == (q == sum((t * t for t in ts), rp(_frame(2), {})))
+
     def test_search_results_always_verify(self, rng):
         vs = ("x", "y")
         x, y = x_of(vs, "x"), x_of(vs, "y")
@@ -209,6 +227,124 @@ class TestDenominatorSearch:
         assert result.kind == SOS
         assert any(not quot.den.is_constant() for quot in result.quotients)
         assert verify_residue_sos(M, result.quotients)
+
+
+# -- the integer LDL against the elimination in Fractions --------------------------
+
+
+def reference_ldl_psd(G):
+    """ldl_psd as it eliminated in Fractions, kept as the reference."""
+    n = len(G)
+    M = [list(row) for row in G]
+    active = list(range(n))
+    squares, eliminations = [], []
+    while active:
+        p = None
+        best = None
+        for i in active:
+            if M[i][i] != 0:
+                mag = abs(M[i][i])
+                if best is None or mag > best:
+                    best, p = mag, i
+        if p is None:
+            for i, j in itertools.combinations(active, 2):
+                if M[i][j] != 0:
+                    sgn = 1 if M[i][j] > 0 else -1
+                    basis = _reference_eliminated_basis(n, eliminations)
+                    return "indefinite", [a - sgn * b for a, b in zip(basis[i], basis[j])]
+            break
+        d = M[p][p]
+        if d < 0:
+            return "indefinite", _reference_eliminated_basis(n, eliminations)[p]
+        v = [M[p][j] / d for j in range(n)]
+        squares.append((d, v))
+        support = [(j, x) for j, x in enumerate(v) if x]
+        factors = []
+        for i in range(n):
+            if M[i][p] != 0 or M[p][i] != 0:
+                row, f = M[i], M[i][p]
+                for j, x in support:
+                    row[j] -= f * x
+                if i != p:
+                    factors.append((i, f / d))
+        eliminations.append((p, factors))
+        active.remove(p)
+    return "psd", squares
+
+
+def _reference_eliminated_basis(n, eliminations):
+    basis = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for p, factors in eliminations:
+        for i, li in factors:
+            basis[i] = [a - li * b for a, b in zip(basis[i], basis[p])]
+    return basis
+
+
+# A fixed pool of small rationals: st.fractions would take several times as
+# long to draw as the eliminations take to run.
+_ENTRIES = st.sampled_from(sorted({Fraction(a, b) for a in range(-12, 13) for b in (1, 2, 3, 5, 6)}, key=abs))
+
+
+def _gram(rows):
+    return [[sum((x * y for x, y in zip(a, b)), Fraction(0)) for b in rows] for a in rows]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """(G, verdict): a rational symmetric n x n matrix, 1 <= n <= 6, and the
+    verdict its construction fixes.
+
+    - B B^T with B of rank below n is PSD, and zero is.
+    - B B^T - c u u^T with c = (u^T B B^T u + delta) / (u^T u)^2, delta > 0,
+      is indefinite, as u shows; its diagonal is mostly positive, so the
+      elimination mostly finds that late.
+    - B B^T whose rows i and j are combinations of the others, plus e != 0
+      at (i, j) and (j, i), is indefinite: some x with B^T x = 0 has x_i = 1
+      and x_i x_j e < 0.  Its Schur complement on {i, j} has a zero
+      diagonal, reached after the other pivots (at once when n = 2).
+    """
+    kind = draw(st.sampled_from(("rank_deficient_psd", "indefinite", "zero_diagonal", "zero")))
+    n = draw(st.integers(2 if kind == "zero_diagonal" else 1, 6))
+    if kind == "zero":
+        return [[Fraction(0)] * n for _ in range(n)], "psd"
+    r = draw(st.integers(0, n - 1)) if kind == "rank_deficient_psd" else n
+    B = [draw(st.lists(_ENTRIES, min_size=r, max_size=r)) for _ in range(n)]
+    if kind == "rank_deficient_psd":
+        return _gram(B), "psd"
+    if kind == "indefinite":
+        G = _gram(B)
+        u = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any))
+        uGu = sum(u[i] * G[i][j] * u[j] for i in range(n) for j in range(n))
+        c = (uGu + draw(_ENTRIES.filter(lambda x: x > 0))) / sum(x * x for x in u) ** 2
+        return [[G[i][j] - c * u[i] * u[j] for j in range(n)] for i in range(n)], "indefinite"
+    i, j = draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
+    others = [k for k in range(n) if k not in (i, j)]
+    for t in (i, j):
+        mix = draw(st.lists(st.integers(-2, 2), min_size=len(others), max_size=len(others)))
+        B[t] = [sum((m * B[k][c] for m, k in zip(mix, others)), Fraction(0)) for c in range(r)]
+    G = _gram(B)
+    e = draw(_ENTRIES.filter(bool))
+    G[i][j] += e
+    G[j][i] += e
+    return G, "indefinite"
+
+
+class TestIntegerLDL:
+    # The fraction-free elimination must give the verdicts, squares and
+    # directions of the elimination in Fractions, and each must be exact.
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(case=symmetric_matrices())
+    def test_same_as_the_elimination_in_fractions(self, case):
+        G, expected = case
+        verdict, payload = sos.ldl_psd(G)
+        assert verdict == expected
+        assert (verdict, payload) == reference_ldl_psd(G)
+        n = len(G)
+        if verdict == "psd":
+            assert all(sum((d * v[i] * v[j] for d, v in payload), Fraction(0)) == G[i][j]
+                       for i in range(n) for j in range(n))
+        else:
+            assert sum(payload[i] * G[i][j] * payload[j] for i in range(n) for j in range(n)) < 0
 
 
 def _gram_family(q):
