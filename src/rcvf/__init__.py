@@ -64,7 +64,6 @@ from .integrality import (
     pointwise_integral_oracle,
 )
 from .sos import (
-    ResidueQuotient,
     SosBudget,
     psd_falsify,
     residue_sos_search,

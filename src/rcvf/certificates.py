@@ -317,9 +317,9 @@ def _exact_stages(p: Polynomial, set_descriptor: SetDescriptor,
         search = residue_sos_decomposition(rbar, budget.sos)
         if search.kind != SOS:
             break
-        if not all(q.den.is_one() for q in search.quotients):
-            break  # rational layers would make the residual a quotient; stop peeling
-        layer, residual = _peel_layer(residual, rbar, search.quotients, layer_gauss, vs)
+        if search.power:
+            break  # a multiplier would make the residual a quotient; stop peeling
+        layer, residual = _peel_layer(residual, rbar, search.squares, layer_gauss, vs)
         summands += layer
         layers += 1
 
@@ -350,20 +350,21 @@ def _exact_stages(p: Polynomial, set_descriptor: SetDescriptor,
     return GenerationOutcome(CANDIDATE, r=r_sos, m=m, h=h, gauss=gamma_val, layers=layers)
 
 
-def _peel_layer(residual: Polynomial, rbar: ResiduePolynomial, quotients, gamma: Fraction, vs):
+def _peel_layer(residual: Polynomial, rbar: ResiduePolynomial, squares, gamma: Fraction, vs):
     """(summands t_i eps^(gamma/2), residual minus their squares) for a layer whose
-    residue rbar = sum t_i^2 with every denominator 1, as the search found it.
+    residue rbar = sum t_i^2 with no multiplier, as the search found it.
 
-    The search checked that identity exactly (verify_residue_sos, or
-    rational_square_terms for a constant), and lifting is a ring map, so the
-    squares add up to eps^gamma * lift(rbar).  That is the residual's eps^gamma
-    slice: each monomial of rbar has its coefficient at eps^gamma, the residue
-    rbar was read from, in the residual.  So the layer is peeled by dropping
-    that slice, and each summand coefficient is the single term c eps^(gamma/2).
+    The search checked that identity exactly (in integers, as
+    verify_residue_sos does, or by rational_square_terms for a constant), and
+    lifting is a ring map, so the squares add up to eps^gamma * lift(rbar).
+    That is the residual's eps^gamma slice: each monomial of rbar has its
+    coefficient at eps^gamma, the residue rbar was read from, in the residual.
+    So the layer is peeled by dropping that slice, and each summand
+    coefficient is the single term c eps^(gamma/2).
     """
     # The value group is the rationals, hence divisible: gamma/2 always exists.
     half = Fraction(gamma, 2)
-    summands = [RationalFunction(q.num.lift(vs, half), q.den.lift(vs)) for q in quotients]
+    summands = [RationalFunction(t.lift(vs, half)) for t in squares]
     return summands, residual.without_slice(gamma, rbar.terms)
 
 
@@ -420,9 +421,9 @@ def _syntactic_witness(p: Polynomial, q: Polynomial, gamma: Fraction, q_gauss: F
     inv_leaf = None
     if not shift.is_exactly_zero():
         search = residue_sos_decomposition(shift, sos_budget)
-        if search.kind != SOS or any(not t.den.is_constant() for t in search.quotients):
+        if search.kind != SOS or search.power:
             return None
-        sos_lift = SOSExpr([RationalFunction(t.num.lift(vs)) for t in search.quotients])
+        sos_lift = SOSExpr([RationalFunction(t.lift(vs)) for t in search.squares])
         inv_leaf = SosInverseExpr(sos_lift)
 
     def over_one_plus_s(e: RingExpr) -> RingExpr:

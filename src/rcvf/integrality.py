@@ -21,8 +21,6 @@ from .sampling import SampleConfig, _rng
 from .series import _EXPONENT_DENOMINATOR_CAP, FieldElement, ValueGroupElement
 from .sets import BALL, AffineModuleMap, SetDescriptor, align_to_set
 
-INTEGRAL_BY_GAUSS = "integral_by_gauss"
-NOT_INTEGRAL_BY_GAUSS = "not_integral_by_gauss"
 COUNTEREXAMPLE_FOUND = "counterexample_found"
 NO_COUNTEREXAMPLE_FOUND = "no_counterexample_found"
 

@@ -3,8 +3,8 @@
 Accepted answers are always exact: decompositions are built from rational
 Gram matrices checked positive semidefinite by a fraction-free LDL^T with
 symmetric pivoting (Bareiss), run on integers, and every returned
-decomposition is re-verified exactly, in integers when it has no
-multipliers.  Failures are reported as "not in budget", never guessed.
+decomposition is re-verified exactly, in integers.  Failures are reported as
+"not in budget", never guessed.
 
 Degree <= 2 polynomials are decided completely (the Gram matrix in the
 affine monomial basis is unique).  For higher degrees the Gram family is
@@ -12,8 +12,9 @@ read off in closed form on a reduced half basis (monomials forcing a zero
 Gram row are dropped), and an ellipsoid method on block-wise Householder-QL
 eigenpairs proposes float points of the family; each is rounded to small
 denominators and accepted only by the exact LDL test.  The search may
-multiply the target by powers of (x_1^2+...+x_n^2), so results are
-quotients of polynomials.
+multiply the target by a power k of s = x_1^2+...+x_n^2; a result is then
+squares t_i with q*s^k = sum t_i^2 (uniform denominators, Reznick 1995),
+and k is returned with them.
 """
 
 from __future__ import annotations
@@ -25,24 +26,12 @@ from math import copysign, hypot, inf, isqrt, lcm, log, sqrt
 from operator import add, mul
 from typing import Optional, Sequence
 
-from .poly import ResiduePolynomial
+from .poly import ResiduePolynomial, merge_variables
 from .sampling import SampleConfig, _rng
 
 SOS = "sos"
 NOT_SOS_IN_BUDGET = "not_sos_in_budget"
 NEGATIVITY = "negativity_witness"
-
-
-@dataclass(frozen=True)
-class ResidueQuotient:
-    """num/den with den a nonzero rational polynomial (1 when denominator-free)."""
-
-    num: ResiduePolynomial
-    den: ResiduePolynomial
-
-    @staticmethod
-    def of(num: ResiduePolynomial) -> "ResidueQuotient":
-        return ResidueQuotient(num, ResiduePolynomial.constant(1, num.variables))
 
 
 @dataclass(frozen=True)
@@ -53,8 +42,12 @@ class SosBudget:
 
 @dataclass(frozen=True)
 class SosSearchResult:
+    """squares t_i and the multiplier power k of an SOS, q*s^k = sum t_i^2
+    with s = x_1^2+...+x_n^2; the point of a negativity witness."""
+
     kind: str
-    quotients: tuple[ResidueQuotient, ...] = ()
+    squares: tuple[ResiduePolynomial, ...] = ()
+    power: int = 0
     point: Optional[tuple[Fraction, ...]] = None
 
 
@@ -316,30 +309,6 @@ def _lattice_form(q: ResiduePolynomial):
     return value
 
 
-def _quadratic_gram(q: ResiduePolynomial):
-    """Unique Gram matrix of a degree <= 2 polynomial in the basis [1, x1..xn]."""
-    n = len(q.variables)
-    size = n + 1
-    G = [[Fraction(0)] * size for _ in range(size)]
-    for expv, c in q.terms.items():
-        ones = [i for i, e in enumerate(expv) if e]
-        deg = sum(expv)
-        if deg == 0:
-            G[0][0] = c
-        elif deg == 1:
-            i = ones[0] + 1
-            G[0][i] += c / 2
-            G[i][0] += c / 2
-        elif deg == 2 and len(ones) == 1:
-            i = ones[0] + 1
-            G[i][i] = c
-        else:
-            i, j = ones[0] + 1, ones[1] + 1
-            G[i][j] += c / 2
-            G[j][i] += c / 2
-    return G
-
-
 def _point_from_quadratic_direction(q: ResiduePolynomial, direction: list[Fraction]):
     """Turn an indefinite direction of the [1,x] Gram matrix into q(point) < 0."""
     u0, rest = direction[0], direction[1:]
@@ -376,9 +345,11 @@ def psd_falsify(q: ResiduePolynomial, config: Optional[SampleConfig] = None):
     if n == 0:
         return [] if q.constant_value() < 0 else None
     if q.total_degree() <= 2:
-        # Complete for quadratics: the [1,x] Gram matrix is unique, so the
-        # exact LDL verdict decides.  Prefer a small grid point for output.
-        verdict, payload = ldl_psd(_quadratic_gram(q))
+        # Complete for quadratics: the [1,x] Gram matrix is unique (its family
+        # has no direction), so the exact LDL verdict decides.  Prefer a small
+        # grid point for output.
+        basis = [tuple(int(i == j) for j in range(n)) for i in range(-1, n)]
+        verdict, payload = ldl_psd(_gram_family(q, basis)[0])
         if verdict == "psd":
             return None
         value = _lattice_form(q)
@@ -732,7 +703,7 @@ def _gram_search(target: ResiduePolynomial, basis: list[tuple[int, ...]]):
 
 def residue_sos_search(q: ResiduePolynomial, budget: Optional[SosBudget] = None,
                        config: Optional[SampleConfig] = None) -> SosSearchResult:
-    """Exact SOS decomposition (quotients allowed), negativity witness, or give up."""
+    """Exact SOS decomposition (a multiplier power allowed), negativity witness, or give up."""
     if not q.is_constant():
         pt = psd_falsify(q, config)
         if pt is not None:
@@ -747,18 +718,17 @@ def residue_sos_decomposition(q: ResiduePolynomial,
     Constants are still decided exactly (a negative one gets the origin as its
     witness); otherwise the result is an SOS or not_sos_in_budget, which is
     also the result for a q negative somewhere, since it has no exact SOS.
+    An SOS is returned at the first power k, up to budget.denominator_cap,
+    whose search finds one.
     """
     budget = budget or SosBudget()
     vs = q.variables
-    if q.is_exactly_zero():
-        return SosSearchResult(SOS, quotients=())
-    if q.is_constant():
+    if q.is_constant():  # the zero polynomial included: no squares
         c = q.constant_value()
         if c < 0:
             return SosSearchResult(NEGATIVITY, point=tuple(Fraction(0) for _ in vs))
-        quotients = tuple(ResidueQuotient.of(ResiduePolynomial.constant(s, vs))
-                          for s in rational_square_terms(c))
-        return SosSearchResult(SOS, quotients=quotients)
+        return SosSearchResult(SOS, squares=tuple(ResiduePolynomial.constant(s, vs)
+                                                  for s in rational_square_terms(c)))
     if q.total_degree() % 2 == 1:
         return SosSearchResult(NOT_SOS_IN_BUDGET)
     square_sum = ResiduePolynomial.coordinate_square_sum(vs)
@@ -771,45 +741,25 @@ def residue_sos_decomposition(q: ResiduePolynomial,
         if squares is None:
             continue
         polys = _extract_squares(squares, basis, vs)
-        if k == 0:
-            quotients = tuple(ResidueQuotient.of(t) for t in polys)
-        elif k % 2 == 0:
-            den = square_sum ** (k // 2)
-            quotients = tuple(ResidueQuotient(t, den) for t in polys)
-        else:
-            # sum t^2 * (sum x^2) is again a plain sum of squares (t*x_i terms).
-            den = square_sum ** ((k + 1) // 2)
-            lifted = []
-            for t in polys:
-                for i in range(len(vs)):
-                    lifted.append(t * ResiduePolynomial.variable(vs[i], vs))
-            quotients = tuple(ResidueQuotient(t, den) for t in lifted)
-        result = SosSearchResult(SOS, quotients=quotients)
-        if not verify_residue_sos(q, result.quotients):
+        if not _is_square_sum(target, polys):
             # Exactness guard; should be unreachable.
             continue
-        return result
+        return SosSearchResult(SOS, squares=tuple(polys), power=k)
     return SosSearchResult(NOT_SOS_IN_BUDGET)
 
 
-def verify_residue_sos(q: ResiduePolynomial, decomposition: Sequence[ResidueQuotient]) -> bool:
-    """Exact identity q == sum (num/den)^2.
+def verify_residue_sos(q: ResiduePolynomial, squares: Sequence[ResiduePolynomial], power: int = 0) -> bool:
+    """Exact identity q * s^power == sum t^2 over squares, s = x_1^2+...+x_n^2
+    over q's variables.
 
-    Without multipliers (every den 1, as in each search at k = 0) it is
-    decided in integers: each numerator t is scaled by the lcm c of its
-    coefficient denominators to N = c*t, and with L the lcm of the c^2,
-    L*q == sum (L/c^2) * N^2 is compared term by term.  Otherwise it is
-    cross-multiplied over the denominators.
+    Every polynomial is re-embedded in one frame, and the identity is decided
+    in integers: each t is scaled by the lcm c of its coefficient
+    denominators to N = c*t, and with L the lcm of the c^2,
+    L*q*s^power == sum (L/c^2) * N^2 is compared term by term.
     """
-    if all(quot.den.is_one() and quot.num.variables == q.variables for quot in decomposition):
-        return _is_square_sum(q, [quot.num for quot in decomposition])
-    num_acc = ResiduePolynomial.constant(0, q.variables)
-    den_acc = ResiduePolynomial.constant(1, q.variables)
-    for quot in decomposition:
-        d2 = quot.den * quot.den
-        num_acc = num_acc * d2 + quot.num * quot.num * den_acc
-        den_acc = den_acc * d2
-    return q * den_acc == num_acc
+    target = q * ResiduePolynomial.coordinate_square_sum(q.variables)**power if power else q
+    vs = merge_variables(target.variables, *(t.variables for t in squares))
+    return _is_square_sum(target.with_variables(vs), [t.with_variables(vs) for t in squares])
 
 
 def _is_square_sum(q: ResiduePolynomial, nums: Sequence[ResiduePolynomial]) -> bool:

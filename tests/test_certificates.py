@@ -271,8 +271,8 @@ class TestLayerPeeling:
             gamma = gauss_valuation(residual).value
             rbar = certificates._residue_polynomial(residual.residue_shift(gamma))
             search = residue_sos_decomposition(rbar, SosBudget(max_basis=16, denominator_cap=0))
-            assert search.kind == SOS and all(q.den.is_one() for q in search.quotients)
-            summands, peeled = certificates._peel_layer(residual, rbar, search.quotients, gamma, vs)
+            assert search.kind == SOS and search.power == 0
+            summands, peeled = certificates._peel_layer(residual, rbar, search.squares, gamma, vs)
             by_products = residual
             for s in summands:
                 assert s.den.is_one()

@@ -19,7 +19,7 @@ from rcvf import certificates, sos
 from rcvf.errors import ExponentBlowup, RcvfError
 from rcvf.poly import Polynomial, RationalFunction
 from rcvf.series import FieldElement
-from rcvf.sos import ResiduePolynomial, ResidueQuotient
+from rcvf.sos import ResiduePolynomial
 
 F = Fraction
 VS = ("x1", "x2")
@@ -34,11 +34,12 @@ def reference_residue_shift(p, gamma):
     return Polynomial(p.variables, {e: c * shift for e, c in p.terms.items()})
 
 
-def reference_peel(residual, rbar, quotients, gamma, vs):
-    """Summands lifted and scaled by eps^(gamma/2); residual - eps^gamma * lift(rbar)."""
+def reference_peel(residual, rbar, squares, gamma, vs):
+    """Summands lifted and scaled by eps^(gamma/2), over the constant 1;
+    residual - eps^gamma * lift(rbar)."""
     half = FieldElement.eps_power(F(gamma, 2))
-    summands = [RationalFunction(Polynomial(vs, q.num.terms).scale(half), Polynomial(vs, q.den.terms))
-                for q in quotients]
+    summands = [RationalFunction(Polynomial(vs, t.terms).scale(half), Polynomial.constant(1, vs))
+                for t in squares]
     return summands, residual - Polynomial(vs, rbar.terms).scale(FieldElement.eps_power(gamma))
 
 
@@ -148,8 +149,8 @@ def test_residue_shift_past_the_cap_raises():
 
 @st.composite
 def layers(draw):
-    """(residual, rbar, quotients, gamma) as generation's loop has them, with
-    quotients drawn freely: the peel only lifts them."""
+    """(residual, rbar, squares, gamma) as generation's loop has them, with
+    squares drawn freely: the peel only lifts them."""
     p = draw(polynomials())
     try:
         gamma = p.gauss_valuation().value
@@ -158,12 +159,12 @@ def layers(draw):
         rbar = None
     if rbar is None or rbar.is_exactly_zero():
         return None
-    quotients = []
+    squares = []
     for _ in range(draw(st.integers(1, 3))):
         monomials = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1, max_size=3,
                                   unique=True))
-        quotients.append(ResidueQuotient.of(ResiduePolynomial(VS, {m: draw(coefficients) for m in monomials})))
-    return p, rbar, quotients, gamma
+        squares.append(ResiduePolynomial(VS, {m: draw(coefficients) for m in monomials}))
+    return p, rbar, squares, gamma
 
 
 @settings(max_examples=400, derandomize=True)
@@ -186,7 +187,7 @@ def test_slice_peel_of_a_truncated_layer_keeps_its_precision():
     # (1 + O(eps^32))*x1^2 + eps: the x1^2 layer leaves O(eps^32)*x1^2, not an exact zero.
     p = Polynomial(VS, {(2, 0): FieldElement([(0, 1)], 32), (0, 0): FieldElement.eps_power(1)})
     rbar = certificates._residue_polynomial(p)
-    layer = (p, rbar, [ResidueQuotient.of(ResiduePolynomial.variable("x1", VS))], F(0))
+    layer = (p, rbar, [ResiduePolynomial.variable("x1", VS)], F(0))
     (summands, residual), (_, ref_residual) = certificates._peel_layer(*layer, VS), reference_peel(*layer, VS)
     assert exact_form(residual) == exact_form(ref_residual)
     assert residual.terms[(2, 0)].precision == 32 and not residual.terms[(2, 0)].terms
@@ -197,10 +198,10 @@ def test_slice_peel_past_the_cap_raises():
     # gamma = 1/33: gamma/2 = 1/66 passes the cap, as eps_power(gamma/2) did.
     p = Polynomial(VS, {(0, 0): FieldElement.eps_power(F(1, 33))})
     rbar = certificates._residue_polynomial(p.residue_shift(F(1, 33)))
-    quotients = [ResidueQuotient.of(ResiduePolynomial.constant(1, VS))]
+    squares = [ResiduePolynomial.constant(1, VS)]
     for peel in (certificates._peel_layer, reference_peel):
         with pytest.raises(ExponentBlowup):
-            peel(p, rbar, quotients, F(1, 33), VS)
+            peel(p, rbar, squares, F(1, 33), VS)
 
 
 # -- ldl_psd -------------------------------------------------------------------------

@@ -5,8 +5,8 @@ itself, so a change in any layer that alters an output (an evaluation
 shortcut, a sampling order, a rendering) fails here.  The expected strings
 were recorded from the CLI and are to be changed only with an intended,
 documented output change.  Two pins on the exact SOS stage follow the table:
-the route of one falsifier witness, and the quotients that a search with a
-multiplier returns through the library.
+the route of one falsifier witness, and the squares that a search with a
+multiplier returns through the library, read as quotients.
 """
 
 import contextlib
@@ -254,7 +254,8 @@ def test_falsify_witness_is_the_ldl_direction(monkeypatch):
 
 
 # The Motzkin polynomial has no SOS, but (x^2 + y^2) times it has: the search
-# reaches it at multiplier power k = 1 and lifts each square t to t*x and t*y.
+# reaches it at multiplier power k = 1, and each of its squares t, lifted to
+# t*x and t*y, gives two quotients over x^2 + y^2.
 MOTZKIN_QUOTIENTS = [
     ("ResiduePolynomial(2*x^2*y^1 + -1*x^2*y^3 + -1*x^4*y^1)", "ResiduePolynomial(1*y^2 + 1*x^2)"),
     ("ResiduePolynomial(2*x^1*y^2 + -1*x^1*y^4 + -1*x^3*y^2)", "ResiduePolynomial(1*y^2 + 1*x^2)"),
@@ -270,5 +271,7 @@ def test_motzkin_quotients_with_a_multiplier():
     x, y = ResiduePolynomial.variable("x", vs), ResiduePolynomial.variable("y", vs)
     M = x**4 * y**2 + x**2 * y**4 - 3 * x**2 * y**2 + ResiduePolynomial.constant(1, vs)
     result = sos.residue_sos_decomposition(M, sos.SosBudget(max_basis=40, denominator_cap=1))
-    assert result.kind == sos.SOS
-    assert [(repr(t.num), repr(t.den)) for t in result.quotients] == MOTZKIN_QUOTIENTS
+    assert result.kind == sos.SOS and result.power == 1
+    # M = sum (t*x)^2/s + (t*y)^2/s over the squares t of M*s, s = x^2 + y^2.
+    s = ResiduePolynomial.coordinate_square_sum(vs)
+    assert [(repr(t * v), repr(s)) for t in result.squares for v in (x, y)] == MOTZKIN_QUOTIENTS

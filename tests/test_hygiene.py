@@ -5,7 +5,9 @@ public re-exports): a name bound by ``import``/``from ... import`` must occur
 as a name somewhere else in the module.  Two more scans require every field
 of a dataclass in the package, and every method of a class there that is not
 a dunder, to be read as an attribute (``.name``) somewhere in ``src/``,
-``tests/`` or ``perfbench/``; another requires every target of the
+``tests/`` or ``perfbench/``, and one more every module-level function,
+class and constant of the package to be read there (as a name, an
+attribute, an imported name or a string); another requires every target of the
 benchmark's tracer to be defined where the tracer wraps it.  Three more scans
 keep ``rcvf.cli`` printing only from ``run``, the package free of ``global``
 statements, and name alignment out of ``rcvf.ringexpr`` and ``rcvf.rings``;
@@ -46,7 +48,7 @@ from rcvf.rings import FlatRing
 from rcvf.sampling import SampleConfig
 from rcvf.series import FieldElement
 from rcvf.sets import SetDescriptor
-from rcvf.sos import ResidueQuotient, ResiduePolynomial, psd_falsify, verify_residue_sos
+from rcvf.sos import ResiduePolynomial, psd_falsify, verify_residue_sos
 from test_flat_identity import BALL, unit_certificate
 
 MODULES = sorted(p for p in Path(rcvf.__file__).resolve().parent.glob("*.py") if p.name != "__init__.py")
@@ -153,6 +155,54 @@ def test_no_unread_methods():
     methods = [m for p in MODULES for m in class_methods(p.read_text())]
     assert methods, "the scan found no methods"
     assert unread_fields(methods, reads) == []
+
+
+def module_names(source: str) -> list[str]:
+    """Module-level functions, classes and assigned names that are not dunders."""
+    names = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(stmt.name)
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not _is_dunder(n)]
+
+
+def name_reads(source: str) -> set[str]:
+    """Names loaded, attributes read, names imported from a module, and string
+    constants (a lookup such as the CLI's ``handler="_cmd_..."``)."""
+    reads = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(a.name for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.add(node.value)
+    return reads
+
+
+def test_module_name_scan_sees_unread_names():
+    source = ("from m import imported as alias\nKEPT = 1\nDROPPED = 2\n_LOOKED_UP = 3\nA, (B, C) = 4, (5, 6)\n"
+              "__version__ = '0'\nclass Unread:\n    INNER = 7\ndef unread(): return KEPT + B\n"
+              "def used(): pass\nuse = used\nprint(getattr(obj, '_LOOKED_UP'), obj.C)\n")
+    assert module_names(source) == ["KEPT", "DROPPED", "_LOOKED_UP", "A", "B", "C", "Unread", "unread",
+                                    "used", "use"]
+    reads = name_reads(source)
+    assert "imported" in reads and "alias" not in reads
+    assert [n for n in module_names(source) if n not in reads] == ["DROPPED", "A", "Unread", "unread", "use"]
+
+
+def test_no_unread_module_names():
+    # A name read by no module, test or benchmark script is dead code; the
+    # package's own imports, __init__.py's re-exports among them, count as reads.
+    reads = set().union(*(name_reads(p.read_text()) for p in READERS))
+    names = [f"{p.stem}.{n}" for p in MODULES for n in module_names(p.read_text())]
+    assert names, "the scan found no module names"
+    assert [n for n in names if n.split(".", 1)[1] not in reads] == []
 
 
 def functions_calling(source: str, callee: str) -> list[str]:
@@ -545,7 +595,7 @@ def test_traced_polynomial_methods_stay_in_polynomial():
 
 def test_products_by_one_are_skipped(monkeypatch):
     # Denominators 1 cost no product in quotient arithmetic, nor in the SOS
-    # identity check, which then sums the squares over integers.  Equality of
+    # identity check, which sums the squares over integers.  Equality of
     # exact quotients runs on flat images, whose denominator 1 is no factor at all.
     a = RationalFunction(parse_expression("1 + eps*x1 - x2^2"))
     b = RationalFunction(parse_expression("x1 - 3*eps^(1/2)*x2"))  # integers: flat denominators are 1 too
@@ -563,10 +613,28 @@ def test_products_by_one_are_skipped(monkeypatch):
     assert len(products) == 1
     vs = ("x", "y")
     x, y = ResiduePolynomial.variable("x", vs), ResiduePolynomial.variable("y", vs)
-    q, squares = x * x + 2 * y * y, [ResidueQuotient.of(x), ResidueQuotient.of(y), ResidueQuotient.of(y)]
+    q, squares = x * x + 2 * y * y, [x, y, y]
     del products[:]
     assert verify_residue_sos(q, squares)
     assert products == []
+
+
+# ResiduePolynomial products of checking Motzkin's squares at power 1: only
+# q*s, as without a multiplier the squares are summed over integers.  The
+# cross-multiplied check of the same squares as quotients over s formed five
+# products per quotient.
+VERIFY_MULTIPLIER_PRODUCTS = 1
+
+
+def test_multiplier_identity_forms_one_product(monkeypatch):
+    vs = ("x", "y")
+    x, y = ResiduePolynomial.variable("x", vs), ResiduePolynomial.variable("y", vs)
+    M = x**4 * y**2 + x**2 * y**4 - 3 * x**2 * y**2 + ResiduePolynomial.constant(1, vs)
+    result = sos.residue_sos_decomposition(M, sos.SosBudget(max_basis=40, denominator_cap=1))
+    assert result.kind == sos.SOS and result.power == 1 and len(result.squares) == 3
+    products = count_calls(monkeypatch, [(ResiduePolynomial, "__mul__"), (ResiduePolynomial, "__rmul__")])
+    assert verify_residue_sos(M, result.squares, result.power)
+    assert len(products) <= VERIFY_MULTIPLIER_PRODUCTS
 
 
 # Fraction constructions, arithmetic results included, of the two calls below:
@@ -588,11 +656,11 @@ def test_residue_sos_stage_eliminates_and_verifies_in_integers(monkeypatch):
     vs = ("x1", "x2")
     x1, x2 = ResiduePolynomial.variable("x1", vs), ResiduePolynomial.variable("x2", vs)
     q = 2 * x1**4 + 2 * x1**2 * x2**2 + 4 * x1**2 * x2 + 2 * x1**2 + 6 * x2**2 + 4 * x1 + 4 * x2 + 6
-    quotients = sos.residue_sos_decomposition(q, sos.SosBudget(denominator_cap=0)).quotients
-    assert len(sos._half_basis(q)) == 5 and len(quotients) == 15
+    squares = sos.residue_sos_decomposition(q, sos.SosBudget(denominator_cap=0)).squares
+    assert len(sos._half_basis(q)) == 5 and len(squares) == 15
     made = count_calls(monkeypatch, [(Fraction, "__new__")])
     assert sos.ldl_psd(G)[0] == "psd"
     assert len(made) <= LDL_FRACTIONS
     del made[:]
-    assert verify_residue_sos(q, quotients)
+    assert verify_residue_sos(q, squares)
     assert len(made) <= VERIFY_FRACTIONS

@@ -15,7 +15,6 @@ from rcvf.sos import (
     NOT_SOS_IN_BUDGET,
     SOS,
     ResiduePolynomial,
-    ResidueQuotient,
     SosBudget,
     four_squares,
     psd_falsify,
@@ -42,7 +41,7 @@ class TestSearchExamples:
         q = x * x - 2 * (x * y) + 2 * (y * y)
         result = residue_sos_search(q)
         assert result.kind == SOS
-        assert verify_residue_sos(q, result.quotients)
+        assert verify_residue_sos(q, result.squares, result.power)
 
     def test_one_plus_x_squared(self):
         vs = ("x",)
@@ -50,7 +49,7 @@ class TestSearchExamples:
         q = ResiduePolynomial.constant(1, vs) + x * x
         result = residue_sos_search(q)
         assert result.kind == SOS
-        assert verify_residue_sos(q, result.quotients)
+        assert verify_residue_sos(q, result.squares, result.power)
 
     def test_motzkin_like_not_in_budget(self):
         # PSD but not a polynomial SOS; with denominator cap 0 the search must
@@ -65,7 +64,7 @@ class TestSearchExamples:
     def test_zero_polynomial(self):
         q = ResiduePolynomial(("x",))
         result = residue_sos_search(q)
-        assert result.kind == SOS and result.quotients == ()
+        assert result.kind == SOS and result.squares == () and result.power == 0
         assert verify_residue_sos(q, ())
 
     def test_negative_constant(self):
@@ -78,7 +77,7 @@ class TestSearchExamples:
         q = ResiduePolynomial.constant(F(7, 3), ("x",))
         result = residue_sos_search(q)
         assert result.kind == SOS
-        assert verify_residue_sos(q, result.quotients)
+        assert verify_residue_sos(q, result.squares, result.power)
 
 
 class TestFalsify:
@@ -124,7 +123,7 @@ class TestQuadraticFormCompleteness:
                 q = q + row * row
             result = residue_sos_search(q)
             assert result.kind == SOS, f"trial {trial}"
-            assert verify_residue_sos(q, result.quotients)
+            assert verify_residue_sos(q, result.squares, result.power)
 
     def test_indefinite_forms_falsified(self):
         rng = random.Random(2323)
@@ -153,27 +152,55 @@ class TestVerify:
         vs = ("x", "y")
         x, y = x_of(vs, "x"), x_of(vs, "y")
         q = x * x - 2 * (x * y) + 2 * (y * y)
-        dec = (ResidueQuotient.of(x - y), ResidueQuotient.of(y))
-        assert verify_residue_sos(q, dec)
+        assert verify_residue_sos(q, (x - y, y))
         q2 = ResiduePolynomial.constant(1, ("x",)) + x_of(("x",), "x") ** 2
-        assert not verify_residue_sos(q2, (ResidueQuotient.of(x_of(("x",), "x")),))
+        assert not verify_residue_sos(q2, (x_of(("x",), "x"),))
         assert verify_residue_sos(ResiduePolynomial(("x",)), ())
+        # With a multiplier: (x^2 + y^2)(x^2 + y^2) = x^4 + 2x^2y^2 + y^4, and
+        # q*s^2 = (t*s)^2 for q = t^2.
+        assert verify_residue_sos(x * x + y * y, (x * x, y * y, x * y, x * y), power=1)
+        assert not verify_residue_sos(x * x + y * y, (x * x, y * y), power=1)
+        assert verify_residue_sos(q, ((x - y) * (x * x + y * y), y * (x * x + y * y)), power=2)
 
     def test_integer_guard_is_the_polynomial_identity(self, rng):
-        # Without multipliers the identity is summed over ints; it must agree
-        # with q == sum t^2 in ResiduePolynomial arithmetic, also where the
-        # squares leave a term that q lacks or their cross terms cancel.
+        # The identity is summed over ints; it must agree with q*s^k == sum t^2
+        # in ResiduePolynomial arithmetic, also where the squares leave a term
+        # that q lacks or their cross terms cancel, at powers 1 and 2, and for
+        # a square in a wider frame than q.  Where the cross-multiplied check
+        # of quotients gave a verdict, this one gives the same and never raises.
         vs = ("x", "y")
         x, y = x_of(vs, "x"), x_of(vs, "y")
-        assert not verify_residue_sos(x * x, (ResidueQuotient.of(x), ResidueQuotient.of(y)))
-        assert verify_residue_sos(2 * (x * x) + 2 * (y * y), (ResidueQuotient.of(x + y), ResidueQuotient.of(x - y)))
+        assert not verify_residue_sos(x * x, (x, y))
+        assert verify_residue_sos(2 * (x * x) + 2 * (y * y), (x + y, x - y))
         for _ in range(60):
             ts = [_random_poly(rng, 2, 2, 3) for _ in range(rng.randint(1, 4))]
             q = sum((t * t for t in ts), rp(_frame(2), {}))
             if rng.random() < 0.5:
                 q = q + _random_poly(rng, 2, 4, 1, den_bound=3)
-            dec = tuple(ResidueQuotient.of(t) for t in ts)
-            assert verify_residue_sos(q, dec) == (q == sum((t * t for t in ts), rp(_frame(2), {})))
+            assert verify_residue_sos(q, ts) == (q == sum((t * t for t in ts), rp(_frame(2), {})))
+        s = ResiduePolynomial.coordinate_square_sum(_frame(2))
+        xs = [x_of(_frame(2), v) for v in _frame(2)]
+        seen = set()
+        for _ in range(90):
+            power = rng.randint(0, 2)
+            us = [_random_poly(rng, 2, 2, 3) for _ in range(rng.randint(1, 3))]
+            q = sum((u * u for u in us), rp(_frame(2), {}))
+            # q*s = sum (u*x_i)^2 and q*s^2 = sum (u*s)^2.
+            ts = ([u * xi for u in us for xi in xs] if power == 1 else
+                  [u * s for u in us] if power == 2 else us)
+            if rng.random() < 0.4:
+                q = q + _random_poly(rng, 2, 3, 1, den_bound=3)
+            wider = rng.random() < 0.4
+            if wider:  # one square in the frame (x1, x2, x3), x3 in it half the time
+                i = rng.randrange(len(ts))
+                extra = _random_poly(rng, 3, 1, 1) if rng.random() < 0.5 else rp(_frame(3), {})
+                ts[i] = ts[i].with_variables(_frame(3)) + extra
+            want = q * s**power == sum((t * t for t in ts), rp(_frame(2), {}))
+            got = verify_residue_sos(q, ts, power)
+            assert got == want
+            assert got == _cross_multiplied(q, _as_quotients(ts, power, s, xs))
+            seen.add((power, wider, got))
+        assert {(k, w, v) for k in range(3) for w in (False, True) for v in (False, True)} <= seen
 
     def test_search_results_always_verify(self, rng):
         vs = ("x", "y")
@@ -185,7 +212,7 @@ class TestVerify:
             q = p1 * p1 + p2 * p2
             result = residue_sos_search(q)
             assert result.kind == SOS
-            assert verify_residue_sos(q, result.quotients)
+            assert verify_residue_sos(q, result.squares, result.power)
 
 
 class TestHelpers:
@@ -216,7 +243,7 @@ class TestDenominatorSearch:
         assert q == (x * x - x * y) ** 2 + (x * y - y * y) ** 2
         result = residue_sos_search(q, SosBudget(max_basis=24, denominator_cap=2))
         assert result.kind == SOS
-        assert verify_residue_sos(q, result.quotients)
+        assert verify_residue_sos(q, result.squares, result.power)
 
     def test_motzkin_with_one_multiplier(self):
         # (x^2 + y^2) * M is a sum of squares although M is not.
@@ -225,8 +252,9 @@ class TestDenominatorSearch:
         M = (x**4) * (y**2) + (x**2) * (y**4) - 3 * (x**2) * (y**2) + ResiduePolynomial.constant(1, vs)
         result = sos.residue_sos_decomposition(M, SosBudget(max_basis=40, denominator_cap=1))
         assert result.kind == SOS
-        assert any(not quot.den.is_constant() for quot in result.quotients)
-        assert verify_residue_sos(M, result.quotients)
+        assert result.power == 1
+        assert verify_residue_sos(M, result.squares, 1)
+        assert not verify_residue_sos(M, result.squares)
 
 
 # -- the integer LDL against the elimination in Fractions --------------------------
@@ -488,7 +516,7 @@ class TestGramSearch:
         assert sos._half_basis(q) == [(1,), (2,)]
         result = sos.residue_sos_decomposition(q, SosBudget(denominator_cap=0))
         assert result.kind == SOS
-        assert verify_residue_sos(q, result.quotients)
+        assert verify_residue_sos(q, result.squares, result.power)
 
     def test_sums_of_squares_without_constant_term(self):
         # As many random squares as basis monomials, so some Gram matrix is
@@ -505,7 +533,7 @@ class TestGramSearch:
             assert (0,) * n not in q.terms
             result = sos.residue_sos_decomposition(q, SosBudget(denominator_cap=0))
             assert result.kind == SOS, f"trial {trial}"
-            assert verify_residue_sos(q, result.quotients)
+            assert verify_residue_sos(q, result.squares, result.power)
 
     def test_ellipsoid_wins_where_the_particular_solution_is_indefinite(self):
         # 1 - x + x^2 - x^3 + x^4 = (x^5 + 1)/(x + 1) > 0 on the reals.
@@ -517,7 +545,7 @@ class TestGramSearch:
         assert sos.ldl_psd(G0)[0] == "indefinite"
         result = sos.residue_sos_decomposition(q, SosBudget(denominator_cap=0))
         assert result.kind == SOS
-        assert verify_residue_sos(q, result.quotients)
+        assert verify_residue_sos(q, result.squares, result.power)
 
     def test_ellipsoid_wins_in_three_dimensions(self):
         vs = ("x", "y")
@@ -529,7 +557,7 @@ class TestGramSearch:
         assert sos.ldl_psd(G0)[0] == "indefinite"
         result = sos.residue_sos_decomposition(q, SosBudget(denominator_cap=0))
         assert result.kind == SOS
-        assert verify_residue_sos(q, result.quotients)
+        assert verify_residue_sos(q, result.squares, result.power)
 
     @pytest.mark.parametrize("scale", (F(1, 10**9), F(1, 10**6), F(1, 7), 10**6))
     def test_scaled_inputs(self, scale):
@@ -539,7 +567,7 @@ class TestGramSearch:
         q = (ResiduePolynomial.constant(1, vs) - x + x**2 - x**3 + x**4) * scale
         result = sos.residue_sos_decomposition(q, SosBudget(denominator_cap=0))
         assert result.kind == SOS
-        assert verify_residue_sos(q, result.quotients)
+        assert verify_residue_sos(q, result.squares, result.power)
 
     def test_coefficients_beyond_float_range(self):
         # No float image: of the trace bound's mean in the first, of G0 alone in
@@ -574,7 +602,7 @@ class TestGramSearch:
         assert (0, 0) not in sos._half_basis(q)
         result = sos.residue_sos_decomposition(q, SosBudget(denominator_cap=0))
         assert result.kind == SOS
-        assert verify_residue_sos(q, result.quotients)
+        assert verify_residue_sos(q, result.squares, result.power)
 
     def test_min_eig(self):
         # Entries uniform in [-3, 3] times a scale; tolerances are 1e-12 times that scale.
@@ -664,6 +692,31 @@ def _reference_grid(n, cap=4000):
         yield tuple(rng.choice(sos._GRID_VALUES) for _ in range(n))
 
 
+def reference_quadratic_gram(q):
+    """The unique Gram matrix of a degree <= 2 polynomial in the basis [1, x1..xn],
+    entry by entry, as psd_falsify once built it."""
+    n = len(q.variables)
+    size = n + 1
+    G = [[Fraction(0)] * size for _ in range(size)]
+    for expv, c in q.terms.items():
+        ones = [i for i, e in enumerate(expv) if e]
+        deg = sum(expv)
+        if deg == 0:
+            G[0][0] = c
+        elif deg == 1:
+            i = ones[0] + 1
+            G[0][i] += c / 2
+            G[i][0] += c / 2
+        elif deg == 2 and len(ones) == 1:
+            i = ones[0] + 1
+            G[i][i] = c
+        else:
+            i, j = ones[0] + 1, ones[1] + 1
+            G[i][j] += c / 2
+            G[j][i] += c / 2
+    return G
+
+
 def reference_psd_falsify(q, config=None):
     """The same search as psd_falsify with every sign decided by an exact
     Fraction value of q."""
@@ -673,7 +726,7 @@ def reference_psd_falsify(q, config=None):
     if n == 0:
         return [] if q.constant_value() < 0 else None
     if q.total_degree() <= 2:
-        verdict, payload = sos.ldl_psd(sos._quadratic_gram(q))
+        verdict, payload = sos.ldl_psd(reference_quadratic_gram(q))
         if verdict == "psd":
             return None
         for pt in _reference_grid(n, cap=600):
@@ -718,6 +771,26 @@ def reference_psd_falsify(q, config=None):
 
 def _frame(n):
     return tuple(f"x{i + 1}" for i in range(n))
+
+
+def _as_quotients(ts, power, s, xs):
+    """(num, den) pairs with sum (num/den)^2 = sum t^2 / s^power, as the
+    search once returned them: over s^(k/2) for an even k, and for an odd k
+    each t lifted to t*x_i over s^((k+1)/2)."""
+    if power % 2:
+        return [(t * xi, s ** ((power + 1) // 2)) for t in ts for xi in xs]
+    return [(t, s ** (power // 2)) for t in ts]
+
+
+def _cross_multiplied(q, quotients):
+    """q == sum (num/den)^2, cross-multiplied over the denominators as
+    verify_residue_sos once checked every decomposition with a multiplier."""
+    num_acc, den_acc = ResiduePolynomial.constant(0, q.variables), ResiduePolynomial.constant(1, q.variables)
+    for num, den in quotients:
+        d2 = den * den
+        num_acc = num_acc * d2 + num * num * den_acc
+        den_acc = den_acc * d2
+    return q * den_acc == num_acc
 
 
 def _random_poly(rng, n, degree, terms, den_bound=10):
@@ -790,6 +863,18 @@ class TestLatticeFalsifier:
                 assert q.evaluate(got) < 0
             stages.add(_stage(q, want))
         assert stages == {"grid", "direction", "descent", "ray", "none", "none_after_descent"}
+
+    def test_quadratic_gram_is_the_family_particular_solution(self):
+        # psd_falsify reads a quadratic's Gram matrix off _gram_family in the
+        # basis [1, x1..xn]; each monomial has one entry there, so the family
+        # has no direction and G0 is the matrix built entry by entry.
+        rng = random.Random(3000)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            q = _random_poly(rng, n, 2, rng.randint(1, 8), den_bound=5)
+            basis = [tuple(int(i == j) for j in range(n)) for i in range(-1, n)]
+            G0, directions = sos._gram_family(q, basis)
+            assert directions == [] and G0 == reference_quadratic_gram(q), q
 
     def test_search_constants_lie_on_the_lattice(self):
         lattice = sos._LATTICE
